@@ -31,7 +31,7 @@ int main() {
   table.header({"typeID", "acronym", "count", "measured", "paper"});
   for (const auto& [type, count] : combined.sorted()) {
     auto paper_it = kPaper.find(type);
-    table.row({"I" + std::to_string(type),
+    table.row({std::string("I").append(std::to_string(type)),
                iec104::type_acronym(static_cast<iec104::TypeId>(type)),
                format_count(count), format_percent(combined.percentage(type)),
                paper_it != kPaper.end() ? format_double(paper_it->second, 4) + "%"

@@ -51,7 +51,7 @@ int main() {
       sym = "-";
     }
     auto paper = kPaper.find(type);
-    table.row({"I" + std::to_string(type), std::to_string(ips.size()),
+    table.row({std::string("I").append(std::to_string(type)), std::to_string(ips.size()),
                paper != kPaper.end() ? std::to_string(paper->second.first) : "-", sym,
                paper != kPaper.end() ? paper->second.second : "-"});
   }

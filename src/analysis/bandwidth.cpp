@@ -71,13 +71,29 @@ BandwidthAccumulator::BandwidthAccumulator(double bucket_seconds)
 
 void BandwidthAccumulator::add_packet(Timestamp ts,
                                       std::span<const std::uint8_t> data) {
+  net::DecodedFrame frame;
+  add_decoded(ts, data.size(),
+              net::decode_frame_into(data, frame) ? &frame : nullptr);
+}
+
+BandwidthAccumulator::ProtoSlot& BandwidthAccumulator::slot_for(TapProtocol proto) {
+  ProtoSlot& slot = proto_slots_[static_cast<std::size_t>(proto)];
+  if (slot.series == nullptr) {
+    slot.series = &series_[proto];
+    slot.bytes = &total_bytes_[proto];
+    slot.packets = &total_packets_[proto];
+  }
+  return slot;
+}
+
+void BandwidthAccumulator::add_decoded(Timestamp ts, std::size_t wire_bytes,
+                                       const net::DecodedFrame* frame) {
   if (!have_start_) {
     start_ts_ = ts;
     have_start_ = true;
   }
-  net::DecodedFrame frame;
-  if (!net::decode_frame_into(data, frame)) return;
-  TapProtocol proto = classify(frame);
+  if (frame == nullptr) return;
+  TapProtocol proto = classify(*frame);
   // A packet stamped before the capture start (reordered tap, or a forged
   // timestamp) collapses into bucket 0; unsigned subtraction would
   // otherwise wrap to a ~580,000-year offset.
@@ -88,7 +104,8 @@ void BandwidthAccumulator::add_packet(Timestamp ts,
   }
   const double t = static_cast<double>(bucket_index) * bucket_seconds_;
 
-  auto& buckets = series_[proto];
+  ProtoSlot& proto_slot = slot_for(proto);
+  auto& buckets = *proto_slot.series;
   RateBucket* slot = nullptr;
   if (buckets.empty() || buckets.back().t_seconds < t) {
     // Zero-fill short silences so contiguous traffic plots densely, but a
@@ -109,8 +126,11 @@ void BandwidthAccumulator::add_packet(Timestamp ts,
     }
     buckets.push_back(RateBucket{t, 0, 0});
     slot = &buckets.back();
+  } else if (buckets.back().t_seconds == t) {
+    // The common case: in-order traffic filling the tail bucket.
+    slot = &buckets.back();
   } else {
-    // At or before the tail: the bucket usually exists (dense fill), but a
+    // Before the tail: the bucket usually exists (dense fill), but a
     // reordered packet can land in an elided gap — insert it in place.
     auto it = std::lower_bound(
         buckets.begin(), buckets.end(), t,
@@ -120,14 +140,21 @@ void BandwidthAccumulator::add_packet(Timestamp ts,
     }
     slot = &*it;
   }
-  slot->bytes += data.size();
+  slot->bytes += wire_bytes;
   ++slot->packets;
-  total_bytes_[proto] += data.size();
-  ++total_packets_[proto];
+  *proto_slot.bytes += wire_bytes;
+  ++*proto_slot.packets;
 
-  connection_bytes_[net::FlowKey{frame.ip.src, frame.tcp.src_port, frame.ip.dst,
-                                 frame.tcp.dst_port}
-                        .canonical()] += frame.payload.size();
+  net::FlowKey conn = net::FlowKey{frame->ip.src, frame->tcp.src_port,
+                                   frame->ip.dst, frame->tcp.dst_port}
+                          .canonical();
+  std::uint64_t hash = net::flow_key_hash(conn);
+  std::uint64_t* conn_bytes = connection_cache_.find(conn, hash);
+  if (conn_bytes == nullptr) {
+    conn_bytes = &connection_bytes_[conn];
+    connection_cache_.put(conn, hash, conn_bytes);
+  }
+  *conn_bytes += frame->payload.size();
 
   if (proto == TapProtocol::kIec104) {
     // A reordered packet would wrap the unsigned gap into an astronomical
@@ -189,6 +216,9 @@ void BandwidthAccumulator::save(ByteWriter& w) const {
 }
 
 Status BandwidthAccumulator::load(ByteReader& r) {
+  // Every map below is rebuilt, so no cached node address survives.
+  proto_slots_ = {};
+  connection_cache_.invalidate();
   auto bucket = r.f64le();
   auto have_start = r.u8();
   auto start = r.u64le();

@@ -7,6 +7,7 @@
 // IEC 104 traffic.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -14,7 +15,9 @@
 #include <vector>
 
 #include "net/flow.hpp"
+#include "net/frame.hpp"
 #include "net/pcap.hpp"
+#include "util/ptrcache.hpp"
 #include "util/stats.hpp"
 
 namespace uncharted::analysis {
@@ -57,11 +60,18 @@ BandwidthReport analyze_bandwidth(std::span<const net::FrameView> frames,
                                   double bucket_seconds = 10.0);
 
 /// Incremental bandwidth accounting: one packet at a time, checkpointable.
-/// `analyze_bandwidth` is a thin wrapper; the streaming analyzer feeds one
-/// of these alongside the DatasetBuilder.
+/// The batch and streaming analyzers feed it from the DatasetBuilder's own
+/// decode of each frame (DatasetBuilder::add_packets(frames, &acc)), so a
+/// frame is decoded once for both; `add_packet` and `analyze_bandwidth`
+/// decode for themselves and serve callers without a builder.
 class BandwidthAccumulator {
  public:
   explicit BandwidthAccumulator(double bucket_seconds = 10.0);
+
+  /// Not copyable or movable: the slot caches hold addresses of this
+  /// accumulator's own map nodes.
+  BandwidthAccumulator(const BandwidthAccumulator&) = delete;
+  BandwidthAccumulator& operator=(const BandwidthAccumulator&) = delete;
 
   void add_packet(const net::CapturedPacket& pkt) {
     add_packet(pkt.ts, pkt.data);
@@ -69,6 +79,12 @@ class BandwidthAccumulator {
   /// Zero-copy form: all accounting reads only the timestamp and the raw
   /// frame bytes, so views and owning packets take the same path.
   void add_packet(Timestamp ts, std::span<const std::uint8_t> data);
+
+  /// Accounts one already-decoded frame of `wire_bytes` captured bytes.
+  /// Null means the frame did not decode: it still opens the capture
+  /// (sets the start timestamp) but is otherwise not counted.
+  void add_decoded(Timestamp ts, std::size_t wire_bytes,
+                   const net::DecodedFrame* frame);
 
   /// Snapshot of the report so far (top talkers sorted and truncated).
   BandwidthReport finish() const;
@@ -89,6 +105,22 @@ class BandwidthAccumulator {
   std::map<net::FlowKey, std::uint64_t> connection_bytes_;
   std::optional<Timestamp> prev_iec104_;
   RunningStats iec104_interarrival_s_;
+
+  /// Node addresses of one protocol's entries in the three per-protocol
+  /// maps (std::map nodes are stable under insertion).
+  struct ProtoSlot {
+    std::vector<RateBucket>* series = nullptr;
+    std::uint64_t* bytes = nullptr;
+    std::uint64_t* packets = nullptr;
+  };
+  ProtoSlot& slot_for(TapProtocol proto);
+
+  /// Per-TapProtocol slots in front of the maps, which stay the source of
+  /// truth; load() clears them.
+  std::array<ProtoSlot, static_cast<std::size_t>(TapProtocol::kOther) + 1>
+      proto_slots_{};
+  /// Short-circuit for the per-packet connection_bytes_ lookup.
+  DirectMappedCache<net::FlowKey, std::uint64_t, 1024> connection_cache_;
 };
 
 }  // namespace uncharted::analysis

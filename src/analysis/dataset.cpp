@@ -164,7 +164,8 @@ void DatasetBuilder::enforce_budgets() {
 }
 
 void DatasetBuilder::add_packet_impl(Timestamp ts,
-                                     std::span<const std::uint8_t> data) {
+                                     std::span<const std::uint8_t> data,
+                                     BandwidthAccumulator* bandwidth) {
   ++packets_consumed_;
   ++stats_.packets;
   last_ts_ = ts;
@@ -172,9 +173,11 @@ void DatasetBuilder::add_packet_impl(Timestamp ts,
   if (!net::decode_frame_into(data, frame_storage)) {
     ++stats_.undecodable_frames;
     ++stats_.degradation.undecodable_frames;
+    if (bandwidth) bandwidth->add_decoded(ts, data.size(), nullptr);
     return;
   }
   const net::DecodedFrame* frame = &frame_storage;
+  if (bandwidth) bandwidth->add_decoded(ts, data.size(), frame);
   ++stats_.tcp_packets;
   flows_.add(ts, *frame);
 
@@ -212,17 +215,19 @@ void DatasetBuilder::add_packet_impl(Timestamp ts,
   }
 }
 
-void DatasetBuilder::add_packet(Timestamp ts, std::span<const std::uint8_t> data) {
-  add_packet_impl(ts, data);
+void DatasetBuilder::add_packet(Timestamp ts, std::span<const std::uint8_t> data,
+                                BandwidthAccumulator* bandwidth) {
+  add_packet_impl(ts, data, bandwidth);
   enforce_budgets();
 }
 
-void DatasetBuilder::add_packets(std::span<const net::FrameView> frames) {
+void DatasetBuilder::add_packets(std::span<const net::FrameView> frames,
+                                 BandwidthAccumulator* bandwidth) {
   if (!budgets_.unlimited()) {
     // Budgets in play: enforcement has to see every packet boundary, or
     // eviction timing would depend on the driver's batch size.
     for (const auto& frame : frames) {
-      add_packet_impl(frame.ts, frame.data);
+      add_packet_impl(frame.ts, frame.data, bandwidth);
       enforce_budgets();
     }
     return;
@@ -231,7 +236,7 @@ void DatasetBuilder::add_packets(std::span<const net::FrameView> frames) {
   // degenerates to peak sampling. Flows, records and parsers only grow
   // within a batch, so end-of-batch sampling observes their true peaks;
   // only the (unbudgeted) reassembly transient can be sampled lower.
-  for (const auto& frame : frames) add_packet_impl(frame.ts, frame.data);
+  for (const auto& frame : frames) add_packet_impl(frame.ts, frame.data, bandwidth);
   enforce_budgets();
 }
 

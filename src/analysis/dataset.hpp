@@ -17,6 +17,7 @@
 
 #include <optional>
 
+#include "analysis/bandwidth.hpp"
 #include "analysis/resource.hpp"
 #include "util/arena.hpp"
 #include "iec104/conformance.hpp"
@@ -269,13 +270,20 @@ class DatasetBuilder {
   DatasetBuilder& operator=(const DatasetBuilder&) = delete;
 
   /// Ingests one captured packet. Budgets are enforced after each call.
-  void add_packet(const net::CapturedPacket& pkt) { add_packet(pkt.ts, pkt.data); }
+  /// A non-null `bandwidth` is fed from this call's decode of the frame
+  /// (BandwidthAccumulator::add_decoded), so the frame is decoded once for
+  /// both; every add path below takes the same optional accumulator.
+  void add_packet(const net::CapturedPacket& pkt,
+                  BandwidthAccumulator* bandwidth = nullptr) {
+    add_packet(pkt.ts, pkt.data, bandwidth);
+  }
 
   /// Zero-copy variant: `data` is only read during the call (the mmap'd
   /// frame-view ingest path). Payload bytes are copied only where they must
   /// outlive the call — out-of-order reassembly segments, partial APDU
   /// tails, and failure evidence.
-  void add_packet(Timestamp ts, std::span<const std::uint8_t> data);
+  void add_packet(Timestamp ts, std::span<const std::uint8_t> data,
+                  BandwidthAccumulator* bandwidth = nullptr);
 
   /// Batched ingest over frame views: the whole batch is decoded
   /// back-to-back and — when no budget is set, so enforcement cannot fire —
@@ -283,7 +291,8 @@ class DatasetBuilder {
   /// packet. With budgets set, enforcement stays per-packet: governance
   /// timing is observable (eviction order, pressure counters) and must not
   /// depend on how the driver batched the input.
-  void add_packets(std::span<const net::FrameView> frames);
+  void add_packets(std::span<const net::FrameView> frames,
+                   BandwidthAccumulator* bandwidth = nullptr);
 
   /// Packets ingested so far — the resume cursor a checkpoint stores.
   std::uint64_t packets_consumed() const { return packets_consumed_; }
@@ -323,7 +332,8 @@ class DatasetBuilder {
 
  private:
   /// add_packet without the budget epilogue — the shared decode body.
-  void add_packet_impl(Timestamp ts, std::span<const std::uint8_t> data);
+  void add_packet_impl(Timestamp ts, std::span<const std::uint8_t> data,
+                       BandwidthAccumulator* bandwidth);
   iec104::ApduStreamParser& parser_for(const net::FlowKey& key);
   /// Accounts freshly drained parse results for one directed flow.
   void collect(const net::FlowKey& key, std::vector<iec104::ParsedApdu>& apdus,

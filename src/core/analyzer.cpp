@@ -93,12 +93,16 @@ AnalysisReport CaptureAnalyzer::analyze(std::span<const net::FrameView> frames,
   if (threads <= 1) {
     StageTimings build_timings;
     analysis::CaptureDataset dataset;
+    analysis::BandwidthAccumulator bandwidth;
     {
+      // One decode per frame feeds both the dataset and the bandwidth
+      // accounting, so "ingest" covers both.
       ScopedStageTimer t(&build_timings, "ingest");
-      dataset = analysis::CaptureDataset::build(frames, ds_opts);
+      analysis::DatasetBuilder builder(ds_opts);
+      builder.add_packets(frames, &bandwidth);
+      dataset = builder.finish();
     }
-    auto report = analyze_dataset(dataset, analysis::analyze_bandwidth(frames),
-                                  options, nullptr);
+    auto report = analyze_dataset(dataset, bandwidth.finish(), options, nullptr);
     report.timings.stages.insert(report.timings.stages.begin(),
                                  build_timings.stages.begin(),
                                  build_timings.stages.end());
@@ -116,8 +120,14 @@ AnalysisReport CaptureAnalyzer::analyze(std::span<const net::FrameView> frames,
           build_timings.add(stage, wall_ms);
         });
   }
-  auto report =
-      analyze_dataset(dataset, analysis::analyze_bandwidth(frames), options, &pool);
+  // The shard lanes decode on worker threads, so bandwidth accounting
+  // stays a pass of its own here.
+  analysis::BandwidthReport bandwidth;
+  {
+    ScopedStageTimer t(&build_timings, "bandwidth");
+    bandwidth = analysis::analyze_bandwidth(frames);
+  }
+  auto report = analyze_dataset(dataset, std::move(bandwidth), options, &pool);
   report.timings.stages.insert(report.timings.stages.begin(),
                                build_timings.stages.begin(),
                                build_timings.stages.end());

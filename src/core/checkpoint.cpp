@@ -63,7 +63,7 @@ Status write_durable(fi::SysOps& sys, const std::string& path,
 /// directory that opens but will not sync is a real error.
 Status sync_parent_dir(fi::SysOps& sys, const std::string& path) {
   std::string dir = std::filesystem::path(path).parent_path().string();
-  if (dir.empty()) dir = ".";
+  if (dir.empty()) dir.push_back('.');
   const int dfd = sys.open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC, 0);
   if (dfd < 0) return Status::Ok();
   if (sys.fsync(dfd) < 0) {

@@ -32,7 +32,9 @@ struct StageTiming {
 /// Ordered wall-clock stage timings for one analysis run. Wall time is
 /// inherently nondeterministic, so timings live OUTSIDE every determinism
 /// surface: they are excluded from report_to_json and rendered only when
-/// RenderOptions.profile asks for them.
+/// RenderOptions.profile asks for them. At threads <= 1 the "ingest" stage
+/// includes bandwidth accounting (it rides on the builder's decode); the
+/// sharded path times it as a separate "bandwidth" stage.
 struct StageTimings {
   std::vector<StageTiming> stages;
 

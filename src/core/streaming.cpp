@@ -61,30 +61,34 @@ std::size_t StreamingAnalyzer::deferral_shard(const net::CapturedPacket& pkt) co
   return analysis::shard_of(pkt.data, deferred_.size());
 }
 
-void StreamingAnalyzer::ingest(std::size_t shard, const net::CapturedPacket& pkt) {
+void StreamingAnalyzer::ingest(std::size_t shard, const net::CapturedPacket& pkt,
+                               analysis::BandwidthAccumulator* bandwidth) {
   if (sharded_) {
     sharded_->add_packet(pkt);
   } else {
-    single_->add_packet(pkt);
+    single_->add_packet(pkt, bandwidth);
   }
   ++shard_ingested_[shard];
 }
 
 void StreamingAnalyzer::add_packet(const net::CapturedPacket& pkt) {
-  // Bandwidth is accounted at admission, before any stall deferral, so the
-  // byte/interval series the report derives from does not depend on when a
-  // wedged shard recovers.
-  bandwidth_.add_packet(pkt);
   std::size_t shard = deferral_shard(pkt);
   // A non-empty queue keeps deferring even if the hook cleared — per-shard
   // order must survive the stall, and only poll_deferred() drains in order.
-  if (!deferred_[shard].empty() ||
-      (options_.stall_hook && options_.stall_hook(shard))) {
+  bool defer = !deferred_[shard].empty() ||
+               (options_.stall_hook && options_.stall_hook(shard));
+  // Bandwidth is accounted at admission, before any stall deferral, so the
+  // byte/interval series the report derives from does not depend on when a
+  // wedged shard recovers. A packet the single builder ingests right now
+  // is accounted from the builder's own decode of it; every other packet
+  // (deferred, or bound for a shard lane) is decoded here.
+  if (defer || sharded_) bandwidth_.add_packet(pkt);
+  if (defer) {
     deferred_[shard].push_back(pkt);
     ++deferred_total_;
     return;
   }
-  ingest(shard, pkt);
+  ingest(shard, pkt, sharded_ ? nullptr : &bandwidth_);
   if (options_.checkpoint_every_packets > 0 && !options_.checkpoint_path.empty() &&
       deferred_total_ == 0 &&
       packets_consumed() - last_checkpoint_packets_ >=

@@ -123,7 +123,11 @@ class StreamingAnalyzer {
  private:
   Status write_checkpoint();
   std::size_t deferral_shard(const net::CapturedPacket& pkt) const;
-  void ingest(std::size_t shard, const net::CapturedPacket& pkt);
+  /// Hands `pkt` to the engine. `bandwidth` is fed from the single
+  /// builder's decode; deferred and sharded packets pass null, because
+  /// they were accounted at admission.
+  void ingest(std::size_t shard, const net::CapturedPacket& pkt,
+              analysis::BandwidthAccumulator* bandwidth = nullptr);
   void force_drain_deferred();
 
   StreamingOptions options_;

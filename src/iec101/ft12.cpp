@@ -88,12 +88,11 @@ std::vector<std::uint8_t> Ft12Frame::encode() const {
       w.u8(len);
       w.u8(len);
       w.u8(kVariableStart);
-      ByteWriter body;
-      body.u8(control.encode());
-      body.u8(address);
-      body.bytes(user_data);
-      w.bytes(body.view());
-      w.u8(checksum(body.view()));
+      const std::size_t body_start = w.size();
+      w.u8(control.encode());
+      w.u8(address);
+      w.bytes(user_data);
+      w.u8(checksum(w.view().subspan(body_start)));
       w.u8(kStop);
       break;
     }

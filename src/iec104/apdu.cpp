@@ -97,14 +97,19 @@ std::string Apdu::token() const {
 }
 
 std::string Apdu::str() const {
+  std::string out;
   switch (format) {
     case ApduFormat::kS:
       return "S nr=" + std::to_string(recv_seq);
     case ApduFormat::kU:
       return "U " + u_function_name(u_function);
     case ApduFormat::kI:
-      return "I ns=" + std::to_string(send_seq) + " nr=" + std::to_string(recv_seq) +
-             (asdu ? " " + asdu->str() : "");
+      out = "I ns=" + std::to_string(send_seq) + " nr=" + std::to_string(recv_seq);
+      if (asdu) {
+        out += ' ';
+        out += asdu->str();
+      }
+      return out;
   }
   return "?";
 }

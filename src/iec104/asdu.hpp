@@ -59,7 +59,7 @@ struct CauseOfTransmission {
 struct Asdu {
   TypeId type = TypeId::M_ME_NC_1;
   bool sequence = false;  ///< SQ bit: objects share a base IOA
-  CauseOfTransmission cot;
+  CauseOfTransmission cot{};
   std::uint16_t common_address = 0;
   /// pmr so the ingest hot path can arena-allocate object storage per lane
   /// (see util::RecordArena). Default-constructed ASDUs use the default

@@ -78,7 +78,11 @@ struct OutstationSpec {
   net::Ipv4Addr ip;
   std::vector<SignalSpec> signals;  ///< filled by build_signals()
 
-  std::string name() const { return "O" + std::to_string(id); }
+  std::string name() const {
+    std::string out = "O";
+    out += std::to_string(id);
+    return out;
+  }
   std::string substation_name() const { return "S" + std::to_string(substation); }
   int ioa_count(bool year2) const { return year2 ? ioa_count_y2 : ioa_count_y1; }
 };

@@ -372,7 +372,9 @@ TEST_P(HealthChaos, FrozenReactorTickIsObservedNotEscalated) {
 
 INSTANTIATE_TEST_SUITE_P(Threads, HealthChaos, ::testing::Values(1u, 8u),
                          [](const ::testing::TestParamInfo<unsigned>& param) {
-                           return "t" + std::to_string(param.param);
+                           std::string name = "t";
+                           name += std::to_string(param.param);
+                           return name;
                          });
 
 // The terminal rung: a checkpoint writer wedged beyond both restart rungs

@@ -210,7 +210,9 @@ TEST_P(SysFaultSoak, CompoundChaosPreservesEveryInvariant) {
 
 INSTANTIATE_TEST_SUITE_P(Threads, SysFaultSoak, ::testing::Values(1u, 8u),
                          [](const ::testing::TestParamInfo<unsigned>& param) {
-                           return "t" + std::to_string(param.param);
+                           std::string name = "t";
+                           name += std::to_string(param.param);
+                           return name;
                          });
 
 }  // namespace

@@ -153,6 +153,32 @@ TEST(Analyzer, KeepSeriesFalseDropsSeries) {
   EXPECT_FALSE(report.variance_ranking.empty());
 }
 
+TEST(Analyzer, ProfileStagesCoverBandwidthAtEveryThreadCount) {
+  auto capture = sim::generate_capture(sim::CaptureConfig::y1(60.0));
+  auto stage_names = [&](unsigned threads) {
+    CaptureAnalyzer::Options opts;
+    opts.threads = threads;
+    std::vector<std::string> names;
+    for (const auto& s : CaptureAnalyzer::analyze(capture.packets, opts).timings.stages) {
+      names.push_back(s.stage);
+    }
+    return names;
+  };
+  const std::vector<std::string> analytics = {
+      "flow analysis", "session clustering", "markov chains",    "station typing",
+      "time series",   "sequence audit",     "conformance audit"};
+  // Threads 1: bandwidth accounting rides on the builder's decode, inside
+  // "ingest".
+  std::vector<std::string> sequential = {"ingest"};
+  sequential.insert(sequential.end(), analytics.begin(), analytics.end());
+  EXPECT_EQ(stage_names(1), sequential);
+  // Sharded: the lanes decode on workers, so bandwidth is its own pass.
+  std::vector<std::string> sharded = {"shard fan-out", "shard merge", "ingest",
+                                      "bandwidth"};
+  sharded.insert(sharded.end(), analytics.begin(), analytics.end());
+  EXPECT_EQ(stage_names(2), sharded);
+}
+
 TEST(Analyzer, FileRoundTrip) {
   auto capture = sim::generate_capture(sim::CaptureConfig::y1(60.0));
   std::string path = "/tmp/uncharted_analyzer_rt.pcap";

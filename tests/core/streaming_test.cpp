@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "core/export.hpp"
 #include "core/names.hpp"
 #include "sim/capture.hpp"
 
@@ -217,6 +218,48 @@ TEST(Streaming, RepeatedWarningsRenderOnceWithCount) {
   // The singleton warning renders without a count suffix.
   EXPECT_NE(rendered.find("warning: checkpoint write failed: disk full\n"),
             std::string::npos);
+}
+
+TEST(Streaming, DeferredPacketsAreCountedOnce) {
+  // The single engine accounts an immediately ingested packet from the
+  // builder's decode and a deferred one at admission; neither may be
+  // missed or counted twice.
+  const auto& packets = capture().packets;
+  const std::size_t begin = packets.size() / 4;
+  const std::size_t end = packets.size() / 2;
+  const std::size_t wedged =
+      analysis::shard_of(packets[begin].data, analysis::kDefaultShardCount);
+  bool stalled = false;
+  StreamingOptions options;
+  options.analyze = batch_options();
+  options.stall_hook = [&](std::size_t shard) { return stalled && shard == wedged; };
+  StreamingAnalyzer analyzer(options);
+
+  std::uint64_t deferred = 0;
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    stalled = i >= begin && i < end;
+    analyzer.poll_deferred();
+    analyzer.add_packet(packets[i]);
+    if (i + 1 == end) deferred = analyzer.lane_stats()[wedged].queued_packets;
+  }
+  analyzer.poll_deferred();
+  ASSERT_GT(deferred, 0u);
+  ASSERT_TRUE(analyzer.quiescent());
+  std::uint64_t ingested = 0;
+  for (const auto& lane : analyzer.lane_stats()) ingested += lane.ingested;
+  EXPECT_EQ(ingested, packets.size());
+
+  auto report = analyzer.finalize();
+  ASSERT_EQ(report.stats.undecodable_frames, 0u);
+  std::uint64_t counted = 0;
+  for (const auto& [proto, n] : report.bandwidth.total_packets) counted += n;
+  EXPECT_EQ(counted, packets.size());
+  auto standalone = analysis::analyze_bandwidth(packets);
+  EXPECT_EQ(report.bandwidth.total_bytes, standalone.total_bytes);
+  EXPECT_EQ(report.bandwidth.top_connections, standalone.top_connections);
+  EXPECT_EQ(report.bandwidth.iec104_interarrival_s.count(),
+            standalone.iec104_interarrival_s.count());
+  EXPECT_EQ(report_to_json(report), report_to_json(batch_report()));
 }
 
 TEST(Streaming, AnalyzeFileStreamingMatchesAnalyzeFile) {
