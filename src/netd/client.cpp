@@ -274,6 +274,7 @@ bool FleetClient::handle_ack(std::size_t idx, const wire::HelloAck& ack) {
   st.failing = false;
   st.backoff_s = 0.0;
   st.next_frame = ack.resume_cursor;
+  st.promised_ts = 0;
   if (st.spec.mode == ReplayMode::kSlowLoris) {
     // A syntactically valid record header, then silence: only the
     // server's read timeout can classify this.
@@ -328,8 +329,18 @@ void FleetClient::pump_send(std::size_t idx) {
     }
     if (st.out.size() - st.out_off >= kOutBacklogCap) break;
     if (config_.pace > 0.0) {
-      const MonoTime due = deadline_for(st.spec.frames[st.next_frame].ts);
+      const Timestamp next_ts = st.spec.frames[st.next_frame].ts;
+      const MonoTime due = deadline_for(next_ts);
       if (MonoClock::now() < due) {
+        if (st.promised_ts != next_ts) {
+          // Nothing before next_ts will follow: say so now, in the same
+          // send as the frames before it, so the server's merge does not
+          // wait on this stream until the frame falls due.
+          ByteWriter w;
+          wire::encode_progress(w, next_ts);
+          st.out.insert(st.out.end(), w.view().begin(), w.view().end());
+          st.promised_ts = next_ts;
+        }
         if (!st.pace_timer_armed) {
           st.pace_timer = reactor_.add_timer_at(due, [this, idx] {
             streams_[idx].pace_timer_armed = false;

@@ -4,6 +4,9 @@
 // frames, time-sorted) and replays it to an IngestServer over its own TCP
 // connection: connect, Hello, skip the acked resume cursor, send records
 // (paced against capture timestamps when pace > 0), Fin, wait for FinAck.
+// A paced stream whose next record is not yet due sends a Progress
+// promise carrying that record's timestamp, so the server's merge does
+// not wait on it while it is silent.
 //
 // The client is deliberately unkillable in the ways the daemon must
 // tolerate being killed: busy acks, evictions, resets and refused
@@ -118,6 +121,9 @@ class FleetClient {
     Phase phase = Phase::kIdle;
     int fd = -1;
     std::uint64_t next_frame = 0;
+    /// Last progress promise sent on this connection (0 = none; a promise
+    /// of 0 would say nothing anyway).
+    Timestamp promised_ts = 0;
     std::vector<std::uint8_t> out;
     std::size_t out_off = 0;
     std::vector<std::uint8_t> in;
@@ -137,8 +143,8 @@ class FleetClient {
   void on_connected(std::size_t idx);
   void on_readable(std::size_t idx);
   bool handle_ack(std::size_t idx, const wire::HelloAck& ack);
-  /// Appends as many due records as allowed to the out buffer; arms the
-  /// pace timer for the next one when pacing.
+  /// Appends as many due records as allowed to the out buffer; when
+  /// pacing, promises the next one's timestamp and arms its pace timer.
   void pump_send(std::size_t idx);
   void append_frame(StreamState& st);
   void flush_out(std::size_t idx);

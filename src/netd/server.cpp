@@ -402,6 +402,19 @@ bool IngestServer::parse_conn(Conn& conn) {
       }
       continue;
     }
+    if (marker == wire::Marker::kProgress) {
+      if (avail < wire::kProgressSize) break;
+      ByteReader r(view.first(wire::kProgressSize));
+      auto ts = wire::decode_progress(r);
+      if (!ts) {
+        evict(conn.fd, iec104::Severity::kHostile, "bad progress");
+        return false;
+      }
+      if (!handle_progress(conn, ts.value())) return false;
+      conn.in_off += wire::kProgressSize;
+      conn.last_message = MonoClock::now();
+      continue;
+    }
     if (marker == wire::Marker::kFin) {
       if (avail < wire::kFinSize) break;
       ByteReader r(view.first(wire::kFinSize));
@@ -497,17 +510,32 @@ bool IngestServer::handle_hello(Conn& conn, const wire::Hello& hello) {
   return conns_.count(fd) > 0;
 }
 
-bool IngestServer::handle_record(Conn& conn, const wire::RecordHeader& rec,
-                                 std::span<const std::uint8_t> payload) {
+IngestServer::Stream* IngestServer::open_stream(Conn& conn, const char* what) {
   auto it = streams_.find(conn.stream_id);
   if (it == streams_.end()) {
-    evict(conn.fd, iec104::Severity::kHostile, "record without stream");
-    return false;
+    evict(conn.fd, iec104::Severity::kHostile, std::string(what) + " without stream");
+    return nullptr;
   }
   Stream& s = it->second;
+  if (s.fin_seen || s.finished) {
+    // Fin closes the stream's message sequence. Anything after it would
+    // push recv_seq past fin_total (so release_front never finishes the
+    // stream) or re-insert a bound for a finished one.
+    evict(conn.fd, iec104::Severity::kHostile, "message after fin");
+    return nullptr;
+  }
+  return &s;
+}
+
+bool IngestServer::handle_record(Conn& conn, const wire::RecordHeader& rec,
+                                 std::span<const std::uint8_t> payload) {
+  Stream* sp = open_stream(conn, "record");
+  if (sp == nullptr) return false;
+  Stream& s = *sp;
   if (rec.ts < s.last_recv_ts) {
-    // Streams replay a time-sorted capture slice; a regressing timestamp
-    // would poison the deterministic merge.
+    // Streams replay a time-sorted capture slice, and last_recv_ts also
+    // carries the stream's latest promise; a regressing timestamp would
+    // poison the deterministic merge.
     evict(conn.fd, iec104::Severity::kHostile, "timestamp regression");
     return false;
   }
@@ -531,13 +559,26 @@ bool IngestServer::handle_record(Conn& conn, const wire::RecordHeader& rec,
   return true;
 }
 
-bool IngestServer::handle_fin(Conn& conn, std::uint64_t total) {
-  auto it = streams_.find(conn.stream_id);
-  if (it == streams_.end()) {
-    evict(conn.fd, iec104::Severity::kHostile, "fin without stream");
+bool IngestServer::handle_progress(Conn& conn, Timestamp ts) {
+  Stream* sp = open_stream(conn, "progress");
+  if (sp == nullptr) return false;
+  Stream& s = *sp;
+  if (ts < s.last_recv_ts) {
+    evict(conn.fd, iec104::Severity::kHostile, "progress regression");
     return false;
   }
-  Stream& s = it->second;
+  // The promise becomes the stream's bound: every later record keys at
+  // (>= ts, id, >= recv_seq), so frames of other streams below it release
+  // while this one is silent.
+  s.last_recv_ts = ts;
+  set_stream_bound(s, Key{ts, s.id, s.recv_seq});
+  return true;
+}
+
+bool IngestServer::handle_fin(Conn& conn, std::uint64_t total) {
+  Stream* sp = open_stream(conn, "fin");
+  if (sp == nullptr) return false;
+  Stream& s = *sp;
   if (total != s.recv_seq) {
     evict(conn.fd, iec104::Severity::kHostile,
           "fin count mismatch (declared " + std::to_string(total) + ", received " +
@@ -662,8 +703,10 @@ void IngestServer::detach_stream(Stream& s) {
   // (the regression check on reconnect enforces that). Keeping the bound
   // at the dropped queue head instead of rewinding all the way to the
   // released watermark lets OTHER streams keep releasing while this one
-  // is offline, which is what makes cap displacement converge.
-  Timestamp resume_ts = s.released_ts;
+  // is offline, which is what makes cap displacement converge. With an
+  // empty queue the client re-sends from recv_seq, after everything this
+  // stream ever promised, so the promise stays the floor.
+  Timestamp resume_ts = std::max(s.released_ts, s.last_recv_ts);
   if (!s.q.empty()) {
     resume_ts = s.q.front().ts;
     heads_.erase(Key{s.q.front().ts, s.id, s.cursor});

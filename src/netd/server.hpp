@@ -10,11 +10,12 @@
 //                       ack and closed) and a token-bucket accept-rate
 //                       limit (excess left in the kernel backlog).
 //   Hostile eviction    garbage hellos, oversized records, unknown
-//                       markers, per-stream timestamp regressions and
-//                       slow-loris dribble (a partial message older than
-//                       the read timeout) evict the connection with an
-//                       iec104::Severity verdict — the same ladder the
-//                       conformance machine uses for in-protocol abuse.
+//                       markers, messages after Fin, per-stream timestamp
+//                       and promise regressions and slow-loris dribble (a
+//                       partial message older than the read timeout)
+//                       evict the connection with an iec104::Severity
+//                       verdict — the same ladder the conformance
+//                       machine uses for in-protocol abuse.
 //   Idle eviction       a silent connection past the idle timeout is
 //                       closed (kInfo; the client resumes via its cursor).
 //   Backpressure        per-connection read pausing once a stream buffers
@@ -27,13 +28,16 @@
 //
 // Deterministic watermark merge. Every queued frame carries the key
 // (capture_ts, stream_id, seq). Each registered unfinished stream holds a
-// lower bound on every key it may still enqueue; frames are released only
-// while the smallest queued key is below the smallest bound. With
-// `expect_streams` set, nothing is released until all expected streams
-// have said hello, making the released sequence the unique sorted order
-// of the fleet's frames — independent of socket interleaving, reconnect
-// churn, and daemon crash/restore. That is the property the kill/restore
-// soak's byte-identical-report acceptance test rests on.
+// lower bound on every key it may still enqueue: the maximum of its last
+// record's key and its last progress promise (wire::Marker::kProgress),
+// so a silent stream that promised "nothing before T" gates nothing below
+// T. Frames are released only while the smallest queued key is below the
+// smallest bound. With `expect_streams` set, nothing is released until
+// all expected streams have said hello, making the released sequence the
+// unique sorted order of the fleet's frames — independent of socket
+// interleaving, reconnect churn, and daemon crash/restore. That is the
+// property the kill/restore soak's byte-identical-report acceptance test
+// rests on.
 #pragma once
 
 #include <cstdint>
@@ -237,7 +241,7 @@ class IngestServer {
     // Volatile:
     int conn_fd = -1;            ///< -1 while disconnected
     std::uint64_t recv_seq = 0;  ///< seq of the next frame to arrive
-    Timestamp last_recv_ts = 0;
+    Timestamp last_recv_ts = 0;  ///< last record's ts, or a later promise
     std::deque<net::CapturedPacket> q;  ///< received, unreleased
     std::size_t q_bytes = 0;
     bool fin_seen = false;
@@ -255,8 +259,12 @@ class IngestServer {
   /// connection was evicted (and no longer exists).
   bool parse_conn(Conn& conn);
   bool handle_hello(Conn& conn, const wire::Hello& hello);
+  /// The stream a data message on `conn` belongs to, or nullptr after
+  /// evicting the connection (no stream, or the stream's Fin was seen).
+  Stream* open_stream(Conn& conn, const char* what);
   bool handle_record(Conn& conn, const wire::RecordHeader& rec,
                      std::span<const std::uint8_t> payload);
+  bool handle_progress(Conn& conn, Timestamp ts);
   bool handle_fin(Conn& conn, std::uint64_t total);
   void flush_conn(Conn& conn);
   void queue_bytes(Conn& conn, std::span<const std::uint8_t> bytes);

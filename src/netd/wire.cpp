@@ -33,6 +33,11 @@ void encode_fin_ack(ByteWriter& w, std::uint64_t total_frames) {
   w.u64le(total_frames);
 }
 
+void encode_progress(ByteWriter& w, Timestamp ts) {
+  w.u8(static_cast<std::uint8_t>(Marker::kProgress));
+  w.u64le(ts);
+}
+
 void encode_query_reply_header(ByteWriter& w, AckStatus status,
                                std::uint32_t json_len) {
   w.u8(static_cast<std::uint8_t>(status));
@@ -122,6 +127,10 @@ Result<std::uint64_t> decode_fin(ByteReader& r) {
 
 Result<std::uint64_t> decode_fin_ack(ByteReader& r) {
   return decode_marker_u64(r, Marker::kFinAck, "fin-ack");
+}
+
+Result<Timestamp> decode_progress(ByteReader& r) {
+  return decode_marker_u64(r, Marker::kProgress, "progress");
 }
 
 }  // namespace uncharted::netd::wire

@@ -4,13 +4,20 @@
 // endpoint-pair's slice of a capture) and replays it to the daemon over
 // one TCP connection per stream. The protocol is deliberately minimal and
 // little-endian throughout (decoded with the poisoning ByteReader, like
-// every other wire format in this tree):
+// every other wire format in this tree). Version 2:
 //
 //   client -> server   Hello   { magic, version, kind, stream_id, total }
 //   server -> client   HelloAck{ magic, status, resume_cursor }
-//   client -> server   Record  { marker, ts, original_length, cap_len, bytes }*
+//   client -> server   ( Record   { marker, ts, original_length, cap_len, bytes }
+//                      | Progress { marker, ts } )*
 //   client -> server   Fin     { marker, total_frames }
 //   server -> client   FinAck  { marker, total_frames }
+//
+// A Progress is a promise: every Record this stream sends after the ones
+// already received has capture ts >= `ts`. Records carry non-decreasing
+// timestamps anyway, so a promise only says it early — while a paced
+// client waits for its next frame to fall due — and the server's merge
+// stops waiting on the silent stream below `ts`. Nothing may follow Fin.
 //
 // The ack's `resume_cursor` is the number of frames the server has already
 // *released to the analyzer* for this stream id; the client skips that
@@ -23,6 +30,9 @@
 // and kind=kHealth for the supervision registry's health JSON (per-
 // subsystem state, recovery counts, and the recovery ledger):
 //   server -> client   QueryReply { status, json_len, json_bytes }, close.
+//
+// Versions must match exactly: a hello of any other version is refused
+// before the stream registers.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +45,7 @@
 namespace uncharted::netd::wire {
 
 inline constexpr std::uint32_t kMagic = 0x554E5450;  // "UNTP"
-inline constexpr std::uint16_t kVersion = 1;
+inline constexpr std::uint16_t kVersion = 2;
 
 /// Frames larger than this are protocol abuse, not Ethernet.
 inline constexpr std::uint32_t kMaxFrameBytes = 128 * 1024;
@@ -53,9 +63,10 @@ enum class AckStatus : std::uint8_t {
 };
 
 enum class Marker : std::uint8_t {
-  kRecord = 1,  ///< one captured frame follows
-  kFin = 2,     ///< stream complete at `total_frames`
-  kFinAck = 3,  ///< server confirms the stream is fully released
+  kRecord = 1,    ///< one captured frame follows
+  kFin = 2,       ///< stream complete at `total_frames`
+  kFinAck = 3,    ///< server confirms the stream is fully released
+  kProgress = 4,  ///< no later record of this stream is below `ts`
 };
 
 inline constexpr std::size_t kHelloSize = 4 + 2 + 1 + 8 + 8;
@@ -63,6 +74,7 @@ inline constexpr std::size_t kHelloAckSize = 4 + 1 + 8;
 inline constexpr std::size_t kRecordHeaderSize = 1 + 8 + 4 + 4;
 inline constexpr std::size_t kFinSize = 1 + 8;
 inline constexpr std::size_t kFinAckSize = 1 + 8;
+inline constexpr std::size_t kProgressSize = 1 + 8;
 inline constexpr std::size_t kQueryReplyHeaderSize = 1 + 4;
 
 struct Hello {
@@ -87,6 +99,7 @@ void encode_hello_ack(ByteWriter& w, const HelloAck& ack);
 void encode_record_header(ByteWriter& w, const RecordHeader& r);
 void encode_fin(ByteWriter& w, std::uint64_t total_frames);
 void encode_fin_ack(ByteWriter& w, std::uint64_t total_frames);
+void encode_progress(ByteWriter& w, Timestamp ts);
 void encode_query_reply_header(ByteWriter& w, AckStatus status,
                                std::uint32_t json_len);
 
@@ -100,5 +113,6 @@ Result<HelloAck> decode_hello_ack(ByteReader& r);
 Result<RecordHeader> decode_record_header(ByteReader& r);
 Result<std::uint64_t> decode_fin(ByteReader& r);
 Result<std::uint64_t> decode_fin_ack(ByteReader& r);
+Result<Timestamp> decode_progress(ByteReader& r);
 
 }  // namespace uncharted::netd::wire

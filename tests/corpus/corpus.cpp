@@ -356,8 +356,8 @@ void add_conformance(std::vector<Seed>& out) {
 
 // Tapstream wire messages for fuzz_tapstream: every message kind of the
 // live-ingest protocol (data/query/health hellos, the ack, a record with
-// payload and its fin, the fin-ack), plus structurally broken variants so
-// mutation starts at the framing cliffs.
+// payload and its fin, a progress promise, the fin-ack), plus structurally
+// broken variants so mutation starts at the framing cliffs.
 void add_tapstream(std::vector<Seed>& out) {
   using netd::wire::Hello;
   using netd::wire::HelloKind;
@@ -385,6 +385,14 @@ void add_tapstream(std::vector<Seed>& out) {
   for (int i = 0; i < 8; ++i) rec.u8(static_cast<std::uint8_t>(0x68 + i));
   netd::wire::encode_fin(rec, 1);
   out.push_back({"tap_record_then_fin", Category::kTapstream, rec.take()});
+
+  // A paced client's shape: a record, a promise for its next one, the fin.
+  ByteWriter paced;
+  netd::wire::encode_record_header(paced, {123456789, 64, 4});
+  for (int i = 0; i < 4; ++i) paced.u8(static_cast<std::uint8_t>(0x68 + i));
+  netd::wire::encode_progress(paced, 123556789);
+  netd::wire::encode_fin(paced, 1);
+  out.push_back({"tap_record_progress_fin", Category::kTapstream, paced.take()});
 
   ByteWriter fin_ack;
   netd::wire::encode_fin_ack(fin_ack, 1000);

@@ -1,8 +1,8 @@
 // libFuzzer harness for the tapstream wire protocol: every decoder of the
-// live-ingest framing layer (hello, hello-ack, record header, fin,
-// fin-ack) against arbitrary bytes, plus a stream walk that consumes the
-// input the way the server's framing loop does — hello first, then
-// records and fins until the bytes stop decoding. Decoders must reject
+// live-ingest framing layer (hello, hello-ack, record header, progress,
+// fin, fin-ack) against arbitrary bytes, plus a stream walk that consumes
+// the input the way the server's framing loop does — hello first, then
+// records, progress promises and fins until the bytes stop decoding. Decoders must reject
 // garbage with an error, never crash, and never read past the buffer.
 #include <cstdint>
 #include <span>
@@ -29,6 +29,10 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   }
   {
     ByteReader r(input);
+    (void)wire::decode_progress(r);
+  }
+  {
+    ByteReader r(input);
     (void)wire::decode_fin(r);
   }
   {
@@ -46,6 +50,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
       if (!r.skip(rec->cap_len).ok()) break;
       continue;
     }
+    r.seek(before);
+    if (auto promise = wire::decode_progress(r); promise.ok()) continue;
     r.seek(before);
     if (auto fin = wire::decode_fin(r); fin.ok()) continue;
     r.seek(before);

@@ -131,6 +131,10 @@ TEST(Fuzz, TapstreamWireDecoders) {
       ByteReader r(bytes);
       (void)netd::wire::decode_fin_ack(r);
     }
+    {
+      ByteReader r(bytes);
+      (void)netd::wire::decode_progress(r);
+    }
   };
   for (int i = 0; i < 500; ++i) decode_all(random_bytes(rng, 64));
   sweep_category(rng, corpus::Category::kTapstream, 200, decode_all);

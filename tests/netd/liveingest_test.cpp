@@ -1,8 +1,9 @@
 // LiveIngestDaemon end-to-end over loopback: the ISSUE's core acceptance
 // property — SIGKILL mid-soak + --restore yields a byte-identical final
 // report to an uninterrupted run over the same fleet script, at 1 worker
-// thread and at 8 — plus restore-from-nothing and the forced-release
-// degradation warning.
+// thread and at 8 — plus restore-from-nothing, the forced-release
+// degradation warning, and paced replays whose progress promises keep a
+// silent stream from holding the merge.
 #include "core/liveingest.hpp"
 
 #include <arpa/inet.h>
@@ -11,13 +12,19 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <memory>
+#include <set>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "core/analyzer.hpp"
 #include "core/export.hpp"
 #include "netd/client.hpp"
+#include "passthrough_sysops.hpp"
 #include "sim/capture.hpp"
 #include "sim/fleet.hpp"
 
@@ -148,6 +155,112 @@ TEST(LiveIngest, KillRestoreReportByteIdenticalEightThreads) {
   const std::string b = killed_and_restored_report(8, checkpoint);
   ASSERT_FALSE(a.empty());
   EXPECT_EQ(a, b) << "restored daemon diverged at --threads 8";
+}
+
+/// Holds back one stream's records at the client's send(): while `hold`
+/// is set, that stream gets only its hello and its progress promises onto
+/// the wire. A connection is recognized by the hello it opens with.
+class HoldRecords final : public netd::PassthroughSysOps {
+ public:
+  explicit HoldRecords(std::uint64_t stream_id) : stream_id_(stream_id) {}
+  bool hold = true;
+
+  ssize_t send(int fd, const void* buf, std::size_t n, int flags) override {
+    const auto* bytes = static_cast<const std::uint8_t*>(buf);
+    if (n >= netd::wire::kHelloSize) {
+      ByteReader r(std::span<const std::uint8_t>(bytes, netd::wire::kHelloSize));
+      if (auto hello = netd::wire::decode_hello(r); hello.ok()) {
+        if (hello->stream_id == stream_id_) {
+          held_fds_.insert(fd);
+        } else {
+          held_fds_.erase(fd);
+        }
+        return real().send(fd, buf, n, flags);
+      }
+    }
+    if (!hold || held_fds_.count(fd) == 0) return real().send(fd, buf, n, flags);
+    std::size_t promises = 0;
+    while (promises < n &&
+           bytes[promises] == static_cast<std::uint8_t>(netd::wire::Marker::kProgress)) {
+      promises += netd::wire::kProgressSize;
+    }
+    if (promises >= n) return real().send(fd, buf, n, flags);
+    if (promises == 0) {
+      errno = EAGAIN;
+      return -1;
+    }
+    return real().send(fd, buf, promises, flags);
+  }
+
+ private:
+  std::uint64_t stream_id_;
+  std::set<int> held_fds_;
+};
+
+/// Paced, churned replay of a capture that holds C2-O30's keep-alive
+/// connection (T3 = 430 s): its first frame comes ~36 s into the capture,
+/// so until then it is a registered stream with nothing to send. Its
+/// records are held back at the socket until half of the frames before
+/// its first one have been released. A stream that gated the merge until
+/// its next record would hold every frame until the merge watchdog
+/// condemned it, and the report would lose its frames.
+std::string promised_replay_report(const sim::CaptureResult& capture,
+                                   unsigned threads) {
+  sim::FleetScriptConfig sc;
+  sc.clones = 1;
+  const sim::FleetScript script = sim::build_fleet_script(capture.packets, sc);
+  const auto sparse = std::max_element(
+      script.streams.begin(), script.streams.end(),
+      [](const netd::ReplayStream& a, const netd::ReplayStream& b) {
+        return a.frames.front().ts < b.frames.front().ts;
+      });
+  const Timestamp first_ts = sparse->frames.front().ts;
+  EXPECT_GE(first_ts - capture.packets.front().ts, 30 * kMicrosPerSecond)
+      << "the capture must hold the long-silent keep-alive stream";
+  const auto frames_before = static_cast<std::uint64_t>(std::count_if(
+      capture.packets.begin(), capture.packets.end(),
+      [&](const net::CapturedPacket& p) { return p.ts < first_ts; }));
+
+  netd::Reactor reactor;
+  LiveIngestDaemon daemon(reactor,
+                          daemon_options(threads, script.streams.size(), ""));
+  EXPECT_TRUE(daemon.start(false).ok());
+
+  HoldRecords sys(sparse->id);
+  netd::FleetConfig fc;
+  fc.port = daemon.server().port();
+  fc.pace = 20.0;
+  fc.churn = 0.5;
+  fc.retry_initial_s = 0.02;
+  fc.sys = &sys;
+  netd::FleetClient fleet(reactor, fc, script.streams);
+  fleet.start();
+
+  EXPECT_TRUE(drive(reactor, [&] {
+    return daemon.server().stats().frames_released >= frames_before / 2;
+  })) << "frames before the silent stream's first record must release";
+  sys.hold = false;
+  EXPECT_TRUE(drive(reactor, [&] {
+    return fleet.all_done() && daemon.server().all_expected_finished();
+  }));
+  EXPECT_TRUE(fleet.all_benign_ok());
+  EXPECT_GT(fleet.stats().reconnects, 0u) << "churn must have reconnected streams";
+  EXPECT_EQ(daemon.server().stats().evicted_hostile, 0u);
+  return report_to_json(daemon.finalize());
+}
+
+TEST(LiveIngest, PacedChurnReplayWithSilentStreamMatchesBatch) {
+  sim::CaptureConfig cc = sim::CaptureConfig::y1(40.0);
+  cc.include_physical_events = false;
+  const sim::CaptureResult capture = sim::generate_capture(cc);
+  for (unsigned threads : {1u, 8u}) {
+    CaptureAnalyzer::Options options;
+    options.threads = threads;
+    const std::string batch =
+        report_to_json(CaptureAnalyzer::analyze(capture.packets, options));
+    EXPECT_EQ(promised_replay_report(capture, threads), batch)
+        << "live report diverged from batch at --threads " << threads;
+  }
 }
 
 TEST(LiveIngest, RestoreWithoutCheckpointStartsFresh) {

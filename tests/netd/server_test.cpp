@@ -10,7 +10,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -20,6 +22,7 @@
 
 #include "netd/client.hpp"
 #include "netd/reactor.hpp"
+#include "passthrough_sysops.hpp"
 
 namespace uncharted::netd {
 namespace {
@@ -96,11 +99,78 @@ struct Harness {
   }
 };
 
+/// Released frames are in merge order: by capture ts, ties by stream id.
 bool globally_sorted(const std::vector<ReleasedKey>& keys) {
   for (std::size_t i = 1; i < keys.size(); ++i) {
-    if (std::get<0>(keys[i]) < std::get<0>(keys[i - 1])) return false;
+    const auto prev = std::make_pair(std::get<0>(keys[i - 1]), std::get<1>(keys[i - 1]));
+    const auto cur = std::make_pair(std::get<0>(keys[i]), std::get<1>(keys[i]));
+    if (cur < prev) return false;
   }
   return true;
+}
+
+std::size_t released_of(const std::vector<ReleasedKey>& keys, std::uint64_t id) {
+  std::size_t n = 0;
+  for (const ReleasedKey& k : keys) n += std::get<1>(k) == id ? 1 : 0;
+  return n;
+}
+
+/// A tapstream peer on a blocking loopback socket that writes exactly the
+/// bytes a test scripts: silent, promising and hostile shapes need no
+/// client mode.
+class RawPeer {
+ public:
+  explicit RawPeer(std::uint16_t port) : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    EXPECT_GE(fd_, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    EXPECT_EQ(::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  }
+  ~RawPeer() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  RawPeer(const RawPeer&) = delete;
+  RawPeer& operator=(const RawPeer&) = delete;
+
+  /// One send() of everything `w` holds, so the server reads it as one batch.
+  void send(const ByteWriter& w) {
+    ASSERT_EQ(::send(fd_, w.view().data(), w.view().size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(w.view().size()));
+  }
+
+ private:
+  int fd_;
+};
+
+void put_hello(ByteWriter& w, std::uint64_t id, std::uint64_t total) {
+  wire::encode_hello(w, wire::Hello{wire::HelloKind::kData, id, total});
+}
+
+void put_record(ByteWriter& w, Timestamp ts) {
+  const net::CapturedPacket pkt = make_frame(ts, 0x5A);
+  wire::encode_record_header(
+      w, wire::RecordHeader{pkt.ts, pkt.original_length,
+                            static_cast<std::uint32_t>(pkt.data.size())});
+  w.bytes(pkt.data);
+}
+
+/// Lets the reactor run a few more turns, so a release that should not
+/// happen has the chance to.
+void settle(Harness& h) {
+  for (int i = 0; i < 10; ++i) h.reactor.run_once(5);
+}
+
+bool evicted_for(const IngestServer& server, std::uint64_t id,
+                 const std::string& reason) {
+  for (const EvictionRecord& ev : server.evictions()) {
+    if (ev.stream_id == id && ev.severity == iec104::Severity::kHostile &&
+        ev.reason == reason) {
+      return true;
+    }
+  }
+  return false;
 }
 
 TEST(IngestServer, MergesInterleavedStreamsInTimestampOrder) {
@@ -343,6 +413,253 @@ TEST(IngestServer, CursorsSurviveServerTeardownAndResumeSkipsReleasedFrames) {
       << "restored cursors mark all frames released; re-offers are skipped";
   EXPECT_EQ(server2.stats().streams_finished, 2u)
       << "restored fully-released streams count as finished";
+}
+
+TEST(IngestServer, SilentStreamPromiseReleasesOthers) {
+  ServerConfig cfg;
+  cfg.expect_streams = 2;
+  Harness h(cfg);
+
+  // B registers and promises nothing before ts 100, then stays silent.
+  RawPeer b(h.server->port());
+  ByteWriter wb;
+  put_hello(wb, 2, 3);
+  wire::encode_progress(wb, 100);
+  b.send(wb);
+
+  // A's frames run from ts 10 to 200. Those keyed below B's promise
+  // (100, 2, 0) are ts 10..100: ten of them.
+  RawPeer a(h.server->port());
+  ByteWriter wa;
+  put_hello(wa, 1, 20);
+  for (Timestamp i = 1; i <= 20; ++i) put_record(wa, i * 10);
+  a.send(wa);
+
+  ASSERT_TRUE(h.drive([&] { return h.released.size() >= 10; }));
+  settle(h);
+  EXPECT_EQ(h.released.size(), 10u) << "the promise bounds B at ts 100";
+  EXPECT_EQ(released_of(h.released, 1), 10u);
+
+  ByteWriter wb2;
+  put_record(wb2, 100);
+  put_record(wb2, 150);
+  put_record(wb2, 250);
+  wire::encode_fin(wb2, 3);
+  b.send(wb2);
+  ByteWriter wa2;
+  wire::encode_fin(wa2, 20);
+  a.send(wa2);
+
+  ASSERT_TRUE(h.drive([&] { return h.server->all_expected_finished(); }));
+  EXPECT_EQ(h.released.size(), 23u);
+  EXPECT_TRUE(globally_sorted(h.released));
+  EXPECT_EQ(h.server->stats().evicted_hostile, 0u);
+}
+
+/// A streams ts 10..200 and finishes; B says hello, promises ts 100 and
+/// then breaks its promise with `breach`. B must be evicted as hostile
+/// for `reason` and stop gating, so all of A releases.
+void expect_breach_condemned(const std::function<void(ByteWriter&)>& breach,
+                             const std::string& reason) {
+  ServerConfig cfg;
+  cfg.expect_streams = 2;
+  Harness h(cfg);
+
+  RawPeer b(h.server->port());
+  ByteWriter wb;
+  put_hello(wb, 2, 3);
+  wire::encode_progress(wb, 100);
+  breach(wb);
+  b.send(wb);
+
+  RawPeer a(h.server->port());
+  ByteWriter wa;
+  put_hello(wa, 1, 20);
+  for (Timestamp i = 1; i <= 20; ++i) put_record(wa, i * 10);
+  wire::encode_fin(wa, 20);
+  a.send(wa);
+
+  ASSERT_TRUE(h.drive([&] { return h.server->all_expected_finished(); }));
+  EXPECT_TRUE(evicted_for(*h.server, 2, reason));
+  EXPECT_EQ(h.server->stats().evicted_hostile, 1u);
+  EXPECT_EQ(h.released.size(), 20u) << "the condemned stream must stop gating";
+  EXPECT_EQ(released_of(h.released, 1), 20u);
+}
+
+TEST(IngestServer, ProgressRegressionEvictedAsHostile) {
+  expect_breach_condemned([](ByteWriter& w) { wire::encode_progress(w, 50); },
+                          "progress regression");
+}
+
+TEST(IngestServer, RecordBelowPromiseEvictedAsHostile) {
+  expect_breach_condemned([](ByteWriter& w) { put_record(w, 50); },
+                          "timestamp regression");
+}
+
+TEST(IngestServer, RecordAfterFinWithQueuedFramesEvictedAsHostile) {
+  ServerConfig cfg;
+  cfg.expect_streams = 2;
+  Harness h(cfg);
+
+  // B holds the merge at its hello bound, so A's frames are still queued
+  // when A's Fin arrives, followed in the same write by one more record.
+  RawPeer b(h.server->port());
+  ByteWriter wb;
+  put_hello(wb, 2, 3);
+  b.send(wb);
+
+  RawPeer a(h.server->port());
+  ByteWriter wa;
+  put_hello(wa, 1, 5);
+  for (Timestamp i = 1; i <= 5; ++i) put_record(wa, i * 10);
+  wire::encode_fin(wa, 5);
+  put_record(wa, 60);
+  a.send(wa);
+  ASSERT_TRUE(h.drive([&] { return h.server->stats().evicted_hostile >= 1; }));
+  EXPECT_TRUE(evicted_for(*h.server, 1, "message after fin"));
+
+  // A is condemned, so B alone decides the rest of the merge.
+  ByteWriter wb2;
+  for (Timestamp ts : {5, 15, 25}) put_record(wb2, ts);
+  wire::encode_fin(wb2, 3);
+  b.send(wb2);
+  ASSERT_TRUE(h.drive([&] { return h.server->all_expected_finished(); }));
+  EXPECT_EQ(h.released.size(), 3u);
+  EXPECT_EQ(released_of(h.released, 2), 3u);
+  EXPECT_EQ(h.server->stats().streams_finished, 2u);
+}
+
+/// Answers every FinAck send with EAGAIN while `hold` is set: the server
+/// sees a full socket buffer right after it finishes a stream.
+class FinAckHold final : public PassthroughSysOps {
+ public:
+  bool hold = true;
+
+  ssize_t send(int fd, const void* buf, std::size_t n, int flags) override {
+    const auto* bytes = static_cast<const std::uint8_t*>(buf);
+    if (hold && n == wire::kFinAckSize &&
+        bytes[0] == static_cast<std::uint8_t>(wire::Marker::kFinAck)) {
+      errno = EAGAIN;
+      return -1;
+    }
+    return real().send(fd, buf, n, flags);
+  }
+};
+
+TEST(IngestServer, RecordAfterFinishedStreamEvictedAsHostile) {
+  FinAckHold sys;
+  ServerConfig cfg;
+  cfg.sys = &sys;
+  Harness h(cfg);
+
+  RawPeer a(h.server->port());
+  ByteWriter wa;
+  put_hello(wa, 1, 5);
+  for (Timestamp i = 1; i <= 5; ++i) put_record(wa, i * 10);
+  a.send(wa);
+  ASSERT_TRUE(h.drive([&] { return h.released.size() >= 5; }));
+
+  // The Fin finishes A at once (every frame is released), its FinAck
+  // cannot be flushed, and the record behind it reaches a finished stream.
+  ByteWriter wa2;
+  wire::encode_fin(wa2, 5);
+  put_record(wa2, 60);
+  a.send(wa2);
+  ASSERT_TRUE(h.drive([&] { return h.server->stats().evicted_hostile >= 1; }));
+  sys.hold = false;
+  EXPECT_TRUE(evicted_for(*h.server, 1, "message after fin"));
+  EXPECT_EQ(h.server->stats().streams_finished, 1u);
+
+  // A left no bound behind, so B's later frames release.
+  RawPeer b(h.server->port());
+  ByteWriter wb;
+  put_hello(wb, 2, 2);
+  put_record(wb, 100);
+  put_record(wb, 200);
+  wire::encode_fin(wb, 2);
+  b.send(wb);
+  ASSERT_TRUE(h.drive([&] { return h.server->stats().streams_finished >= 2; }));
+  EXPECT_EQ(h.released.size(), 7u);
+  EXPECT_EQ(released_of(h.released, 1), 5u) << "nothing after A's Fin is released";
+}
+
+/// A releases its first frame, B releases one frame and promises ts 1000,
+/// then B's connection drops with its queue empty. While B is offline,
+/// A's frames up to its promise keep releasing. Returns with B detached
+/// and 12 frames released.
+void release_past_detached_promise(Harness& h, RawPeer& a) {
+  ByteWriter wa;
+  put_hello(wa, 1, 20);
+  put_record(wa, 5);
+  a.send(wa);
+
+  {
+    RawPeer b(h.server->port());
+    ByteWriter wb;
+    put_hello(wb, 2, 3);
+    put_record(wb, 2);
+    wire::encode_progress(wb, 1000);
+    b.send(wb);
+    // A's ts-5 frame passes B's bound only once the promise is in.
+    ASSERT_TRUE(h.drive([&] { return h.released.size() >= 2; }));
+  }
+  ASSERT_TRUE(h.drive([&] { return h.server->stats().connections == 1; }));
+
+  ByteWriter wa2;
+  for (Timestamp i = 1; i <= 19; ++i) put_record(wa2, i * 100);
+  a.send(wa2);
+  // A's ts 100..1000 key below B's resume floor (1000, 2, 1).
+  ASSERT_TRUE(h.drive([&] { return h.released.size() >= 12; }));
+  settle(h);
+  EXPECT_EQ(h.released.size(), 12u);
+}
+
+TEST(IngestServer, PromiseStaysResumeFloorAcrossDetach) {
+  ServerConfig cfg;
+  cfg.expect_streams = 2;
+  Harness h(cfg);
+  RawPeer a(h.server->port());
+  release_past_detached_promise(h, a);
+
+  // B resumes from cursor 1 and re-sends its frames after the promise.
+  RawPeer b(h.server->port());
+  ByteWriter wb;
+  put_hello(wb, 2, 3);
+  put_record(wb, 1000);
+  put_record(wb, 1500);
+  wire::encode_fin(wb, 3);
+  b.send(wb);
+  ByteWriter wa;
+  wire::encode_fin(wa, 20);
+  a.send(wa);
+
+  ASSERT_TRUE(h.drive([&] { return h.server->all_expected_finished(); }));
+  EXPECT_EQ(h.released.size(), 23u);
+  EXPECT_EQ(released_of(h.released, 2), 3u);
+  EXPECT_TRUE(globally_sorted(h.released));
+  EXPECT_EQ(h.server->stats().evicted_hostile, 0u);
+}
+
+TEST(IngestServer, ResentFrameBelowDetachedPromiseEvictedAsHostile) {
+  ServerConfig cfg;
+  cfg.expect_streams = 2;
+  Harness h(cfg);
+  RawPeer a(h.server->port());
+  release_past_detached_promise(h, a);
+
+  RawPeer b(h.server->port());
+  ByteWriter wb;
+  put_hello(wb, 2, 3);
+  put_record(wb, 900);
+  b.send(wb);
+  ByteWriter wa;
+  wire::encode_fin(wa, 20);
+  a.send(wa);
+
+  ASSERT_TRUE(h.drive([&] { return h.server->all_expected_finished(); }));
+  EXPECT_TRUE(evicted_for(*h.server, 2, "timestamp regression"));
+  EXPECT_EQ(h.released.size(), 21u);
+  EXPECT_EQ(released_of(h.released, 2), 1u);
 }
 
 TEST(IngestServer, LoadCursorsRejectsGarbage) {

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <utility>
+#include <vector>
+
 namespace uncharted::netd::wire {
 namespace {
 
@@ -54,6 +58,21 @@ TEST(Wire, HelloWrongVersionRejected) {
   bytes[4] = 0x7F;  // version little-endian low byte
   ByteReader r(bytes);
   EXPECT_FALSE(decode_hello(r).ok());
+}
+
+TEST(Wire, VersionOneHelloRefused) {
+  // Version 1 had no progress marker; its clients are refused at hello
+  // rather than evicted mid-stream.
+  Hello h;
+  ByteWriter w;
+  encode_hello(w, h);
+  auto bytes = std::vector<std::uint8_t>(w.view().begin(), w.view().end());
+  bytes[4] = 1;
+  bytes[5] = 0;
+  ByteReader r(bytes);
+  auto back = decode_hello(r);
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.error().code, "wire-version");
 }
 
 TEST(Wire, HelloUnknownKindRejected) {
@@ -126,11 +145,49 @@ TEST(Wire, FinAndFinAckRoundTrip) {
   EXPECT_EQ(*back, 1000u);
 }
 
-TEST(Wire, MarkersAreNotInterchangeable) {
+TEST(Wire, ProgressRoundTrips) {
   ByteWriter w;
-  encode_fin(w, 5);
+  encode_progress(w, 0x0102030405060708ULL);
+  ASSERT_EQ(w.view().size(), kProgressSize);
+  EXPECT_EQ(w.view()[0], static_cast<std::uint8_t>(Marker::kProgress));
   ByteReader r(w.view());
-  EXPECT_FALSE(decode_fin_ack(r).ok());  // kFin marker where kFinAck expected
+  auto ts = decode_progress(r);
+  ASSERT_TRUE(ts.ok());
+  EXPECT_EQ(*ts, 0x0102030405060708ULL);
+  EXPECT_EQ(r.remaining(), 0u);
+}
+
+TEST(Wire, TruncatedProgressRejected) {
+  ByteWriter w;
+  encode_progress(w, 99);
+  ByteReader r(w.view().first(kProgressSize - 1));
+  auto ts = decode_progress(r);
+  ASSERT_FALSE(ts.ok());
+  EXPECT_EQ(ts.error().code, "wire-truncated");
+}
+
+TEST(Wire, MarkersAreNotInterchangeable) {
+  ByteWriter fin;
+  encode_fin(fin, 5);
+  ByteWriter fin_ack;
+  encode_fin_ack(fin_ack, 5);
+  ByteWriter progress;
+  encode_progress(progress, 5);
+  // Same {marker, u64} shape, so only the marker tells them apart.
+  using Decode = Result<std::uint64_t> (*)(ByteReader&);
+  const std::vector<std::pair<std::span<const std::uint8_t>, Decode>> mismatched = {
+      {fin.view(), &decode_fin_ack},      {fin.view(), &decode_progress},
+      {fin_ack.view(), &decode_fin},      {fin_ack.view(), &decode_progress},
+      {progress.view(), &decode_fin},     {progress.view(), &decode_fin_ack},
+  };
+  for (const auto& [bytes, decode] : mismatched) {
+    ByteReader r(bytes);
+    auto back = decode(r);
+    ASSERT_FALSE(back.ok());
+    EXPECT_EQ(back.error().code, "wire-marker");
+  }
+  ByteReader r(progress.view());
+  EXPECT_FALSE(decode_record_header(r).ok());
 }
 
 TEST(Wire, QueryReplyHeaderShape) {
