@@ -34,11 +34,13 @@ DatasetBuilder::DatasetBuilder(CaptureDataset::Options options,
       packet_parser_(options.parser_mode) {
   packet_parser_.set_arena(record_arena_->resource());
   if (options_.mode == ParseMode::kReassembled) {
-    reassembler_.emplace(
-        [this](const net::FlowKey& key, Timestamp ts,
-               std::span<const std::uint8_t> data) { ingest(key, ts, data); },
-        options_.reassembly_limits);
+    reassembler_.emplace(reassembly_sink(), options_.reassembly_limits);
   }
+}
+
+net::TcpReassembler::Sink DatasetBuilder::reassembly_sink() {
+  return [this](const net::FlowKey& key, Timestamp ts,
+                std::span<const std::uint8_t> data) { ingest(key, ts, data); };
 }
 
 iec104::ApduStreamParser& DatasetBuilder::parser_for(const net::FlowKey& key) {
@@ -302,6 +304,32 @@ ShardPartial DatasetBuilder::finish_partial(Timestamp flush_ts) {
 CaptureDataset DatasetBuilder::finish() {
   std::vector<ShardPartial> one;
   one.push_back(finish_partial(last_ts_));
+  return merge_partials(std::move(one), options_);
+}
+
+ShardPartial DatasetBuilder::snapshot_partial(Timestamp flush_ts) const {
+  // The live lane's arena never frees, so a query must not allocate from
+  // it. Copied records land on the heap (a pmr copy never inherits its
+  // source's arena); what the flush parses lands in the scratch builder's
+  // own arena, which the partial keeps alive.
+  DatasetBuilder copy(options_, budgets_);
+  copy.stats_ = stats_;
+  copy.flows_ = flows_;
+  copy.records_ = records_;
+  copy.parsers_ = parsers_;
+  for (auto& [key, parser] : copy.parsers_) {
+    parser.set_arena(copy.record_arena_->resource());
+  }
+  copy.damage_ = damage_;
+  if (reassembler_) copy.reassembler_.emplace(*reassembler_, copy.reassembly_sink());
+  copy.last_ts_ = last_ts_;
+  copy.pressure_ = pressure_;
+  return copy.finish_partial(flush_ts);
+}
+
+CaptureDataset DatasetBuilder::snapshot() const {
+  std::vector<ShardPartial> one;
+  one.push_back(snapshot_partial(last_ts_));
   return merge_partials(std::move(one), options_);
 }
 

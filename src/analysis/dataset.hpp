@@ -312,6 +312,16 @@ class DatasetBuilder {
   /// finish() is exactly merge_partials({finish_partial(last_ts())}).
   ShardPartial finish_partial(Timestamp flush_ts);
 
+  /// Exactly what finish_partial(flush_ts) would return, without spending
+  /// the builder: the mutable state is copied into a scratch builder,
+  /// which is finished instead. Nothing is allocated from this builder's
+  /// record arena, so record_arena_bytes() is unchanged.
+  ShardPartial snapshot_partial(Timestamp flush_ts) const;
+
+  /// finish() without spending the builder:
+  /// merge_partials({snapshot_partial(last_ts())}).
+  CaptureDataset snapshot() const;
+
   /// Timestamp of the most recently ingested packet.
   Timestamp last_ts() const { return last_ts_; }
 
@@ -334,6 +344,8 @@ class DatasetBuilder {
   /// add_packet without the budget epilogue — the shared decode body.
   void add_packet_impl(Timestamp ts, std::span<const std::uint8_t> data,
                        BandwidthAccumulator* bandwidth);
+  /// The reassembler's delivery target: this builder's ingest().
+  net::TcpReassembler::Sink reassembly_sink();
   iec104::ApduStreamParser& parser_for(const net::FlowKey& key);
   /// Accounts freshly drained parse results for one directed flow.
   void collect(const net::FlowKey& key, std::vector<iec104::ParsedApdu>& apdus,

@@ -309,13 +309,26 @@ Status LiveIngestDaemon::checkpoint_now() {
   return st;
 }
 
+void LiveIngestDaemon::add_live_warnings(AnalysisReport& report,
+                                         bool final_report) const {
+  const netd::ServerStats& stats = server_->stats();
+  if (stats.forced_releases > 0) {
+    report.degradation.warnings.push_back(
+        "live ingest degraded to sampling: " +
+        format_count(stats.forced_releases) +
+        " frames force-released past the deterministic watermark under "
+        "memory pressure");
+  }
+  if (checkpoint_error_.empty()) return;
+  report.degradation.warnings.push_back(
+      final_report ? "checkpoint write failed: " + checkpoint_error_
+                   : "checkpoint degraded: " + checkpoint_error_ +
+                         " (last good snapshot retained; retrying next interval)");
+}
+
 std::string LiveIngestDaemon::report_json() {
   AnalysisReport report = analyzer_->report_snapshot();
-  if (!checkpoint_error_.empty()) {
-    report.degradation.warnings.push_back(
-        "checkpoint degraded: " + checkpoint_error_ +
-        " (last good snapshot retained; retrying next interval)");
-  }
+  add_live_warnings(report, false);
   return report_to_json(report);
 }
 
@@ -338,18 +351,7 @@ AnalysisReport LiveIngestDaemon::finalize() {
   // carries a warning only when the daemon genuinely ends degraded.
   if (!checkpoint_path_.empty()) (void)checkpoint_now();
   AnalysisReport report = analyzer_->finalize();
-  const netd::ServerStats& stats = server_->stats();
-  if (stats.forced_releases > 0) {
-    report.degradation.warnings.push_back(
-        "live ingest degraded to sampling: " +
-        format_count(stats.forced_releases) +
-        " frames force-released past the deterministic watermark under "
-        "memory pressure");
-  }
-  if (!checkpoint_error_.empty()) {
-    report.degradation.warnings.push_back("checkpoint write failed: " +
-                                          checkpoint_error_);
-  }
+  add_live_warnings(report, true);
   return report;
 }
 

@@ -19,9 +19,13 @@
 //                         pressure level, shrinking the ingest buffer
 //                         budget so shedding starts before the analyzer
 //                         is forced to evict its own state.
-//   Live report queries   report_snapshot() serialized through a twin
-//                         analyzer renders the current AnalysisReport JSON
-//                         without spending the live one.
+//   Live report queries   report_json() renders the current report
+//                         without spending the live analyzer:
+//                         report_snapshot() copies each lane's builder
+//                         state in memory and runs the full §6 analysis
+//                         on the copy, so a query costs time in
+//                         proportion to the records held. It carries the
+//                         same live-ingest warnings as finalize().
 #pragma once
 
 #include <memory>
@@ -112,9 +116,10 @@ class LiveIngestDaemon {
   const std::string& checkpoint_error() const { return checkpoint_error_; }
 
   /// Current report as deterministic JSON (the query-socket payload).
-  /// While the latest checkpoint write has failed, carries a degradation
-  /// warning naming the error — the operator-visible signal that the
-  /// daemon is serving from a stale snapshot.
+  /// Carries the forced-release warning as finalize() does, and while the
+  /// latest checkpoint write has failed, a degradation warning naming the
+  /// error — the operator-visible signal that the daemon is serving from
+  /// a stale snapshot.
   std::string report_json();
 
   /// Supervision state as JSON (the `health` query payload): per-subsystem
@@ -142,6 +147,10 @@ class LiveIngestDaemon {
 
  private:
   Status try_restore_composed();
+  /// Appends the daemon's own degradation warnings (forced releases, the
+  /// last checkpoint error) to `report`. A query says the checkpoint is
+  /// being retried; the final report says the write failed.
+  void add_live_warnings(AnalysisReport& report, bool final_report) const;
   void rebuild_engine();
   void install_handlers();
   void arm_checkpoint_timer();

@@ -182,24 +182,29 @@ Status StreamingAnalyzer::load_state(ByteReader& r) {
 }
 
 AnalysisReport StreamingAnalyzer::report_snapshot() {
-  ByteWriter w;
-  StreamingOptions twin_options = options_;
-  twin_options.checkpoint_path.clear();  // the twin must never touch disk
-  StreamingAnalyzer twin(twin_options);
-  if (auto st = save_state(w); !st) {
-    AnalysisReport report;
-    report.degradation.warnings.push_back("report snapshot unavailable: " +
-                                          st.error().str());
-    return report;
+  // Pressure first: on the sharded engine it drains the lanes, which the
+  // snapshot then needs anyway. Packets parked behind a wedged shard stay
+  // parked — absent from the records, but already in bandwidth_.
+  auto pressure = this->pressure();
+  auto dataset = sharded_ ? sharded_->snapshot() : single_->snapshot();
+  return assemble_report(dataset, pressure);
+}
+
+AnalysisReport StreamingAnalyzer::assemble_report(
+    const analysis::CaptureDataset& dataset,
+    const analysis::ResourcePressure& pressure) const {
+  auto report =
+      analyze_dataset(dataset, bandwidth_.finish(), options_.analyze, pool_.get());
+  report.degradation.resources = pressure;
+  if (pressure.any()) {
+    report.degradation.warnings.push_back(
+        "resource budgets enforced: " + format_count(pressure.flow_evictions) +
+        " flow evictions, " + format_count(pressure.reassembly_flushes) +
+        " reassembly flushes, " + format_count(pressure.records_evicted) +
+        " records evicted, " + format_count(pressure.parsers_evicted) +
+        " parsers retired — headline metrics undercount accordingly");
   }
-  ByteReader r(w.view());
-  if (auto st = twin.load_state(r); !st) {
-    AnalysisReport report;
-    report.degradation.warnings.push_back("report snapshot unavailable: " +
-                                          st.error().str());
-    return report;
-  }
-  return twin.finalize();
+  return report;
 }
 
 Status StreamingAnalyzer::write_checkpoint() {
@@ -246,17 +251,7 @@ AnalysisReport StreamingAnalyzer::finalize() {
   }
   auto final_pressure = pressure();
   auto dataset = sharded_ ? sharded_->finish() : single_->finish();
-  auto report =
-      analyze_dataset(dataset, bandwidth_.finish(), options_.analyze, pool_.get());
-  report.degradation.resources = final_pressure;
-  if (final_pressure.any()) {
-    report.degradation.warnings.push_back(
-        "resource budgets enforced: " + format_count(final_pressure.flow_evictions) +
-        " flow evictions, " + format_count(final_pressure.reassembly_flushes) +
-        " reassembly flushes, " + format_count(final_pressure.records_evicted) +
-        " records evicted, " + format_count(final_pressure.parsers_evicted) +
-        " parsers retired — headline metrics undercount accordingly");
-  }
+  auto report = assemble_report(dataset, final_pressure);
   if (!checkpoint_error_.empty()) {
     report.degradation.warnings.push_back("checkpoint write failed: " +
                                           checkpoint_error_);

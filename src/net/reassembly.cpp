@@ -23,6 +23,15 @@ void StreamStats::accumulate(const StreamStats& o) {
   wild_segments += o.wild_segments;
 }
 
+TcpStreamDirection::TcpStreamDirection(const TcpStreamDirection& other)
+    : limits_(other.limits_),
+      initialized_(other.initialized_),
+      next_seq_(other.next_seq_),
+      pending_bytes_(other.pending_bytes_),
+      stats_(other.stats_) {
+  for (const auto& [seq, data] : other.pending_) pending_[seq] = slab_.store(data);
+}
+
 void TcpStreamDirection::drain_contiguous(StreamChunk& chunk) {
   for (auto it = pending_.begin(); it != pending_.end();) {
     std::uint32_t start = it->first;

@@ -67,6 +67,14 @@ class TcpStreamDirection {
  public:
   explicit TcpStreamDirection(ReassemblyLimits limits = {}) : limits_(limits) {}
 
+  /// Deep copy: the pending segments are re-stored in the copy's own slab,
+  /// so the copy shares no bytes with the original. Slab waste is not
+  /// carried over, exactly as across a save/load round trip.
+  TcpStreamDirection(const TcpStreamDirection& other);
+  TcpStreamDirection& operator=(const TcpStreamDirection&) = delete;
+  TcpStreamDirection(TcpStreamDirection&&) = default;
+  TcpStreamDirection& operator=(TcpStreamDirection&&) = default;
+
   /// Feeds a segment; returns application chunks that became contiguous
   /// (possibly after skipping an abandoned hole).
   std::vector<StreamChunk> on_segment(Timestamp ts, const TcpHeader& tcp,
@@ -154,6 +162,11 @@ class TcpReassembler {
 
   explicit TcpReassembler(Sink sink, ReassemblyLimits limits = {})
       : sink_(std::move(sink)), limits_(limits) {}
+
+  /// Deep copy of `other`'s stream state that delivers into `sink`: a
+  /// scratch reassembler can then be flushed without touching the original.
+  TcpReassembler(const TcpReassembler& other, Sink sink)
+      : sink_(std::move(sink)), limits_(other.limits_), directions_(other.directions_) {}
 
   /// Feeds one decoded frame. RST flags reset both directions of the flow.
   void add(Timestamp ts, const DecodedFrame& frame);

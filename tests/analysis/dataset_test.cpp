@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "analysis/sessions.hpp"
 #include "analysis/typeid_stats.hpp"
 #include "tests/analysis/testlib.hpp"
@@ -143,6 +146,97 @@ TEST(Dataset, UndecodableFramesCounted) {
   auto ds = CaptureDataset::build(packets);
   EXPECT_EQ(ds.stats().undecodable_frames, 1u);
   EXPECT_EQ(ds.stats().tcp_packets, 1u);
+}
+
+/// Everything a dataset says about its counters, records and damage, as
+/// text, for whole-dataset equality.
+std::string digest(const CaptureDataset& ds) {
+  const auto& s = ds.stats();
+  const auto& d = s.degradation;
+  std::string out;
+  for (std::uint64_t v :
+       {s.packets, s.tcp_packets, s.iec104_payload_packets, s.apdus, s.apdu_failures,
+        s.non_compliant_apdus, s.tcp_retransmissions, d.parser_resyncs,
+        d.garbage_bytes, d.undecodable_apdus, d.truncated_tail_bytes,
+        d.reassembly_gaps, d.reassembly_lost_bytes, d.quarantined_apdus}) {
+    out += std::to_string(v) + ' ';
+  }
+  for (const auto& rec : ds.records()) {
+    out += '\n' + std::to_string(rec.ts) + ' ' + rec.flow.str() + ' ' +
+           std::to_string(rec.seq) + ' ' + rec.apdu.apdu.str();
+  }
+  for (const auto& [key, dmg] : ds.damage()) {
+    out += '\n' + key.str() + ' ' + std::to_string(dmg.apdus) + ' ' +
+           std::to_string(dmg.failures()) + ' ' + std::to_string(dmg.last_failure_ts);
+  }
+  out += '\n' + std::to_string(ds.flow_table().connection_count());
+  return out;
+}
+
+TEST(Dataset, SnapshotLeavesBuilderUntouched) {
+  // At the cut, station A's first APDU is split (its head waits in the
+  // stream parser) and station B's second segment is late (30 segments
+  // wait behind the hole in the reassembler). The snapshot must flush
+  // copies of both; the live builder must still complete them afterwards.
+  CaptureBuilder cb;
+  auto server = ip(10, 0, 0, 1);
+  auto station_a = ip(10, 1, 0, 5);
+  auto station_b = ip(10, 1, 0, 6);
+  auto split = i_apdu(float_asdu(5, 100, 1.0f)).encode().take();
+  std::span<const std::uint8_t> whole(split);
+  cb.segment(1'000, server, station_a, true, whole.subspan(0, 4));
+  cb.segment(90'000, server, station_a, true, whole.subspan(4));
+  iec104::Asdu big = float_asdu(6, 200, 2.0f);
+  for (std::uint32_t ioa = 201; ioa < 220; ++ioa) {
+    big.objects.push_back({ioa, iec104::ShortFloat{3.0f, {}}, std::nullopt});
+  }
+  cb.apdu(2'000, server, station_b, true, i_apdu(big, 0, 0));
+  cb.apdu(80'000, server, station_b, true, i_apdu(big, 1, 0));  // the late one
+  for (std::uint16_t ns = 2; ns < 32; ++ns) {
+    cb.apdu(3'000 + ns * 100, server, station_b, true, i_apdu(big, ns, 0));
+  }
+  auto packets = cb.packets();
+  std::stable_sort(packets.begin(), packets.end(),
+                   [](const auto& a, const auto& b) { return a.ts < b.ts; });
+  const std::size_t cut = 32;
+  ASSERT_LT(packets[cut - 1].ts, 80'000u);
+
+  for (auto mode : {ParseMode::kPerPacket, ParseMode::kReassembled}) {
+    SCOPED_TRACE(mode == ParseMode::kPerPacket ? "per-packet" : "reassembled");
+    CaptureDataset::Options opts;
+    opts.mode = mode;
+    DatasetBuilder live(opts), never_snapshotted(opts), prefix_only(opts);
+    for (std::size_t i = 0; i < cut; ++i) {
+      live.add_packet(packets[i]);
+      never_snapshotted.add_packet(packets[i]);
+      prefix_only.add_packet(packets[i]);
+    }
+    const auto arena_bytes = live.record_arena_bytes();
+    const auto consumed = live.packets_consumed();
+    std::vector<ShardPartial> one;
+    one.push_back(live.snapshot_partial(live.last_ts()));
+    auto snapshot = merge_partials(std::move(one), opts);
+    EXPECT_EQ(live.record_arena_bytes(), arena_bytes);
+    EXPECT_EQ(live.packets_consumed(), consumed);
+    EXPECT_EQ(digest(snapshot), digest(prefix_only.finish()));
+    if (mode == ParseMode::kReassembled) {
+      EXPECT_EQ(snapshot.stats().degradation.reassembly_gaps, 1u);
+      EXPECT_GT(snapshot.stats().degradation.truncated_tail_bytes, 0u);
+      EXPECT_EQ(snapshot.stats().apdus, 31u);
+    }
+
+    for (std::size_t i = cut; i < packets.size(); ++i) {
+      live.add_packet(packets[i]);
+      never_snapshotted.add_packet(packets[i]);
+    }
+    auto finished = live.finish();
+    EXPECT_EQ(digest(finished), digest(never_snapshotted.finish()));
+    if (mode == ParseMode::kReassembled) {
+      EXPECT_EQ(finished.stats().degradation.reassembly_gaps, 0u);
+      EXPECT_EQ(finished.stats().apdu_failures, 0u);
+      EXPECT_EQ(finished.stats().apdus, 33u);
+    }
+  }
 }
 
 TEST(SessionFeatures, ComputedPerDirection) {

@@ -13,6 +13,7 @@
 #include "core/streaming.hpp"
 #include "faultinject/fault.hpp"
 #include "sim/capture.hpp"
+#include "tests/core/snapshot_testlib.hpp"
 
 namespace uncharted {
 namespace {
@@ -103,6 +104,27 @@ TEST(ParallelDeterminism, KillRestoreMidStreamMatchesSequentialBatch) {
 
   std::filesystem::remove(ckpt);
   std::filesystem::remove(ckpt + ".1");
+}
+
+TEST(ParallelDeterminism, ReportSnapshotMatchesFinalizeAtEightThreads) {
+  // At threads 8 the lanes' snapshot_partial() calls run concurrently on
+  // the pool, and §6 runs on it too: under TSan this is the race check for
+  // the live query path. One capture is fault-injected (holes and partial
+  // tails pending at the cut), one carries a quarantined flow.
+  const auto faulted = faultinject::apply_faults(
+      y1_packets(), faultinject::FaultConfig::uniform(0.05));
+  const auto poisoned = testlib::with_poisoned_flow(y1_packets(), y1_packets()[0].ts);
+  for (auto mode : {analysis::ParseMode::kPerPacket, analysis::ParseMode::kReassembled}) {
+    core::StreamingOptions options;
+    options.analyze = options_with(8);
+    options.analyze.mode = mode;
+    const std::string label = "mode " + std::to_string(static_cast<int>(mode));
+    testlib::expect_snapshot_matches_finalize(
+        faulted.packets, (faulted.packets.size() / 2) | 1, options, label);
+    auto snapshot = testlib::expect_snapshot_matches_finalize(
+        poisoned, (poisoned.size() / 2) | 1, options, "poisoned " + label);
+    EXPECT_GT(snapshot.degradation.counters.quarantined_connections, 0u) << label;
+  }
 }
 
 TEST(ParallelDeterminism, EngineMismatchedCheckpointIsRefused) {

@@ -12,7 +12,9 @@
 
 #include "core/export.hpp"
 #include "core/names.hpp"
+#include "faultinject/fault.hpp"
 #include "sim/capture.hpp"
+#include "tests/core/snapshot_testlib.hpp"
 
 namespace uncharted::core {
 namespace {
@@ -260,6 +262,76 @@ TEST(Streaming, DeferredPacketsAreCountedOnce) {
   EXPECT_EQ(report.bandwidth.iec104_interarrival_s.count(),
             standalone.iec104_interarrival_s.count());
   EXPECT_EQ(report_to_json(report), report_to_json(batch_report()));
+}
+
+/// capture() with 5% uniform damage: reordering leaves reassembly holes
+/// open mid-capture, and drops and truncation leave partial APDU tails.
+const std::vector<net::CapturedPacket>& faulted_packets() {
+  static const auto faulted =
+      faultinject::apply_faults(capture().packets, faultinject::FaultConfig::uniform(0.05));
+  return faulted.packets;
+}
+
+/// capture() with a poisoned flow mixed in: the quarantine policy drops
+/// it.
+const std::vector<net::CapturedPacket>& quarantine_packets() {
+  static const auto packets = testlib::with_poisoned_flow(
+      capture().packets, capture().truth.start_ts + from_seconds(2.0));
+  return packets;
+}
+
+StreamingOptions snapshot_options(unsigned threads, analysis::ParseMode mode) {
+  StreamingOptions options;
+  options.analyze = batch_options();
+  options.analyze.threads = threads;
+  options.analyze.mode = mode;
+  return options;
+}
+
+constexpr analysis::ParseMode kModes[] = {analysis::ParseMode::kPerPacket,
+                                          analysis::ParseMode::kReassembled};
+
+TEST(Streaming, ReportSnapshotMatchesFinalizeOfSamePrefix) {
+  for (bool poisoned : {false, true}) {
+    const auto& packets = poisoned ? quarantine_packets() : faulted_packets();
+    // An odd cut lands mid-conversation: partial APDU tails and reassembly
+    // holes are still pending, so the snapshot must flush copies of them.
+    const std::size_t cut = (packets.size() / 2) | 1;
+    for (unsigned threads : {1u, 2u}) {
+      for (auto mode : kModes) {
+        const std::string label = std::string(poisoned ? "poisoned" : "faulted") +
+                                  " threads " + std::to_string(threads) + " mode " +
+                                  std::to_string(static_cast<int>(mode));
+        auto snapshot = testlib::expect_snapshot_matches_finalize(
+            packets, cut, snapshot_options(threads, mode), label);
+        if (poisoned) {
+          EXPECT_GT(snapshot.degradation.counters.quarantined_connections, 0u)
+              << label;
+        }
+      }
+    }
+  }
+}
+
+TEST(Streaming, SnapshotsInterleavedWithIngestLeaveFinalizeUnchanged) {
+  const auto& packets = faulted_packets();
+  for (unsigned threads : {1u, 2u}) {
+    const auto options = snapshot_options(threads, analysis::ParseMode::kReassembled);
+    StreamingAnalyzer analyzer(options);
+    std::size_t fed = 0;
+    // Two cuts a packet or two apart: back-to-back queries must not
+    // disturb each other either.
+    for (std::size_t cut : {(packets.size() / 7) | 1, (packets.size() / 3) | 1,
+                            packets.size() / 3 + 2, (packets.size() * 5 / 6) | 1}) {
+      analyzer.add_packets(std::span(packets).subspan(fed, cut - fed));
+      fed = cut;
+      EXPECT_EQ(analyzer.report_snapshot().stats.packets, cut);
+    }
+    analyzer.add_packets(std::span(packets).subspan(fed));
+    auto batch = CaptureAnalyzer::analyze(packets, options.analyze);
+    EXPECT_EQ(report_to_json(analyzer.finalize()), report_to_json(batch))
+        << "threads " << threads;
+  }
 }
 
 TEST(Streaming, AnalyzeFileStreamingMatchesAnalyzeFile) {

@@ -339,6 +339,9 @@ TEST(LiveIngest, ForcedReleaseDegradesReportWithWarning) {
   ::close(gate_fd);
   ::close(fat_fd);
 
+  // A query while the daemon is sampling already says so.
+  EXPECT_NE(daemon.report_json().find("degraded to sampling"), std::string::npos);
+
   AnalysisReport report = daemon.finalize();
   ASSERT_FALSE(report.degradation.warnings.empty());
   bool found = false;
