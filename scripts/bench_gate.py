@@ -2,11 +2,16 @@
 """Throughput regression gate for CI.
 
 Compares a fresh bench_throughput run against the committed baseline
-(BENCH_throughput.json) and fails if the threads-1 ingest packet rate of
-any capture regressed by more than the allowed fraction. Only the
-single-threaded ingest stage is gated: it is the zero-copy hot path the
-repo commits a trajectory for, and it is the least noisy cell on shared
-CI runners (no scheduler effects from worker threads).
+(BENCH_throughput.json) and fails if, for any capture, the threads-1
+packet rate of a gated stage regressed by more than the allowed fraction.
+Two stages are gated, both at threads 1:
+
+  ingest      the zero-copy hot path the repo commits a trajectory for;
+  end_to_end  ingest plus every analysis (CaptureAnalyzer::analyze), so a
+              regression in the dataset finish or a §6 stage fails too.
+
+Only threads-1 cells are gated: they are the least noisy on shared CI
+runners (no scheduler effects from worker threads).
 
 Usage: scripts/bench_gate.py --baseline BENCH_throughput.json \
            --candidate bench-smoke.json [--max-regression 0.15]
@@ -17,13 +22,15 @@ import argparse
 import json
 import sys
 
+GATED_STAGES = ("ingest", "end_to_end")
 
-def ingest_threads1(snapshot):
-    """Map capture name -> packets_per_s for the (ingest, threads=1) cells."""
+
+def threads1_rates(snapshot):
+    """Map (capture, stage) -> packets_per_s for the gated threads=1 cells."""
     out = {}
     for row in snapshot.get("results", []):
-        if row.get("stage") == "ingest" and row.get("threads") == 1:
-            out[row["capture"]] = float(row["packets_per_s"])
+        if row.get("stage") in GATED_STAGES and row.get("threads") == 1:
+            out[(row["capture"], row["stage"])] = float(row["packets_per_s"])
     return out
 
 
@@ -36,30 +43,31 @@ def main():
 
     try:
         with open(args.baseline) as f:
-            baseline = ingest_threads1(json.load(f))
+            baseline = threads1_rates(json.load(f))
         with open(args.candidate) as f:
-            candidate = ingest_threads1(json.load(f))
+            candidate = threads1_rates(json.load(f))
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as err:
         print(f"bench_gate: cannot load inputs: {err}", file=sys.stderr)
         return 2
 
-    if not baseline:
-        print("bench_gate: baseline has no (ingest, threads=1) rows",
-              file=sys.stderr)
-        return 2
+    for stage in GATED_STAGES:
+        if not any(s == stage for _, s in baseline):
+            print(f"bench_gate: baseline has no ({stage}, threads=1) rows",
+                  file=sys.stderr)
+            return 2
 
     failed = False
-    for capture, base_pps in sorted(baseline.items()):
-        cand_pps = candidate.get(capture)
+    floor = 1.0 - args.max_regression
+    for (capture, stage), base_pps in sorted(baseline.items()):
+        cand_pps = candidate.get((capture, stage))
         if cand_pps is None:
-            print(f"bench_gate: candidate missing capture {capture!r}",
-                  file=sys.stderr)
+            print(f"bench_gate: candidate missing {stage} cell for capture "
+                  f"{capture!r}", file=sys.stderr)
             failed = True
             continue
         ratio = cand_pps / base_pps
-        floor = 1.0 - args.max_regression
         verdict = "OK" if ratio >= floor else "REGRESSION"
-        print(f"{capture}: ingest t1 {cand_pps:,.0f} pkt/s vs baseline "
+        print(f"{capture}: {stage} t1 {cand_pps:,.0f} pkt/s vs baseline "
               f"{base_pps:,.0f} pkt/s ({ratio:.3f}x, floor {floor:.2f}x) "
               f"{verdict}")
         if ratio < floor:

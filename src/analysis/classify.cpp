@@ -81,9 +81,8 @@ std::vector<StationClassification> classify_stations(const CaptureDataset& datas
     sc.station = station;
     for (auto& [server, p] : by_server) sc.connections.push_back(p);
 
-    std::size_t n_conn = sc.connections.size();
     std::size_t i_conns = 0, u_only_conns = 0, dead_u16_conns = 0, healthy_u_conns = 0;
-    bool any_i100 = false, any_switchover = false, any_inband_test = false;
+    bool any_switchover = false, any_inband_test = false;
     for (const auto& p : sc.connections) {
       bool has_i = p.i_from_station + p.i_from_server > 0;
       bool has_u = p.u16 + p.u32 > 0;
@@ -96,7 +95,6 @@ std::vector<StationClassification> classify_stations(const CaptureDataset& datas
           ++healthy_u_conns;
         }
       }
-      if (p.has_i100) any_i100 = true;
       if (p.has_i100 && p.u_before_i && p.startdt > 0) any_switchover = true;
       if (has_i && p.u16 > 0 && p.u32 > 0) any_inband_test = true;
     }
@@ -118,8 +116,6 @@ std::vector<StationClassification> classify_stations(const CaptureDataset& datas
     } else {
       sc.type = StationType::kType3;
     }
-    (void)n_conn;
-    (void)any_i100;
     out.push_back(std::move(sc));
   }
   return out;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <vector>
 
 namespace uncharted::analysis {
 
@@ -58,11 +59,21 @@ ConformanceReport audit_conformance(const CaptureDataset& dataset,
     }
   }
 
-  // Records are in capture (time) order; each feeds its flow's machine.
-  for (const auto& rec : dataset.records()) {
-    bool from_controller = rec.flow.src_port != iec104_port;
-    machine_for(rec.flow.canonical())
-        .on_apdu(rec.ts, from_controller, rec.apdu.apdu, rec.apdu.profile);
+  // Records are in capture (time) order; each feeds its flow's machine,
+  // resolved once per directed flow through the dense flow id.
+  const auto& keys = dataset.flow_keys();
+  std::vector<iec104::ConformanceMachine*> machine_of(keys.size());
+  std::vector<bool> from_controller(keys.size());
+  for (std::size_t f = 0; f < keys.size(); ++f) {
+    machine_of[f] = &machine_for(keys[f].canonical());
+    from_controller[f] = keys[f].src_port != iec104_port;
+  }
+  const auto& records = dataset.records();
+  const auto& flow_index = dataset.columns().flow_index;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const auto& rec = records[i];
+    const std::uint32_t f = flow_index[i];
+    machine_of[f]->on_apdu(rec.ts, from_controller[f], rec.apdu.apdu, rec.apdu.profile);
   }
 
   // Parse-level damage, including flows the quarantine dropped from

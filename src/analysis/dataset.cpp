@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <numeric>
+#include <iterator>
 #include <set>
 
 namespace uncharted::analysis {
@@ -365,100 +365,156 @@ void sum_stats(DatasetStats& into, const DatasetStats& from) {
   sum_degradation(into.degradation, from.degradation);
 }
 
+/// The canonical record order: (ts, flow, per-flow seq). A strict total
+/// order — no two records share all three — so every sort below is
+/// deterministic and the merged sequence does not depend on how records
+/// were distributed across partials.
+bool canonical_less(const ApduRecord& a, const ApduRecord& b) {
+  if (a.ts != b.ts) return a.ts < b.ts;
+  if (!(a.flow == b.flow)) return a.flow < b.flow;
+  return a.seq < b.seq;
+}
+
+/// A canonically ordered stretch of one partial's records.
+struct Run {
+  std::vector<ApduRecord>* owner;
+  std::vector<ApduRecord>::iterator begin, end;
+};
+
+/// Cuts one partial's records into canonically ordered runs, in place. A
+/// lane appends in capture order, so one pass that checks timestamps never
+/// decrease leaves only the stretches of equal timestamps to tie-break by
+/// (flow, seq), and the whole partial is one run. Wherever timestamps step
+/// backwards (an out-of-order capture) a new run starts.
+void cut_runs(std::vector<ApduRecord>& records, std::vector<Run>& runs) {
+  auto run_begin = records.begin();
+  auto first = records.begin();
+  while (first != records.end()) {
+    auto last = std::next(first);
+    while (last != records.end() && last->ts == first->ts) ++last;
+    if (std::distance(first, last) > 1) std::sort(first, last, canonical_less);
+    if (last != records.end() && last->ts < first->ts) {
+      runs.push_back(Run{&records, run_begin, last});
+      run_begin = last;
+    }
+    first = last;
+  }
+  if (run_begin != records.end()) runs.push_back(Run{&records, run_begin, records.end()});
+}
+
+/// K-way merge of the runs: each record moves once. A single run is a
+/// whole partial and is adopted as is — no copy, no record moves.
+std::vector<ApduRecord> merge_runs(std::vector<Run> runs) {
+  if (runs.empty()) return {};
+  if (runs.size() == 1) return std::move(*runs.front().owner);
+  // Min-heap on each run's next record.
+  auto later = [](const Run& a, const Run& b) {
+    return canonical_less(*b.begin, *a.begin);
+  };
+  std::size_t total = 0;
+  for (const auto& run : runs) total += static_cast<std::size_t>(run.end - run.begin);
+  std::make_heap(runs.begin(), runs.end(), later);
+  std::vector<ApduRecord> out;
+  out.reserve(total);
+  while (!runs.empty()) {
+    std::pop_heap(runs.begin(), runs.end(), later);
+    Run& run = runs.back();
+    out.push_back(std::move(*run.begin));
+    if (++run.begin == run.end) {
+      runs.pop_back();
+    } else {
+      std::push_heap(runs.begin(), runs.end(), later);
+    }
+  }
+  return out;
+}
+
+/// Everything the index pass needs about one directed flow, resolved on
+/// its first record.
+struct FlowSlot {
+  std::uint32_t id = 0;
+  std::vector<std::size_t>* session = nullptr;
+  std::vector<std::size_t>* connection = nullptr;
+  net::Ipv4Addr station;
+  /// Created on the flow's first I-format record: compliance() lists only
+  /// stations with I-format traffic.
+  CaptureDataset::ComplianceEntry* compliance = nullptr;
+};
+
 }  // namespace
 
 CaptureDataset merge_partials(std::vector<ShardPartial> partials,
                               const CaptureDataset::Options& options) {
   CaptureDataset ds;
 
-  std::size_t total_records = 0;
-  std::size_t total_quarantined = 0;
-  for (const auto& part : partials) {
-    total_records += part.records.size();
-    total_quarantined += part.quarantined.size();
-  }
-  ds.quarantined_.reserve(total_quarantined);
-
+  std::vector<Run> runs;
   for (auto& part : partials) {
     sum_stats(ds.stats_, part.stats);
     if (part.arena) ds.arenas_.push_back(std::move(part.arena));
     ds.flows_.merge(std::move(part.flows));
-    if (&part == &partials.front()) {
-      // First (or only) partial: adopt the vector wholesale. At
-      // --threads 1 this elides the element-wise move of every record.
-      ds.records_ = std::move(part.records);
-      ds.records_.reserve(total_records);
-    } else {
-      std::move(part.records.begin(), part.records.end(),
-                std::back_inserter(ds.records_));
-    }
     ds.quarantined_.insert(ds.quarantined_.end(), part.quarantined.begin(),
                            part.quarantined.end());
     // Directed flows are shard-affine, so damage maps are disjoint.
     ds.damage_.merge(std::move(part.damage));
+    cut_runs(part.records, runs);
   }
   std::sort(ds.quarantined_.begin(), ds.quarantined_.end());
-
-  // Canonical record order: (ts, flow, per-flow seq). A strict total order
-  // — no two records share all three — so the merged sequence is the same
-  // no matter how the records were distributed across partials, and the
-  // single-shard case reproduces it too. The sort runs over a u32
-  // permutation so each fat record (owning a parsed ASDU) is moved exactly
-  // once when the permutation is applied, not O(n log n) times inside the
-  // sort.
-  std::vector<std::uint32_t> order(ds.records_.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::uint32_t ia, std::uint32_t ib) {
-                     const ApduRecord& a = ds.records_[ia];
-                     const ApduRecord& b = ds.records_[ib];
-                     if (a.ts != b.ts) return a.ts < b.ts;
-                     if (!(a.flow == b.flow)) return a.flow < b.flow;
-                     return a.seq < b.seq;
-                   });
-  std::vector<ApduRecord> sorted;
-  sorted.reserve(ds.records_.size());
-  for (std::uint32_t idx : order) sorted.push_back(std::move(ds.records_[idx]));
-  ds.records_ = std::move(sorted);
+  ds.records_ = merge_runs(std::move(runs));
 
   // Hot columns are filled in the same pass that indexes sessions and
   // connections, so the SoA projection is exactly row-aligned with the
-  // canonical record order.
+  // canonical record order. Each directed flow is resolved once, on its
+  // first record; the cache makes every later record's lookup a hit.
+  const std::size_t n = ds.records_.size();
   auto& cols = ds.columns_;
-  cols.ts.reserve(ds.records_.size());
-  cols.flow_index.reserve(ds.records_.size());
-  cols.seq.reserve(ds.records_.size());
-  cols.type_id.reserve(ds.records_.size());
-  cols.wire_size.reserve(ds.records_.size());
-  std::map<net::FlowKey, std::uint32_t> flow_ids;
+  cols.ts.reserve(n);
+  cols.flow_index.reserve(n);
+  cols.seq.reserve(n);
+  cols.type_id.reserve(n);
+  cols.wire_size.reserve(n);
+  std::map<net::FlowKey, FlowSlot> slots;
+  DirectMappedCache<net::FlowKey, FlowSlot, 1024> slot_cache;
 
-  for (std::size_t i = 0; i < ds.records_.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     const auto& rec = ds.records_[i];
+    std::uint64_t hash = net::flow_key_hash(rec.flow);
+    FlowSlot* slot = slot_cache.find(rec.flow, hash);
+    if (slot == nullptr) {
+      auto [it, fresh] = slots.try_emplace(rec.flow);
+      slot = &it->second;
+      if (fresh) {
+        slot->id = static_cast<std::uint32_t>(ds.flow_keys_.size());
+        ds.flow_keys_.push_back(rec.flow);
+        slot->session = &ds.sessions_[{rec.flow.src_ip, rec.flow.dst_ip}];
+        slot->connection =
+            &ds.connections_[EndpointPair::of(rec.flow.src_ip, rec.flow.dst_ip)];
+        // Compliance is attributed to the outstation (the IEC 104 port
+        // owner): a vendor server configured for a legacy RTU mirrors its
+        // dialect, but the paper's compliance finding is about the device,
+        // not the direction.
+        slot->station = rec.flow.src_port == options.iec104_port ? rec.flow.src_ip
+                                                                 : rec.flow.dst_ip;
+      }
+      slot_cache.put(rec.flow, hash, slot);
+    }
+
     ++ds.stats_.apdus;
     if (!rec.apdu.compliant) ++ds.stats_.non_compliant_apdus;
-    ds.sessions_[{rec.flow.src_ip, rec.flow.dst_ip}].push_back(i);
-    ds.connections_[EndpointPair::of(rec.flow.src_ip, rec.flow.dst_ip)].push_back(i);
+    slot->session->push_back(i);
+    slot->connection->push_back(i);
 
-    auto [fit, fresh] = flow_ids.try_emplace(
-        rec.flow, static_cast<std::uint32_t>(ds.flow_keys_.size()));
-    if (fresh) ds.flow_keys_.push_back(rec.flow);
+    const bool is_i = rec.apdu.apdu.format == iec104::ApduFormat::kI;
     cols.ts.push_back(rec.ts);
-    cols.flow_index.push_back(fit->second);
+    cols.flow_index.push_back(slot->id);
     cols.seq.push_back(rec.seq);
-    cols.type_id.push_back(
-        rec.apdu.apdu.format == iec104::ApduFormat::kI && rec.apdu.apdu.asdu
-            ? static_cast<std::uint16_t>(rec.apdu.apdu.asdu->type)
-            : CaptureDataset::kNoTypeId);
+    cols.type_id.push_back(is_i && rec.apdu.apdu.asdu
+                               ? static_cast<std::uint16_t>(rec.apdu.apdu.asdu->type)
+                               : CaptureDataset::kNoTypeId);
     cols.wire_size.push_back(static_cast<std::uint32_t>(rec.apdu.wire_size));
 
-    if (rec.apdu.apdu.format == iec104::ApduFormat::kI) {
-      // Attribute to the outstation (the IEC 104 port owner): a vendor
-      // server configured for a legacy RTU mirrors its dialect, but the
-      // paper's compliance finding is about the device, not the direction.
-      net::Ipv4Addr station = rec.flow.src_port == options.iec104_port
-                                  ? rec.flow.src_ip
-                                  : rec.flow.dst_ip;
-      auto& entry = ds.compliance_[station];
+    if (is_i) {
+      if (slot->compliance == nullptr) slot->compliance = &ds.compliance_[slot->station];
+      auto& entry = *slot->compliance;
       ++entry.i_apdus;
       if (!rec.apdu.compliant) {
         ++entry.non_compliant;

@@ -185,7 +185,7 @@ class CaptureDataset {
   /// analyses (type distributions, rate stats) actually touch, laid out
   /// contiguously so a pass over a million records walks flat arrays
   /// instead of striding through fat ApduRecords. Row i describes
-  /// records()[i]; built once after the canonical sort.
+  /// records()[i]; built in the same pass that indexes sessions.
   struct HotColumns {
     std::vector<Timestamp> ts;
     /// Index into flow_keys() — per-record flow identity as a small int.
@@ -248,11 +248,17 @@ struct ShardPartial {
 };
 
 /// Deterministic order-independent reducer: folds shard partials into one
-/// CaptureDataset. Integer stats are summed, flow tables merged (disjoint
-/// across shards by construction), records concatenated and re-sorted into
-/// the canonical (ts, flow, seq) order, then sessions / connections /
-/// compliance are indexed exactly as a sequential finish() would. The
-/// result is invariant under any permutation of `partials`.
+/// CaptureDataset. Integer stats are summed and flow tables merged
+/// (disjoint across shards by construction). Records reach the canonical
+/// (ts, flow, seq) order without a global sort: a lane appends in capture
+/// order, so each partial is cut in place into ordered runs — only
+/// stretches of equal timestamps are tie-broken, and a new run starts
+/// wherever timestamps step backwards (an out-of-order capture). The runs
+/// are k-way merged, each record moving once; a single run (threads 1,
+/// every snapshot of an in-order capture) is adopted without moving any.
+/// One pass then indexes sessions / connections / compliance and fills the
+/// hot columns, resolving each directed flow once. The result is invariant
+/// under any permutation of `partials`.
 CaptureDataset merge_partials(std::vector<ShardPartial> partials,
                               const CaptureDataset::Options& options);
 

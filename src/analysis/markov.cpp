@@ -1,6 +1,8 @@
 #include "analysis/markov.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <string_view>
 
 #include "exec/pool.hpp"
 
@@ -9,11 +11,42 @@ namespace uncharted::analysis {
 std::string apdu_token(const iec104::Apdu& apdu) { return apdu.token(); }
 
 MarkovChain MarkovChain::from_tokens(const std::vector<std::string>& tokens) {
+  // Intern the tokens to small ids and count transitions per id; the
+  // string-keyed maps are then built once per distinct node and edge. The
+  // Table 4 alphabet is small (S, six U functions, I_<typeid>), so a
+  // node's successor list stays short enough to scan.
+  std::map<std::string_view, std::uint32_t> ids;
+  std::vector<std::string_view> names;
+  std::vector<std::vector<std::pair<std::uint32_t, std::uint64_t>>> successors;
+  std::uint32_t prev = 0;
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    auto [it, fresh] = ids.try_emplace(tokens[i], static_cast<std::uint32_t>(names.size()));
+    if (fresh) {
+      names.push_back(tokens[i]);
+      successors.emplace_back();
+    }
+    const std::uint32_t id = it->second;
+    if (i > 0) {
+      auto& out = successors[prev];
+      auto edge = std::find_if(out.begin(), out.end(),
+                               [id](const auto& e) { return e.first == id; });
+      if (edge == out.end()) {
+        out.emplace_back(id, 1);
+      } else {
+        ++edge->second;
+      }
+    }
+    prev = id;
+  }
+
   MarkovChain chain;
-  for (const auto& t : tokens) chain.counts_.try_emplace(t);
-  for (std::size_t i = 0; i + 1 < tokens.size(); ++i) {
-    ++chain.counts_[tokens[i]][tokens[i + 1]];
-    ++chain.outgoing_totals_[tokens[i]];
+  for (std::uint32_t node = 0; node < names.size(); ++node) {
+    const std::string name(names[node]);
+    auto& row = chain.counts_[name];
+    for (const auto& [next, count] : successors[node]) {
+      row.emplace(std::string(names[next]), count);
+      chain.outgoing_totals_[name] += count;
+    }
   }
   return chain;
 }

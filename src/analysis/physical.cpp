@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/ptrcache.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace uncharted::analysis {
@@ -21,6 +23,9 @@ double TimeSeries::max_value() const {
 
 std::map<SeriesKey, TimeSeries> extract_time_series(const CaptureDataset& dataset) {
   std::map<SeriesKey, TimeSeries> out;
+  // Fronts out[key]: map nodes are stable, and a capture has far fewer
+  // series than points, so nearly every point's lookup is a cache hit.
+  DirectMappedCache<SeriesKey, TimeSeries, 4096> cache;
   for (const auto& rec : dataset.records()) {
     const auto& apdu = rec.apdu.apdu;
     if (apdu.format != iec104::ApduFormat::kI || !apdu.asdu) continue;
@@ -32,7 +37,15 @@ std::map<SeriesKey, TimeSeries> extract_time_series(const CaptureDataset& datase
       double value = 0.0;
       if (!iec104::numeric_value(obj.value, value)) continue;
       SeriesKey key{rec.flow.src_ip, obj.ioa};
-      auto& series = out[key];
+      std::uint64_t hash =
+          SplitMix64((static_cast<std::uint64_t>(key.station.value) << 32) | key.ioa)
+              .next();
+      TimeSeries* found = cache.find(key, hash);
+      if (found == nullptr) {
+        found = &out[key];
+        cache.put(key, hash, found);
+      }
+      auto& series = *found;
       series.type_id = type;
       Timestamp ts = obj.time ? obj.time->to_timestamp() : rec.ts;
       series.points.push_back(SeriesPoint{ts, value});

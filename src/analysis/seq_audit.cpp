@@ -13,15 +13,29 @@ struct DirState {
   std::uint16_t expected_ns = 0;  ///< next N(S) we expect
   SeqAuditEntry entry;
 };
+constexpr std::uint32_t kNoPeer = 0xffffffffu;
 }  // namespace
 
 SeqAuditReport audit_sequences(const CaptureDataset& dataset) {
-  std::map<net::FlowKey, DirState> dirs;
+  // Per-direction state is indexed by the dataset's dense flow id, and each
+  // direction's reverse is resolved once up front.
+  const auto& keys = dataset.flow_keys();
+  std::map<net::FlowKey, std::uint32_t> id_of;
+  for (std::uint32_t f = 0; f < keys.size(); ++f) id_of.emplace(keys[f], f);
+  std::vector<DirState> dirs(keys.size());
+  std::vector<std::uint32_t> peer(keys.size(), kNoPeer);
+  for (std::uint32_t f = 0; f < keys.size(); ++f) {
+    dirs[f].entry.direction = keys[f];
+    auto it = id_of.find(keys[f].reversed());
+    if (it != id_of.end()) peer[f] = it->second;
+  }
 
-  for (const auto& rec : dataset.records()) {
-    const auto& apdu = rec.apdu.apdu;
-    auto& st = dirs[rec.flow];
-    st.entry.direction = rec.flow;
+  const auto& records = dataset.records();
+  const auto& flow_index = dataset.columns().flow_index;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const auto& apdu = records[i].apdu.apdu;
+    const std::uint32_t f = flow_index[i];
+    auto& st = dirs[f];
 
     if (apdu.format == iec104::ApduFormat::kI) {
       ++st.entry.i_apdus;
@@ -47,16 +61,17 @@ SeqAuditReport audit_sequences(const CaptureDataset& dataset) {
     // Acknowledgement audit: the N(R) in I/S frames must not exceed the
     // peer direction's next N(S).
     if (apdu.format == iec104::ApduFormat::kI || apdu.format == iec104::ApduFormat::kS) {
-      auto peer_it = dirs.find(rec.flow.reversed());
-      if (peer_it != dirs.end() && peer_it->second.seen) {
-        int ahead = seq15_delta(apdu.recv_seq, peer_it->second.expected_ns);
+      if (peer[f] != kNoPeer && dirs[peer[f]].seen) {
+        int ahead = seq15_delta(apdu.recv_seq, dirs[peer[f]].expected_ns);
         if (ahead > 0) ++st.entry.ack_violations;
       }
     }
   }
 
+  // Entries in FlowKey order: id_of iterates its keys sorted.
   SeqAuditReport report;
-  for (auto& [key, st] : dirs) {
+  for (const auto& [key, f] : id_of) {
+    const auto& st = dirs[f];
     if (st.entry.i_apdus == 0 && st.entry.ack_violations == 0) continue;
     report.total_gaps += st.entry.gaps;
     report.total_duplicates += st.entry.duplicates;

@@ -60,6 +60,7 @@ std::vector<SessionFeatures> extract_session_features(const CaptureDataset& data
     double sum_dt = 0.0, sum_dt2 = 0.0;
     std::size_t dt_n = 0;
     Timestamp prev = 0;
+    bool has_prev = false;  // ts 0 is a real time in relative captures
 
     for (std::size_t idx : indices) {
       const auto& rec = records[idx];
@@ -72,13 +73,14 @@ std::vector<SessionFeatures> extract_session_features(const CaptureDataset& data
       if (rec.apdu.apdu.asdu) {
         for (const auto& obj : rec.apdu.apdu.asdu->objects) ioas.insert(obj.ioa);
       }
-      if (prev != 0) {
+      if (has_prev) {
         double dt = to_seconds(static_cast<DurationUs>(rec.ts - prev));
         sum_dt += dt;
         sum_dt2 += dt * dt;
         ++dt_n;
       }
       prev = rec.ts;
+      has_prev = true;
     }
 
     double n = static_cast<double>(indices.size());

@@ -3,10 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <memory>
 #include <string>
+#include <tuple>
 
 #include "analysis/sessions.hpp"
 #include "analysis/typeid_stats.hpp"
+#include "core/analyzer.hpp"
+#include "core/export.hpp"
 #include "tests/analysis/testlib.hpp"
 
 namespace uncharted::analysis {
@@ -170,6 +175,20 @@ std::string digest(const CaptureDataset& ds) {
            std::to_string(dmg.failures()) + ' ' + std::to_string(dmg.last_failure_ts);
   }
   out += '\n' + std::to_string(ds.flow_table().connection_count());
+  for (const auto& key : ds.flow_keys()) out += '\n' + key.str();
+  for (std::uint32_t f : ds.columns().flow_index) out += ' ' + std::to_string(f);
+  for (const auto& [key, indices] : ds.sessions()) {
+    out += '\n' + key.first.str() + '>' + key.second.str();
+    for (std::size_t i : indices) out += ' ' + std::to_string(i);
+  }
+  for (const auto& [pair, indices] : ds.connections()) {
+    out += '\n' + pair.str();
+    for (std::size_t i : indices) out += ' ' + std::to_string(i);
+  }
+  for (const auto& [station, entry] : ds.compliance()) {
+    out += '\n' + station.str() + ' ' + std::to_string(entry.i_apdus) + ' ' +
+           std::to_string(entry.non_compliant);
+  }
   return out;
 }
 
@@ -269,6 +288,22 @@ TEST(SessionFeatures, ComputedPerDirection) {
   EXPECT_NEAR(from_server->values[kFeatMeanInterArrival], 20.0, 1e-9);
 }
 
+TEST(SessionFeatures, RecordAtTimestampZeroKeepsItsInterArrival) {
+  // A capture with relative timestamps starts at ts 0; that record still
+  // opens the first inter-arrival gap (1 s, then 2 s: mean 1.5 s).
+  CaptureBuilder cb;
+  auto server = ip(10, 0, 0, 1);
+  auto station = ip(10, 1, 0, 5);
+  const Timestamp ts[] = {0, 1'000'000, 3'000'000};
+  for (std::uint16_t i = 0; i < 3; ++i) {
+    cb.apdu(ts[i], server, station, true, i_apdu(float_asdu(5, 100, 1.0f), i, 0));
+  }
+  auto features = extract_session_features(CaptureDataset::build(cb.packets()));
+  ASSERT_EQ(features.size(), 1u);
+  EXPECT_NEAR(features[0].values[kFeatMeanInterArrival], 1.5, 1e-9);
+  EXPECT_NEAR(features[0].values[kFeatStdInterArrival], 0.5, 1e-9);
+}
+
 TEST(TypeIdStats, DistributionAndStations) {
   CaptureBuilder cb;
   auto server = ip(10, 0, 0, 1);
@@ -302,6 +337,128 @@ TEST(TypeIdStats, DistributionAndStations) {
   EXPECT_EQ(stations.station_count(36), 1u);
   EXPECT_EQ(stations.station_count(50), 1u);
   EXPECT_EQ(stations.station_count(100), 0u);
+}
+
+// --- Canonical record order without a global sort -------------------------
+//
+// merge_partials cuts each partial into canonically ordered runs in place
+// (tie-breaking only stretches of equal timestamps, starting a new run
+// wherever timestamps step backwards) and then k-way merges the runs. Each
+// scenario below is built once as a single partial and once split by
+// station into three flow-disjoint partials, merged in every order.
+
+/// Emits the same APDUs into one whole capture and into the capture of the
+/// station's partial (station index mod 3).
+class SplitCapture {
+ public:
+  void apdu(Timestamp ts, std::size_t station, bool from_station, const Apdu& apdu) {
+    auto st = ip(10, 1, 0, static_cast<std::uint8_t>(5 + station));
+    whole_.apdu(ts, kServer, st, from_station, apdu);
+    parts_[station % parts_.size()].apdu(ts, kServer, st, from_station, apdu);
+  }
+  const std::vector<net::CapturedPacket>& whole() const { return whole_.packets(); }
+  const std::vector<net::CapturedPacket>& part(std::size_t i) const {
+    return parts_[i].packets();
+  }
+  static constexpr std::size_t kParts = 3;
+
+ private:
+  static inline const net::Ipv4Addr kServer = ip(10, 0, 0, 1);
+  CaptureBuilder whole_;
+  std::array<CaptureBuilder, kParts> parts_;
+};
+
+::testing::AssertionResult in_canonical_order(const CaptureDataset& ds) {
+  const auto& recs = ds.records();
+  for (std::size_t i = 1; i < recs.size(); ++i) {
+    const auto& a = recs[i - 1];
+    const auto& b = recs[i];
+    if (std::tie(a.ts, a.flow, a.seq) < std::tie(b.ts, b.flow, b.seq)) continue;
+    return ::testing::AssertionFailure()
+           << "record " << i << " (" << b.ts << ' ' << b.flow.str() << ' ' << b.seq
+           << ") is not after (" << a.ts << ' ' << a.flow.str() << ' ' << a.seq << ')';
+  }
+  return ::testing::AssertionSuccess();
+}
+
+void expect_canonical_everywhere(const SplitCapture& cap) {
+  for (auto mode : {ParseMode::kPerPacket, ParseMode::kReassembled}) {
+    SCOPED_TRACE(mode == ParseMode::kPerPacket ? "per-packet" : "reassembled");
+    CaptureDataset::Options opts;
+    opts.mode = mode;
+    auto whole = CaptureDataset::build(cap.whole(), opts);
+    EXPECT_TRUE(in_canonical_order(whole));
+    const std::string expected = digest(whole);
+
+    // The three partials, each a lane flushed at the capture's end.
+    const Timestamp flush_ts = cap.whole().back().ts;
+    std::array<std::unique_ptr<DatasetBuilder>, SplitCapture::kParts> lanes;
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+      lanes[i] = std::make_unique<DatasetBuilder>(opts);
+      ASSERT_FALSE(cap.part(i).empty());
+      for (const auto& pkt : cap.part(i)) lanes[i]->add_packet(pkt);
+    }
+    std::array<std::size_t, SplitCapture::kParts> order = {0, 1, 2};
+    do {
+      std::vector<ShardPartial> partials;
+      for (std::size_t i : order) partials.push_back(lanes[i]->snapshot_partial(flush_ts));
+      auto merged = merge_partials(std::move(partials), opts);
+      EXPECT_TRUE(in_canonical_order(merged));
+      EXPECT_EQ(digest(merged), expected)
+          << "partials merged in order " << order[0] << order[1] << order[2];
+    } while (std::next_permutation(order.begin(), order.end()));
+
+    // The whole pipeline, sequential and sharded.
+    core::CaptureAnalyzer::Options aopts;
+    aopts.mode = mode;
+    aopts.threads = 1;
+    const std::string base = core::report_to_json(core::CaptureAnalyzer::analyze(cap.whole(), aopts));
+    for (unsigned threads : {2u, 8u}) {
+      aopts.threads = threads;
+      EXPECT_EQ(core::report_to_json(core::CaptureAnalyzer::analyze(cap.whole(), aopts)), base)
+          << "report differs at " << threads << " threads";
+    }
+  }
+}
+
+TEST(DatasetOrder, EqualTimestampsAcrossFlowsAppendedInReverseFlowOrder) {
+  // Every tick is shared by all stations, and the capture lists them in
+  // descending address order: append order is the reverse of (flow, seq).
+  SplitCapture cap;
+  for (std::uint16_t tick = 0; tick < 8; ++tick) {
+    const Timestamp ts = 1'000'000 + tick * 1'000;
+    for (std::size_t station = 6; station-- > 0;) {
+      cap.apdu(ts, station, true, i_apdu(float_asdu(5, 100, 1.0f), tick, 0));
+      cap.apdu(ts, station, false, Apdu::make_s(static_cast<std::uint16_t>(tick + 1)));
+    }
+  }
+  expect_canonical_everywhere(cap);
+}
+
+TEST(DatasetOrder, TimestampsSteppingBackwardsStartNewRuns) {
+  // An out-of-order capture: some frames carry earlier timestamps than
+  // frames captured before them, within one flow and across flows.
+  SplitCapture cap;
+  const Timestamp ts[] = {5'000, 9'000, 3'000, 9'000, 7'000, 1'000, 8'000, 8'000};
+  for (std::uint16_t i = 0; i < 8; ++i) {
+    cap.apdu(ts[i], i % 4, true, i_apdu(float_asdu(5, 100, 1.0f), i, 0));
+    cap.apdu(ts[(i + 3) % 8], (i + 1) % 4, false, Apdu::make_u(UFunction::kTestFrAct));
+  }
+  expect_canonical_everywhere(cap);
+}
+
+TEST(DatasetOrder, ThreePartialsMergeIdenticallyInEveryOrder) {
+  // Interleaved flows with irregular spacing and occasional shared ticks:
+  // every partial holds several flows, and the k-way merge must interleave
+  // them record by record.
+  SplitCapture cap;
+  for (std::uint16_t i = 0; i < 60; ++i) {
+    const Timestamp ts = 2'000'000 + (i / 3) * 700 + (i % 5) * 10;
+    const std::size_t station = (i * 7) % 6;
+    cap.apdu(ts, station, true, i_apdu(float_asdu(5, i, 1.0f), i, 0));
+    if (i % 4 == 0) cap.apdu(ts, (station + 2) % 6, false, Apdu::make_s(i));
+  }
+  expect_canonical_everywhere(cap);
 }
 
 }  // namespace
