@@ -47,8 +47,10 @@ int main() {
               "C1-O6, C1-O8, C1-O35, C2-O30, C1-O15, C1-O5):\n");
   for (const auto& c : chains) {
     if (c.cluster == analysis::ChainCluster::kPoint11) {
-      std::printf("  %s  (%zu repeated %s)\n", name_pair(c.pair).c_str(),
-                  c.tokens.size(), c.tokens.front().c_str());
+      // One node with a self-loop: the sequence is that loop's count + 1.
+      const auto& loop = c.chain.counts().begin()->second.begin()->second;
+      std::printf("  %s  (%llu repeated %s)\n", name_pair(c.pair).c_str(),
+                  static_cast<unsigned long long>(loop + 1), c.first_token.c_str());
     }
   }
 
@@ -94,7 +96,7 @@ int main() {
 
   // Bigram language model over the fleet (Eq. 1-2), most probable bigrams.
   analysis::BigramModel lm;
-  for (const auto& c : chains) lm.add_sequence(c.tokens);
+  for (const auto& c : chains) lm.add_chain(c.chain, c.first_token, c.last_token);
   std::printf("\nBigram LM (MLE) — common transitions:\n");
   for (auto [a, b] : {std::pair{"I_36", "I_36"}, std::pair{"I_36", "S"},
                       std::pair{"S", "I_36"}, std::pair{"U16", "U32"},

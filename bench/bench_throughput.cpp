@@ -10,6 +10,9 @@
 //                 exactly the pre-parallelism code path),
 //   analyze     — every §6 computation over the built dataset,
 //   end_to_end  — CaptureAnalyzer::analyze, both of the above.
+// A fourth, at threads 1 only:
+//   query       — StreamingAnalyzer::report_snapshot() once the whole
+//                 capture is ingested: a live daemon's report query.
 // Each stage runs --reps times (default 3) and reports the fastest wall
 // time: the pipeline is deterministic, so the minimum is the measurement
 // and the rest is scheduler noise.
@@ -30,6 +33,7 @@
 #include "bench/common.hpp"
 #include "core/analyzer.hpp"
 #include "core/export.hpp"
+#include "core/streaming.hpp"
 #include "exec/pool.hpp"
 
 using namespace uncharted;
@@ -160,6 +164,17 @@ int main(int argc, char** argv) {
           t, ingest_ms, json_num(per_second(packets.size(), ingest_ms)).c_str(),
           analyze_ms, e2e_ms);
     }
+
+    core::StreamingOptions live;
+    live.analyze.threads = 1;
+    core::StreamingAnalyzer analyzer(live);
+    analyzer.add_packets(packets);
+    double query_ms = best_of(reps, [&] {
+      auto report = analyzer.report_snapshot();
+      (void)report;
+    });
+    entries.push_back({c.name, "query", 1, query_ms, packets.size(), apdus});
+    std::printf("  1 thread(s): query %8.1f ms\n", query_ms);
   }
 
   // Speedups vs the 1-thread run of the same capture and stage.

@@ -196,12 +196,13 @@ int main(int argc, char** argv) {
   if (!quiet) {
     std::fprintf(stderr,
                  "done: sent=%llu finished=%llu reconnects=%llu "
-                 "busy_retries=%llu failed=%llu\n",
+                 "busy_retries=%llu failed=%llu lost=%llu\n",
                  static_cast<unsigned long long>(stats.frames_sent),
                  static_cast<unsigned long long>(stats.finished_streams),
                  static_cast<unsigned long long>(stats.reconnects),
                  static_cast<unsigned long long>(stats.busy_retries),
-                 static_cast<unsigned long long>(stats.failed_streams));
+                 static_cast<unsigned long long>(stats.failed_streams),
+                 static_cast<unsigned long long>(stats.lost_streams));
   }
   // The uniform exit ladder: hostile (3) wins over degraded (2).
   if (script.hostile_streams > 0) return 3;

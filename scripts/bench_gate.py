@@ -4,11 +4,14 @@
 Compares a fresh bench_throughput run against the committed baseline
 (BENCH_throughput.json) and fails if, for any capture, the threads-1
 packet rate of a gated stage regressed by more than the allowed fraction.
-Two stages are gated, both at threads 1:
+Three stages are gated, all at threads 1:
 
   ingest      the zero-copy hot path the repo commits a trajectory for;
   end_to_end  ingest plus every analysis (CaptureAnalyzer::analyze), so a
-              regression in the dataset finish or a §6 stage fails too.
+              regression in the dataset finish or a §6 stage fails too;
+  query       a live report query over the whole ingested capture
+              (StreamingAnalyzer::report_snapshot), so a query that starts
+              copying the records again fails.
 
 Only threads-1 cells are gated: they are the least noisy on shared CI
 runners (no scheduler effects from worker threads).
@@ -22,7 +25,7 @@ import argparse
 import json
 import sys
 
-GATED_STAGES = ("ingest", "end_to_end")
+GATED_STAGES = ("ingest", "end_to_end", "query")
 
 
 def threads1_rates(snapshot):

@@ -314,8 +314,8 @@ daemon_soak() {
   # Both binaries follow the uniform exit ladder: the daemon must exit 3
   # (hostile traffic analyzed) and the fleet must exit 3 too (hostile
   # modes scripted) — benign losslessness is asserted from its stats line
-  # (failed=0), not its exit code. Garbage peers never say hello, so they
-  # are not counted in --expect-streams.
+  # (failed=0 lost=0), not its exit code. Garbage peers never say hello,
+  # so they are not counted in --expect-streams.
   echo "==> daemon hostile fleet (content=2 garbage=2 slow-loris=2)"
   local hn hexpect port rc fout
   hn="$("$fleet_bin" --connect 127.0.0.1:9 --year 1 --duration "$dur" \
@@ -341,7 +341,7 @@ daemon_soak() {
     echo "    FAIL: hostile-phase fleet exit $rc (want 3: hostile modes scripted)" >&2
     failures=$((failures + 1))
   fi
-  if ! printf '%s\n' "$fout" | grep -q 'failed=0$'; then
+  if ! printf '%s\n' "$fout" | grep -q 'failed=0 lost=0$'; then
     echo "    FAIL: hostile-phase fleet dropped benign flows" >&2
     printf '%s\n' "$fout" >&2
     failures=$((failures + 1))

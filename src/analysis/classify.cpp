@@ -18,68 +18,65 @@ std::string station_type_description(StationType t) {
   return "?";
 }
 
-std::vector<StationClassification> classify_stations(const CaptureDataset& dataset) {
-  const auto& records = dataset.records();
-
-  // station IP -> server IP -> profile
-  std::map<net::Ipv4Addr, std::map<net::Ipv4Addr, ConnectionProfile>> profiles;
-
-  for (const auto& [pair, indices] : dataset.connections()) {
-    if (indices.empty()) continue;
-    // The outstation owns port 2404 on its flows.
-    const auto& first = records[indices.front()];
-    net::Ipv4Addr station = first.flow.dst_port == iec104::kIec104Port
-                                ? first.flow.dst_ip
-                                : first.flow.src_ip;
-    net::Ipv4Addr server = station == pair.a ? pair.b : pair.a;
-
-    ConnectionProfile& p = profiles[station][server];
-    p.server = server;
-    bool seen_i = false;
-    for (std::size_t idx : indices) {
-      const auto& rec = records[idx];
-      bool from_station = rec.flow.src_ip == station;
-      switch (rec.apdu.apdu.format) {
-        case iec104::ApduFormat::kI:
-          if (from_station) {
-            ++p.i_from_station;
-          } else {
-            ++p.i_from_server;
-          }
-          seen_i = true;
-          if (rec.apdu.apdu.asdu &&
-              rec.apdu.apdu.asdu->type == iec104::TypeId::C_IC_NA_1) {
-            p.has_i100 = true;
-          }
+void StationTypingAccumulator::add(const ApduRecord& rec, std::uint32_t flow) {
+  Connection* c = flow_slot(by_flow_, flow, [&] {
+    auto pair = EndpointPair::of(rec.flow.src_ip, rec.flow.dst_ip);
+    auto [it, fresh] = connections_.try_emplace(pair);
+    if (fresh) {
+      // The outstation owns port 2404 on its flows.
+      auto& conn = it->second;
+      conn.station = rec.flow.dst_port == iec104::kIec104Port ? rec.flow.dst_ip
+                                                                : rec.flow.src_ip;
+      conn.profile.server = conn.station == pair.a ? pair.b : pair.a;
+    }
+    return &it->second;
+  });
+  ConnectionProfile& p = c->profile;
+  const auto& apdu = rec.apdu.apdu;
+  switch (apdu.format) {
+    case iec104::ApduFormat::kI:
+      if (rec.flow.src_ip == c->station) {
+        ++p.i_from_station;
+      } else {
+        ++p.i_from_server;
+      }
+      c->seen_i = true;
+      if (apdu.asdu && apdu.asdu->type == iec104::TypeId::C_IC_NA_1) p.has_i100 = true;
+      break;
+    case iec104::ApduFormat::kU:
+      switch (apdu.u_function) {
+        case iec104::UFunction::kTestFrAct:
+          ++p.u16;
+          if (!c->seen_i) p.u_before_i = true;
           break;
-        case iec104::ApduFormat::kU:
-          switch (rec.apdu.apdu.u_function) {
-            case iec104::UFunction::kTestFrAct:
-              ++p.u16;
-              if (!seen_i) p.u_before_i = true;
-              break;
-            case iec104::UFunction::kTestFrCon:
-              ++p.u32;
-              break;
-            case iec104::UFunction::kStartDtAct:
-            case iec104::UFunction::kStartDtCon:
-              ++p.startdt;
-              break;
-            default:
-              break;
-          }
+        case iec104::UFunction::kTestFrCon:
+          ++p.u32;
           break;
-        case iec104::ApduFormat::kS:
+        case iec104::UFunction::kStartDtAct:
+        case iec104::UFunction::kStartDtCon:
+          ++p.startdt;
+          break;
+        default:
           break;
       }
-    }
+      break;
+    case iec104::ApduFormat::kS:
+      break;
+  }
+}
+
+std::vector<StationClassification> StationTypingAccumulator::close() const {
+  // station IP -> server IP -> profile
+  std::map<net::Ipv4Addr, std::map<net::Ipv4Addr, const ConnectionProfile*>> profiles;
+  for (const auto& [pair, conn] : connections_) {
+    profiles[conn.station][conn.profile.server] = &conn.profile;
   }
 
   std::vector<StationClassification> out;
   for (auto& [station, by_server] : profiles) {
     StationClassification sc;
     sc.station = station;
-    for (auto& [server, p] : by_server) sc.connections.push_back(p);
+    for (const auto& [server, p] : by_server) sc.connections.push_back(*p);
 
     std::size_t i_conns = 0, u_only_conns = 0, dead_u16_conns = 0, healthy_u_conns = 0;
     bool any_switchover = false, any_inband_test = false;
@@ -119,6 +116,12 @@ std::vector<StationClassification> classify_stations(const CaptureDataset& datas
     out.push_back(std::move(sc));
   }
   return out;
+}
+
+std::vector<StationClassification> classify_stations(const CaptureDataset& dataset) {
+  StationTypingAccumulator acc;
+  feed(dataset.records(), acc);
+  return acc.close();
 }
 
 std::map<StationType, std::size_t> type_histogram(

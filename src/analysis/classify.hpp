@@ -43,6 +43,24 @@ struct StationClassification {
   std::vector<ConnectionProfile> connections;
 };
 
+/// Folds records into per-connection profiles. A connection's outstation
+/// (the IEC 104 port owner) is fixed by its first record.
+class StationTypingAccumulator {
+ public:
+  void add(const ApduRecord& rec, std::uint32_t flow);
+  /// One classification per outstation, in address order.
+  std::vector<StationClassification> close() const;
+
+ private:
+  struct Connection {
+    net::Ipv4Addr station;
+    ConnectionProfile profile;
+    bool seen_i = false;
+  };
+  std::map<EndpointPair, Connection> connections_;
+  std::vector<Connection*> by_flow_;
+};
+
 /// Classifies every outstation (IEC 104 port owner) in the capture.
 std::vector<StationClassification> classify_stations(const CaptureDataset& dataset);
 

@@ -1,8 +1,6 @@
 #include "analysis/conformance_audit.hpp"
 
 #include <algorithm>
-#include <map>
-#include <vector>
 
 namespace uncharted::analysis {
 
@@ -38,48 +36,42 @@ void merge_profile(iec104::ConformanceProfile& into,
 
 }  // namespace
 
-ConformanceReport audit_conformance(const CaptureDataset& dataset,
-                                    const iec104::ConformancePolicy& policy,
-                                    std::uint16_t iec104_port) {
-  std::map<net::FlowKey, iec104::ConformanceMachine> machines;
-
-  auto machine_for = [&](const net::FlowKey& canonical) -> iec104::ConformanceMachine& {
-    auto it = machines.find(canonical);
-    if (it == machines.end()) {
-      it = machines.emplace(canonical, iec104::ConformanceMachine(policy)).first;
-    }
-    return it->second;
-  };
-
+ConformanceAccumulator::ConformanceAccumulator(const net::FlowTable& flows,
+                                               const iec104::ConformancePolicy& policy,
+                                               std::uint16_t iec104_port)
+    : policy_(policy), port_(iec104_port) {
   // Fresh connections (SYN + SYN-ACK inside the capture) get the strict
   // state machine: STOPDT initial state, sequence counters pinned to zero.
-  for (const auto& flow : dataset.flow_table().flows()) {
+  for (const auto& flow : flows.flows()) {
     if (flow.saw_syn && flow.saw_synack) {
       machine_for(flow.key.canonical()).on_connection_open(flow.first_ts);
     }
   }
+}
 
-  // Records are in capture (time) order; each feeds its flow's machine,
-  // resolved once per directed flow through the dense flow id.
-  const auto& keys = dataset.flow_keys();
-  std::vector<iec104::ConformanceMachine*> machine_of(keys.size());
-  std::vector<bool> from_controller(keys.size());
-  for (std::size_t f = 0; f < keys.size(); ++f) {
-    machine_of[f] = &machine_for(keys[f].canonical());
-    from_controller[f] = keys[f].src_port != iec104_port;
+iec104::ConformanceMachine& ConformanceAccumulator::machine_for(
+    const net::FlowKey& canonical) {
+  auto it = machines_.find(canonical);
+  if (it == machines_.end()) {
+    it = machines_.emplace(canonical, iec104::ConformanceMachine(policy_)).first;
   }
-  const auto& records = dataset.records();
-  const auto& flow_index = dataset.columns().flow_index;
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const auto& rec = records[i];
-    const std::uint32_t f = flow_index[i];
-    machine_of[f]->on_apdu(rec.ts, from_controller[f], rec.apdu.apdu, rec.apdu.profile);
-  }
+  return it->second;
+}
 
-  // Parse-level damage, including flows the quarantine dropped from
-  // records(): a stream too poisoned to trust is still evidence about the
+void ConformanceAccumulator::add(const ApduRecord& rec, std::uint32_t flow) {
+  // Each record feeds its flow's machine, resolved once per directed flow.
+  const Slot& slot = flow_slot(slots_, flow, [&] {
+    return Slot{&machine_for(rec.flow.canonical()), rec.flow.src_port != port_};
+  });
+  slot.machine->on_apdu(rec.ts, slot.from_controller, rec.apdu.apdu, rec.apdu.profile);
+}
+
+ConformanceReport ConformanceAccumulator::close(
+    const std::map<net::FlowKey, FlowDamage>& damage) {
+  // Parse-level damage, including flows the quarantine dropped from the
+  // records: a stream too poisoned to trust is still evidence about the
   // peer — often the strongest evidence there is.
-  for (const auto& [key, dmg] : dataset.damage()) {
+  for (const auto& [key, dmg] : damage) {
     auto& machine = machine_for(key.canonical());
     Timestamp ts = dmg.last_failure_ts;
     machine.on_parse_failures(ts, iec104::FailureKind::kGarbage, dmg.garbage);
@@ -94,7 +86,7 @@ ConformanceReport audit_conformance(const CaptureDataset& dataset,
   // verdict of any single flow (summing warn scores across flows would
   // punish a pair for reconnecting often).
   std::map<EndpointPair, ConnectionConformance> pairs;
-  for (const auto& [key, machine] : machines) {
+  for (const auto& [key, machine] : machines_) {
     auto pair_key = EndpointPair::of(key.src_ip, key.dst_ip);
     auto& entry = pairs[pair_key];
     entry.pair = pair_key;
@@ -115,6 +107,14 @@ ConformanceReport audit_conformance(const CaptureDataset& dataset,
     report.entries.push_back(std::move(entry));
   }
   return report;
+}
+
+ConformanceReport audit_conformance(const CaptureDataset& dataset,
+                                    const iec104::ConformancePolicy& policy,
+                                    std::uint16_t iec104_port) {
+  ConformanceAccumulator acc(dataset.flow_table(), policy, iec104_port);
+  feed(dataset.records(), acc);
+  return acc.close(dataset.damage());
 }
 
 }  // namespace uncharted::analysis

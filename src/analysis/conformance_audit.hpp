@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "analysis/dataset.hpp"
@@ -32,6 +33,31 @@ struct ConformanceReport {
   std::uint64_t hostile_events = 0;  ///< across all entries
 
   bool any_hostile() const { return hostile_connections > 0; }
+};
+
+/// Folds records into one conformance machine per TCP connection. Flows
+/// whose establishing SYN/SYN-ACK are in `flows` get the definitive
+/// fresh-connection machine, everything else anchors mid-stream; close()
+/// adds the parse-level damage and aggregates per endpoint pair.
+class ConformanceAccumulator {
+ public:
+  ConformanceAccumulator(const net::FlowTable& flows,
+                         const iec104::ConformancePolicy& policy = {},
+                         std::uint16_t iec104_port = iec104::kIec104Port);
+  void add(const ApduRecord& rec, std::uint32_t flow);
+  ConformanceReport close(const std::map<net::FlowKey, FlowDamage>& damage);
+
+ private:
+  struct Slot {
+    iec104::ConformanceMachine* machine;
+    bool from_controller;
+  };
+  iec104::ConformanceMachine& machine_for(const net::FlowKey& canonical);
+
+  iec104::ConformancePolicy policy_;
+  std::uint16_t port_;
+  std::map<net::FlowKey, iec104::ConformanceMachine> machines_;
+  std::vector<Slot> slots_;
 };
 
 /// Runs the conformance machines over `dataset`. The outstation side of

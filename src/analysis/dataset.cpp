@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <iterator>
-#include <set>
 
 namespace uncharted::analysis {
 
@@ -91,6 +90,7 @@ void DatasetBuilder::collect(const net::FlowKey& key,
     }
   }
   for (auto& parsed : apdus) {
+    if (!records_.empty() && parsed.ts < records_.back().ts) ++backward_steps_;
     ApduRecord rec;
     rec.ts = parsed.ts;
     rec.flow = key;
@@ -242,52 +242,54 @@ void DatasetBuilder::add_packets(std::span<const net::FrameView> frames,
   enforce_budgets();
 }
 
-ShardPartial DatasetBuilder::finish_partial(Timestamp flush_ts) {
-  ShardPartial part;
-
-  if (reassembler_) {
-    // End of capture: abandon outstanding holes, deliver what is behind
-    // them, then account the partial tails left in the stream parsers.
-    reassembler_->flush(flush_ts);
-    stats_.tcp_retransmissions = reassembler_->retransmitted_segments();
-    auto totals = reassembler_->totals();
-    auto& deg = stats_.degradation;
-    deg.reassembly_gaps += totals.gaps_skipped;
-    deg.reassembly_lost_bytes += totals.lost_bytes;
-    deg.overlapping_segments += totals.overlapping_segments;
-    deg.aborted_streams += totals.aborted_with_pending;
-    deg.wild_segments += totals.wild_segments;
-    for (auto& [key, parser] : parsers_) {
-      parser.finish(flush_ts);
-      parser.drain(drained_apdus_, drained_failures_);
-      collect(key, drained_apdus_, drained_failures_);
-    }
+void DatasetBuilder::flush(Timestamp flush_ts) {
+  if (!reassembler_) return;
+  // End of capture: abandon outstanding holes, deliver what is behind them,
+  // then account the partial tails left in the stream parsers.
+  reassembler_->flush(flush_ts);
+  stats_.tcp_retransmissions = reassembler_->retransmitted_segments();
+  auto totals = reassembler_->totals();
+  auto& deg = stats_.degradation;
+  deg.reassembly_gaps += totals.gaps_skipped;
+  deg.reassembly_lost_bytes += totals.lost_bytes;
+  deg.overlapping_segments += totals.overlapping_segments;
+  deg.aborted_streams += totals.aborted_with_pending;
+  deg.wild_segments += totals.wild_segments;
+  for (auto& [key, parser] : parsers_) {
+    parser.finish(flush_ts);
+    parser.drain(drained_apdus_, drained_failures_);
+    collect(key, drained_apdus_, drained_failures_);
   }
+}
 
+std::vector<net::FlowKey> DatasetBuilder::quarantined() const {
   // Quarantine: a directed stream drowning in parse failures is producing
   // mis-decoded APDUs, not telemetry. The policy scores each failure kind
   // by severity; streams crossing the threshold are dropped so one
   // poisoned stream cannot skew the report, and the counters say so. The
   // decision reads only this stream's own damage, so applying it per shard
   // is identical to applying it globally.
-  {
-    const auto& policy = options_.quarantine;
-    std::set<net::FlowKey> quarantined;
-    for (const auto& [key, dmg] : damage_) {
-      double score =
-          policy.score(dmg.garbage, dmg.undecodable, dmg.truncated, dmg.oversized);
-      if (policy.should_quarantine(score, dmg.failures(), dmg.apdus)) {
-        quarantined.insert(key);
-      }
-    }
-    if (!quarantined.empty()) {
-      auto dropped = std::erase_if(records_, [&](const ApduRecord& rec) {
-        return quarantined.count(rec.flow) != 0;
-      });
-      stats_.degradation.quarantined_apdus += dropped;
-      stats_.degradation.quarantined_connections += quarantined.size();
-      part.quarantined.assign(quarantined.begin(), quarantined.end());
-    }
+  const auto& policy = options_.quarantine;
+  std::vector<net::FlowKey> out;
+  for (const auto& [key, dmg] : damage_) {
+    double score =
+        policy.score(dmg.garbage, dmg.undecodable, dmg.truncated, dmg.oversized);
+    if (policy.should_quarantine(score, dmg.failures(), dmg.apdus)) out.push_back(key);
+  }
+  return out;  // damage_ iterates in key order
+}
+
+ShardPartial DatasetBuilder::finish_partial(Timestamp flush_ts) {
+  ShardPartial part;
+  flush(flush_ts);
+  part.quarantined = quarantined();
+  if (!part.quarantined.empty()) {
+    auto dropped = std::erase_if(records_, [&](const ApduRecord& rec) {
+      return std::binary_search(part.quarantined.begin(), part.quarantined.end(),
+                                rec.flow);
+    });
+    stats_.degradation.quarantined_apdus += dropped;
+    stats_.degradation.quarantined_connections += part.quarantined.size();
   }
 
   part.stats = stats_;
@@ -304,32 +306,6 @@ ShardPartial DatasetBuilder::finish_partial(Timestamp flush_ts) {
 CaptureDataset DatasetBuilder::finish() {
   std::vector<ShardPartial> one;
   one.push_back(finish_partial(last_ts_));
-  return merge_partials(std::move(one), options_);
-}
-
-ShardPartial DatasetBuilder::snapshot_partial(Timestamp flush_ts) const {
-  // The live lane's arena never frees, so a query must not allocate from
-  // it. Copied records land on the heap (a pmr copy never inherits its
-  // source's arena); what the flush parses lands in the scratch builder's
-  // own arena, which the partial keeps alive.
-  DatasetBuilder copy(options_, budgets_);
-  copy.stats_ = stats_;
-  copy.flows_ = flows_;
-  copy.records_ = records_;
-  copy.parsers_ = parsers_;
-  for (auto& [key, parser] : copy.parsers_) {
-    parser.set_arena(copy.record_arena_->resource());
-  }
-  copy.damage_ = damage_;
-  if (reassembler_) copy.reassembler_.emplace(*reassembler_, copy.reassembly_sink());
-  copy.last_ts_ = last_ts_;
-  copy.pressure_ = pressure_;
-  return copy.finish_partial(flush_ts);
-}
-
-CaptureDataset DatasetBuilder::snapshot() const {
-  std::vector<ShardPartial> one;
-  one.push_back(snapshot_partial(last_ts_));
   return merge_partials(std::move(one), options_);
 }
 
@@ -366,88 +342,177 @@ void sum_stats(DatasetStats& into, const DatasetStats& from) {
 }
 
 /// The canonical record order: (ts, flow, per-flow seq). A strict total
-/// order — no two records share all three — so every sort below is
-/// deterministic and the merged sequence does not depend on how records
-/// were distributed across partials.
+/// order — no two records share all three — so the merged sequence does
+/// not depend on how records were distributed across lanes or runs.
 bool canonical_less(const ApduRecord& a, const ApduRecord& b) {
   if (a.ts != b.ts) return a.ts < b.ts;
   if (!(a.flow == b.flow)) return a.flow < b.flow;
   return a.seq < b.seq;
 }
 
-/// A canonically ordered stretch of one partial's records.
-struct Run {
-  std::vector<ApduRecord>* owner;
-  std::vector<ApduRecord>::iterator begin, end;
-};
-
-/// Cuts one partial's records into canonically ordered runs, in place. A
-/// lane appends in capture order, so one pass that checks timestamps never
-/// decrease leaves only the stretches of equal timestamps to tie-break by
-/// (flow, seq), and the whole partial is one run. Wherever timestamps step
-/// backwards (an out-of-order capture) a new run starts.
-void cut_runs(std::vector<ApduRecord>& records, std::vector<Run>& runs) {
-  auto run_begin = records.begin();
-  auto first = records.begin();
-  while (first != records.end()) {
-    auto last = std::next(first);
-    while (last != records.end() && last->ts == first->ts) ++last;
-    if (std::distance(first, last) > 1) std::sort(first, last, canonical_less);
-    if (last != records.end() && last->ts < first->ts) {
-      runs.push_back(Run{&records, run_begin, last});
-      run_begin = last;
-    }
-    first = last;
-  }
-  if (run_begin != records.end()) runs.push_back(Run{&records, run_begin, records.end()});
+bool skipped(std::span<const net::FlowKey> skip, const ApduRecord& rec) {
+  return !skip.empty() && std::binary_search(skip.begin(), skip.end(), rec.flow);
 }
 
-/// K-way merge of the runs: each record moves once. A single run is a
-/// whole partial and is adopted as is — no copy, no record moves.
-std::vector<ApduRecord> merge_runs(std::vector<Run> runs) {
-  if (runs.empty()) return {};
-  if (runs.size() == 1) return std::move(*runs.front().owner);
-  // Min-heap on each run's next record.
-  auto later = [](const Run& a, const Run& b) {
-    return canonical_less(*b.begin, *a.begin);
-  };
-  std::size_t total = 0;
-  for (const auto& run : runs) total += static_cast<std::size_t>(run.end - run.begin);
-  std::make_heap(runs.begin(), runs.end(), later);
-  std::vector<ApduRecord> out;
-  out.reserve(total);
-  while (!runs.empty()) {
-    std::pop_heap(runs.begin(), runs.end(), later);
-    Run& run = runs.back();
-    out.push_back(std::move(*run.begin));
-    if (++run.begin == run.end) {
-      runs.pop_back();
-    } else {
-      std::push_heap(runs.begin(), runs.end(), later);
+}  // namespace
+
+void DatasetBuilder::query(Timestamp flush_ts, DatasetView& view) const {
+  // The live lane's arena never frees, so a query must not allocate from
+  // it: the scratch builder's parsers parse the flush into its own arena.
+  auto scratch = std::make_unique<DatasetBuilder>(options_, budgets_);
+  scratch->stats_ = stats_;
+  scratch->parsers_ = parsers_;
+  for (auto& [key, parser] : scratch->parsers_) {
+    parser.set_arena(scratch->record_arena_->resource());
+  }
+  scratch->damage_ = damage_;
+  if (reassembler_) {
+    scratch->reassembler_.emplace(*reassembler_, scratch->reassembly_sink());
+  }
+  scratch->flush(flush_ts);
+
+  const auto skip = scratch->quarantined();
+  auto& deg = scratch->stats_.degradation;
+  deg.quarantined_apdus +=
+      view.cursor_.add(records_, skip, backward_steps_ == 0) +
+      view.cursor_.add(scratch->records_, skip, scratch->backward_steps_ == 0);
+  deg.quarantined_connections += skip.size();
+  sum_stats(view.stats_, scratch->stats_);
+  view.flows_.merge(net::FlowTable(flows_));
+  // Directed flows are lane-affine, so damage maps are disjoint.
+  view.damage_.merge(std::move(scratch->damage_));
+  view.iec104_port_ = options_.iec104_port;
+  view.scratch_.push_back(std::move(scratch));
+}
+
+DatasetView::DatasetView() = default;
+DatasetView::~DatasetView() = default;
+
+std::uint32_t FlowIds::id(const net::FlowKey& key) {
+  const std::uint64_t hash = net::flow_key_hash(key);
+  if (const std::uint32_t* cached = cache_.find(key, hash)) return *cached;
+  auto it = ids_.try_emplace(key, static_cast<std::uint32_t>(ids_.size())).first;
+  cache_.put(key, hash, &it->second);
+  return it->second;
+}
+
+void ComplianceAccumulator::add(const ApduRecord& rec, std::uint32_t flow) {
+  // Compliance is attributed to the outstation (the IEC 104 port owner): a
+  // vendor server configured for a legacy RTU mirrors its dialect, but the
+  // paper's compliance finding is about the device, not the direction.
+  Slot& slot = flow_slot(slots_, flow, [&] {
+    return Slot{rec.flow.src_port == port_ ? rec.flow.src_ip : rec.flow.dst_ip};
+  });
+  ++apdus_;
+  if (!rec.apdu.compliant) ++non_compliant_;
+  if (rec.apdu.apdu.format != iec104::ApduFormat::kI) return;
+  if (slot.entry == nullptr) slot.entry = &compliance_[slot.station];
+  auto& entry = *slot.entry;
+  ++entry.i_apdus;
+  if (!rec.apdu.compliant) {
+    ++entry.non_compliant;
+    entry.profile = rec.apdu.profile;
+  }
+}
+
+std::map<net::Ipv4Addr, CaptureDataset::ComplianceEntry> ComplianceAccumulator::close(
+    DatasetStats& stats) {
+  stats.apdus = apdus_;
+  stats.non_compliant_apdus = non_compliant_;
+  return std::move(compliance_);
+}
+
+std::size_t RecordCursor::add(std::span<const ApduRecord> records,
+                              std::span<const net::FlowKey> skip, bool in_order) {
+  if (!skip.empty()) skip = skips_.emplace_back(skip.begin(), skip.end());
+  std::size_t skipped_count = 0;
+  const ApduRecord* const first = records.data();
+  const ApduRecord* const last = first + records.size();
+  const ApduRecord* run_begin = first;
+  if (!in_order || !skip.empty()) {
+    for (const ApduRecord* rec = first; rec != last; ++rec) {
+      if (skipped(skip, *rec)) ++skipped_count;
+      // Skipped records still cut runs: within a run every timestamp, read
+      // or not, is non-decreasing, so an equal-ts stretch is contiguous.
+      if (!in_order && rec != first && rec->ts < rec[-1].ts) {
+        runs_.push_back(Run{run_begin, rec, skip});
+        run_begin = rec;
+      }
     }
+  }
+  if (run_begin != last) runs_.push_back(Run{run_begin, last, skip});
+  return skipped_count;
+}
+
+void RecordCursor::advance(Run& run) {
+  if (run.tie < run.ties.size()) {
+    run.head = run.ties[run.tie++];
+    return;
+  }
+  run.ties.clear();
+  run.tie = 0;
+  while (run.pos != run.end && skipped(run.skip, *run.pos)) ++run.pos;
+  if (run.pos == run.end) {
+    run.head = nullptr;
+    return;
+  }
+  const ApduRecord* stretch_end = run.pos + 1;
+  while (stretch_end != run.end && stretch_end->ts == run.pos->ts) ++stretch_end;
+  if (stretch_end - run.pos == 1) {
+    run.head = run.pos++;
+    return;
+  }
+  // Equal timestamps: tie-break by (flow, seq) through sorted pointers.
+  for (const ApduRecord* rec = run.pos; rec != stretch_end; ++rec) {
+    if (!skipped(run.skip, *rec)) run.ties.push_back(rec);
+  }
+  run.pos = stretch_end;
+  std::sort(run.ties.begin(), run.ties.end(),
+            [](const ApduRecord* a, const ApduRecord* b) { return canonical_less(*a, *b); });
+  advance(run);
+}
+
+const ApduRecord* RecordCursor::next() {
+  // Min-heap on each run's head record.
+  auto later = [this](std::uint32_t a, std::uint32_t b) {
+    return canonical_less(*runs_[b].head, *runs_[a].head);
+  };
+  if (!started_) {
+    started_ = true;
+    for (std::uint32_t i = 0; i < runs_.size(); ++i) {
+      advance(runs_[i]);
+      if (runs_[i].head != nullptr) heap_.push_back(i);
+    }
+    std::make_heap(heap_.begin(), heap_.end(), later);
+  }
+  if (heap_.size() <= 1) {  // one run left: no merge
+    if (heap_.empty()) return nullptr;
+    Run& run = runs_[heap_.front()];
+    const ApduRecord* out = run.head;
+    advance(run);
+    if (run.head == nullptr) heap_.clear();
+    return out;
+  }
+  std::pop_heap(heap_.begin(), heap_.end(), later);
+  Run& run = runs_[heap_.back()];
+  const ApduRecord* out = run.head;
+  advance(run);
+  if (run.head == nullptr) {
+    heap_.pop_back();
+  } else {
+    std::push_heap(heap_.begin(), heap_.end(), later);
   }
   return out;
 }
 
-/// Everything the index pass needs about one directed flow, resolved on
-/// its first record.
-struct FlowSlot {
-  std::uint32_t id = 0;
-  std::vector<std::size_t>* session = nullptr;
-  std::vector<std::size_t>* connection = nullptr;
-  net::Ipv4Addr station;
-  /// Created on the flow's first I-format record: compliance() lists only
-  /// stations with I-format traffic.
-  CaptureDataset::ComplianceEntry* compliance = nullptr;
-};
-
-}  // namespace
-
 CaptureDataset merge_partials(std::vector<ShardPartial> partials,
                               const CaptureDataset::Options& options) {
   CaptureDataset ds;
+  ds.iec104_port_ = options.iec104_port;
 
-  std::vector<Run> runs;
+  RecordCursor cursor;
+  std::vector<ApduRecord>* sole = nullptr;
+  std::size_t total = 0;
   for (auto& part : partials) {
     sum_stats(ds.stats_, part.stats);
     if (part.arena) ds.arenas_.push_back(std::move(part.arena));
@@ -456,73 +521,34 @@ CaptureDataset merge_partials(std::vector<ShardPartial> partials,
                            part.quarantined.end());
     // Directed flows are shard-affine, so damage maps are disjoint.
     ds.damage_.merge(std::move(part.damage));
-    cut_runs(part.records, runs);
+    // A lane appends in capture order, so sorting its equal-ts stretches
+    // in place leaves it one ordered run unless timestamps step back.
+    auto& recs = part.records;
+    for (auto first = recs.begin(); first != recs.end();) {
+      auto last = std::next(first);
+      while (last != recs.end() && last->ts == first->ts) ++last;
+      if (std::distance(first, last) > 1) std::sort(first, last, canonical_less);
+      first = last;
+    }
+    cursor.add(recs);
+    if (!recs.empty()) sole = &recs;
+    total += recs.size();
   }
   std::sort(ds.quarantined_.begin(), ds.quarantined_.end());
-  ds.records_ = merge_runs(std::move(runs));
 
-  // Hot columns are filled in the same pass that indexes sessions and
-  // connections, so the SoA projection is exactly row-aligned with the
-  // canonical record order. Each directed flow is resolved once, on its
-  // first record; the cache makes every later record's lookup a hit.
-  const std::size_t n = ds.records_.size();
-  auto& cols = ds.columns_;
-  cols.ts.reserve(n);
-  cols.flow_index.reserve(n);
-  cols.seq.reserve(n);
-  cols.type_id.reserve(n);
-  cols.wire_size.reserve(n);
-  std::map<net::FlowKey, FlowSlot> slots;
-  DirectMappedCache<net::FlowKey, FlowSlot, 1024> slot_cache;
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& rec = ds.records_[i];
-    std::uint64_t hash = net::flow_key_hash(rec.flow);
-    FlowSlot* slot = slot_cache.find(rec.flow, hash);
-    if (slot == nullptr) {
-      auto [it, fresh] = slots.try_emplace(rec.flow);
-      slot = &it->second;
-      if (fresh) {
-        slot->id = static_cast<std::uint32_t>(ds.flow_keys_.size());
-        ds.flow_keys_.push_back(rec.flow);
-        slot->session = &ds.sessions_[{rec.flow.src_ip, rec.flow.dst_ip}];
-        slot->connection =
-            &ds.connections_[EndpointPair::of(rec.flow.src_ip, rec.flow.dst_ip)];
-        // Compliance is attributed to the outstation (the IEC 104 port
-        // owner): a vendor server configured for a legacy RTU mirrors its
-        // dialect, but the paper's compliance finding is about the device,
-        // not the direction.
-        slot->station = rec.flow.src_port == options.iec104_port ? rec.flow.src_ip
-                                                                 : rec.flow.dst_ip;
-      }
-      slot_cache.put(rec.flow, hash, slot);
-    }
-
-    ++ds.stats_.apdus;
-    if (!rec.apdu.compliant) ++ds.stats_.non_compliant_apdus;
-    slot->session->push_back(i);
-    slot->connection->push_back(i);
-
-    const bool is_i = rec.apdu.apdu.format == iec104::ApduFormat::kI;
-    cols.ts.push_back(rec.ts);
-    cols.flow_index.push_back(slot->id);
-    cols.seq.push_back(rec.seq);
-    cols.type_id.push_back(is_i && rec.apdu.apdu.asdu
-                               ? static_cast<std::uint16_t>(rec.apdu.apdu.asdu->type)
-                               : CaptureDataset::kNoTypeId);
-    cols.wire_size.push_back(static_cast<std::uint32_t>(rec.apdu.wire_size));
-
-    if (is_i) {
-      if (slot->compliance == nullptr) slot->compliance = &ds.compliance_[slot->station];
-      auto& entry = *slot->compliance;
-      ++entry.i_apdus;
-      if (!rec.apdu.compliant) {
-        ++entry.non_compliant;
-        entry.profile = rec.apdu.profile;
-      }
+  if (cursor.runs() == 1) {
+    ds.records_ = std::move(*sole);  // already canonical: adopt, move nothing
+  } else {
+    // The cursor only reads; the partials are ours to move from.
+    ds.records_.reserve(total);
+    while (const ApduRecord* rec = cursor.next()) {
+      ds.records_.push_back(std::move(const_cast<ApduRecord&>(*rec)));
     }
   }
 
+  ComplianceAccumulator compliance(options.iec104_port);
+  feed(ds.records_, compliance);
+  ds.compliance_ = compliance.close(ds.stats_);
   return ds;
 }
 
@@ -694,6 +720,11 @@ Status DatasetBuilder::load(ByteReader& r) {
     if (!apdu) return apdu.error();
     rec.apdu.apdu = std::move(apdu).take();
     records_.push_back(std::move(rec));
+  }
+
+  backward_steps_ = 0;
+  for (std::size_t i = 1; i < records_.size(); ++i) {
+    if (records_[i].ts < records_[i - 1].ts) ++backward_steps_;
   }
 
   // seq is not serialized: records were saved in append order, so within

@@ -10,8 +10,10 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -157,17 +159,6 @@ class CaptureDataset {
   /// All APDUs in capture order.
   const std::vector<ApduRecord>& records() const { return records_; }
 
-  /// APDU indices per directed (src_ip -> dst_ip) session, capture order.
-  const std::map<std::pair<net::Ipv4Addr, net::Ipv4Addr>, std::vector<std::size_t>>&
-  sessions() const {
-    return sessions_;
-  }
-
-  /// APDU indices per undirected endpoint pair, capture order.
-  const std::map<EndpointPair, std::vector<std::size_t>>& connections() const {
-    return connections_;
-  }
-
   /// Per-outstation count of I-format APDUs that required a legacy profile,
   /// and total I-format APDUs on its connections — the §6.1 compliance
   /// report (commands the server mirrors in the RTU's dialect count toward
@@ -181,35 +172,15 @@ class CaptureDataset {
     return compliance_;
   }
 
-  /// Structure-of-arrays projection of records(): the columns the counting
-  /// analyses (type distributions, rate stats) actually touch, laid out
-  /// contiguously so a pass over a million records walks flat arrays
-  /// instead of striding through fat ApduRecords. Row i describes
-  /// records()[i]; built in the same pass that indexes sessions.
-  struct HotColumns {
-    std::vector<Timestamp> ts;
-    /// Index into flow_keys() — per-record flow identity as a small int.
-    std::vector<std::uint32_t> flow_index;
-    std::vector<std::uint64_t> seq;
-    /// ASDU type identification, or kNoTypeId for S/U frames (no ASDU).
-    std::vector<std::uint16_t> type_id;
-    std::vector<std::uint32_t> wire_size;
-  };
-  /// type_id column sentinel: the record carries no ASDU. Real typeIDs are
-  /// 8-bit, so the sentinel can never collide.
-  static constexpr std::uint16_t kNoTypeId = 0xffff;
-
-  const HotColumns& columns() const { return columns_; }
-  /// Directed flow keys in order of first appearance in records();
-  /// flow_index values index into this.
-  const std::vector<net::FlowKey>& flow_keys() const { return flow_keys_; }
-
   /// Directed flows excluded from the dataset by the quarantine rule.
   const std::vector<net::FlowKey>& quarantined_flows() const { return quarantined_; }
 
   /// Per-directed-flow parse damage (including quarantined flows), so the
   /// conformance audit can attribute parse-level hostility to peers.
   const std::map<net::FlowKey, FlowDamage>& damage() const { return damage_; }
+
+  /// The builder option that names the outstation side of every flow.
+  std::uint16_t iec104_port() const { return iec104_port_; }
 
  private:
   friend class DatasetBuilder;
@@ -223,13 +194,101 @@ class CaptureDataset {
   DatasetStats stats_;
   net::FlowTable flows_;
   std::vector<ApduRecord> records_;
-  std::map<std::pair<net::Ipv4Addr, net::Ipv4Addr>, std::vector<std::size_t>> sessions_;
-  std::map<EndpointPair, std::vector<std::size_t>> connections_;
   std::map<net::Ipv4Addr, ComplianceEntry> compliance_;
   std::vector<net::FlowKey> quarantined_;
   std::map<net::FlowKey, FlowDamage> damage_;
-  HotColumns columns_;
-  std::vector<net::FlowKey> flow_keys_;
+  std::uint16_t iec104_port_ = 2404;
+};
+
+/// Dense ids for directed flows: 0, 1, 2... in order of first sight. A
+/// pass over records resolves each record's flow here once, and every
+/// accumulator it feeds indexes its per-flow state by that id.
+class FlowIds {
+ public:
+  std::uint32_t id(const net::FlowKey& key);
+
+ private:
+  std::map<net::FlowKey, std::uint32_t> ids_;
+  DirectMappedCache<net::FlowKey, std::uint32_t, 1024> cache_;
+};
+
+/// The per-flow slot of an accumulator. Every accumulator of a pass sees
+/// every record, so a flow's id is always at most the slot count: `make`
+/// resolves the slot on the flow's first record.
+template <typename T, typename Make>
+T& flow_slot(std::vector<T>& slots, std::uint32_t flow, Make&& make) {
+  if (flow == slots.size()) slots.push_back(make());
+  return slots[flow];
+}
+
+/// Feeds `records` (canonical order) once to each accumulator.
+template <typename... Accumulators>
+void feed(std::span<const ApduRecord> records, Accumulators&... accumulators) {
+  FlowIds ids;
+  for (const auto& rec : records) {
+    const std::uint32_t flow = ids.id(rec.flow);
+    (accumulators.add(rec, flow), ...);
+  }
+}
+
+/// §6.1 compliance and the record totals of DatasetStats: attributes each
+/// I-format APDU to its outstation (the owner of `iec104_port`).
+class ComplianceAccumulator {
+ public:
+  explicit ComplianceAccumulator(std::uint16_t iec104_port) : port_(iec104_port) {}
+  void add(const ApduRecord& rec, std::uint32_t flow);
+  /// Sets stats.apdus and stats.non_compliant_apdus; returns compliance().
+  std::map<net::Ipv4Addr, CaptureDataset::ComplianceEntry> close(DatasetStats& stats);
+
+ private:
+  struct Slot {
+    net::Ipv4Addr station;
+    /// Created on the flow's first I-format record: compliance() lists
+    /// only stations with I-format traffic.
+    CaptureDataset::ComplianceEntry* entry = nullptr;
+  };
+  std::uint16_t port_;
+  std::map<net::Ipv4Addr, CaptureDataset::ComplianceEntry> compliance_;
+  std::vector<Slot> slots_;
+  std::uint64_t apdus_ = 0;
+  std::uint64_t non_compliant_ = 0;
+};
+
+/// Read-only reader of records in the canonical (ts, flow, seq) order. Each
+/// added span (a lane's records, in append order) is cut into ordered
+/// runs: a new run starts wherever timestamps step backwards, and a
+/// stretch of equal timestamps is buffered as pointers and sorted by
+/// (flow, seq) when the reader reaches it. The runs are k-way merged. The
+/// records are never moved or modified, so a live lane can be read in
+/// place while its builder stays intact.
+class RecordCursor {
+ public:
+  /// Adds one span; records of the flows in `skip` (sorted) are passed
+  /// over. Returns how many were skipped. `in_order` promises timestamps
+  /// never step back, which spares the scan for run boundaries. Call
+  /// before the first next().
+  std::size_t add(std::span<const ApduRecord> records,
+                  std::span<const net::FlowKey> skip = {}, bool in_order = false);
+  /// The next record, or nullptr once every run is exhausted.
+  const ApduRecord* next();
+  /// Ordered runs found by add() (1 for any in-order lane).
+  std::size_t runs() const { return runs_.size(); }
+
+ private:
+  struct Run {
+    const ApduRecord* pos = nullptr;  ///< first record not yet buffered
+    const ApduRecord* end = nullptr;
+    std::span<const net::FlowKey> skip;
+    std::vector<const ApduRecord*> ties{};  ///< sorted equal-ts stretch
+    std::size_t tie = 0;                  ///< next unread entry of ties
+    const ApduRecord* head = nullptr;     ///< next record, null when done
+  };
+  void advance(Run& run);
+
+  std::deque<std::vector<net::FlowKey>> skips_;  ///< stable storage
+  std::vector<Run> runs_;
+  std::vector<std::uint32_t> heap_;  ///< min-heap of live runs by head
+  bool started_ = false;
 };
 
 /// One shard's contribution to a dataset: everything a DatasetBuilder
@@ -250,17 +309,16 @@ struct ShardPartial {
 /// Deterministic order-independent reducer: folds shard partials into one
 /// CaptureDataset. Integer stats are summed and flow tables merged
 /// (disjoint across shards by construction). Records reach the canonical
-/// (ts, flow, seq) order without a global sort: a lane appends in capture
-/// order, so each partial is cut in place into ordered runs — only
-/// stretches of equal timestamps are tie-broken, and a new run starts
-/// wherever timestamps step backwards (an out-of-order capture). The runs
-/// are k-way merged, each record moving once; a single run (threads 1,
-/// every snapshot of an in-order capture) is adopted without moving any.
-/// One pass then indexes sessions / connections / compliance and fills the
-/// hot columns, resolving each directed flow once. The result is invariant
-/// under any permutation of `partials`.
+/// (ts, flow, seq) order without a global sort: each partial's stretches
+/// of equal timestamps are sorted in place, and a RecordCursor merges the
+/// partials' ordered runs, each record moving once. A single run (threads
+/// 1, any in-order capture) is adopted without moving any. One pass then
+/// fills compliance and the record totals. The result is invariant under
+/// any permutation of `partials`.
 CaptureDataset merge_partials(std::vector<ShardPartial> partials,
                               const CaptureDataset::Options& options);
+
+class DatasetView;
 
 /// Incremental dataset construction: packets go in one at a time (or in
 /// bounded batches), budgets are enforced as state grows, and the whole
@@ -318,15 +376,15 @@ class DatasetBuilder {
   /// finish() is exactly merge_partials({finish_partial(last_ts())}).
   ShardPartial finish_partial(Timestamp flush_ts);
 
-  /// Exactly what finish_partial(flush_ts) would return, without spending
-  /// the builder: the mutable state is copied into a scratch builder,
-  /// which is finished instead. Nothing is allocated from this builder's
-  /// record arena, so record_arena_bytes() is unchanged.
-  ShardPartial snapshot_partial(Timestamp flush_ts) const;
-
-  /// finish() without spending the builder:
-  /// merge_partials({snapshot_partial(last_ts())}).
-  CaptureDataset snapshot() const;
+  /// Adds this lane to a live query without spending the builder or
+  /// copying its records: the small state (stats, parsers, reassembler,
+  /// damage) is copied into a scratch builder, which is flushed at
+  /// `flush_ts` exactly as finish_partial() would flush. The records that
+  /// flush produces become one more span of the view's cursor, and the
+  /// lane's own records are read in place, minus the flows the scratch
+  /// damage quarantines. Nothing is allocated from this builder's record
+  /// arena, so record_arena_bytes() is unchanged.
+  void query(Timestamp flush_ts, DatasetView& view) const;
 
   /// Timestamp of the most recently ingested packet.
   Timestamp last_ts() const { return last_ts_; }
@@ -347,6 +405,11 @@ class DatasetBuilder {
   Status load(ByteReader& r);
 
  private:
+  /// End of capture for this lane: flushes the reassembler at `flush_ts`,
+  /// then accounts the partial tails left in the stream parsers.
+  void flush(Timestamp flush_ts);
+  /// Flows whose damage crosses the quarantine policy, sorted.
+  std::vector<net::FlowKey> quarantined() const;
   /// add_packet without the budget epilogue — the shared decode body.
   void add_packet_impl(Timestamp ts, std::span<const std::uint8_t> data,
                        BandwidthAccumulator* bandwidth);
@@ -371,6 +434,10 @@ class DatasetBuilder {
   DatasetStats stats_;
   net::FlowTable flows_;
   std::vector<ApduRecord> records_;
+  /// Appends whose timestamp fell below the previous record's. Zero means
+  /// records_ is in timestamp order; eviction never lowers it, so nonzero
+  /// only means "maybe not".
+  std::uint64_t backward_steps_ = 0;
   std::map<net::FlowKey, iec104::ApduStreamParser> parsers_;
   std::map<net::FlowKey, FlowDamage> damage_;
   /// Short-circuit for the per-packet damage_ lookup in collect(). Any
@@ -386,6 +453,35 @@ class DatasetBuilder {
   /// Per-packet-mode scratch parser, reset_stream()ed per payload so its
   /// buffers keep their capacity instead of reallocating every packet.
   iec104::ApduStreamParser packet_parser_;
+};
+
+/// A live query over one or more lanes: what finish() would see, read in
+/// place. Stats are summed, flow tables and damage copied, and the records
+/// stay in their lanes (plus each lane's flushed tail, owned here); the
+/// cursor yields them once, in canonical order. The lanes must not ingest
+/// while a view reads them.
+class DatasetView {
+ public:
+  DatasetView();
+  ~DatasetView();
+  DatasetView(const DatasetView&) = delete;
+  DatasetView& operator=(const DatasetView&) = delete;
+
+  const DatasetStats& stats() const { return stats_; }
+  const net::FlowTable& flow_table() const { return flows_; }
+  const std::map<net::FlowKey, FlowDamage>& damage() const { return damage_; }
+  std::uint16_t iec104_port() const { return iec104_port_; }
+  RecordCursor& records() { return cursor_; }
+
+ private:
+  friend class DatasetBuilder;
+  /// Flushed scratch builders: they own the tail records and their arena.
+  std::vector<std::unique_ptr<DatasetBuilder>> scratch_;
+  DatasetStats stats_;
+  net::FlowTable flows_;
+  std::map<net::FlowKey, FlowDamage> damage_;
+  std::uint16_t iec104_port_ = 2404;
+  RecordCursor cursor_;
 };
 
 }  // namespace uncharted::analysis

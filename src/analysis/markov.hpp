@@ -7,7 +7,10 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "analysis/dataset.hpp"
@@ -26,6 +29,16 @@ class MarkovChain {
  public:
   /// Builds from a token sequence; consecutive pairs become transitions.
   static MarkovChain from_tokens(const std::vector<std::string>& tokens);
+
+  /// (next id, count) transitions out of one interned token.
+  using Successors = std::vector<std::pair<std::uint32_t, std::uint64_t>>;
+  /// Builds from interned counts: the chain's nodes are `nodes` (distinct),
+  /// token id t is named `names[t]`, and `successors[t]` (when t is in
+  /// range) holds its transitions. The string-keyed maps are built once per node and
+  /// edge.
+  static MarkovChain from_counts(std::span<const std::string_view> names,
+                                 std::span<const std::uint32_t> nodes,
+                                 std::span<const Successors> successors);
 
   std::size_t node_count() const { return counts_.size(); }
   std::size_t edge_count() const;
@@ -60,6 +73,11 @@ class BigramModel {
   static constexpr const char* kEnd = "</s>";
 
   void add_sequence(const std::vector<std::string>& tokens);
+  /// add_sequence() of a sequence known only by its chain and its first
+  /// and last token: the same counts, since a bigram model sees nothing
+  /// else of a sequence.
+  void add_chain(const MarkovChain& chain, const std::string& first,
+                 const std::string& last);
 
   /// MLE P(next | current) including start/end pseudo-tokens.
   double probability(const std::string& current, const std::string& next) const;
@@ -71,6 +89,9 @@ class BigramModel {
   /// A sequence is anomalous when it contains a transition never seen in
   /// training.
   bool contains_unseen_transition(const std::vector<std::string>& tokens) const;
+  /// The same test for a sequence known by its chain and end tokens.
+  bool contains_unseen_transition(const MarkovChain& chain, const std::string& first,
+                                  const std::string& last) const;
 
   std::size_t vocabulary_size() const { return counts_.size(); }
 
@@ -92,16 +113,45 @@ std::string chain_cluster_name(ChainCluster c);
 struct ConnectionChain {
   EndpointPair pair;
   MarkovChain chain;
-  std::vector<std::string> tokens;
+  /// First and last token of the connection's sequence: with the chain's
+  /// transition counts, all a bigram model reads of it.
+  std::string first_token;
+  std::string last_token;
   std::size_t nodes = 0;
   std::size_t edges = 0;
   bool has_i100 = false;
   ChainCluster cluster = ChainCluster::kSquare;
 };
 
-/// Builds per-connection chains (tokens from both directions, time order).
-/// Connections are independent; `pool` fans them out (inline when null),
-/// output in connection-map order either way.
+/// Folds records into per-connection transition counts over dense token
+/// ids (tokens from both directions, canonical order).
+class ChainAccumulator {
+ public:
+  void add(const ApduRecord& rec, std::uint32_t flow);
+  /// One chain per connection, in endpoint-pair order. `pool` fans out
+  /// building the chains' string maps (inline when null).
+  std::vector<ConnectionChain> close(exec::Pool* pool) const;
+
+ private:
+  /// A connection's nodes are its first token and every transition's
+  /// target, so the transition counts alone describe the chain.
+  struct Connection {
+    std::vector<MarkovChain::Successors> successors;  ///< by token id
+    std::uint32_t first = 0, last = 0;
+    bool any = false;
+    bool has_i100 = false;
+  };
+  std::uint32_t token_id(const iec104::Apdu& apdu);
+
+  std::map<EndpointPair, Connection> connections_;
+  std::vector<Connection*> by_flow_;
+  /// Token id per token code (see token_id), -1 until first seen.
+  std::vector<std::int32_t> id_of_code_;
+  std::vector<std::string> names_;
+};
+
+/// Builds per-connection chains (tokens from both directions, time order),
+/// output in connection-map order.
 std::vector<ConnectionChain> build_connection_chains(const CaptureDataset& dataset,
                                                      exec::Pool* pool = nullptr);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/ptrcache.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -21,41 +20,43 @@ double TimeSeries::max_value() const {
   return m;
 }
 
-std::map<SeriesKey, TimeSeries> extract_time_series(const CaptureDataset& dataset) {
-  std::map<SeriesKey, TimeSeries> out;
-  // Fronts out[key]: map nodes are stable, and a capture has far fewer
-  // series than points, so nearly every point's lookup is a cache hit.
-  DirectMappedCache<SeriesKey, TimeSeries, 4096> cache;
-  for (const auto& rec : dataset.records()) {
-    const auto& apdu = rec.apdu.apdu;
-    if (apdu.format != iec104::ApduFormat::kI || !apdu.asdu) continue;
-    // Monitor direction only: data flowing from the outstation.
-    if (rec.flow.src_port != iec104::kIec104Port) continue;
-    auto type = static_cast<std::uint8_t>(apdu.asdu->type);
-    if (type >= 45) continue;  // commands / system types carry no telemetry
-    for (const auto& obj : apdu.asdu->objects) {
-      double value = 0.0;
-      if (!iec104::numeric_value(obj.value, value)) continue;
-      SeriesKey key{rec.flow.src_ip, obj.ioa};
-      std::uint64_t hash =
-          SplitMix64((static_cast<std::uint64_t>(key.station.value) << 32) | key.ioa)
-              .next();
-      TimeSeries* found = cache.find(key, hash);
-      if (found == nullptr) {
-        found = &out[key];
-        cache.put(key, hash, found);
-      }
-      auto& series = *found;
-      series.type_id = type;
-      Timestamp ts = obj.time ? obj.time->to_timestamp() : rec.ts;
-      series.points.push_back(SeriesPoint{ts, value});
+void SeriesAccumulator::add(const ApduRecord& rec, std::uint32_t /*flow*/) {
+  const auto& apdu = rec.apdu.apdu;
+  if (apdu.format != iec104::ApduFormat::kI || !apdu.asdu) return;
+  // Monitor direction only: data flowing from the outstation.
+  if (rec.flow.src_port != iec104::kIec104Port) return;
+  auto type = static_cast<std::uint8_t>(apdu.asdu->type);
+  if (type >= 45) return;  // commands / system types carry no telemetry
+  for (const auto& obj : apdu.asdu->objects) {
+    double value = 0.0;
+    if (!iec104::numeric_value(obj.value, value)) continue;
+    SeriesKey key{rec.flow.src_ip, obj.ioa};
+    std::uint64_t hash =
+        SplitMix64((static_cast<std::uint64_t>(key.station.value) << 32) | key.ioa).next();
+    TimeSeries* found = cache_.find(key, hash);
+    if (found == nullptr) {
+      found = &series_[key];
+      cache_.put(key, hash, found);
     }
+    found->type_id = type;
+    Timestamp ts = obj.time ? obj.time->to_timestamp() : rec.ts;
+    found->points.push_back(SeriesPoint{ts, value});
   }
-  for (auto& [key, series] : out) {
+}
+
+std::map<SeriesKey, TimeSeries> SeriesAccumulator::close() {
+  for (auto& [key, series] : series_) {
     std::sort(series.points.begin(), series.points.end(),
               [](const SeriesPoint& a, const SeriesPoint& b) { return a.ts < b.ts; });
   }
-  return out;
+  cache_.invalidate();
+  return std::move(series_);
+}
+
+std::map<SeriesKey, TimeSeries> extract_time_series(const CaptureDataset& dataset) {
+  SeriesAccumulator acc;
+  feed(dataset.records(), acc);
+  return acc.close();
 }
 
 std::map<net::Ipv4Addr, TimeSeries> extract_setpoint_series(const CaptureDataset& dataset) {

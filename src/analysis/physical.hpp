@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "analysis/dataset.hpp"
+#include "util/ptrcache.hpp"
 #include "util/timebase.hpp"
 
 namespace uncharted::analysis {
@@ -35,6 +36,20 @@ struct TimeSeries {
 
   double min_value() const;
   double max_value() const;
+};
+
+/// Collects the points of every numeric monitor-direction series; close()
+/// sorts each series by timestamp.
+class SeriesAccumulator {
+ public:
+  void add(const ApduRecord& rec, std::uint32_t flow);
+  std::map<SeriesKey, TimeSeries> close();
+
+ private:
+  std::map<SeriesKey, TimeSeries> series_;
+  /// Fronts series_: map nodes are stable, and a capture has far fewer
+  /// series than points, so nearly every point's lookup is a cache hit.
+  DirectMappedCache<SeriesKey, TimeSeries, 4096> cache_;
 };
 
 /// All numeric monitor-direction series in the capture.

@@ -30,6 +30,28 @@ struct SeqAuditReport {
   std::uint64_t total_ack_violations = 0;
 };
 
+/// Folds records into per-direction sequence state. A direction's peer
+/// (the reverse flow) is linked when the second of the two first appears;
+/// until then the peer has sent nothing, exactly as in a whole-capture
+/// audit.
+class SeqAuditAccumulator {
+ public:
+  void add(const ApduRecord& rec, std::uint32_t flow);
+  /// Entries in FlowKey order.
+  SeqAuditReport close() const;
+
+ private:
+  static constexpr std::uint32_t kNoPeer = 0xffffffffu;
+  struct Direction {
+    bool seen = false;
+    std::uint16_t expected_ns = 0;  ///< next N(S) we expect
+    std::uint32_t peer = kNoPeer;
+    SeqAuditEntry entry;
+  };
+  std::map<net::FlowKey, std::uint32_t> id_of_;
+  std::vector<Direction> dirs_;
+};
+
 /// Audits every connection in the dataset.
 SeqAuditReport audit_sequences(const CaptureDataset& dataset);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 
 #include "exec/pool.hpp"
 
@@ -24,89 +23,77 @@ std::string feature_name(std::size_t index) {
   return "feature_" + std::to_string(index);
 }
 
-std::vector<SessionFeatures> extract_session_features(const CaptureDataset& dataset,
-                                                      exec::Pool* pool) {
-  const auto& records = dataset.records();
-
-  // Flatten the map so sessions can be processed by index; output order
-  // stays the map's key order regardless of execution order.
-  struct Item {
-    const std::pair<net::Ipv4Addr, net::Ipv4Addr>* key;
-    const std::vector<std::size_t>* indices;
-  };
-  std::vector<Item> items;
-  items.reserve(dataset.sessions().size());
-  for (const auto& [key, indices] : dataset.sessions()) {
-    if (indices.empty()) continue;
-    items.push_back(Item{&key, &indices});
+void SessionAccumulator::add(const ApduRecord& rec, std::uint32_t flow) {
+  Session* s = flow_slot(by_flow_, flow, [&] {
+    auto [it, fresh] = sessions_.try_emplace({rec.flow.src_ip, rec.flow.dst_ip});
+    // Direction: the outstation owns the IEC 104 port, so a sender whose
+    // first flow targets port 2404 is the control-server side.
+    if (fresh) it->second.from_server = rec.flow.dst_port == iec104::kIec104Port;
+    return &it->second;
+  });
+  s->bytes += static_cast<double>(rec.apdu.wire_size);
+  switch (rec.apdu.apdu.format) {
+    case iec104::ApduFormat::kI: ++s->count_i; break;
+    case iec104::ApduFormat::kS: ++s->count_s; break;
+    case iec104::ApduFormat::kU: ++s->count_u; break;
   }
+  if (rec.apdu.apdu.asdu) {
+    for (const auto& obj : rec.apdu.apdu.asdu->objects) {
+      const std::uint32_t index = obj.ioa >> 12;
+      if (s->block == nullptr || s->block_index != index) {
+        s->block = &s->ioa_blocks[index];
+        s->block_index = index;
+      }
+      const std::size_t bit = obj.ioa & 4095u;
+      if (!s->block->test(bit)) {
+        s->block->set(bit);
+        ++s->distinct_ioas;
+      }
+    }
+  }
+  if (s->count > 0) {  // ts 0 is a real time in relative captures
+    double dt = to_seconds(static_cast<DurationUs>(rec.ts - s->prev));
+    s->sum_dt += dt;
+    s->sum_dt2 += dt * dt;
+    ++s->dt_n;
+  }
+  s->prev = rec.ts;
+  ++s->count;
+}
 
-  auto featurize = [&records](const std::pair<net::Ipv4Addr, net::Ipv4Addr>& key,
-                              const std::vector<std::size_t>& indices) {
+std::vector<SessionFeatures> SessionAccumulator::close() const {
+  std::vector<SessionFeatures> out;
+  out.reserve(sessions_.size());
+  for (const auto& [key, s] : sessions_) {
     SessionFeatures sf;
     sf.src = key.first;
     sf.dst = key.second;
     sf.values.assign(kFeatureCount, 0.0);
-
-    // Direction: the outstation owns the IEC 104 port, so a sender whose
-    // flows target port 2404 is the control-server side.
-    const auto& first = records[indices.front()];
-    bool from_server = first.flow.dst_port == iec104::kIec104Port;
-    sf.values[kFeatDirection] = from_server ? 1.0 : 0.0;
-
-    double bytes = 0.0;
-    std::size_t count_i = 0, count_s = 0, count_u = 0;
-    std::set<std::uint32_t> ioas;
-    double sum_dt = 0.0, sum_dt2 = 0.0;
-    std::size_t dt_n = 0;
-    Timestamp prev = 0;
-    bool has_prev = false;  // ts 0 is a real time in relative captures
-
-    for (std::size_t idx : indices) {
-      const auto& rec = records[idx];
-      bytes += static_cast<double>(rec.apdu.wire_size);
-      switch (rec.apdu.apdu.format) {
-        case iec104::ApduFormat::kI: ++count_i; break;
-        case iec104::ApduFormat::kS: ++count_s; break;
-        case iec104::ApduFormat::kU: ++count_u; break;
-      }
-      if (rec.apdu.apdu.asdu) {
-        for (const auto& obj : rec.apdu.apdu.asdu->objects) ioas.insert(obj.ioa);
-      }
-      if (has_prev) {
-        double dt = to_seconds(static_cast<DurationUs>(rec.ts - prev));
-        sum_dt += dt;
-        sum_dt2 += dt * dt;
-        ++dt_n;
-      }
-      prev = rec.ts;
-      has_prev = true;
-    }
-
-    double n = static_cast<double>(indices.size());
-    double mean_dt = dt_n ? sum_dt / static_cast<double>(dt_n) : 0.0;
-    double var_dt = dt_n ? std::max(0.0, sum_dt2 / static_cast<double>(dt_n) -
-                                             mean_dt * mean_dt)
-                         : 0.0;
+    double n = static_cast<double>(s.count);
+    double mean_dt = s.dt_n ? s.sum_dt / static_cast<double>(s.dt_n) : 0.0;
+    double var_dt = s.dt_n ? std::max(0.0, s.sum_dt2 / static_cast<double>(s.dt_n) -
+                                               mean_dt * mean_dt)
+                           : 0.0;
+    sf.values[kFeatDirection] = s.from_server ? 1.0 : 0.0;
     sf.values[kFeatMeanInterArrival] = mean_dt;
     sf.values[kFeatStdInterArrival] = std::sqrt(var_dt);
-    sf.values[kFeatTotalBytes] = bytes;
+    sf.values[kFeatTotalBytes] = s.bytes;
     sf.values[kFeatPacketCount] = n;
-    sf.values[kFeatMeanApduSize] = bytes / n;
-    sf.values[kFeatPercentI] = static_cast<double>(count_i) / n;
-    sf.values[kFeatPercentS] = static_cast<double>(count_s) / n;
-    sf.values[kFeatPercentU] = static_cast<double>(count_u) / n;
-    sf.values[kFeatDistinctIoas] = static_cast<double>(ioas.size());
-    return sf;
-  };
-
-  std::vector<SessionFeatures> out(items.size());
-  exec::parallel_for(pool, items.size(), 8, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      out[i] = featurize(*items[i].key, *items[i].indices);
-    }
-  });
+    sf.values[kFeatMeanApduSize] = s.bytes / n;
+    sf.values[kFeatPercentI] = static_cast<double>(s.count_i) / n;
+    sf.values[kFeatPercentS] = static_cast<double>(s.count_s) / n;
+    sf.values[kFeatPercentU] = static_cast<double>(s.count_u) / n;
+    sf.values[kFeatDistinctIoas] = static_cast<double>(s.distinct_ioas);
+    out.push_back(std::move(sf));
+  }
   return out;
+}
+
+std::vector<SessionFeatures> extract_session_features(const CaptureDataset& dataset,
+                                                      exec::Pool* /*pool*/) {
+  SessionAccumulator acc;
+  feed(dataset.records(), acc);
+  return acc.close();
 }
 
 std::vector<FeatureRank> rank_features_by_silhouette(
@@ -143,8 +130,13 @@ std::vector<std::size_t> paper_feature_selection() {
 
 SessionClustering cluster_sessions(const CaptureDataset& dataset, int force_k,
                                    exec::Pool* pool) {
+  return cluster_sessions(extract_session_features(dataset), force_k, pool);
+}
+
+SessionClustering cluster_sessions(std::vector<SessionFeatures> sessions, int force_k,
+                                   exec::Pool* pool) {
   SessionClustering out;
-  out.sessions = extract_session_features(dataset, pool);
+  out.sessions = std::move(sessions);
   out.selected_features = paper_feature_selection();
   if (out.sessions.size() < 8) return out;
 

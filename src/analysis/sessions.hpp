@@ -6,7 +6,10 @@
 // inter-arrival time, packet count, %I, %S, %U).
 #pragma once
 
+#include <bitset>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/dataset.hpp"
@@ -39,9 +42,36 @@ struct SessionFeatures {
   std::vector<double> values;  ///< kFeatureCount entries
 };
 
-/// Extracts all sessions with >= 1 APDU. Sessions are independent, so
-/// extraction fans out per session on `pool` (inline when null); the
-/// output order is the dataset's session-map order either way.
+/// Folds records into per-session feature sums. Each session sees its
+/// records in canonical order, so every floating-point sum runs in the
+/// same order as a per-session loop over the dataset would.
+class SessionAccumulator {
+ public:
+  void add(const ApduRecord& rec, std::uint32_t flow);
+  /// One feature vector per session, in (src, dst) order.
+  std::vector<SessionFeatures> close() const;
+
+ private:
+  struct Session {
+    bool from_server = false;
+    double bytes = 0.0;
+    std::size_t count = 0, count_i = 0, count_s = 0, count_u = 0;
+    /// Distinct IOAs as a bitmap in blocks of 4096 (an IOA is 24-bit),
+    /// with the block of the last IOA at hand.
+    std::map<std::uint32_t, std::bitset<4096>> ioa_blocks;
+    std::bitset<4096>* block = nullptr;
+    std::uint32_t block_index = 0;
+    std::size_t distinct_ioas = 0;
+    double sum_dt = 0.0, sum_dt2 = 0.0;
+    std::size_t dt_n = 0;
+    Timestamp prev = 0;
+  };
+  std::map<std::pair<net::Ipv4Addr, net::Ipv4Addr>, Session> sessions_;
+  std::vector<Session*> by_flow_;
+};
+
+/// Extracts all sessions with >= 1 APDU, in (src, dst) order. `pool` is
+/// unused: one pass over the records computes every session.
 std::vector<SessionFeatures> extract_session_features(const CaptureDataset& dataset,
                                                       exec::Pool* pool = nullptr);
 
@@ -88,5 +118,8 @@ struct SessionClustering {
 /// thread-count-invariant results.
 SessionClustering cluster_sessions(const CaptureDataset& dataset, int force_k = 5,
                                    exec::Pool* pool = nullptr);
+/// The same pipeline over already-extracted session features.
+SessionClustering cluster_sessions(std::vector<SessionFeatures> sessions, int force_k,
+                                   exec::Pool* pool);
 
 }  // namespace uncharted::analysis

@@ -251,28 +251,22 @@ ResourcePressure ShardedDatasetBuilder::pressure() {
   return total;
 }
 
-template <typename PartialFn>
-CaptureDataset ShardedDatasetBuilder::merge_lanes(PartialFn partial) {
+CaptureDataset ShardedDatasetBuilder::finish() {
   drain();
   std::vector<ShardPartial> partials(lanes_.size());
   {
     exec::TaskGroup group(pool_);
     for (std::size_t s = 0; s < lanes_.size(); ++s) {
-      group.run([&, s] { partials[s] = partial(lanes_[s]->builder); });
+      group.run([&, s] { partials[s] = lanes_[s]->builder.finish_partial(last_ts_); });
     }
     group.wait();
   }
   return merge_partials(std::move(partials), options_);
 }
 
-CaptureDataset ShardedDatasetBuilder::finish() {
-  return merge_lanes(
-      [this](DatasetBuilder& lane) { return lane.finish_partial(last_ts_); });
-}
-
-CaptureDataset ShardedDatasetBuilder::snapshot() {
-  return merge_lanes(
-      [this](const DatasetBuilder& lane) { return lane.snapshot_partial(last_ts_); });
+void ShardedDatasetBuilder::query(DatasetView& view) {
+  drain();
+  for (const auto& lane : lanes_) lane->builder.query(last_ts_, view);
 }
 
 Status ShardedDatasetBuilder::save(ByteWriter& w) {

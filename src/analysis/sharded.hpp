@@ -87,7 +87,7 @@ CaptureDataset build_dataset_sharded(std::span<const net::FrameView> frames,
 ///
 /// drain() is the quiescence barrier: after it returns no lane task is
 /// running and every dispatched packet has been ingested. save()/load()/
-/// pressure()/finish()/snapshot() require it (they take it themselves).
+/// pressure()/finish()/query() require it (they take it themselves).
 class ShardedDatasetBuilder {
  public:
   ShardedDatasetBuilder(CaptureDataset::Options options, ResourceBudgets budgets,
@@ -128,10 +128,11 @@ class ShardedDatasetBuilder {
   /// builder is spent afterwards.
   CaptureDataset finish();
 
-  /// finish() without spending the builder: drains, then merges every
-  /// lane's snapshot_partial() at the global cursor timestamp. The lanes
-  /// keep ingesting afterwards as if nothing happened.
-  CaptureDataset snapshot();
+  /// A live query without spending the builder: drains, then adds every
+  /// lane to `view` (DatasetBuilder::query) at the global cursor
+  /// timestamp. The lanes keep ingesting afterwards as if nothing
+  /// happened, once the view is done reading them.
+  void query(DatasetView& view);
 
   /// Checkpoint serialization: shard count, cursor, global last timestamp,
   /// then each lane's DatasetBuilder state. load() refuses a checkpoint
@@ -145,10 +146,6 @@ class ShardedDatasetBuilder {
 
   void push_batch(Lane& lane, std::vector<net::CapturedPacket>&& batch);
   void drain_lane(Lane& lane);
-  /// Drains, runs `partial(builder)` for every lane on the pool and merges
-  /// the results: finish() and snapshot() differ only in `partial`.
-  template <typename PartialFn>
-  CaptureDataset merge_lanes(PartialFn partial);
 
   CaptureDataset::Options options_;
   exec::Pool* pool_;

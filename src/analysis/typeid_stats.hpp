@@ -2,6 +2,8 @@
 // mapping (Table 8).
 #pragma once
 
+#include <array>
+#include <bitset>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -26,6 +28,16 @@ struct TypeIdDistribution {
   std::vector<std::pair<std::uint8_t, std::uint64_t>> sorted() const;
 };
 
+/// Counts I-format ASDUs per typeID.
+class TypeIdAccumulator {
+ public:
+  void add(const ApduRecord& rec, std::uint32_t flow);
+  TypeIdDistribution close() const;
+
+ private:
+  std::array<std::uint64_t, 256> counts_{};
+};
+
 TypeIdDistribution typeid_distribution(const CaptureDataset& dataset);
 
 /// Table 8: per-typeID transmitting-station count. A station "transmits" a
@@ -39,6 +51,22 @@ struct TypeIdStations {
     auto it = stations.find(type);
     return it == stations.end() ? 0 : it->second.size();
   }
+};
+
+/// Collects each typeID's stations; a (flow, typeID) pair is inserted
+/// once, later records of the pair only test a bit.
+class TypeIdStationAccumulator {
+ public:
+  void add(const ApduRecord& rec, std::uint32_t flow);
+  TypeIdStations close() { return std::move(out_); }
+
+ private:
+  struct Slot {
+    net::Ipv4Addr station;
+    std::bitset<256> seen{};
+  };
+  TypeIdStations out_;
+  std::vector<Slot> slots_;
 };
 
 TypeIdStations typeid_station_counts(const CaptureDataset& dataset);

@@ -15,47 +15,84 @@ unsigned resolve_threads(unsigned threads) {
   return threads == 0 ? exec::Pool::default_threads() : threads;
 }
 
-}  // namespace
+/// What the §6 pass reads besides the records.
+struct PassInputs {
+  const analysis::DatasetStats& stats;
+  const net::FlowTable& flows;
+  const std::map<net::FlowKey, analysis::FlowDamage>& damage;
+  std::uint16_t iec104_port;
+};
 
-AnalysisReport analyze_dataset(const analysis::CaptureDataset& dataset,
+/// Every §6 computation in one pass: `next()` yields the records in
+/// canonical order (nullptr at the end), each record feeds every
+/// accumulator once, and the stages then close. Batch analysis and live
+/// queries differ only in where the records come from.
+template <typename NextRecord>
+AnalysisReport analyze_records(NextRecord next, const PassInputs& in,
                                analysis::BandwidthReport bandwidth,
                                const CaptureAnalyzer::Options& options,
                                exec::Pool* pool) {
   AnalysisReport report;
-  report.stats = dataset.stats();
+  report.stats = in.stats;
   {
     ScopedStageTimer t(&report.timings, "flow analysis");
-    report.flows = analysis::analyze_flows(dataset.flow_table());
+    report.flows = analysis::analyze_flows(in.flows);
   }
-  report.compliance = dataset.compliance();
+  analysis::ComplianceAccumulator compliance(in.iec104_port);
+  analysis::SessionAccumulator sessions;
+  analysis::ChainAccumulator chains;
+  analysis::StationTypingAccumulator typing;
+  analysis::TypeIdAccumulator typeids;
+  analysis::TypeIdStationAccumulator typeid_stations;
+  analysis::SeriesAccumulator series;
+  analysis::SeqAuditAccumulator sequences;
+  analysis::ConformanceAccumulator conformance(in.flows);
+  {
+    ScopedStageTimer t(&report.timings, "record pass");
+    analysis::FlowIds ids;
+    while (const analysis::ApduRecord* rec = next()) {
+      const std::uint32_t flow = ids.id(rec->flow);
+      compliance.add(*rec, flow);
+      sessions.add(*rec, flow);
+      chains.add(*rec, flow);
+      typing.add(*rec, flow);
+      typeids.add(*rec, flow);
+      typeid_stations.add(*rec, flow);
+      series.add(*rec, flow);
+      sequences.add(*rec, flow);
+      conformance.add(*rec, flow);
+    }
+  }
+  report.compliance = compliance.close(report.stats);
   {
     ScopedStageTimer t(&report.timings, "session clustering");
-    report.clustering = analysis::cluster_sessions(dataset, options.cluster_k, pool);
+    report.clustering =
+        analysis::cluster_sessions(sessions.close(), options.cluster_k, pool);
   }
   {
     ScopedStageTimer t(&report.timings, "markov chains");
-    report.chains = analysis::build_connection_chains(dataset, pool);
+    report.chains = chains.close(pool);
   }
   {
     ScopedStageTimer t(&report.timings, "station typing");
-    report.station_types = analysis::classify_stations(dataset);
-    report.typeids = analysis::typeid_distribution(dataset);
-    report.typeid_stations = analysis::typeid_station_counts(dataset);
+    report.station_types = typing.close();
+    report.typeids = typeids.close();
+    report.typeid_stations = typeid_stations.close();
   }
   {
     ScopedStageTimer t(&report.timings, "time series");
-    auto series = analysis::extract_time_series(dataset);
-    report.variance_ranking = analysis::rank_by_normalized_variance(series);
-    if (options.keep_series) report.series = std::move(series);
+    auto closed = series.close();
+    report.variance_ranking = analysis::rank_by_normalized_variance(closed);
+    if (options.keep_series) report.series = std::move(closed);
   }
   report.bandwidth = std::move(bandwidth);
   {
     ScopedStageTimer t(&report.timings, "sequence audit");
-    report.sequence_audit = analysis::audit_sequences(dataset);
+    report.sequence_audit = sequences.close();
   }
   {
     ScopedStageTimer t(&report.timings, "conformance audit");
-    report.conformance = analysis::audit_conformance(dataset);
+    report.conformance = conformance.close(in.damage);
   }
   report.degradation.counters = report.stats.degradation;
   if (report.degradation.counters.any()) {
@@ -64,6 +101,30 @@ AnalysisReport analyze_dataset(const analysis::CaptureDataset& dataset,
         " fault events survived (see degradation counters)");
   }
   return report;
+}
+
+}  // namespace
+
+AnalysisReport analyze_dataset(const analysis::CaptureDataset& dataset,
+                               analysis::BandwidthReport bandwidth,
+                               const CaptureAnalyzer::Options& options,
+                               exec::Pool* pool) {
+  const auto& records = dataset.records();
+  std::size_t i = 0;
+  return analyze_records(
+      [&]() { return i < records.size() ? &records[i++] : nullptr; },
+      PassInputs{dataset.stats(), dataset.flow_table(), dataset.damage(),
+                 dataset.iec104_port()},
+      std::move(bandwidth), options, pool);
+}
+
+AnalysisReport analyze_view(analysis::DatasetView& view,
+                            analysis::BandwidthReport bandwidth,
+                            const CaptureAnalyzer::Options& options, exec::Pool* pool) {
+  return analyze_records([&]() { return view.records().next(); },
+                         PassInputs{view.stats(), view.flow_table(), view.damage(),
+                                    view.iec104_port()},
+                         std::move(bandwidth), options, pool);
 }
 
 AnalysisReport analyze_dataset(const analysis::CaptureDataset& dataset,

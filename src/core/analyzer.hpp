@@ -118,8 +118,9 @@ class CaptureAnalyzer {
 };
 
 /// Shared back half of batch and streaming analysis: every §6 computation
-/// over an already-built dataset. Callers supply the bandwidth report
-/// because only they know how the packets were obtained. `pool` fans the
+/// over an already-built dataset, in one pass over its records that feeds
+/// every stage's accumulator. Callers supply the bandwidth report because
+/// only they know how the packets were obtained. `pool` fans the closing
 /// analytics out (clustering restarts and assignment, PCA reductions,
 /// per-connection chains) with thread-count-invariant results; null runs
 /// inline. The three-argument form resolves options.threads itself,
@@ -131,6 +132,13 @@ AnalysisReport analyze_dataset(const analysis::CaptureDataset& dataset,
 AnalysisReport analyze_dataset(const analysis::CaptureDataset& dataset,
                                analysis::BandwidthReport bandwidth,
                                const CaptureAnalyzer::Options& options);
+
+/// analyze_dataset() over a live query: the same one pass, reading the
+/// lanes' records in place through the view's cursor. Equals
+/// analyze_dataset() of the dataset finish() would build from the lanes.
+AnalysisReport analyze_view(analysis::DatasetView& view,
+                            analysis::BandwidthReport bandwidth,
+                            const CaptureAnalyzer::Options& options, exec::Pool* pool);
 
 struct RenderOptions {
   /// Appends the wall-clock stage-timing footer (nondeterministic; keep

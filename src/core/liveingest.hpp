@@ -21,11 +21,14 @@
 //                         is forced to evict its own state.
 //   Live report queries   report_json() renders the current report
 //                         without spending the live analyzer:
-//                         report_snapshot() copies each lane's builder
-//                         state in memory and runs the full §6 analysis
-//                         on the copy, so a query costs time in
-//                         proportion to the records held. It carries the
-//                         same live-ingest warnings as finalize().
+//                         report_snapshot() copies each lane's small
+//                         state (parsers, reassembler, damage, flows),
+//                         flushes the copy, and reads the lane's records
+//                         in place in one pass that feeds every §6
+//                         accumulator. A query still costs time in
+//                         proportion to the records held, but copies
+//                         none of them. It carries the same live-ingest
+//                         warnings as finalize().
 #pragma once
 
 #include <memory>

@@ -47,7 +47,7 @@ void NetworkProfiler::learn(const analysis::CaptureDataset& dataset) {
   }
 
   for (const auto& chain : analysis::build_connection_chains(dataset)) {
-    bigrams_.add_sequence(chain.tokens);
+    bigrams_.add_chain(chain.chain, chain.first_token, chain.last_token);
   }
 
   for (const auto& [key, series] : analysis::extract_time_series(dataset)) {
@@ -120,7 +120,8 @@ std::vector<Anomaly> NetworkProfiler::detect(const analysis::CaptureDataset& dat
   }
 
   for (const auto& chain : analysis::build_connection_chains(dataset)) {
-    if (bigrams_.contains_unseen_transition(chain.tokens)) {
+    if (bigrams_.contains_unseen_transition(chain.chain, chain.first_token,
+                                            chain.last_token)) {
       push_once(AnomalyKind::kUnseenTransition, 0, chain.pair.str());
     }
   }

@@ -183,18 +183,21 @@ Status StreamingAnalyzer::load_state(ByteReader& r) {
 
 AnalysisReport StreamingAnalyzer::report_snapshot() {
   // Pressure first: on the sharded engine it drains the lanes, which the
-  // snapshot then needs anyway. Packets parked behind a wedged shard stay
+  // query then needs anyway. Packets parked behind a wedged shard stay
   // parked — absent from the records, but already in bandwidth_.
   auto pressure = this->pressure();
-  auto dataset = sharded_ ? sharded_->snapshot() : single_->snapshot();
-  return assemble_report(dataset, pressure);
+  analysis::DatasetView view;
+  if (sharded_) {
+    sharded_->query(view);
+  } else {
+    single_->query(single_->last_ts(), view);
+  }
+  return with_pressure(
+      analyze_view(view, bandwidth_.finish(), options_.analyze, pool_.get()), pressure);
 }
 
-AnalysisReport StreamingAnalyzer::assemble_report(
-    const analysis::CaptureDataset& dataset,
-    const analysis::ResourcePressure& pressure) const {
-  auto report =
-      analyze_dataset(dataset, bandwidth_.finish(), options_.analyze, pool_.get());
+AnalysisReport StreamingAnalyzer::with_pressure(
+    AnalysisReport report, const analysis::ResourcePressure& pressure) const {
   report.degradation.resources = pressure;
   if (pressure.any()) {
     report.degradation.warnings.push_back(
@@ -251,7 +254,9 @@ AnalysisReport StreamingAnalyzer::finalize() {
   }
   auto final_pressure = pressure();
   auto dataset = sharded_ ? sharded_->finish() : single_->finish();
-  auto report = assemble_report(dataset, final_pressure);
+  auto report = with_pressure(
+      analyze_dataset(dataset, bandwidth_.finish(), options_.analyze, pool_.get()),
+      final_pressure);
   if (!checkpoint_error_.empty()) {
     report.degradation.warnings.push_back("checkpoint write failed: " +
                                           checkpoint_error_);

@@ -107,10 +107,10 @@ class StreamingAnalyzer {
 
   /// The report over everything ingested so far, without spending the
   /// analyzer: serves live queries on a daemon that keeps ingesting
-  /// afterwards. Every lane's state is copied in memory
-  /// (DatasetBuilder::snapshot_partial) and analyzed on this analyzer's
-  /// pool; nothing is cached, so every call recomputes from the current
-  /// state. Equals finalize() of a fresh analyzer fed the same packets,
+  /// afterwards. Every lane's small state is copied and flushed
+  /// (DatasetBuilder::query) and its records are read in place, in one
+  /// pass that feeds every §6 accumulator (analyze_view); nothing is
+  /// cached, so every call recomputes from the current state. Equals finalize() of a fresh analyzer fed the same packets,
   /// except that packets parked behind a wedged shard are missing from the
   /// records but present in the bandwidth series (accounted at admission),
   /// and that a failed checkpoint write is not reported here.
@@ -128,11 +128,10 @@ class StreamingAnalyzer {
 
  private:
   Status write_checkpoint();
-  /// The §6 report over `dataset` plus this analyzer's bandwidth series,
-  /// with `pressure` and its warning: shared by finalize() and
-  /// report_snapshot() so the two cannot drift apart.
-  AnalysisReport assemble_report(const analysis::CaptureDataset& dataset,
-                                 const analysis::ResourcePressure& pressure) const;
+  /// Adds `pressure` and its warning to a §6 report: shared by finalize()
+  /// and report_snapshot() so the two cannot drift apart.
+  AnalysisReport with_pressure(AnalysisReport report,
+                               const analysis::ResourcePressure& pressure) const;
   std::size_t deferral_shard(const net::CapturedPacket& pkt) const;
   /// Hands `pkt` to the engine. `bandwidth` is fed from the single
   /// builder's decode; deferred and sharded packets pass null, because

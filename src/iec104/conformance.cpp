@@ -144,6 +144,11 @@ void ConformanceMachine::on_connection_open(Timestamp ts) {
   }
 }
 
+bool ConformanceMachine::flagged(ViolationCode code) const {
+  return std::any_of(profile_.violations.begin(), profile_.violations.end(),
+                     [code](const ViolationRecord& v) { return v.code == code; });
+}
+
 void ConformanceMachine::flag(ViolationCode code, Timestamp ts,
                               const std::string& detail, std::uint64_t count) {
   if (count == 0) return;
@@ -478,8 +483,11 @@ void ConformanceMachine::on_apdu(Timestamp ts, bool from_controller,
   }
 
   if (!profile.is_standard()) {
+    // A record keeps the detail of its first occurrence: build it once.
     flag(ViolationCode::kLegacyProfile, ts,
-         "decoded with legacy profile " + profile.str());
+         flagged(ViolationCode::kLegacyProfile)
+             ? std::string()
+             : "decoded with legacy profile " + profile.str());
   }
   if (apdu.asdu) {
     Direction direction = from_controller ? Direction::kFromController

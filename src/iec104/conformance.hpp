@@ -238,6 +238,8 @@ class ConformanceMachine {
     Timestamp regress_ts = 0;
   };
 
+  /// A violation of this code is already on record.
+  bool flagged(ViolationCode code) const;
   void flag(ViolationCode code, Timestamp ts, const std::string& detail,
             std::uint64_t count = 1);
   void handle_u(Timestamp ts, bool from_controller, UFunction f);

@@ -59,7 +59,8 @@ std::vector<Violation> validate_asdu(const Asdu& asdu, Direction direction) {
   };
   TypeCategory category = type_category(asdu.type);
   Cause cause = asdu.cot.cause;
-  std::string label = type_acronym(asdu.type);
+  // Built only for a violation: most ASDUs have none.
+  auto label = [&asdu] { return type_acronym(asdu.type); };
 
   // Error causes (unknown type/cause/CA/IOA mirrors) are legal both ways.
   if (is_error_cause(cause)) return out;
@@ -67,11 +68,11 @@ std::vector<Violation> validate_asdu(const Asdu& asdu, Direction direction) {
   switch (category) {
     case TypeCategory::kMonitor:
       if (direction == Direction::kFromController) {
-        add(ViolationKind::kWrongDirection, label + " sent by control station");
+        add(ViolationKind::kWrongDirection, label() + " sent by control station");
       }
       if (!is_monitor_cause(cause)) {
         add(ViolationKind::kCauseMismatch,
-            label + " with cause " + cause_name(cause));
+            label() + " with cause " + cause_name(cause));
       }
       break;
 
@@ -79,25 +80,25 @@ std::vector<Violation> validate_asdu(const Asdu& asdu, Direction direction) {
     case TypeCategory::kParameter:
       // Act from the controller, con/term mirrored by the outstation.
       if (!is_activation_family(cause)) {
-        add(ViolationKind::kCauseMismatch, label + " with cause " + cause_name(cause));
+        add(ViolationKind::kCauseMismatch, label() + " with cause " + cause_name(cause));
       } else if (direction == Direction::kFromController &&
                  (cause == Cause::kActivationCon || cause == Cause::kActivationTerm ||
                   cause == Cause::kDeactivationCon)) {
         add(ViolationKind::kWrongDirection,
-            label + " confirmation sent by control station");
+            label() + " confirmation sent by control station");
       } else if (direction == Direction::kFromOutstation &&
                  (cause == Cause::kActivation || cause == Cause::kDeactivation)) {
-        add(ViolationKind::kWrongDirection, label + " activation sent by outstation");
+        add(ViolationKind::kWrongDirection, label() + " activation sent by outstation");
       }
       break;
 
     case TypeCategory::kSystem:
       if (!is_activation_family(cause) && !is_monitor_cause(cause)) {
-        add(ViolationKind::kCauseMismatch, label + " with cause " + cause_name(cause));
+        add(ViolationKind::kCauseMismatch, label() + " with cause " + cause_name(cause));
       }
       if (direction == Direction::kFromOutstation &&
           (cause == Cause::kActivation || cause == Cause::kDeactivation)) {
-        add(ViolationKind::kWrongDirection, label + " activation sent by outstation");
+        add(ViolationKind::kWrongDirection, label() + " activation sent by outstation");
       }
       break;
 
@@ -105,7 +106,7 @@ std::vector<Violation> validate_asdu(const Asdu& asdu, Direction direction) {
       // File transfer flows both ways; cause 13 (file) or request family.
       if (cause != Cause::kFile && cause != Cause::kRequest &&
           !is_activation_family(cause) && !is_monitor_cause(cause)) {
-        add(ViolationKind::kCauseMismatch, label + " with cause " + cause_name(cause));
+        add(ViolationKind::kCauseMismatch, label() + " with cause " + cause_name(cause));
       }
       break;
   }

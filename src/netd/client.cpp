@@ -84,7 +84,7 @@ bool FleetClient::all_done() const {
 bool FleetClient::all_benign_ok() const {
   return std::all_of(streams_.begin(), streams_.end(), [](const StreamState& st) {
     return st.spec.mode != ReplayMode::kBenign ||
-           (st.counted_done && st.phase != Phase::kFailed);
+           (st.counted_done && !st.lost && st.phase != Phase::kFailed);
   });
 }
 
@@ -262,9 +262,17 @@ bool FleetClient::handle_ack(std::size_t idx, const wire::HelloAck& ack) {
       retry_later(idx, false);
       return false;
     case wire::AckStatus::kFinished:
+      // The server has closed this stream. Unless its fin was already
+      // acked, the frames past the server's cursor never reach the report:
+      // the stream is lost, not delivered.
       if (!st.counted_done) {
         st.counted_done = true;
-        stats_.finished_streams++;
+        if (ack.resume_cursor < st.spec.frames.size()) {
+          st.lost = true;
+          stats_.lost_streams++;
+        } else {
+          stats_.finished_streams++;
+        }
       }
       mark_done(idx);
       return false;
@@ -386,7 +394,14 @@ void FleetClient::flush_out(std::size_t idx) {
   }
   st.out.clear();
   st.out_off = 0;
-  (void)reactor_.set_interest(st.fd, kEventRead);
+  // pump_send stops filling at the backlog cap. A stream with frames left
+  // and no pace timer has nothing else to wake it once the kernel took the
+  // whole backlog, so it keeps write interest: the next writable event
+  // pumps it again.
+  const bool more = st.phase == Phase::kSending &&
+                    st.spec.mode != ReplayMode::kSlowLoris &&
+                    st.next_frame < st.spec.frames.size() && !st.pace_timer_armed;
+  (void)reactor_.set_interest(st.fd, more ? kEventRead | kEventWrite : kEventRead);
 }
 
 void FleetClient::close_fd(std::size_t idx) {

@@ -81,6 +81,9 @@ struct FleetStats {
   std::uint64_t frames_sent = 0;
   std::uint64_t finished_streams = 0;
   std::uint64_t failed_streams = 0;
+  /// Streams the server closed (answered kFinished) before all of their
+  /// frames reached it.
+  std::uint64_t lost_streams = 0;
   std::uint64_t hostile_closed = 0;  ///< hostile-mode conns the server killed
   std::uint64_t linger_rechecks = 0;
 };
@@ -100,7 +103,7 @@ class FleetClient {
   /// Every stream has finished (FinAck / server-closed hostile) or given
   /// up. Lingering rechecks do not un-finish a stream.
   bool all_done() const;
-  /// All benign streams finished and none failed.
+  /// All benign streams finished, none failed and none was lost.
   bool all_benign_ok() const;
 
   const FleetStats& stats() const { return stats_; }
@@ -135,6 +138,7 @@ class FleetClient {
     std::uint64_t pace_timer = 0;
     bool pace_timer_armed = false;
     bool counted_done = false;
+    bool lost = false;  ///< answered kFinished short of its frame count
     bool loris_sent = false;
   };
 

@@ -1,7 +1,7 @@
 // Allocation-budget regression gate (DESIGN.md §15): the zero-copy ingest
 // hot path — mmap'd frame views through decode, flow tracking, in-order
 // reassembly and APDU parse into arena-backed records — must stay
-// allocation-light. This binary replaces global operator new with a
+// allocation-light, and a live query must not copy the records it reads. This binary replaces global operator new with a
 // counting shim and pins an upper bound on heap allocations per 10k
 // in-order packets. A copy sneaking back into the hot path (payload
 // vectors, per-packet buffers, per-record heap nodes) shows up here as a
@@ -13,6 +13,7 @@
 #include <new>
 
 #include "analysis/dataset.hpp"
+#include "core/streaming.hpp"
 #include "net/pcap.hpp"
 #include "sim/capture.hpp"
 
@@ -32,6 +33,43 @@ void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// The nothrow forms (std::stable_sort's buffer), which must pair with the
+// free() above: a sanitizer runtime's own would not.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n ? n : 1);
+}
+void* operator new[](std::size_t n, const std::nothrow_t& tag) noexcept {
+  return ::operator new(n, tag);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+// The aligned forms: std::pmr's default resource allocates through them, so
+// a pmr container copied off its arena is counted too.
+namespace {
+void* counted_aligned_alloc(std::size_t n, std::align_val_t al) noexcept {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  const auto align = static_cast<std::size_t>(al);
+  return std::aligned_alloc(align, (n + align - 1) / align * align);
+}
+}  // namespace
+void* operator new(std::size_t n, std::align_val_t al) {
+  if (void* p = counted_aligned_alloc(n, al)) return p;
+  throw std::bad_alloc{};
+}
+void* operator new[](std::size_t n, std::align_val_t al) { return ::operator new(n, al); }
+void* operator new(std::size_t n, std::align_val_t al, const std::nothrow_t&) noexcept {
+  return counted_aligned_alloc(n, al);
+}
+void* operator new[](std::size_t n, std::align_val_t al, const std::nothrow_t&) noexcept {
+  return counted_aligned_alloc(n, al);
+}
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace uncharted::analysis {
 namespace {
@@ -101,6 +139,30 @@ TEST(AllocationBudget, ArenaBytesAccountedAndBounded) {
   std::size_t wire_bytes = 0;
   for (const auto& v : views) wire_bytes += v.data.size();
   EXPECT_LT(arena_bytes, wire_bytes * 4);
+}
+
+/// Heap allocations of one live query over everything `capture` holds.
+std::uint64_t query_allocations(const sim::CaptureResult& capture) {
+  core::StreamingAnalyzer analyzer(core::StreamingOptions{});
+  analyzer.add_packets(capture.packets);
+  std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  auto report = analyzer.report_snapshot();
+  std::uint64_t spent = g_heap_allocs.load(std::memory_order_relaxed) - before;
+  EXPECT_GT(report.stats.apdus, 10'000u);
+  return spent;
+}
+
+TEST(AllocationBudget, LiveQueryAllocatesPerEntityNotPerRecord) {
+  // A query reads the lane's records in place: its allocations follow the
+  // entities it reports on (flows, sessions, connections, series and their
+  // growth), not the records. Doubling the capture doubles the records; a
+  // per-record copy would double the allocations too.
+  const auto short_run = query_allocations(sim::generate_capture(sim::CaptureConfig::y1(300.0)));
+  const auto long_run = query_allocations(sim::generate_capture(sim::CaptureConfig::y1(600.0)));
+  std::cout << "[ MEASURED ] query heap allocations: " << short_run << " (Y1 300 s), "
+            << long_run << " (Y1 600 s)\n";
+  EXPECT_LT(long_run, 20'000u);
+  EXPECT_LT(static_cast<double>(long_run), 1.5 * static_cast<double>(short_run));
 }
 
 }  // namespace

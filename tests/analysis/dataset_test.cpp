@@ -8,6 +8,7 @@
 #include <string>
 #include <tuple>
 
+#include "analysis/markov.hpp"
 #include "analysis/sessions.hpp"
 #include "analysis/typeid_stats.hpp"
 #include "core/analyzer.hpp"
@@ -37,10 +38,20 @@ TEST(Dataset, ExtractsApdusPerSessionAndConnection) {
   EXPECT_EQ(ds.stats().apdus, 3u);
   EXPECT_EQ(ds.stats().apdu_failures, 0u);
 
-  ASSERT_EQ(ds.sessions().size(), 2u);  // one per direction
-  ASSERT_EQ(ds.connections().size(), 1u);
-  const auto& conn = ds.connections().begin()->second;
-  EXPECT_EQ(conn.size(), 3u);
+  auto sessions = extract_session_features(ds);
+  ASSERT_EQ(sessions.size(), 2u);  // one per direction
+  EXPECT_EQ(sessions[0].values[kFeatPacketCount] + sessions[1].values[kFeatPacketCount],
+            3.0);
+  auto chains = build_connection_chains(ds);
+  ASSERT_EQ(chains.size(), 1u);
+  // All three APDUs are on the one connection: two transitions.
+  std::uint64_t transitions = 0;
+  for (const auto& [node, successors] : chains[0].chain.counts()) {
+    for (const auto& [next, count] : successors) transitions += count;
+  }
+  EXPECT_EQ(transitions, 2u);
+  EXPECT_EQ(chains[0].first_token, "I_13");
+  EXPECT_EQ(chains[0].last_token, "S");
 
   // Records are in time order.
   EXPECT_EQ(ds.records()[0].apdu.apdu.token(), "I_13");
@@ -175,16 +186,6 @@ std::string digest(const CaptureDataset& ds) {
            std::to_string(dmg.failures()) + ' ' + std::to_string(dmg.last_failure_ts);
   }
   out += '\n' + std::to_string(ds.flow_table().connection_count());
-  for (const auto& key : ds.flow_keys()) out += '\n' + key.str();
-  for (std::uint32_t f : ds.columns().flow_index) out += ' ' + std::to_string(f);
-  for (const auto& [key, indices] : ds.sessions()) {
-    out += '\n' + key.first.str() + '>' + key.second.str();
-    for (std::size_t i : indices) out += ' ' + std::to_string(i);
-  }
-  for (const auto& [pair, indices] : ds.connections()) {
-    out += '\n' + pair.str();
-    for (std::size_t i : indices) out += ' ' + std::to_string(i);
-  }
   for (const auto& [station, entry] : ds.compliance()) {
     out += '\n' + station.str() + ' ' + std::to_string(entry.i_apdus) + ' ' +
            std::to_string(entry.non_compliant);
@@ -232,16 +233,23 @@ TEST(Dataset, SnapshotLeavesBuilderUntouched) {
     }
     const auto arena_bytes = live.record_arena_bytes();
     const auto consumed = live.packets_consumed();
-    std::vector<ShardPartial> one;
-    one.push_back(live.snapshot_partial(live.last_ts()));
-    auto snapshot = merge_partials(std::move(one), opts);
+    core::CaptureAnalyzer::Options aopts;
+    aopts.mode = mode;
+    core::AnalysisReport snapshot;
+    {
+      DatasetView view;
+      live.query(live.last_ts(), view);
+      snapshot = core::analyze_view(view, {}, aopts, nullptr);
+    }
     EXPECT_EQ(live.record_arena_bytes(), arena_bytes);
     EXPECT_EQ(live.packets_consumed(), consumed);
-    EXPECT_EQ(digest(snapshot), digest(prefix_only.finish()));
+    EXPECT_EQ(core::report_to_json(snapshot),
+              core::report_to_json(
+                  core::analyze_dataset(prefix_only.finish(), {}, aopts, nullptr)));
     if (mode == ParseMode::kReassembled) {
-      EXPECT_EQ(snapshot.stats().degradation.reassembly_gaps, 1u);
-      EXPECT_GT(snapshot.stats().degradation.truncated_tail_bytes, 0u);
-      EXPECT_EQ(snapshot.stats().apdus, 31u);
+      EXPECT_EQ(snapshot.stats.degradation.reassembly_gaps, 1u);
+      EXPECT_GT(snapshot.stats.degradation.truncated_tail_bytes, 0u);
+      EXPECT_EQ(snapshot.stats.apdus, 31u);
     }
 
     for (std::size_t i = cut; i < packets.size(); ++i) {
@@ -341,11 +349,12 @@ TEST(TypeIdStats, DistributionAndStations) {
 
 // --- Canonical record order without a global sort -------------------------
 //
-// merge_partials cuts each partial into canonically ordered runs in place
-// (tie-breaking only stretches of equal timestamps, starting a new run
-// wherever timestamps step backwards) and then k-way merges the runs. Each
-// scenario below is built once as a single partial and once split by
-// station into three flow-disjoint partials, merged in every order.
+// A RecordCursor cuts each lane into canonically ordered runs (a new run
+// wherever timestamps step backwards, stretches of equal timestamps
+// tie-broken) and k-way merges them: merge_partials moves records in that
+// order, a live query reads them in place. Each scenario below is built
+// once as a single partial and once split by station into three
+// flow-disjoint partials, merged and queried in every order.
 
 /// Emits the same APDUs into one whole capture and into the capture of the
 /// station's partial (station index mod 3).
@@ -390,27 +399,44 @@ void expect_canonical_everywhere(const SplitCapture& cap) {
     EXPECT_TRUE(in_canonical_order(whole));
     const std::string expected = digest(whole);
 
-    // The three partials, each a lane flushed at the capture's end.
+    core::CaptureAnalyzer::Options aopts;
+    aopts.mode = mode;
+    const std::string expected_report =
+        core::report_to_json(core::analyze_dataset(whole, {}, aopts, nullptr));
+
+    // The three partials, each a lane flushed at the capture's end: merged
+    // into a dataset, and read in place by a live query.
     const Timestamp flush_ts = cap.whole().back().ts;
-    std::array<std::unique_ptr<DatasetBuilder>, SplitCapture::kParts> lanes;
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-      lanes[i] = std::make_unique<DatasetBuilder>(opts);
+    auto lanes = [&] {
+      std::array<std::unique_ptr<DatasetBuilder>, SplitCapture::kParts> out;
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        out[i] = std::make_unique<DatasetBuilder>(opts);
+        for (const auto& pkt : cap.part(i)) out[i]->add_packet(pkt);
+      }
+      return out;
+    };
+    for (std::size_t i = 0; i < SplitCapture::kParts; ++i) {
       ASSERT_FALSE(cap.part(i).empty());
-      for (const auto& pkt : cap.part(i)) lanes[i]->add_packet(pkt);
     }
+    const auto live = lanes();
     std::array<std::size_t, SplitCapture::kParts> order = {0, 1, 2};
     do {
+      auto spent = lanes();
       std::vector<ShardPartial> partials;
-      for (std::size_t i : order) partials.push_back(lanes[i]->snapshot_partial(flush_ts));
+      for (std::size_t i : order) partials.push_back(spent[i]->finish_partial(flush_ts));
       auto merged = merge_partials(std::move(partials), opts);
       EXPECT_TRUE(in_canonical_order(merged));
       EXPECT_EQ(digest(merged), expected)
           << "partials merged in order " << order[0] << order[1] << order[2];
+
+      DatasetView view;
+      for (std::size_t i : order) live[i]->query(flush_ts, view);
+      EXPECT_EQ(core::report_to_json(core::analyze_view(view, {}, aopts, nullptr)),
+                expected_report)
+          << "lanes queried in order " << order[0] << order[1] << order[2];
     } while (std::next_permutation(order.begin(), order.end()));
 
     // The whole pipeline, sequential and sharded.
-    core::CaptureAnalyzer::Options aopts;
-    aopts.mode = mode;
     aopts.threads = 1;
     const std::string base = core::report_to_json(core::CaptureAnalyzer::analyze(cap.whole(), aopts));
     for (unsigned threads : {2u, 8u}) {

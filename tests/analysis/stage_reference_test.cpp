@@ -1,8 +1,9 @@
-// The flow-indexed §6 stages against the map-based code they replaced.
-// audit_sequences keys its per-direction state by the dataset's dense flow
-// id, and MarkovChain::from_tokens counts over interned token ids; both
-// must give exactly what the straightforward map-per-record versions
-// below give, on a damaged capture and on the edge cases.
+// The flow-indexed §6 accumulators against the map-based code they
+// replaced. The sequence audit keys its per-direction state by a dense
+// flow id, and the chain accumulator and MarkovChain::from_tokens count
+// over interned token ids; both must give exactly what the
+// straightforward map-per-record versions below give, on a damaged
+// capture and on the edge cases.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -112,8 +113,7 @@ void expect_same_audit(const SeqAuditReport& got, const SeqAuditReport& want) {
   }
 }
 
-void expect_same_chain(const std::vector<std::string>& tokens) {
-  const auto chain = MarkovChain::from_tokens(tokens);
+void expect_same_chain(const MarkovChain& chain, const std::vector<std::string>& tokens) {
   const auto want = reference_from_tokens(tokens);
   EXPECT_EQ(chain.counts(), want.counts);
   EXPECT_EQ(chain.node_count(), want.counts.size());
@@ -132,6 +132,21 @@ void expect_same_chain(const std::vector<std::string>& tokens) {
     }
   }
   EXPECT_EQ(chain.edge_count(), edges);
+}
+
+void expect_same_chain(const std::vector<std::string>& tokens) {
+  expect_same_chain(MarkovChain::from_tokens(tokens), tokens);
+}
+
+/// Reference token sequence per connection: both directions, record order.
+std::map<EndpointPair, std::vector<std::string>> reference_tokens(
+    const CaptureDataset& dataset) {
+  std::map<EndpointPair, std::vector<std::string>> out;
+  for (const auto& rec : dataset.records()) {
+    out[EndpointPair::of(rec.flow.src_ip, rec.flow.dst_ip)].push_back(
+        rec.apdu.apdu.token());
+  }
+  return out;
 }
 
 // --- The damaged capture --------------------------------------------------
@@ -161,11 +176,17 @@ TEST(StageReference, MarkovMatchesMapReferenceOnFaultedY1) {
     SCOPED_TRACE(mode == ParseMode::kPerPacket ? "per-packet" : "reassembled");
     CaptureDataset::Options opts;
     opts.mode = mode;
-    auto chains = build_connection_chains(CaptureDataset::build(faulted_y1(), opts));
+    auto ds = CaptureDataset::build(faulted_y1(), opts);
+    auto chains = build_connection_chains(ds);
+    auto tokens = reference_tokens(ds);
     ASSERT_GT(chains.size(), 1u);
+    ASSERT_EQ(chains.size(), tokens.size());
     for (const auto& cc : chains) {
       SCOPED_TRACE(cc.pair.str());
-      expect_same_chain(cc.tokens);
+      const auto& want = tokens.at(cc.pair);
+      expect_same_chain(cc.chain, want);
+      EXPECT_EQ(cc.first_token, want.front());
+      EXPECT_EQ(cc.last_token, want.back());
     }
   }
 }
@@ -230,7 +251,7 @@ TEST(StageReference, SeqAuditEntriesInFlowKeyOrderWhenSmallestFlowIsSeenLast) {
   cb.apdu(5000, server, low, true, i_apdu(float_asdu(5, 1, 1.0f), 7, 0));
   cb.apdu(6000, server, low, true, i_apdu(float_asdu(5, 1, 1.0f), 9, 0));  // gap
   auto ds = CaptureDataset::build(cb.packets());
-  ASSERT_EQ(ds.flow_keys().front().src_ip, high);
+  ASSERT_EQ(ds.records().front().flow.src_ip, high);
 
   auto report = audit_sequences(ds);
   ASSERT_EQ(report.entries.size(), 2u);

@@ -164,9 +164,11 @@ TEST(Analyzer, ProfileStagesCoverBandwidthAtEveryThreadCount) {
     }
     return names;
   };
+  // One record pass feeds every stage; each named stage after it is that
+  // stage's close.
   const std::vector<std::string> analytics = {
-      "flow analysis", "session clustering", "markov chains",    "station typing",
-      "time series",   "sequence audit",     "conformance audit"};
+      "flow analysis", "record pass",    "session clustering", "markov chains",
+      "station typing", "time series",   "sequence audit",     "conformance audit"};
   // Threads 1: bandwidth accounting rides on the builder's decode, inside
   // "ingest".
   std::vector<std::string> sequential = {"ingest"};

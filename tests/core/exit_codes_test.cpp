@@ -203,22 +203,28 @@ class BackgroundDaemon {
   pid_t pid_ = -1;
 };
 
-TEST(ExitCodes, FleetExitsZeroBenignAndThreeWhenHostileModesAreScripted) {
-  // One background daemon serves every fleet run; it announces its
-  // ephemeral port on stdout ("listening on HOST:PORT"), the same line
-  // scripts/soak.sh parses.
-  const std::string out = temp_path("fleet_daemon.out");
-  BackgroundDaemon daemon(out);
-  ASSERT_TRUE(daemon.started());
+/// The ephemeral port a BackgroundDaemon announces on stdout ("listening
+/// on HOST:PORT", the same line scripts/soak.sh parses); empty if it never
+/// does.
+std::string announced_port(const std::string& stdout_path) {
   std::string port;
   for (int i = 0; i < 200 && port.empty(); ++i) {
-    std::ifstream in(out);
+    std::ifstream in(stdout_path);
     std::string line;
     if (std::getline(in, line) && line.rfind("listening on ", 0) == 0) {
       port = line.substr(line.rfind(':') + 1);
     }
     if (port.empty()) std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
+  return port;
+}
+
+TEST(ExitCodes, FleetExitsZeroBenignAndThreeWhenHostileModesAreScripted) {
+  // One background daemon serves every fleet run.
+  const std::string out = temp_path("fleet_daemon.out");
+  BackgroundDaemon daemon(out);
+  ASSERT_TRUE(daemon.started());
+  const std::string port = announced_port(out);
   ASSERT_FALSE(port.empty()) << "daemon never announced its port";
 
   const std::string connect = " --connect 127.0.0.1:" + port;
@@ -231,6 +237,23 @@ TEST(ExitCodes, FleetExitsZeroBenignAndThreeWhenHostileModesAreScripted) {
   // A --health fetch against a live daemon succeeds (contrast with the
   // unreachable-port 1 above).
   EXPECT_EQ(run(quoted(UNCHARTED_BIN_IEC104_FLEET) + connect + " --health"), 0);
+}
+
+TEST(ExitCodes, FleetExitsTwoWhenTheDaemonClosesAStreamShortOfItsFrames) {
+  // A 2-s replay finishes streams 1..N. A 4-s replay of the same fleet then
+  // re-registers those ids, and the daemon answers "finished" with a
+  // cursor short of each stream's frame count: those frames never reach
+  // the report, so the fleet reports lost streams (2), not success.
+  const std::string out = temp_path("lost_daemon.out");
+  BackgroundDaemon daemon(out);
+  ASSERT_TRUE(daemon.started());
+  const std::string port = announced_port(out);
+  ASSERT_FALSE(port.empty()) << "daemon never announced its port";
+
+  const std::string fleet =
+      quoted(UNCHARTED_BIN_IEC104_FLEET) + " --connect 127.0.0.1:" + port;
+  EXPECT_EQ(run(fleet + " --year 1 --duration 2 --quiet"), 0);
+  EXPECT_EQ(run(fleet + " --year 1 --duration 4 --quiet"), 2);
 }
 
 }  // namespace

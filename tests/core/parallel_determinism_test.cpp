@@ -107,9 +107,9 @@ TEST(ParallelDeterminism, KillRestoreMidStreamMatchesSequentialBatch) {
 }
 
 TEST(ParallelDeterminism, ReportSnapshotMatchesFinalizeAtEightThreads) {
-  // At threads 8 the lanes' snapshot_partial() calls run concurrently on
-  // the pool, and §6 runs on it too: under TSan this is the race check for
-  // the live query path. One capture is fault-injected (holes and partial
+  // At threads 8 the query drains the lanes on the pool, reads them in
+  // place, and closes the §6 stages on the pool: under TSan this is the
+  // race check for the live query path. One capture is fault-injected (holes and partial
   // tails pending at the cut), one carries a quarantined flow.
   const auto faulted = faultinject::apply_faults(
       y1_packets(), faultinject::FaultConfig::uniform(0.05));

@@ -313,6 +313,69 @@ TEST(Streaming, ReportSnapshotMatchesFinalizeOfSamePrefix) {
   }
 }
 
+/// The captures that stress a query reading the lanes in place, each with
+/// the options it runs under.
+struct HardCase {
+  std::string name;
+  std::vector<net::CapturedPacket> packets;
+  analysis::ResourceBudgets budgets;
+};
+
+std::vector<HardCase> hard_cases() {
+  const auto& packets = capture().packets;
+  const Timestamp start = capture().truth.start_ts;
+  analysis::ResourceBudgets evicting;
+  evicting.max_records = 1'500;
+  return {
+      {"tied timestamps", testlib::with_tied_timestamps(packets), {}},
+      {"backward steps", testlib::with_backward_steps(packets), {}},
+      {"evicting budget", packets, evicting},
+      {"quarantined mid-stream",
+       testlib::with_flow_quarantined_midstream(packets, start + from_seconds(1.0),
+                                                start + from_seconds(20.0)),
+       {}},
+      {"reordered segments", testlib::with_reordered_segments(faulted_packets()), {}},
+  };
+}
+
+TEST(Streaming, SnapshotMatchesFinalizeInTheHardCases) {
+  for (const auto& hard : hard_cases()) {
+    // Past the junk of the mid-stream quarantine (20 s into 90 s), odd so
+    // it lands mid-conversation.
+    const std::size_t cut = (hard.packets.size() * 2 / 3) | 1;
+    for (unsigned threads : {1u, 2u, 8u}) {
+      for (auto mode : kModes) {
+        const std::string label = hard.name + " threads " + std::to_string(threads) +
+                                  " mode " + std::to_string(static_cast<int>(mode));
+        auto options = snapshot_options(threads, mode);
+        options.budgets = hard.budgets;
+        auto snapshot =
+            testlib::expect_snapshot_matches_finalize(hard.packets, cut, options, label);
+        if (hard.name == "evicting budget") {
+          EXPECT_GT(snapshot.degradation.resources.records_evicted, 0u) << label;
+        }
+        if (hard.name == "quarantined mid-stream") {
+          EXPECT_GT(snapshot.degradation.counters.quarantined_apdus, 0u) << label;
+        }
+      }
+    }
+  }
+}
+
+TEST(Streaming, QueriesInTheHardCasesLeaveTheLanesUntouched) {
+  for (const auto& hard : hard_cases()) {
+    for (unsigned threads : {1u, 2u, 8u}) {
+      for (auto mode : kModes) {
+        const std::string label = hard.name + " threads " + std::to_string(threads) +
+                                  " mode " + std::to_string(static_cast<int>(mode));
+        auto options = snapshot_options(threads, mode);
+        options.budgets = hard.budgets;
+        testlib::expect_queries_leave_lanes_untouched(hard.packets, options, label);
+      }
+    }
+  }
+}
+
 TEST(Streaming, SnapshotsInterleavedWithIngestLeaveFinalizeUnchanged) {
   const auto& packets = faulted_packets();
   for (unsigned threads : {1u, 2u}) {

@@ -7,13 +7,16 @@
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <functional>
 #include <memory>
+#include <stop_token>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -687,6 +690,62 @@ TEST(IngestServer, QueryConnectionServesReportJson) {
   asker.join();
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, "{\"ok\": true}");
+}
+
+/// Accepts every send in full: a short or refused write is retried until
+/// the kernel has taken all of it, so the client never sees EAGAIN and
+/// never keeps write interest on that account.
+class WholeSends final : public PassthroughSysOps {
+ public:
+  ssize_t send(int fd, const void* buf, std::size_t n, int flags) override {
+    const auto* bytes = static_cast<const std::uint8_t*>(buf);
+    std::size_t sent = 0;
+    while (sent < n) {
+      const ssize_t r = real().send(fd, bytes + sent, n - sent, flags);
+      if (r > 0) {
+        sent += static_cast<std::size_t>(r);
+      } else if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) {
+        pollfd pfd{fd, POLLOUT, 0};
+        (void)::poll(&pfd, 1, 50);
+      } else {
+        return sent > 0 ? static_cast<ssize_t>(sent) : r;
+      }
+    }
+    return static_cast<ssize_t>(n);
+  }
+};
+
+TEST(FleetClient, KeepsSendingAfterTheKernelTakesAWholeBacklog) {
+  // pump_send stops filling a stream's buffer at the 256-KB backlog cap.
+  // When the kernel then takes the whole backlog in one flush and no pace
+  // timer is armed (pace 0), the stream must still be pumped again. 600
+  // frames of 1400 bytes are about three backlogs. The client runs on a
+  // reactor of its own, in its own thread, so its whole sends can wait for
+  // the server to read.
+  ServerConfig cfg;
+  cfg.expect_streams = 1;
+  Harness h(cfg);
+  ReplayStream stream;
+  stream.id = 1;
+  for (int i = 0; i < 600; ++i) {
+    stream.frames.push_back(make_frame(static_cast<Timestamp>(i) * 10, 0x11, 1400));
+  }
+  WholeSends sys;
+  FleetConfig fc = h.fleet_config();
+  fc.sys = &sys;
+  std::atomic<bool> benign_ok{false};
+  std::jthread client([&](std::stop_token stop) {
+    Reactor reactor;
+    FleetClient fleet(reactor, fc, {stream});
+    fleet.start();
+    while (!stop.stop_requested() && !fleet.all_done()) reactor.run_once(20);
+    benign_ok.store(fleet.all_done() && fleet.all_benign_ok());
+  });
+  EXPECT_TRUE(h.drive([&] { return h.server->all_expected_finished(); }, 10.0));
+  client.request_stop();
+  client.join();
+  EXPECT_TRUE(benign_ok.load());
+  EXPECT_EQ(h.released.size(), 600u);
 }
 
 }  // namespace
