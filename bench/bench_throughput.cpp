@@ -10,9 +10,14 @@
 //                 exactly the pre-parallelism code path),
 //   analyze     — every §6 computation over the built dataset,
 //   end_to_end  — CaptureAnalyzer::analyze, both of the above.
-// A fourth, at threads 1 only:
+// Two more, at threads 1 only:
 //   query       — StreamingAnalyzer::report_snapshot() once the whole
-//                 capture is ingested: a live daemon's report query.
+//                 capture is ingested: a live daemon's report query;
+//   live        — Y1 only: a netd::FleetClient at pace 0 streams the
+//                 capture over loopback into a core::LiveIngestDaemon on
+//                 the same thread and reactor, timed until finalize()
+//                 returns. The bench fails (exit 1) when that report
+//                 differs from the batch report of the capture.
 // Each stage runs --reps times (default 3) and reports the fastest wall
 // time: the pipeline is deterministic, so the minimum is the measurement
 // and the rest is scheduler noise.
@@ -33,8 +38,11 @@
 #include "bench/common.hpp"
 #include "core/analyzer.hpp"
 #include "core/export.hpp"
+#include "core/liveingest.hpp"
 #include "core/streaming.hpp"
 #include "exec/pool.hpp"
+#include "netd/client.hpp"
+#include "sim/fleet.hpp"
 
 using namespace uncharted;
 
@@ -71,6 +79,47 @@ struct Entry {
 
 double per_second(std::uint64_t count, double wall_ms) {
   return wall_ms > 0 ? static_cast<double>(count) / (wall_ms / 1000.0) : 0.0;
+}
+
+/// A live replay that does not finish by then is a stall, not a slow run.
+constexpr double kLiveDeadlineS = 300.0;
+
+/// One live replay of `script` at threads 1: the fleet at pace 0 and the
+/// daemon share this thread and one reactor, so the cell's time is the
+/// client's and the daemon's work added up, whatever the host's
+/// parallelism. Returns the wall ms from the fleet's start until
+/// finalize() returns, or a negative value when the replay stalled or the
+/// daemon did not start; `json` receives the report.
+double live_replay_ms(const sim::FleetScript& script, std::string& json) {
+  core::LiveIngestOptions opt;
+  opt.streaming.analyze.threads = 1;
+  opt.checkpoint_every_s = 0.0;
+  opt.server.expect_streams = script.streams.size();
+  netd::Reactor reactor;
+  core::LiveIngestDaemon daemon(reactor, opt);
+  if (auto st = daemon.start(false); !st) {
+    std::fprintf(stderr, "live: daemon start failed: %s\n", st.error().str().c_str());
+    return -1.0;
+  }
+  netd::FleetConfig fc;
+  fc.port = daemon.server().port();
+  fc.pace = 0.0;
+  std::vector<netd::ReplayStream> streams = script.streams;  // copied untimed
+
+  const auto start = Clock::now();
+  netd::FleetClient fleet(reactor, fc, std::move(streams));
+  fleet.start();
+  const auto deadline = start + std::chrono::duration_cast<Clock::duration>(
+                                    std::chrono::duration<double>(kLiveDeadlineS));
+  while (!(fleet.all_done() && daemon.server().all_expected_finished())) {
+    if (Clock::now() > deadline) {
+      std::fprintf(stderr, "live: replay stalled past %.0f s\n", kLiveDeadlineS);
+      return -1.0;
+    }
+    reactor.run_once(5);
+  }
+  json = core::report_to_json(daemon.finalize());
+  return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
 }
 
 }  // namespace
@@ -168,13 +217,33 @@ int main(int argc, char** argv) {
     core::StreamingOptions live;
     live.analyze.threads = 1;
     core::StreamingAnalyzer analyzer(live);
-    analyzer.add_packets(packets);
+    analyzer.add_packets(net::as_frame_views(packets));
     double query_ms = best_of(reps, [&] {
       auto report = analyzer.report_snapshot();
       (void)report;
     });
     entries.push_back({c.name, "query", 1, query_ms, packets.size(), apdus});
     std::printf("  1 thread(s): query %8.1f ms\n", query_ms);
+
+    if (std::string(c.name) != "y1") continue;
+    core::CaptureAnalyzer::Options batch_opts;
+    batch_opts.threads = 1;
+    const std::string oracle =
+        core::report_to_json(core::CaptureAnalyzer::analyze(packets, batch_opts));
+    const sim::FleetScript script = sim::build_fleet_script(packets, {});
+    double live_ms = 0.0;
+    for (int rep = 0; rep < reps; ++rep) {
+      std::string json;
+      const double ms = live_replay_ms(script, json);
+      if (ms < 0.0) return 1;
+      if (json != oracle) {
+        std::fprintf(stderr, "live: %s report differs from the batch report\n", c.name);
+        return 1;
+      }
+      live_ms = rep == 0 ? ms : std::min(live_ms, ms);
+    }
+    entries.push_back({c.name, "live", 1, live_ms, packets.size(), apdus});
+    std::printf("  1 thread(s): live %8.1f ms (report == batch)\n", live_ms);
   }
 
   // Speedups vs the 1-thread run of the same capture and stage.

@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "core/export.hpp"
 #include "core/streaming.hpp"
 #include "net/pcap.hpp"
 #include "util/strings.hpp"
@@ -26,7 +27,8 @@ void usage(const char* argv0) {
                "usage: %s --pcap FILE [--checkpoint FILE] [--interval PACKETS]\n"
                "          [--batch PACKETS] [--max-flows N] [--max-reassembly-bytes N]\n"
                "          [--max-records N] [--max-parsers N] [--reassembled]\n"
-               "          [--kill-after PACKETS] [--quiet] [--threads N]\n",
+               "          [--kill-after PACKETS] [--quiet] [--threads N]\n"
+               "          [--report FILE]\n",
                argv0);
 }
 
@@ -39,6 +41,7 @@ int main(int argc, char** argv) {
   options.analyze.threads = 0;  // one worker per hardware thread
   std::uint64_t kill_after = 0;
   bool quiet = false;
+  std::string report_path;
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -75,6 +78,8 @@ int main(int argc, char** argv) {
       kill_after = static_cast<std::uint64_t>(std::atoll(next()));
     } else if (arg == "--quiet") {
       quiet = true;
+    } else if (arg == "--report") {
+      report_path = next();
     } else {
       usage(argv[0]);
       return 1;
@@ -105,7 +110,7 @@ int main(int argc, char** argv) {
 
   const auto& packets = read->packets;
   for (std::size_t i = static_cast<std::size_t>(skip); i < packets.size(); ++i) {
-    analyzer.add_packet(packets[i]);
+    analyzer.add_packet(net::as_frame_view(packets[i]));
     if (kill_after > 0 && analyzer.packets_consumed() >= kill_after) {
       // Simulated crash: no shutdown checkpoint, no destructors — the
       // next run must survive on the last periodic checkpoint alone.
@@ -123,6 +128,16 @@ int main(int argc, char** argv) {
                                        read->warning);
   }
 
+  if (!report_path.empty()) {
+    // The full report as deterministic JSON, the form iec104d --report
+    // writes: the soak byte-compares the two.
+    if (auto st = core::write_text_file(report_path, core::report_to_json(report));
+        !st) {
+      std::fprintf(stderr, "cannot write %s: %s\n", report_path.c_str(),
+                   st.error().str().c_str());
+      return 1;
+    }
+  }
   if (quiet) {
     // Headline metrics only — what the soak harness diffs against batch.
     std::printf("packets=%llu apdus=%llu stations=%zu flows=%llu clusters=%zu\n",

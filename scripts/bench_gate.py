@@ -4,14 +4,18 @@
 Compares a fresh bench_throughput run against the committed baseline
 (BENCH_throughput.json) and fails if, for any capture, the threads-1
 packet rate of a gated stage regressed by more than the allowed fraction.
-Three stages are gated, all at threads 1:
+Four stages are gated, all at threads 1:
 
   ingest      the zero-copy hot path the repo commits a trajectory for;
   end_to_end  ingest plus every analysis (CaptureAnalyzer::analyze), so a
               regression in the dataset finish or a §6 stage fails too;
   query       a live report query over the whole ingested capture
               (StreamingAnalyzer::report_snapshot), so a query that starts
-              copying the records again fails.
+              copying the records again fails;
+  live        the Y1 capture streamed over loopback by a pace-0 fleet into
+              the live daemon until its final report (the bench itself
+              fails when that report differs from batch), so a per-frame
+              cost in the daemon's merge or reactor fails.
 
 Only threads-1 cells are gated: they are the least noisy on shared CI
 runners (no scheduler effects from worker threads).
@@ -25,7 +29,7 @@ import argparse
 import json
 import sys
 
-GATED_STAGES = ("ingest", "end_to_end", "query")
+GATED_STAGES = ("ingest", "end_to_end", "query", "live")
 
 
 def threads1_rates(snapshot):

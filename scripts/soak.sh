@@ -31,7 +31,13 @@
 # (UNCHARTED_SOAK_SYSFAULT_SEEDS, default "1 2 3") keep failures
 # replayable from the command line.
 #
-# An opt-in fourth phase (UNCHARTED_SOAK_STALL=1) wedges the daemon's
+# A fourth phase replays the full Y1 capture (1200 s, paper scale) live:
+# iec104_fleet at --pace 0 (every frame due at once, so the daemon's merge
+# queues deepest) and at --pace 8000, into iec104d at --threads 1 and 4,
+# and byte-compares each final report with the batch JSON of the same
+# capture (longrun_monitor --threads 1 --report). Wall times are printed.
+#
+# An opt-in fifth phase (UNCHARTED_SOAK_STALL=1) wedges the daemon's
 # checkpoint writer and asserts the health watchdog climbs its recovery
 # ladder: restart-checkpoint twice, then self-terminate with exit 4 while
 # the health query socket keeps answering.
@@ -78,8 +84,7 @@ gen="$build_dir/examples/capture_generator"
 mon="$build_dir/examples/longrun_monitor"
 daemon_bin="$build_dir/examples/iec104d"
 fleet_bin="$build_dir/examples/iec104_fleet"
-needed="$daemon_bin $fleet_bin"
-[ "$daemon_only" -eq 1 ] || needed="$gen $mon $needed"
+needed="$gen $mon $daemon_bin $fleet_bin"
 [ "$skip_daemon" -eq 1 ] && needed="$gen $mon"
 for bin in $needed; do
   if [ ! -x "$bin" ]; then
@@ -516,11 +521,79 @@ sysfault_soak() {
   done
 }
 
+# ---------------------------------------------------------------------------
+# Full-Y1 soak: a paper-scale live replay equals batch
+# ---------------------------------------------------------------------------
+
+full_y1_soak() {
+  local dur=1200
+  local pcap="$workdir/full_y1.pcap" batch="$workdir/full_y1_batch.json"
+  echo "==> full-Y1 live soak (${dur}s capture, seed $seed)"
+  "$gen" --year 1 --duration "$dur" --seed "$seed" --out "$pcap" >/dev/null
+  # The batch exit code (0, or 2/3 for a degraded or hostile report) is
+  # also what the daemon must exit with: the same report, the same verdict.
+  local brc=0
+  "$mon" --pcap "$pcap" --threads 1 --report "$batch" --quiet >/dev/null || brc=$?
+  if { [ "$brc" -ne 0 ] && [ "$brc" -ne 2 ] && [ "$brc" -ne 3 ]; } || [ ! -s "$batch" ]; then
+    echo "    FAIL: batch reference for the full-Y1 capture failed (exit $brc)" >&2
+    failures=$((failures + 1))
+    return
+  fi
+  local probe streams
+  probe="$("$fleet_bin" --connect 127.0.0.1:9 --year 1 --duration "$dur" \
+             --seed "$seed" --retry-for 0 2>&1 || true)"
+  streams="$(printf '%s\n' "$probe" |
+             sed -n 's/^fleet: \([0-9][0-9]*\) streams.*/\1/p')"
+  if [ -z "$streams" ] || [ "$streams" -eq 0 ]; then
+    echo "    FAIL: cannot probe the full-Y1 fleet shape" >&2
+    failures=$((failures + 1))
+    return
+  fi
+
+  local pace threads port out t0 t1 rc drc
+  for pace in 0 8000; do
+    for threads in 1 4; do
+      out="$workdir/full_y1_p${pace}_t${threads}.json"
+      : >"$workdir/dfull.out"
+      t0="$(date +%s.%N)"
+      "$daemon_bin" --port 0 --threads "$threads" --expect-streams "$streams" \
+          --drain-when-done --run-for 900 --report "$out" --quiet \
+          >"$workdir/dfull.out" 2>&1 &
+      local d=$!
+      port="$(wait_for_port "$workdir/dfull.out")" || {
+        echo "    FAIL: full-Y1 daemon never listened" >&2
+        failures=$((failures + 1)); kill "$d" 2>/dev/null || true; continue
+      }
+      rc=0
+      "$fleet_bin" --connect "127.0.0.1:$port" --year 1 --duration "$dur" \
+          --seed "$seed" --pace "$pace" --quiet || rc=$?
+      drc=0; wait "$d" || drc=$?
+      t1="$(date +%s.%N)"
+      local wall
+      wall="$(awk -v a="$t0" -v b="$t1" 'BEGIN { printf "%.1f", b - a }')"
+      if [ "$rc" -ne 0 ] || [ "$drc" -ne "$brc" ]; then
+        echo "    FAIL: pace $pace, --threads $threads: fleet exit $rc, daemon exit" \
+             "$drc (batch $brc)" >&2
+        failures=$((failures + 1)); continue
+      fi
+      if cmp -s "$batch" "$out"; then
+        echo "    pace $pace, --threads $threads: live report == batch (${wall}s wall)"
+      else
+        echo "    FAIL: pace $pace, --threads $threads: live report differs from batch" >&2
+        failures=$((failures + 1))
+      fi
+    done
+  done
+}
+
 if [ "$skip_daemon" -eq 0 ]; then
   daemon_soak
 fi
 if [ "$skip_daemon" -eq 0 ] && [ "$skip_sysfault" -eq 0 ]; then
   sysfault_soak
+fi
+if [ "$skip_daemon" -eq 0 ]; then
+  full_y1_soak
 fi
 if [ "$skip_daemon" -eq 0 ] && [ "$soak_stall" = "1" ]; then
   stall_soak
@@ -530,4 +603,4 @@ if [ "$failures" -gt 0 ]; then
   echo "==> soak FAILED ($failures phase(s) diverged or crashed)" >&2
   exit 1
 fi
-echo "==> soak passed: kill/restore == batch at every fault rate; daemon bounded, lossless, hostile-aware; syscall chaos byte-identical"
+echo "==> soak passed: every phase that ran matched its reference"

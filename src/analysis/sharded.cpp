@@ -37,9 +37,7 @@ ResourceBudgets divide_budgets(const ResourceBudgets& budgets, std::size_t shard
 
 namespace {
 
-net::FrameView to_view(const net::CapturedPacket& pkt) {
-  return net::FrameView{pkt.ts, pkt.original_length, pkt.data};
-}
+net::FrameView to_view(const net::CapturedPacket& pkt) { return net::as_frame_view(pkt); }
 net::FrameView to_view(const net::FrameView& view) { return view; }
 
 void fold_pressure(ResourcePressure& into, const ResourcePressure& from) {
@@ -171,12 +169,13 @@ ShardedDatasetBuilder::~ShardedDatasetBuilder() {
   group_.reset();
 }
 
-void ShardedDatasetBuilder::add_packet(const net::CapturedPacket& pkt) {
-  std::size_t s = shard_of(pkt.data, lanes_.size());
+void ShardedDatasetBuilder::add_packet(const net::FrameView& frame) {
+  std::size_t s = shard_of(frame.data, lanes_.size());
   ++dispatched_;
-  last_ts_ = pkt.ts;
+  last_ts_ = frame.ts;
   auto& batch = staging_[s];
-  batch.push_back(pkt);
+  batch.push_back(net::CapturedPacket{frame.ts, frame.original_length,
+                                      {frame.data.begin(), frame.data.end()}});
   if (batch.size() >= staging_batch_) {
     push_batch(*lanes_[s], std::move(batch));
     batch = {};

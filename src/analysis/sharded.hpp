@@ -98,8 +98,9 @@ class ShardedDatasetBuilder {
   ShardedDatasetBuilder(const ShardedDatasetBuilder&) = delete;
   ShardedDatasetBuilder& operator=(const ShardedDatasetBuilder&) = delete;
 
-  /// Routes one packet to its lane (copies it into the staging batch).
-  void add_packet(const net::CapturedPacket& pkt);
+  /// Routes one frame to its lane. The lane's staged batch takes a copy,
+  /// the one copy a frame gets on its way to a lane builder.
+  void add_packet(const net::FrameView& frame);
 
   /// Packets dispatched so far — the resume cursor, mirroring
   /// DatasetBuilder::packets_consumed().

@@ -57,8 +57,8 @@ void LiveIngestDaemon::rebuild_engine() {
   analyzer_ = std::make_unique<StreamingAnalyzer>(options_.streaming);
   server_ = std::make_unique<netd::IngestServer>(
       reactor_, options_.server,
-      [this](std::uint64_t, const net::CapturedPacket& pkt) {
-        analyzer_->add_packet(pkt);
+      [this](std::uint64_t, const net::FrameView& frame) {
+        analyzer_->add_packet(frame);
       });
 }
 

@@ -57,22 +57,18 @@ analysis::ResourcePressure StreamingAnalyzer::pressure() {
   return sharded_ ? sharded_->pressure() : single_->pressure();
 }
 
-std::size_t StreamingAnalyzer::deferral_shard(const net::CapturedPacket& pkt) const {
-  return analysis::shard_of(pkt.data, deferred_.size());
-}
-
-void StreamingAnalyzer::ingest(std::size_t shard, const net::CapturedPacket& pkt,
+void StreamingAnalyzer::ingest(std::size_t shard, const net::FrameView& frame,
                                analysis::BandwidthAccumulator* bandwidth) {
   if (sharded_) {
-    sharded_->add_packet(pkt);
+    sharded_->add_packet(frame);
   } else {
-    single_->add_packet(pkt, bandwidth);
+    single_->add_packet(frame.ts, frame.data, bandwidth);
   }
   ++shard_ingested_[shard];
 }
 
-void StreamingAnalyzer::add_packet(const net::CapturedPacket& pkt) {
-  std::size_t shard = deferral_shard(pkt);
+void StreamingAnalyzer::add_packet(const net::FrameView& frame) {
+  std::size_t shard = analysis::shard_of(frame.data, deferred_.size());
   // A non-empty queue keeps deferring even if the hook cleared — per-shard
   // order must survive the stall, and only poll_deferred() drains in order.
   bool defer = !deferred_[shard].empty() ||
@@ -82,13 +78,14 @@ void StreamingAnalyzer::add_packet(const net::CapturedPacket& pkt) {
   // wedged shard recovers. A packet the single builder ingests right now
   // is accounted from the builder's own decode of it; every other packet
   // (deferred, or bound for a shard lane) is decoded here.
-  if (defer || sharded_) bandwidth_.add_packet(pkt);
+  if (defer || sharded_) bandwidth_.add_packet(frame.ts, frame.data);
   if (defer) {
-    deferred_[shard].push_back(pkt);
+    deferred_[shard].push_back(net::CapturedPacket{
+        frame.ts, frame.original_length, {frame.data.begin(), frame.data.end()}});
     ++deferred_total_;
     return;
   }
-  ingest(shard, pkt, sharded_ ? nullptr : &bandwidth_);
+  ingest(shard, frame, sharded_ ? nullptr : &bandwidth_);
   if (options_.checkpoint_every_packets > 0 && !options_.checkpoint_path.empty() &&
       deferred_total_ == 0 &&
       packets_consumed() - last_checkpoint_packets_ >=
@@ -105,7 +102,7 @@ std::size_t StreamingAnalyzer::poll_deferred() {
   for (std::size_t s = 0; s < deferred_.size(); ++s) {
     auto& q = deferred_[s];
     while (!q.empty() && !(options_.stall_hook && options_.stall_hook(s))) {
-      ingest(s, q.front());
+      ingest(s, net::as_frame_view(q.front()));
       q.pop_front();
       --deferred_total_;
       ++drained;
@@ -118,7 +115,7 @@ void StreamingAnalyzer::force_drain_deferred() {
   // Finalize override: whatever the hook says, the report must cover every
   // admitted packet. Per-shard order is all correctness requires.
   for (std::size_t s = 0; s < deferred_.size(); ++s) {
-    for (const auto& pkt : deferred_[s]) ingest(s, pkt);
+    for (const auto& pkt : deferred_[s]) ingest(s, net::as_frame_view(pkt));
     deferred_total_ -= deferred_[s].size();
     deferred_[s].clear();
   }
@@ -141,11 +138,11 @@ StreamingAnalyzer::lane_stats() const {
   return out;
 }
 
-void StreamingAnalyzer::add_packets(std::span<const net::CapturedPacket> packets) {
-  while (!packets.empty()) {
-    std::size_t n = std::min(packets.size(), options_.batch_packets);
-    for (const auto& pkt : packets.first(n)) add_packet(pkt);
-    packets = packets.subspan(n);
+void StreamingAnalyzer::add_packets(std::span<const net::FrameView> frames) {
+  while (!frames.empty()) {
+    std::size_t n = std::min(frames.size(), options_.batch_packets);
+    for (const auto& frame : frames.first(n)) add_packet(frame);
+    frames = frames.subspan(n);
   }
 }
 
@@ -267,9 +264,7 @@ AnalysisReport StreamingAnalyzer::finalize() {
 Result<AnalysisReport> analyze_file_streaming(const std::string& pcap_path,
                                               const StreamingOptions& options) {
   // The capture is mmap'd (read only when unmappable) and records are fed
-  // straight off the mapping; one owning packet is materialized per record
-  // because the deferral queues need ownership, but the whole-file slurp
-  // and its second per-packet copy are gone.
+  // straight off the mapping as views.
   auto mapping = net::PcapMapping::open(pcap_path, nullptr);
   if (!mapping) return mapping.error();
   auto probe = net::PcapCursor::open(mapping->bytes());
@@ -299,14 +294,10 @@ Result<AnalysisReport> analyze_file_streaming(const std::string& pcap_path,
   auto feed = [&](StreamingAnalyzer& an) {
     auto cursor = net::PcapCursor::open(mapping->bytes());
     net::FrameView view;
-    net::CapturedPacket pkt;
     std::uint64_t index = 0;
     while (cursor->next(view)) {
       if (index++ < skip) continue;
-      pkt.ts = view.ts;
-      pkt.original_length = view.original_length;
-      pkt.data.assign(view.data.begin(), view.data.end());
-      an.add_packet(pkt);
+      an.add_packet(view);
     }
   };
 

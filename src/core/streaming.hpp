@@ -60,13 +60,15 @@ class StreamingAnalyzer {
   StreamingAnalyzer(const StreamingAnalyzer&) = delete;
   StreamingAnalyzer& operator=(const StreamingAnalyzer&) = delete;
 
-  /// Ingests one packet; writes a checkpoint when the interval elapses.
+  /// Ingests one frame; writes a checkpoint when the interval elapses.
   /// Checkpoint write failures never interrupt ingestion — they surface as
-  /// a degradation warning in the final report.
-  void add_packet(const net::CapturedPacket& pkt);
+  /// a degradation warning in the final report. The view need only live
+  /// for the call: a frame that must wait (a deferral queue, a shard
+  /// lane's staged batch) is copied once, there.
+  void add_packet(const net::FrameView& frame);
 
   /// Ingests a span in `batch_packets`-sized slices.
-  void add_packets(std::span<const net::CapturedPacket> packets);
+  void add_packets(std::span<const net::FrameView> frames);
 
   /// Packets ingested so far; after try_restore(), the resume cursor.
   std::uint64_t packets_consumed() const;
@@ -132,11 +134,10 @@ class StreamingAnalyzer {
   /// and report_snapshot() so the two cannot drift apart.
   AnalysisReport with_pressure(AnalysisReport report,
                                const analysis::ResourcePressure& pressure) const;
-  std::size_t deferral_shard(const net::CapturedPacket& pkt) const;
-  /// Hands `pkt` to the engine. `bandwidth` is fed from the single
+  /// Hands `frame` to the engine. `bandwidth` is fed from the single
   /// builder's decode; deferred and sharded packets pass null, because
   /// they were accounted at admission.
-  void ingest(std::size_t shard, const net::CapturedPacket& pkt,
+  void ingest(std::size_t shard, const net::FrameView& frame,
               analysis::BandwidthAccumulator* bandwidth = nullptr);
   void force_drain_deferred();
 

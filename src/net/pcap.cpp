@@ -49,11 +49,11 @@ Status PcapWriter::close() {
   return Status::Ok();
 }
 
-std::vector<FrameView> as_frame_views(const std::vector<CapturedPacket>& packets) {
+std::vector<FrameView> as_frame_views(std::span<const CapturedPacket> packets) {
   std::vector<FrameView> views;
   views.reserve(packets.size());
   for (const auto& pkt : packets) {
-    views.push_back(FrameView{pkt.ts, pkt.original_length, pkt.data});
+    views.push_back(as_frame_view(pkt));
   }
   return views;
 }

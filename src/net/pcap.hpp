@@ -40,8 +40,13 @@ struct FrameView {
   std::span<const std::uint8_t> data;
 };
 
+/// Borrows an owning packet as a view (a span into its buffer).
+inline FrameView as_frame_view(const CapturedPacket& pkt) {
+  return FrameView{pkt.ts, pkt.original_length, pkt.data};
+}
+
 /// Borrows owning packets as views (spans into each packet's buffer).
-std::vector<FrameView> as_frame_views(const std::vector<CapturedPacket>& packets);
+std::vector<FrameView> as_frame_views(std::span<const CapturedPacket> packets);
 
 /// Forward cursor over pcap bytes yielding FrameViews without copying a
 /// single payload byte. Parses the global header at open; next() walks

@@ -210,31 +210,35 @@ bool Reactor::run_once(int max_wait_ms) {
   const int timeout_ms = timeout_for(max_wait_ms);
   // Ready set snapshot: (fd, events) pairs in ascending fd order, so both
   // backends dispatch identically and callbacks may mutate the registry.
+  // The buffer is the member's, taken for the turn and handed back after
+  // it, so a steady-state turn allocates nothing.
   std::vector<std::pair<int, std::uint32_t>> ready;
+  ready.swap(ready_);
+  ready.clear();
 
 #if UNCHARTED_NETD_HAVE_EPOLL
   if (backend_ == Backend::kEpoll) {
-    std::vector<struct epoll_event> events(std::max<std::size_t>(fds_.size() + 1, 64));
-    int n = sys_.epoll_wait(epoll_fd_, events.data(),
-                            static_cast<int>(events.size()), timeout_ms);
+    const std::size_t want = std::max<std::size_t>(fds_.size() + 1, 64);
+    if (epoll_events_.size() < want) epoll_events_.resize(want);
+    int n = sys_.epoll_wait(epoll_fd_, epoll_events_.data(),
+                            static_cast<int>(epoll_events_.size()), timeout_ms);
     for (int i = 0; i < n; ++i) {
-      const int fd = events[static_cast<std::size_t>(i)].data.fd;
-      ready.emplace_back(fd, from_epoll(events[static_cast<std::size_t>(i)].events));
+      const struct epoll_event& ev = epoll_events_[static_cast<std::size_t>(i)];
+      ready.emplace_back(ev.data.fd, from_epoll(ev.events));
     }
     std::sort(ready.begin(), ready.end());
   }
 #endif
   if (backend_ == Backend::kPoll) {
-    std::vector<struct pollfd> pfds;
-    pfds.reserve(fds_.size() + 1);
-    if (wake_read_ >= 0) pfds.push_back(pollfd{wake_read_, POLLIN, 0});
+    poll_fds_.clear();
+    if (wake_read_ >= 0) poll_fds_.push_back(pollfd{wake_read_, POLLIN, 0});
     for (const auto& [fd, entry] : fds_) {
-      pfds.push_back(pollfd{fd, to_poll(entry.interest), 0});
+      poll_fds_.push_back(pollfd{fd, to_poll(entry.interest), 0});
     }
-    int n = sys_.poll_wait(pfds.data(), static_cast<nfds_t>(pfds.size()),
+    int n = sys_.poll_wait(poll_fds_.data(), static_cast<nfds_t>(poll_fds_.size()),
                            timeout_ms);
     if (n > 0) {
-      for (const auto& p : pfds) {
+      for (const auto& p : poll_fds_) {
         if (p.revents != 0) ready.emplace_back(p.fd, from_poll(p.revents));
       }
       std::sort(ready.begin(), ready.end());
@@ -263,6 +267,7 @@ bool Reactor::run_once(int max_wait_ms) {
     cb(masked);
     ran = true;
   }
+  ready_.swap(ready);
   fire_due_timers();
   return ran;
 }

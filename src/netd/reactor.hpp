@@ -25,9 +25,15 @@
 #include <functional>
 #include <map>
 #include <utility>
+#include <vector>
 
 #include "faultinject/sysfault.hpp"
 #include "util/expected.hpp"
+
+// The backends' wait arrays; complete only in reactor.cpp, the one place
+// that touches them.
+struct epoll_event;
+struct pollfd;
 
 namespace uncharted::netd {
 
@@ -85,7 +91,9 @@ class Reactor {
 
   /// One poll iteration: waits at most `max_wait_ms` (less if a timer is
   /// due sooner), dispatches ready fds in ascending fd order, then fires
-  /// due timers in deadline order. Returns true if any callback ran.
+  /// due timers in deadline order. Returns true if any callback ran. A
+  /// turn reuses the reactor's wait and ready-list buffers, so it
+  /// allocates nothing once they have grown to the fd count.
   bool run_once(int max_wait_ms);
 
   /// Loops run_once until stop(). `stop()` is safe from any callback.
@@ -121,6 +129,11 @@ class Reactor {
   std::map<std::pair<MonoTime, std::uint64_t>, TimerCallback> timers_;
   std::uint64_t next_timer_id_ = 1;
   TimerCallback wakeup_cb_;
+  /// run_once's buffers, kept across turns. A nested run_once (from a
+  /// callback) finds ready_ empty and uses a buffer of its own.
+  std::vector<::epoll_event> epoll_events_;
+  std::vector<::pollfd> poll_fds_;
+  std::vector<std::pair<int, std::uint32_t>> ready_;
 };
 
 }  // namespace uncharted::netd

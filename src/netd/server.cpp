@@ -18,8 +18,14 @@ namespace {
 /// Durable-cursor section magic inside the daemon's composed checkpoint.
 constexpr std::uint32_t kCursorMagic = 0x4E544443;  // "NTDC"
 
-/// Accounting overhead per queued frame (deque node + vector header).
+/// Accounting charge per queued frame on top of its payload. The budgets,
+/// pause points and shedding thresholds are tuned in these units, so it
+/// stays fixed whatever a queue entry actually costs.
 constexpr std::size_t kPerFrameOverhead = 64;
+/// A drained queue keeps buffers up to this size for its next frames, so a
+/// stream that drains after every read allocates nothing; larger buffers
+/// go back to the allocator.
+constexpr std::size_t kRetainQueueBytes = 64 * 1024;
 
 constexpr int kListenBacklog = 4096;
 constexpr std::size_t kReadChunk = 64 * 1024;
@@ -33,11 +39,128 @@ std::string describe_peer(const sockaddr_in& addr) {
   return std::string(buf) + ":" + std::to_string(ntohs(addr.sin_port));
 }
 
-std::size_t frame_cost(const net::CapturedPacket& pkt) {
-  return pkt.data.size() + kPerFrameOverhead;
+std::size_t frame_cost(std::size_t payload_bytes) {
+  return payload_bytes + kPerFrameOverhead;
+}
+
+template <typename T>
+void give_back(std::vector<T>& v) {
+  std::vector<T>().swap(v);
 }
 
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// Stream queue and merge heaps
+// ---------------------------------------------------------------------------
+
+net::FrameView IngestServer::FrameQueue::front() const {
+  const QueuedFrame& f = entries_[head_];
+  return net::FrameView{
+      f.ts, f.original_length,
+      std::span<const std::uint8_t>(bytes_.data() + (f.offset - base_), f.len)};
+}
+
+void IngestServer::FrameQueue::push(Timestamp ts, std::uint32_t original_length,
+                                    std::span<const std::uint8_t> payload) {
+  entries_.push_back(QueuedFrame{ts, original_length,
+                                 static_cast<std::uint32_t>(payload.size()),
+                                 base_ + bytes_.size()});
+  bytes_.insert(bytes_.end(), payload.begin(), payload.end());
+}
+
+void IngestServer::FrameQueue::reclaim() {
+  if (empty()) {
+    entries_.clear();
+    bytes_.clear();
+    head_ = 0;
+    base_ = 0;
+    if (bytes_.capacity() > kRetainQueueBytes) give_back(bytes_);
+    if (entries_.capacity() * sizeof(QueuedFrame) > kRetainQueueBytes) {
+      give_back(entries_);
+    }
+    return;
+  }
+  const std::size_t consumed = entries_[head_].offset - base_;
+  if (consumed * 2 > bytes_.size()) {
+    bytes_.erase(bytes_.begin(),
+                 bytes_.begin() + static_cast<std::ptrdiff_t>(consumed));
+    base_ += consumed;
+  }
+  if (head_ * 2 > entries_.size()) {
+    entries_.erase(entries_.begin(),
+                   entries_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+}
+
+void IngestServer::FrameQueue::release() {
+  give_back(entries_);
+  give_back(bytes_);
+  head_ = 0;
+  base_ = 0;
+}
+
+template <IngestServer::Key IngestServer::Stream::*KeyOf,
+          std::size_t IngestServer::Stream::*SlotOf>
+void IngestServer::StreamHeap<KeyOf, SlotOf>::set(Stream& s, const Key& key) {
+  s.*KeyOf = key;
+  if (s.*SlotOf == kNoSlot) {
+    s.*SlotOf = heap_.size();
+    heap_.push_back(&s);
+  }
+  sift_down(sift_up(s.*SlotOf));
+}
+
+template <IngestServer::Key IngestServer::Stream::*KeyOf,
+          std::size_t IngestServer::Stream::*SlotOf>
+void IngestServer::StreamHeap<KeyOf, SlotOf>::erase(Stream& s) {
+  const std::size_t i = s.*SlotOf;
+  if (i == kNoSlot) return;
+  s.*SlotOf = kNoSlot;
+  Stream* last = heap_.back();
+  heap_.pop_back();
+  if (i == heap_.size()) return;  // `s` was the last slot
+  place(i, last);
+  sift_down(sift_up(i));
+}
+
+template <IngestServer::Key IngestServer::Stream::*KeyOf,
+          std::size_t IngestServer::Stream::*SlotOf>
+void IngestServer::StreamHeap<KeyOf, SlotOf>::place(std::size_t i, Stream* s) {
+  heap_[i] = s;
+  s->*SlotOf = i;
+}
+
+template <IngestServer::Key IngestServer::Stream::*KeyOf,
+          std::size_t IngestServer::Stream::*SlotOf>
+std::size_t IngestServer::StreamHeap<KeyOf, SlotOf>::sift_up(std::size_t i) {
+  Stream* s = heap_[i];
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!(s->*KeyOf < heap_[parent]->*KeyOf)) break;
+    place(i, heap_[parent]);
+    i = parent;
+  }
+  place(i, s);
+  return i;
+}
+
+template <IngestServer::Key IngestServer::Stream::*KeyOf,
+          std::size_t IngestServer::Stream::*SlotOf>
+void IngestServer::StreamHeap<KeyOf, SlotOf>::sift_down(std::size_t i) {
+  Stream* s = heap_[i];
+  const std::size_t n = heap_.size();
+  for (;;) {
+    std::size_t child = 2 * i + 1;
+    if (child >= n) break;
+    if (child + 1 < n && heap_[child + 1]->*KeyOf < heap_[child]->*KeyOf) ++child;
+    if (!(heap_[child]->*KeyOf < s->*KeyOf)) break;
+    place(i, heap_[child]);
+    i = child;
+  }
+  place(i, s);
+}
 
 IngestServer::IngestServer(Reactor& reactor, ServerConfig config, FrameSink sink)
     : reactor_(reactor),
@@ -158,24 +281,21 @@ bool IngestServer::release_gate_open() const {
 
 std::uint64_t IngestServer::condemn_watermark_laggard(const std::string& reason) {
   if (!release_gate_open() || bounds_.empty() || heads_.empty()) return 0;
-  const std::uint64_t id = std::get<1>(*bounds_.begin());
-  auto it = streams_.find(id);
-  if (it == streams_.end() || it->second.finished) return 0;
+  Stream& s = bounds_.top();
+  const std::uint64_t id = s.id;
+  if (s.finished) return 0;
   // A gating stream that still has frames queued is about to release them
   // on its own; only an empty-handed laggard can wedge the merge.
-  if (!it->second.q.empty()) return 0;
-  if (it->second.conn_fd >= 0) {
-    evict(it->second.conn_fd, iec104::Severity::kWarn, reason);
-  }
+  if (!s.q.empty()) return 0;
+  if (s.conn_fd >= 0) evict(s.conn_fd, iec104::Severity::kWarn, reason);
   // Condemn the stream as finished (the same shape as hostile eviction):
   // its bound clears, it still counts toward the expect_streams gate, and
   // a later re-register is answered kFinished. Frames it never sent are
   // lost to the report — which is why this is a ladder action recorded in
   // the degradation ledger, never routine housekeeping.
-  auto sit = streams_.find(id);
-  if (sit == streams_.end() || sit->second.finished) return 0;
-  sit->second.fin_seen = false;
-  finish_stream(sit->second);
+  if (s.finished) return 0;
+  s.fin_seen = false;
+  finish_stream(s);
   pump();
   return id;
 }
@@ -242,10 +362,8 @@ void IngestServer::accept_loop(int listener_fd, bool unix_peer) {
       // expected stream has said hello, which needs a free slot.
       int drained_fd = -1;
       for (const auto& [cfd, c] : conns_) {
-        if (!c.got_hello || c.is_query) continue;
-        auto sit = streams_.find(c.stream_id);
-        if (sit == streams_.end()) continue;
-        if (sit->second.fin_seen && sit->second.recv_seq == sit->second.fin_total) {
+        if (!c.got_hello || c.is_query || c.stream == nullptr) continue;
+        if (c.stream->fin_seen && c.stream->recv_seq == c.stream->fin_total) {
           drained_fd = cfd;
           break;
         }
@@ -324,6 +442,10 @@ void IngestServer::read_conn(Conn& conn) {
       conn.in.insert(conn.in.end(), buf, buf + r.bytes);
       total += r.bytes;
       stats_.bytes_received += r.bytes;
+      // A short read emptied the socket. Polling is level-triggered, so
+      // whatever arrives next (bytes or EOF) fires again; another recv now
+      // would only return EAGAIN.
+      if (r.bytes < sizeof buf) break;
       continue;
     }
     if (r.status == faultinject::IoStatus::kWouldBlock) break;
@@ -332,12 +454,16 @@ void IngestServer::read_conn(Conn& conn) {
   }
   if (total > 0) {
     conn.last_byte = MonoClock::now();
-    if (!parse_conn(conn)) return;  // evicted; conn is gone
+    if (!parse_conn(conn)) {
+      // Evicted or finished; conn is gone. Its stream's bound may have
+      // been what held the other streams' frames back.
+      pump();
+      return;
+    }
     // Per-connection backpressure: a stream buffered too far past the
     // watermark stops being read until the release loop catches up.
-    auto sit = streams_.find(conn.stream_id);
-    if (conn.got_hello && !conn.is_query && sit != streams_.end() &&
-        sit->second.q_bytes > config_.per_conn_buffered_bytes && !conn.paused) {
+    if (conn.stream != nullptr &&
+        conn.stream->q_bytes > config_.per_conn_buffered_bytes && !conn.paused) {
       conn.paused = true;
       stats_.paused_reads++;
       (void)reactor_.set_interest(fd, conn.out.size() > conn.out_off ? kEventWrite : 0);
@@ -349,6 +475,8 @@ void IngestServer::read_conn(Conn& conn) {
 }
 
 bool IngestServer::parse_conn(Conn& conn) {
+  // Stamped once for the batch: the messages of one batch arrive together.
+  bool parsed = false;
   while (true) {
     const std::size_t avail = conn.in.size() - conn.in_off;
     const std::span<const std::uint8_t> view(conn.in.data() + conn.in_off, avail);
@@ -363,7 +491,7 @@ bool IngestServer::parse_conn(Conn& conn) {
       }
       conn.in_off += wire::kHelloSize;
       conn.got_hello = true;
-      conn.last_message = MonoClock::now();
+      parsed = true;
       if (!handle_hello(conn, hello.value())) return false;
       continue;
     }
@@ -386,14 +514,13 @@ bool IngestServer::parse_conn(Conn& conn) {
         return false;
       }
       conn.in_off += need;
-      conn.last_message = MonoClock::now();
+      parsed = true;
       // Backpressure must engage mid-batch: one read batch can carry far
       // more than the per-connection budget, and letting it all queue
       // would blow the global budget before pump() ever saw it. Leave the
       // remainder unparsed in conn.in; update_pauses() resumes it.
-      auto sit = streams_.find(conn.stream_id);
-      if (!conn.paused && sit != streams_.end() &&
-          sit->second.q_bytes > config_.per_conn_buffered_bytes) {
+      if (!conn.paused && conn.stream != nullptr &&
+          conn.stream->q_bytes > config_.per_conn_buffered_bytes) {
         conn.paused = true;
         stats_.paused_reads++;
         (void)reactor_.set_interest(
@@ -412,7 +539,7 @@ bool IngestServer::parse_conn(Conn& conn) {
       }
       if (!handle_progress(conn, ts.value())) return false;
       conn.in_off += wire::kProgressSize;
-      conn.last_message = MonoClock::now();
+      parsed = true;
       continue;
     }
     if (marker == wire::Marker::kFin) {
@@ -424,7 +551,7 @@ bool IngestServer::parse_conn(Conn& conn) {
         return false;
       }
       conn.in_off += wire::kFinSize;
-      conn.last_message = MonoClock::now();
+      parsed = true;
       if (!handle_fin(conn, total.value())) return false;
       continue;
     }
@@ -432,6 +559,7 @@ bool IngestServer::parse_conn(Conn& conn) {
           "unknown marker " + std::to_string(view[0]));
     return false;
   }
+  if (parsed) conn.last_message = MonoClock::now();
   // A peer accumulating bytes without ever completing a message is abusing
   // the framing (the slow-loris tick handles the time axis). A paused
   // connection is exempt: its backlog is well-framed, just deferred.
@@ -499,8 +627,9 @@ bool IngestServer::handle_hello(Conn& conn, const wire::Hello& hello) {
   // below it are timestamp regressions, not legitimate replays.
   s.last_recv_ts = std::max(s.last_recv_ts, s.released_ts);
   s.fin_seen = false;
-  set_stream_bound(s, Key{s.last_recv_ts, s.id, s.cursor});
+  bounds_.set(s, Key{s.last_recv_ts, s.id, s.cursor});
   conn.stream_id = s.id;
+  conn.stream = &s;
   if (s.cursor > 0) stats_.resumed_hellos++;
 
   ByteWriter w;
@@ -511,12 +640,11 @@ bool IngestServer::handle_hello(Conn& conn, const wire::Hello& hello) {
 }
 
 IngestServer::Stream* IngestServer::open_stream(Conn& conn, const char* what) {
-  auto it = streams_.find(conn.stream_id);
-  if (it == streams_.end()) {
+  if (conn.stream == nullptr) {
     evict(conn.fd, iec104::Severity::kHostile, std::string(what) + " without stream");
     return nullptr;
   }
-  Stream& s = it->second;
+  Stream& s = *conn.stream;
   if (s.fin_seen || s.finished) {
     // Fin closes the stream's message sequence. Anything after it would
     // push recv_seq past fin_total (so release_front never finishes the
@@ -539,23 +667,18 @@ bool IngestServer::handle_record(Conn& conn, const wire::RecordHeader& rec,
     evict(conn.fd, iec104::Severity::kHostile, "timestamp regression");
     return false;
   }
-  net::CapturedPacket pkt;
-  pkt.ts = rec.ts;
-  pkt.original_length = rec.original_length;
-  pkt.data.assign(payload.begin(), payload.end());
-
-  const std::size_t cost = frame_cost(pkt);
-  if (s.q.empty()) {
-    heads_.emplace(Key{pkt.ts, s.id, s.cursor}, s.id);
-  }
-  s.q.push_back(std::move(pkt));
+  const std::size_t cost = frame_cost(payload.size());
+  // An empty queue means every received frame was released: the new
+  // frame's seq is the cursor.
+  if (s.q.empty()) heads_.set(s, Key{rec.ts, s.id, s.cursor});
+  s.q.push(rec.ts, rec.original_length, payload);
   s.q_bytes += cost;
   stats_.queued_bytes += cost;
   stats_.peak_queued_bytes = std::max(stats_.peak_queued_bytes, stats_.queued_bytes);
   stats_.frames_received++;
   s.last_recv_ts = rec.ts;
   s.recv_seq++;
-  set_stream_bound(s, Key{s.last_recv_ts, s.id, s.recv_seq});
+  bounds_.set(s, Key{s.last_recv_ts, s.id, s.recv_seq});
   return true;
 }
 
@@ -571,7 +694,7 @@ bool IngestServer::handle_progress(Conn& conn, Timestamp ts) {
   // (>= ts, id, >= recv_seq), so frames of other streams below it release
   // while this one is silent.
   s.last_recv_ts = ts;
-  set_stream_bound(s, Key{ts, s.id, s.recv_seq});
+  bounds_.set(s, Key{ts, s.id, s.recv_seq});
   return true;
 }
 
@@ -629,18 +752,14 @@ void IngestServer::flush_conn(Conn& conn) {
 void IngestServer::close_conn(int fd) {
   auto it = conns_.find(fd);
   if (it == conns_.end()) return;
-  const std::uint64_t stream_id = it->second.stream_id;
-  const bool had_hello = it->second.got_hello && !it->second.is_query;
+  Stream* s = it->second.stream;
   reactor_.remove_fd(fd);
   ::close(fd);
   conns_.erase(it);
   stats_.connections = conns_.size();
-  if (had_hello) {
-    auto sit = streams_.find(stream_id);
-    if (sit != streams_.end() && sit->second.conn_fd == fd) {
-      sit->second.conn_fd = -1;
-      if (!sit->second.finished) detach_stream(sit->second);
-    }
+  if (s != nullptr && s->conn_fd == fd) {
+    s->conn_fd = -1;
+    if (!s->finished) detach_stream(*s);
   }
 }
 
@@ -648,8 +767,7 @@ void IngestServer::evict(int fd, iec104::Severity severity,
                          const std::string& reason) {
   auto it = conns_.find(fd);
   if (it == conns_.end()) return;
-  const bool had_stream = it->second.got_hello && !it->second.is_query;
-  const std::uint64_t stream_id = it->second.stream_id;
+  Stream* s = it->second.stream;
   evictions_.push_back(
       EvictionRecord{it->second.is_query ? 0 : it->second.stream_id,
                      it->second.remote, severity, reason});
@@ -659,7 +777,7 @@ void IngestServer::evict(int fd, iec104::Severity severity,
     stats_.evicted_warn++;
   }
   close_conn(fd);
-  if (severity == iec104::Severity::kHostile && had_stream) {
+  if (severity == iec104::Severity::kHostile && s != nullptr) {
     // A hostile peer never comes back to make progress, so its rewound
     // bound would gate the watermark merge forever. Condemn the stream as
     // finished: its bound is cleared, it still counts toward the
@@ -668,10 +786,9 @@ void IngestServer::evict(int fd, iec104::Severity severity,
     // stay released in deterministic order, everything still queued was
     // discarded by close_conn, and a re-register under the same id is
     // answered with a kFinished ack.
-    auto sit = streams_.find(stream_id);
-    if (sit != streams_.end() && !sit->second.finished) {
-      sit->second.fin_seen = false;
-      finish_stream(sit->second);
+    if (!s->finished) {
+      s->fin_seen = false;
+      finish_stream(*s);
     }
   }
 }
@@ -679,23 +796,6 @@ void IngestServer::evict(int fd, iec104::Severity severity,
 // ---------------------------------------------------------------------------
 // Watermark release, shedding, forced release
 // ---------------------------------------------------------------------------
-
-void IngestServer::set_stream_bound(Stream& s, Key key) {
-  if (s.bound_set) {
-    auto it = bounds_.find(s.bound);
-    if (it != bounds_.end()) bounds_.erase(it);
-  }
-  s.bound = key;
-  s.bound_set = true;
-  bounds_.insert(key);
-}
-
-void IngestServer::clear_stream_bound(Stream& s) {
-  if (!s.bound_set) return;
-  auto it = bounds_.find(s.bound);
-  if (it != bounds_.end()) bounds_.erase(it);
-  s.bound_set = false;
-}
 
 void IngestServer::detach_stream(Stream& s) {
   // The resume floor: the client re-sends from the cursor, and the frame
@@ -708,38 +808,45 @@ void IngestServer::detach_stream(Stream& s) {
   // stream ever promised, so the promise stays the floor.
   Timestamp resume_ts = std::max(s.released_ts, s.last_recv_ts);
   if (!s.q.empty()) {
-    resume_ts = s.q.front().ts;
-    heads_.erase(Key{s.q.front().ts, s.id, s.cursor});
+    resume_ts = s.q.front_ts();
+    heads_.erase(s);
     stats_.queued_bytes -= s.q_bytes;
-    s.q.clear();
     s.q_bytes = 0;
   }
+  s.q.release();
   s.recv_seq = s.cursor;
   s.last_recv_ts = resume_ts;
   s.fin_seen = false;
-  set_stream_bound(s, Key{resume_ts, s.id, s.cursor});
+  bounds_.set(s, Key{resume_ts, s.id, s.cursor});
 }
 
 void IngestServer::release_front(Stream& s) {
-  heads_.erase(Key{s.q.front().ts, s.id, s.cursor});
-  net::CapturedPacket pkt = std::move(s.q.front());
-  s.q.pop_front();
-  const std::size_t cost = frame_cost(pkt);
+  // The view stays valid through the sink: pop() leaves the bytes in
+  // place until reclaim().
+  const net::FrameView frame = s.q.front();
+  s.q.pop();
+  const std::size_t cost = frame_cost(frame.data.size());
   s.q_bytes -= cost;
   stats_.queued_bytes -= cost;
   s.cursor++;
-  s.released_ts = pkt.ts;
+  s.released_ts = frame.ts;
   stats_.frames_released++;
-  if (!s.q.empty()) heads_.emplace(Key{s.q.front().ts, s.id, s.cursor}, s.id);
+  if (s.q.empty()) {
+    heads_.erase(s);
+  } else {
+    heads_.set(s, Key{s.q.front_ts(), s.id, s.cursor});
+  }
   // Sink runs synchronously: when it checkpoints, save_cursors() already
   // counts this frame, matching the analyzer state exactly.
-  if (sink_) sink_(s.id, pkt);
+  if (sink_) sink_(s.id, frame);
+  s.q.reclaim();
   if (s.fin_seen && s.cursor == s.fin_total && s.q.empty()) finish_stream(s);
 }
 
 void IngestServer::finish_stream(Stream& s) {
   s.finished = true;
-  clear_stream_bound(s);
+  bounds_.erase(s);
+  s.q.release();
   stats_.streams_finished++;
   if (s.conn_fd >= 0) {
     auto it = conns_.find(s.conn_fd);
@@ -757,14 +864,9 @@ void IngestServer::pump() {
       config_.expect_streams > 0 && streams_.size() < config_.expect_streams;
   if (!gated) {
     while (!heads_.empty()) {
-      auto head = heads_.begin();
-      if (!bounds_.empty() && !(head->first < *bounds_.begin())) break;
-      auto sit = streams_.find(head->second);
-      if (sit == streams_.end()) {  // should not happen; drop the orphan
-        heads_.erase(head);
-        continue;
-      }
-      release_front(sit->second);
+      Stream& s = heads_.top();
+      if (!bounds_.empty() && !(s.head < bounds_.top().bound)) break;
+      release_front(s);
     }
   }
   const std::size_t budget = effective_budget();
@@ -805,14 +907,8 @@ void IngestServer::force_release(std::size_t target_bytes) {
   // deterministic merge to sampling — counted, and surfaced as a
   // degradation warning by the daemon — but the process stays bounded.
   while (stats_.queued_bytes > target_bytes && !heads_.empty()) {
-    auto head = heads_.begin();
-    auto sit = streams_.find(head->second);
-    if (sit == streams_.end()) {
-      heads_.erase(head);
-      continue;
-    }
     stats_.forced_releases++;
-    release_front(sit->second);
+    release_front(heads_.top());
   }
 }
 
@@ -822,9 +918,7 @@ void IngestServer::update_pauses() {
   std::vector<int> resumable;
   for (auto& [fd, conn] : conns_) {
     if (!conn.paused) continue;
-    auto sit = streams_.find(conn.stream_id);
-    const std::size_t q_bytes =
-        sit == streams_.end() ? 0 : sit->second.q_bytes;
+    const std::size_t q_bytes = conn.stream == nullptr ? 0 : conn.stream->q_bytes;
     if (q_bytes <= config_.per_conn_buffered_bytes / 2) resumable.push_back(fd);
   }
   for (int fd : resumable) {
@@ -937,8 +1031,8 @@ Status IngestServer::load_cursors(ByteReader& r) {
     if (it->second.finished) {
       stats_.streams_finished++;
     } else {
-      set_stream_bound(it->second,
-                       Key{it->second.released_ts, it->second.id, it->second.cursor});
+      bounds_.set(it->second,
+                  Key{it->second.released_ts, it->second.id, it->second.cursor});
     }
   }
   return Status::Ok();

@@ -38,13 +38,19 @@
 // interleaving, reconnect churn, and daemon crash/restore. That is the
 // property the kill/restore soak's byte-identical-report acceptance test
 // rests on.
+//
+// The merge costs no heap allocation per frame. A stream queues its
+// frames as bytes: a FIFO of {ts, original_length, len, offset} entries
+// over one byte buffer. The smallest bound and the smallest queue head
+// are the tops of two indexed min-heaps over the streams, and each
+// stream knows its slot in both, so a key change re-sifts in place. The
+// sink receives a net::FrameView into the stream's buffer.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
-#include <set>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -145,9 +151,11 @@ struct ServerStats {
 
 class IngestServer {
  public:
-  /// Frames released in deterministic global order land here.
+  /// Frames released in deterministic global order land here. The view
+  /// points into the stream's queue buffer and is valid only until the
+  /// sink returns: a sink that keeps a frame copies it.
   using FrameSink =
-      std::function<void(std::uint64_t stream_id, const net::CapturedPacket&)>;
+      std::function<void(std::uint64_t stream_id, const net::FrameView&)>;
   /// Produces the current report JSON for a query connection. Also used
   /// for kHealth hellos via set_health_handler.
   using QueryHandler = std::function<std::string()>;
@@ -214,6 +222,43 @@ class IngestServer {
  private:
   /// (capture_ts, stream_id, seq): the deterministic global frame order.
   using Key = std::tuple<Timestamp, std::uint64_t, std::uint64_t>;
+  /// Heap slot of a stream that is not in that heap.
+  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+
+  /// One received, unreleased frame. `offset` is the position of its
+  /// payload in the stream's byte sequence since the queue last emptied.
+  struct QueuedFrame {
+    Timestamp ts = 0;
+    std::uint32_t original_length = 0;
+    std::uint32_t len = 0;
+    std::size_t offset = 0;
+  };
+
+  /// A stream's received, unreleased frames: a FIFO of entries over one
+  /// byte buffer. pop() only advances the head, so a view of the popped
+  /// frame stays valid until reclaim(), which compacts the buffer once its
+  /// consumed prefix passes half of it and resets it when the queue
+  /// empties.
+  class FrameQueue {
+   public:
+    bool empty() const { return head_ == entries_.size(); }
+    Timestamp front_ts() const { return entries_[head_].ts; }
+    net::FrameView front() const;
+    void push(Timestamp ts, std::uint32_t original_length,
+              std::span<const std::uint8_t> payload);
+    void pop() { ++head_; }
+    void reclaim();
+    /// Drops every frame and gives the buffers' memory back.
+    void release();
+
+   private:
+    std::vector<QueuedFrame> entries_;
+    std::size_t head_ = 0;
+    std::vector<std::uint8_t> bytes_;
+    std::size_t base_ = 0;  ///< byte-sequence position of bytes_[0]
+  };
+
+  struct Stream;
 
   struct Conn {
     int fd = -1;
@@ -228,6 +273,9 @@ class IngestServer {
     bool close_after_flush = false;
     bool paused = false;
     std::uint64_t stream_id = 0;
+    /// The stream this connection feeds, set by an accepted data hello.
+    /// streams_ never erases and map nodes are stable, so it stays valid.
+    Stream* stream = nullptr;
     MonoTime last_byte{};
     MonoTime last_message{};
   };
@@ -242,12 +290,39 @@ class IngestServer {
     int conn_fd = -1;            ///< -1 while disconnected
     std::uint64_t recv_seq = 0;  ///< seq of the next frame to arrive
     Timestamp last_recv_ts = 0;  ///< last record's ts, or a later promise
-    std::deque<net::CapturedPacket> q;  ///< received, unreleased
+    FrameQueue q;                ///< received, unreleased
     std::size_t q_bytes = 0;
     bool fin_seen = false;
     std::uint64_t fin_total = 0;
-    Key bound{};                 ///< current entry in bounds_
-    bool bound_set = false;
+    Key bound{};                 ///< key in bounds_ while registered and unfinished
+    Key head{};                  ///< key of q's front frame, in heads_ while q is nonempty
+    std::size_t bound_slot = kNoSlot;
+    std::size_t head_slot = kNoSlot;
+  };
+
+  /// Indexed binary min-heap over streams, ordered by the key `KeyOf`.
+  /// Each stream stores its position in `SlotOf`, so re-keying a stream
+  /// sifts it in place and erasing it needs no search. Keys of different
+  /// streams never tie (the stream id is part of the key), so the top is
+  /// the same stream an ordered set would put first.
+  template <Key Stream::*KeyOf, std::size_t Stream::*SlotOf>
+  class StreamHeap {
+   public:
+    bool empty() const { return heap_.empty(); }
+    Stream& top() const { return *heap_.front(); }
+    /// Inserts `s` with `key`, or re-keys it in place. A key may move
+    /// either way, so the stream sifts up and then down.
+    void set(Stream& s, const Key& key);
+    void erase(Stream& s);
+
+   private:
+    void place(std::size_t i, Stream* s);
+    /// Moves heap_[i] toward the root past every larger parent; returns
+    /// where it settled.
+    std::size_t sift_up(std::size_t i);
+    void sift_down(std::size_t i);
+
+    std::vector<Stream*> heap_;
   };
 
   void on_listener_ready();
@@ -271,8 +346,6 @@ class IngestServer {
   void close_conn(int fd);
   void evict(int fd, iec104::Severity severity, const std::string& reason);
 
-  void set_stream_bound(Stream& s, Key key);
-  void clear_stream_bound(Stream& s);
   /// Detaches a live connection from its stream: drops buffered frames
   /// and rewinds the bound to the release cursor.
   void detach_stream(Stream& s);
@@ -308,9 +381,9 @@ class IngestServer {
   std::map<int, Conn> conns_;
   std::map<std::uint64_t, Stream> streams_;
   /// Lower bounds of all registered, unfinished streams.
-  std::multiset<Key> bounds_;
+  StreamHeap<&Stream::bound, &Stream::bound_slot> bounds_;
   /// Head (smallest) key of every stream with a nonempty queue.
-  std::map<Key, std::uint64_t> heads_;
+  StreamHeap<&Stream::head, &Stream::head_slot> heads_;
 
   int pressure_level_ = 0;
   ServerStats stats_;

@@ -171,16 +171,16 @@ TEST(HostilePeer, ConformanceReportSurvivesCheckpointRestore) {
   const std::size_t cut = packets.size() / 2;
   {
     core::StreamingAnalyzer first(options);
-    first.add_packets({packets.data(), cut});
+    first.add_packets(net::as_frame_views({packets.data(), cut}));
     ASSERT_TRUE(first.checkpoint_now().ok());
   }
   core::StreamingAnalyzer second(options);
   ASSERT_TRUE(second.try_restore());
-  second.add_packets({packets.data() + cut, packets.size() - cut});
+  second.add_packets(net::as_frame_views({packets.data() + cut, packets.size() - cut}));
   auto restored = second.finalize();
 
   core::StreamingAnalyzer straight(options);
-  straight.add_packets(packets);
+  straight.add_packets(net::as_frame_views(packets));
   auto batch = straight.finalize();
 
   const auto& got = restored.conformance;

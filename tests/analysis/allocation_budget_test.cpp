@@ -1,13 +1,20 @@
 // Allocation-budget regression gate (DESIGN.md §15): the zero-copy ingest
 // hot path — mmap'd frame views through decode, flow tracking, in-order
 // reassembly and APDU parse into arena-backed records — must stay
-// allocation-light, and a live query must not copy the records it reads. This binary replaces global operator new with a
-// counting shim and pins an upper bound on heap allocations per 10k
-// in-order packets. A copy sneaking back into the hot path (payload
+// allocation-light, a live query must not copy the records it reads, and
+// the live daemon's merge must not allocate per frame between recv and
+// the sink. This binary replaces global operator new with a counting shim
+// and pins an upper bound on heap allocations per 10k in-order packets. A copy sneaking back into the hot path (payload
 // vectors, per-packet buffers, per-record heap nodes) shows up here as a
 // per-packet allocation rate long before it shows up on a benchmark host.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -15,6 +22,9 @@
 #include "analysis/dataset.hpp"
 #include "core/streaming.hpp"
 #include "net/pcap.hpp"
+#include "netd/reactor.hpp"
+#include "netd/server.hpp"
+#include "netd/wire.hpp"
 #include "sim/capture.hpp"
 
 namespace {
@@ -144,7 +154,7 @@ TEST(AllocationBudget, ArenaBytesAccountedAndBounded) {
 /// Heap allocations of one live query over everything `capture` holds.
 std::uint64_t query_allocations(const sim::CaptureResult& capture) {
   core::StreamingAnalyzer analyzer(core::StreamingOptions{});
-  analyzer.add_packets(capture.packets);
+  analyzer.add_packets(net::as_frame_views(capture.packets));
   std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
   auto report = analyzer.report_snapshot();
   std::uint64_t spent = g_heap_allocs.load(std::memory_order_relaxed) - before;
@@ -163,6 +173,77 @@ TEST(AllocationBudget, LiveQueryAllocatesPerEntityNotPerRecord) {
             << long_run << " (Y1 600 s)\n";
   EXPECT_LT(long_run, 20'000u);
   EXPECT_LT(static_cast<double>(long_run), 1.5 * static_cast<double>(short_run));
+}
+
+/// Heap allocations of the live merge from the first record on the wire to
+/// the last release: one loopback stream sends `records` records, 100 per
+/// send, into an IngestServer whose sink does nothing.
+std::uint64_t live_merge_allocations(std::size_t records) {
+  constexpr std::size_t kPayload = 64;
+  constexpr std::size_t kPerSend = 100;
+  netd::Reactor reactor;
+  netd::ServerConfig cfg;
+  cfg.expect_streams = 1;
+  cfg.tick_s = 3600.0;  // no housekeeping timer re-arms inside the window
+  std::uint64_t released = 0;
+  netd::IngestServer server(reactor, cfg,
+                            [&](std::uint64_t, const auto&) { ++released; });
+  EXPECT_TRUE(server.start().ok());
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  std::size_t sent = 0;
+  auto send_all = [&](std::span<const std::uint8_t> bytes) {
+    EXPECT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(bytes.size()));
+    sent += bytes.size();
+    while (server.stats().bytes_received < sent) reactor.run_once(1);
+  };
+
+  // The hello, and every record's bytes, before the count starts.
+  ByteWriter hello;
+  netd::wire::encode_hello(hello, netd::wire::Hello{netd::wire::HelloKind::kData, 7,
+                                                    records});
+  send_all(hello.view());
+  ByteWriter stream;
+  std::array<std::uint8_t, kPayload> payload{};
+  payload.fill(0x5A);
+  for (std::size_t i = 0; i < records; ++i) {
+    netd::wire::encode_record_header(
+        stream, netd::wire::RecordHeader{static_cast<Timestamp>(1000 + i), kPayload,
+                                         kPayload});
+    stream.bytes(payload);
+  }
+  const std::size_t per_send = kPerSend * (netd::wire::kRecordHeaderSize + kPayload);
+
+  const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  for (std::size_t off = 0; off < stream.view().size(); off += per_send) {
+    send_all(stream.view().subspan(off, std::min(per_send, stream.view().size() - off)));
+  }
+  while (released < records) reactor.run_once(1);
+  const std::uint64_t spent = g_heap_allocs.load(std::memory_order_relaxed) - before;
+  ::close(fd);
+  return spent;
+}
+
+TEST(AllocationBudget, LiveMergeAllocatesPerReadNotPerFrame) {
+  // A frame's trip from recv to the sink — parse, queue, merge, release —
+  // allocates nothing once the connection's and the stream's buffers have
+  // grown: doubling the records must not double the allocations, as a
+  // per-frame payload vector or heap node would.
+  const auto short_run = live_merge_allocations(2'000);
+  const auto long_run = live_merge_allocations(4'000);
+  std::cout << "[ MEASURED ] live merge heap allocations: " << short_run
+            << " (2,000 records), " << long_run << " (4,000 records)\n";
+  EXPECT_LT(long_run, 400u);
+  EXPECT_LT(static_cast<double>(long_run), 1.2 * static_cast<double>(short_run));
 }
 
 }  // namespace

@@ -76,7 +76,7 @@ const KillRestoreRun& run_at(double rate) {
     // periodic snapshots survive, like a kill -9.
     core::StreamingAnalyzer doomed(options);
     const std::size_t kill_at = packets.size() * 2 / 5;
-    for (std::size_t i = 0; i < kill_at; ++i) doomed.add_packet(packets[i]);
+    for (std::size_t i = 0; i < kill_at; ++i) doomed.add_packet(net::as_frame_view(packets[i]));
   }
 
   core::StreamingAnalyzer survivor(options);
@@ -84,7 +84,7 @@ const KillRestoreRun& run_at(double rate) {
   run.resumed_from = survivor.packets_consumed();
   for (std::size_t i = static_cast<std::size_t>(run.resumed_from); i < packets.size();
        ++i) {
-    survivor.add_packet(packets[i]);
+    survivor.add_packet(net::as_frame_view(packets[i]));
   }
   run.resumed = survivor.finalize();
   it = cache.emplace(rate, std::move(run)).first;

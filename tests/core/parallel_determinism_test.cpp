@@ -90,14 +90,14 @@ TEST(ParallelDeterminism, KillRestoreMidStreamMatchesSequentialBatch) {
     // the periodic sharded snapshots survive.
     core::StreamingAnalyzer doomed(options);
     const std::size_t kill_at = packets.size() * 2 / 5;
-    for (std::size_t i = 0; i < kill_at; ++i) doomed.add_packet(packets[i]);
+    for (std::size_t i = 0; i < kill_at; ++i) doomed.add_packet(net::as_frame_view(packets[i]));
   }
   core::StreamingAnalyzer survivor(options);
   ASSERT_TRUE(survivor.try_restore());
   ASSERT_GT(survivor.packets_consumed(), 0u);
   for (std::size_t i = static_cast<std::size_t>(survivor.packets_consumed());
        i < packets.size(); ++i) {
-    survivor.add_packet(packets[i]);
+    survivor.add_packet(net::as_frame_view(packets[i]));
   }
   auto resumed = survivor.finalize();
   EXPECT_EQ(core::render_report(resumed, {}), batch_text);
@@ -139,7 +139,7 @@ TEST(ParallelDeterminism, EngineMismatchedCheckpointIsRefused) {
   {
     core::StreamingAnalyzer writer(sequential);
     for (std::size_t i = 0; i < 1000 && i < packets.size(); ++i) {
-      writer.add_packet(packets[i]);
+      writer.add_packet(net::as_frame_view(packets[i]));
     }
     ASSERT_TRUE(writer.checkpoint_now().ok());
   }

@@ -98,11 +98,11 @@ inline core::AnalysisReport expect_snapshot_matches_finalize(
     const core::StreamingOptions& options, const std::string& label) {
   const auto prefix = packets.first(cut);
   core::StreamingAnalyzer live(options);
-  live.add_packets(prefix);
+  live.add_packets(net::as_frame_views(prefix));
   core::AnalysisReport snapshot = live.report_snapshot();
 
   core::StreamingAnalyzer fresh(options);
-  fresh.add_packets(prefix);
+  fresh.add_packets(net::as_frame_views(prefix));
   EXPECT_EQ(core::report_to_json(snapshot), core::report_to_json(fresh.finalize()))
       << label << ": snapshot differs from finalize() of the same prefix";
   EXPECT_EQ(snapshot.stats.packets, cut) << label;
@@ -120,15 +120,15 @@ inline void expect_queries_leave_lanes_untouched(
   std::size_t fed = 0;
   for (std::size_t cut : {(packets.size() / 4) | 1, (packets.size() / 2) | 1,
                           (packets.size() * 3 / 4) | 1}) {
-    live.add_packets(packets.subspan(fed, cut - fed));
+    live.add_packets(net::as_frame_views(packets.subspan(fed, cut - fed)));
     fed = cut;
     EXPECT_EQ(live.report_snapshot().stats.packets, cut) << label;
   }
-  live.add_packets(packets.subspan(fed));
+  live.add_packets(net::as_frame_views(packets.subspan(fed)));
   const std::string got = core::report_to_json(live.finalize());
 
   core::StreamingAnalyzer never_queried(options);
-  never_queried.add_packets(packets);
+  never_queried.add_packets(net::as_frame_views(packets));
   EXPECT_EQ(got, core::report_to_json(never_queried.finalize()))
       << label << ": queries changed the final report";
   if (options.budgets.unlimited()) {

@@ -61,7 +61,7 @@ TEST(Streaming, MatchesBatchAnalyzerExactly) {
   options.analyze = batch_options();
   options.batch_packets = 256;  // force many slices
   StreamingAnalyzer analyzer(options);
-  analyzer.add_packets(capture().packets);
+  analyzer.add_packets(net::as_frame_views(capture().packets));
   auto report = analyzer.finalize();
 
   EXPECT_FALSE(report.degradation.degraded());
@@ -80,14 +80,14 @@ TEST(Streaming, CheckpointRestoreResumesMidStream) {
     // First incarnation: half the capture, one explicit checkpoint, then
     // gone without finalize — the crash case.
     StreamingAnalyzer first(options);
-    first.add_packets({packets.data(), cut});
+    first.add_packets(net::as_frame_views({packets.data(), cut}));
     ASSERT_TRUE(first.checkpoint_now().ok());
   }
 
   StreamingAnalyzer second(options);
   ASSERT_TRUE(second.try_restore());
   ASSERT_EQ(second.packets_consumed(), cut);
-  second.add_packets({packets.data() + cut, packets.size() - cut});
+  second.add_packets(net::as_frame_views({packets.data() + cut, packets.size() - cut}));
   auto report = second.finalize();
   expect_headlines_match(report, batch_report());
 }
@@ -102,7 +102,7 @@ TEST(Streaming, PeriodicCheckpointsAreWritten) {
   StreamingAnalyzer analyzer(options);
   const auto& packets = capture().packets;
   for (std::size_t i = 0; i < 500 && i < packets.size(); ++i) {
-    analyzer.add_packet(packets[i]);
+    analyzer.add_packet(net::as_frame_view(packets[i]));
   }
   EXPECT_TRUE(std::filesystem::exists(path));
 
@@ -123,9 +123,9 @@ TEST(Streaming, CorruptPrimaryFallsBackToRotatedGeneration) {
   const auto& packets = capture().packets;
   {
     StreamingAnalyzer a(options);
-    a.add_packets({packets.data(), std::size_t{300}});
+    a.add_packets(net::as_frame_views({packets.data(), std::size_t{300}}));
     ASSERT_TRUE(a.checkpoint_now().ok());  // generation 1: 300 packets
-    a.add_packets({packets.data() + 300, std::size_t{200}});
+    a.add_packets(net::as_frame_views({packets.data() + 300, std::size_t{200}}));
     ASSERT_TRUE(a.checkpoint_now().ok());  // generation 0: 500 packets
   }
   // Tear the primary the way a mid-write crash would.
@@ -149,7 +149,7 @@ TEST(Streaming, GarbageCheckpointsStartFreshNotCrash) {
   EXPECT_FALSE(analyzer.try_restore());
   EXPECT_EQ(analyzer.packets_consumed(), 0u);
 
-  analyzer.add_packets(capture().packets);
+  analyzer.add_packets(net::as_frame_views(capture().packets));
   auto report = analyzer.finalize();
   expect_headlines_match(report, batch_report());
 }
@@ -170,7 +170,7 @@ TEST(Streaming, ResourceBudgetsSurfaceAsDegradation) {
   options.budgets.max_parsers = 4;
 
   StreamingAnalyzer analyzer(options);
-  analyzer.add_packets(capture().packets);
+  analyzer.add_packets(net::as_frame_views(capture().packets));
   EXPECT_TRUE(analyzer.pressure().any());
   auto report = analyzer.finalize();
 
@@ -194,7 +194,7 @@ TEST(Streaming, UnlimitedBudgetsReportNoPressure) {
   StreamingOptions options;
   options.analyze = batch_options();
   StreamingAnalyzer analyzer(options);
-  analyzer.add_packets(capture().packets);
+  analyzer.add_packets(net::as_frame_views(capture().packets));
   EXPECT_FALSE(analyzer.pressure().any());
   auto report = analyzer.finalize();
   EXPECT_FALSE(report.degradation.resources.any());
@@ -241,7 +241,7 @@ TEST(Streaming, DeferredPacketsAreCountedOnce) {
   for (std::size_t i = 0; i < packets.size(); ++i) {
     stalled = i >= begin && i < end;
     analyzer.poll_deferred();
-    analyzer.add_packet(packets[i]);
+    analyzer.add_packet(net::as_frame_view(packets[i]));
     if (i + 1 == end) deferred = analyzer.lane_stats()[wedged].queued_packets;
   }
   analyzer.poll_deferred();
@@ -386,11 +386,11 @@ TEST(Streaming, SnapshotsInterleavedWithIngestLeaveFinalizeUnchanged) {
     // disturb each other either.
     for (std::size_t cut : {(packets.size() / 7) | 1, (packets.size() / 3) | 1,
                             packets.size() / 3 + 2, (packets.size() * 5 / 6) | 1}) {
-      analyzer.add_packets(std::span(packets).subspan(fed, cut - fed));
+      analyzer.add_packets(net::as_frame_views(std::span(packets).subspan(fed, cut - fed)));
       fed = cut;
       EXPECT_EQ(analyzer.report_snapshot().stats.packets, cut);
     }
-    analyzer.add_packets(std::span(packets).subspan(fed));
+    analyzer.add_packets(net::as_frame_views(std::span(packets).subspan(fed)));
     auto batch = CaptureAnalyzer::analyze(packets, options.analyze);
     EXPECT_EQ(report_to_json(analyzer.finalize()), report_to_json(batch))
         << "threads " << threads;

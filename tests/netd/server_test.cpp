@@ -64,11 +64,11 @@ struct Harness {
   std::vector<std::size_t> released_sizes;
   std::unique_ptr<IngestServer> server;
 
-  explicit Harness(ServerConfig cfg) : config(std::move(cfg)) {
-    config.tick_s = 0.02;  // fast housekeeping so timeout tests stay quick
+  explicit Harness(ServerConfig cfg, double tick_s = 0.02) : config(std::move(cfg)) {
+    config.tick_s = tick_s;  // fast housekeeping so timeout tests stay quick
     server = std::make_unique<IngestServer>(
         reactor, config,
-        [this](std::uint64_t stream_id, const net::CapturedPacket& pkt) {
+        [this](std::uint64_t stream_id, const net::FrameView& pkt) {
           // seq within a stream is implied by arrival order; record enough
           // to assert global sortedness.
           released.push_back(
@@ -404,7 +404,7 @@ TEST(IngestServer, CursorsSurviveServerTeardownAndResumeSkipsReleasedFrames) {
   std::vector<ReleasedKey> released2;
   IngestServer server2(
       h.reactor, cfg2,
-      [&](std::uint64_t stream_id, const net::CapturedPacket& pkt) {
+      [&](std::uint64_t stream_id, const net::FrameView& pkt) {
         released2.push_back(ReleasedKey{pkt.ts, stream_id, released2.size()});
       });
   ByteReader r(snapshot.view());
@@ -457,6 +457,36 @@ TEST(IngestServer, SilentStreamPromiseReleasesOthers) {
   EXPECT_EQ(h.released.size(), 23u);
   EXPECT_TRUE(globally_sorted(h.released));
   EXPECT_EQ(h.server->stats().evicted_hostile, 0u);
+}
+
+TEST(IngestServer, StreamEndReleasesOthersWithoutWaitingForATick) {
+  ServerConfig cfg;
+  cfg.expect_streams = 2;
+  Harness h(cfg, 30.0);  // no housekeeping tick runs during the test
+
+  RawPeer b(h.server->port());
+  ByteWriter wb;
+  put_hello(wb, 2, 0);
+  wire::encode_progress(wb, 50);
+  b.send(wb);
+
+  RawPeer a(h.server->port());
+  ByteWriter wa;
+  put_hello(wa, 1, 20);
+  for (Timestamp i = 1; i <= 20; ++i) put_record(wa, i * 10);
+  a.send(wa);
+  ASSERT_TRUE(h.drive([&] { return h.released.size() >= 5; }));
+  settle(h);
+  EXPECT_EQ(h.released.size(), 5u) << "the promise bounds B at ts 50";
+
+  // B ends without a frame: the read that finishes it closes its
+  // connection, and the rest of A must release in that same read.
+  ByteWriter wb2;
+  wire::encode_fin(wb2, 0);
+  b.send(wb2);
+  ASSERT_TRUE(h.drive([&] { return h.released.size() == 20; }, 5.0));
+  EXPECT_EQ(h.server->stats().ticks, 0u);
+  EXPECT_TRUE(globally_sorted(h.released));
 }
 
 /// A streams ts 10..200 and finishes; B says hello, promises ts 100 and
@@ -669,7 +699,7 @@ TEST(IngestServer, LoadCursorsRejectsGarbage) {
   Reactor reactor;
   ServerConfig cfg;
   IngestServer server(reactor, cfg,
-                      [](std::uint64_t, const net::CapturedPacket&) {});
+                      [](std::uint64_t, const net::FrameView&) {});
   std::vector<std::uint8_t> junk = {0xDE, 0xAD, 0xBE, 0xEF};
   ByteReader r(junk);
   EXPECT_FALSE(server.load_cursors(r).ok());

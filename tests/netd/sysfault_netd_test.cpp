@@ -90,7 +90,7 @@ TEST(SysFaultNetd, InjectedEmfileStormShedsAndRecovers) {
   cfg.sys = &sys;
   std::uint64_t released = 0;
   IngestServer server(reactor, cfg,
-                      [&](std::uint64_t, const net::CapturedPacket&) {
+                      [&](std::uint64_t, const net::FrameView&) {
                         ++released;
                       });
   ASSERT_TRUE(server.start().ok());
@@ -146,7 +146,7 @@ TEST(SysFaultNetd, RealFdExhaustionShedsThenRecoversWhenLimitLifts) {
   cfg.tick_s = 0.02;
   std::uint64_t released = 0;
   IngestServer server(reactor, cfg,
-                      [&](std::uint64_t, const net::CapturedPacket&) {
+                      [&](std::uint64_t, const net::FrameView&) {
                         ++released;
                       });
   ASSERT_TRUE(server.start().ok());
