@@ -319,6 +319,13 @@ void LiveIngestDaemon::add_live_warnings(AnalysisReport& report,
         " frames force-released past the deterministic watermark under "
         "memory pressure");
   }
+  if (stats.condemned_streams > 0) {
+    report.degradation.warnings.push_back(
+        "live ingest lost frames: " + format_count(stats.condemned_streams) +
+        (stats.condemned_streams == 1 ? " stream" : " streams") +
+        " condemned as watermark laggard; frames not yet sent are missing "
+        "from the report");
+  }
   if (checkpoint_error_.empty()) return;
   report.degradation.warnings.push_back(
       final_report ? "checkpoint write failed: " + checkpoint_error_

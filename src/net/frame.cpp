@@ -3,12 +3,13 @@
 namespace uncharted::net {
 
 Result<DecodedFrame> decode_frame(std::span<const std::uint8_t> frame) {
-  // Success path: one fast decode, no intermediate Results. The slow path
-  // below re-runs the per-layer decoders only to produce the error detail.
-  {
-    DecodedFrame out;
-    if (decode_frame_into(frame, out)) return out;
-  }
+  DecodedFrame out;
+  if (decode_frame_into(frame, out)) return out;
+  // Rejected: re-run the layered decoders only for the error detail.
+  return decode_frame_layered(frame);
+}
+
+Result<DecodedFrame> decode_frame_layered(std::span<const std::uint8_t> frame) {
   ByteReader r(frame);
   auto eth = EthernetHeader::decode(r);
   if (!eth) return eth.error();
@@ -26,7 +27,6 @@ Result<DecodedFrame> decode_frame(std::span<const std::uint8_t> frame) {
   if (ip_total < Ipv4Header::kSize || ip_start + ip_total > frame.size()) {
     return Err("bad-ip-length", std::to_string(ip_total));
   }
-  std::size_t tcp_start = r.position();
   auto tcp = TcpHeader::decode(r);
   if (!tcp) return tcp.error();
 
@@ -39,7 +39,6 @@ Result<DecodedFrame> decode_frame(std::span<const std::uint8_t> frame) {
   out.ip = ip.value();
   out.tcp = tcp.value();
   out.payload = frame.subspan(payload_start, segment_end - payload_start);
-  (void)tcp_start;
   return out;
 }
 
@@ -48,16 +47,9 @@ std::optional<std::pair<Ipv4Addr, Ipv4Addr>> peek_ipv4_pair(
   // Ethernet (14) + IPv4 fixed header (20): src at 26, dst at 30.
   constexpr std::size_t kSrcOffset = EthernetHeader::kSize + 12;
   if (frame.size() < kSrcOffset + 8) return std::nullopt;
-  std::uint16_t ether_type = static_cast<std::uint16_t>(frame[12] << 8 | frame[13]);
-  if (ether_type != kEtherTypeIpv4) return std::nullopt;
-  auto read_u32 = [&](std::size_t off) {
-    return static_cast<std::uint32_t>(frame[off]) << 24 |
-           static_cast<std::uint32_t>(frame[off + 1]) << 16 |
-           static_cast<std::uint32_t>(frame[off + 2]) << 8 |
-           static_cast<std::uint32_t>(frame[off + 3]);
-  };
-  Ipv4Addr src{read_u32(kSrcOffset)};
-  Ipv4Addr dst{read_u32(kSrcOffset + 4)};
+  if (load_u16be(frame.data() + 12) != kEtherTypeIpv4) return std::nullopt;
+  Ipv4Addr src{load_u32be(frame.data() + kSrcOffset)};
+  Ipv4Addr dst{load_u32be(frame.data() + kSrcOffset + 4)};
   return std::make_pair(src, dst);
 }
 

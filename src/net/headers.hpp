@@ -50,6 +50,7 @@ struct EthernetHeader {
   static constexpr std::size_t kSize = 14;
   void encode(ByteWriter& w) const;
   static Result<EthernetHeader> decode(ByteReader& r);
+  bool operator==(const EthernetHeader&) const = default;
 };
 
 constexpr std::uint8_t kIpProtoTcp = 6;
@@ -71,6 +72,7 @@ struct Ipv4Header {
   void encode(ByteWriter& w) const;
   /// Decodes and checks version/IHL/checksum; skips options if present.
   static Result<Ipv4Header> decode(ByteReader& r);
+  bool operator==(const Ipv4Header&) const = default;
 };
 
 /// TCP flag bits.
@@ -104,6 +106,7 @@ struct TcpHeader {
   /// Decodes, skipping options per data-offset; does not verify checksum
   /// (captures routinely contain offloaded/zero checksums).
   static Result<TcpHeader> decode(ByteReader& r);
+  bool operator==(const TcpHeader&) const = default;
 };
 
 /// RFC 1071 Internet checksum over a byte range.

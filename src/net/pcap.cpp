@@ -1,7 +1,6 @@
 #include "net/pcap.hpp"
 
-#include <cstring>
-
+#include "net/mapping.hpp"
 #include "util/bytes.hpp"
 
 namespace uncharted::net {
@@ -90,31 +89,33 @@ Result<PcapCursor> PcapCursor::open(std::span<const std::uint8_t> data) {
 
 bool PcapCursor::next(FrameView& out) {
   if (done_ || offset_ >= data_.size()) return false;
-  ByteReader r(data_.subspan(offset_));
-  auto u32 = [&]() { return swapped_ ? r.u32be() : r.u32le(); };
-  auto sec = u32();
-  auto usec = u32();
-  auto incl = u32();
-  auto orig = u32();
-  if (!orig) {
+  // One length check per record header, then fixed-offset loads:
+  // ts_sec, ts_usec, incl_len, orig_len.
+  constexpr std::size_t kRecordHeader = 16;
+  const std::size_t left = data_.size() - offset_;
+  if (left < kRecordHeader) {
     done_ = true;
     truncated_tail_ = true;
     warning_ = "pcap record header cut short after " + std::to_string(records_) +
                " packets";
     return false;
   }
-  auto payload = r.bytes(incl.value());
-  if (!payload) {
+  const std::uint8_t* const h = data_.data() + offset_;
+  auto u32 = [this](const std::uint8_t* p) {
+    return swapped_ ? load_u32be(p) : load_u32le(p);
+  };
+  const std::uint32_t incl = u32(h + 8);
+  if (incl > left - kRecordHeader) {
     done_ = true;
     truncated_tail_ = true;
     warning_ = "pcap record body cut short after " + std::to_string(records_) +
                " packets";
     return false;
   }
-  out.ts = make_timestamp(sec.value(), usec.value());
-  out.original_length = orig.value();
-  out.data = payload.value();
-  offset_ += r.position();
+  out.ts = make_timestamp(u32(h), u32(h + 4));
+  out.original_length = u32(h + 12);
+  out.data = data_.subspan(offset_ + kRecordHeader, incl);
+  offset_ += kRecordHeader + incl;
   ++records_;
   return true;
 }
@@ -127,79 +128,9 @@ Result<std::vector<CapturedPacket>> PcapReader::read_file(const std::string& pat
 }
 
 Result<PcapReader::TolerantRead> PcapReader::read_file_tolerant(const std::string& path) {
-  std::unique_ptr<std::FILE, decltype([](std::FILE* f) {
-                    if (f) std::fclose(f);
-                  })>
-      f(std::fopen(path.c_str(), "rb"));
-  if (!f) return Err("open-failed", path);
-
-  // File size bounds every record's claimed length, so a corrupt header
-  // cannot demand a multi-gigabyte allocation the file could never back.
-  std::fseek(f.get(), 0, SEEK_END);
-  long file_size = std::ftell(f.get());
-  std::fseek(f.get(), 0, SEEK_SET);
-  if (file_size < 0) return Err("stat-failed", path);
-  std::size_t remaining = static_cast<std::size_t>(file_size);
-
-  // Global header, strict: nothing after a damaged one can be interpreted.
-  std::uint8_t hdr[24];
-  if (std::fread(hdr, 1, sizeof hdr, f.get()) != sizeof hdr) {
-    return Err("truncated", "pcap global header");
-  }
-  remaining -= sizeof hdr;
-  auto cursor = PcapCursor::open(std::span<const std::uint8_t>(hdr, sizeof hdr));
-  if (!cursor) return cursor.error();
-  bool swapped = false;
-  {
-    std::uint32_t magic = static_cast<std::uint32_t>(hdr[0]) |
-                          static_cast<std::uint32_t>(hdr[1]) << 8 |
-                          static_cast<std::uint32_t>(hdr[2]) << 16 |
-                          static_cast<std::uint32_t>(hdr[3]) << 24;
-    swapped = magic == kPcapMagicSwapped;
-  }
-
-  // Records stream straight from the file into each packet's own buffer —
-  // no whole-file intermediate copy (the old path slurped the file and
-  // then duplicated every payload out of the slurp buffer).
-  TolerantRead out;
-  for (;;) {
-    std::uint8_t rec[16];
-    std::size_t got = std::fread(rec, 1, sizeof rec, f.get());
-    if (got == 0) break;  // clean end of file
-    if (got < sizeof rec) {
-      out.truncated_tail = true;
-      out.warning = "pcap record header cut short after " +
-                    std::to_string(out.packets.size()) + " packets";
-      break;
-    }
-    remaining -= sizeof rec;
-    ByteReader r(rec);
-    auto u32 = [&]() { return swapped ? r.u32be() : r.u32le(); };
-    std::uint32_t sec = u32().value();
-    std::uint32_t usec = u32().value();
-    std::uint32_t incl = u32().value();
-    std::uint32_t orig = u32().value();
-
-    if (incl > remaining) {
-      out.truncated_tail = true;
-      out.warning = "pcap record body cut short after " +
-                    std::to_string(out.packets.size()) + " packets";
-      break;
-    }
-    CapturedPacket pkt;
-    pkt.ts = make_timestamp(sec, usec);
-    pkt.original_length = orig;
-    pkt.data.resize(incl);
-    if (incl > 0 && std::fread(pkt.data.data(), 1, incl, f.get()) != incl) {
-      out.truncated_tail = true;
-      out.warning = "pcap record body cut short after " +
-                    std::to_string(out.packets.size()) + " packets";
-      break;
-    }
-    remaining -= incl;
-    out.packets.push_back(std::move(pkt));
-  }
-  return out;
+  auto mapping = PcapMapping::open(path);
+  if (!mapping) return mapping.error();
+  return read_buffer_tolerant(mapping->bytes());
 }
 
 Result<std::vector<CapturedPacket>> PcapReader::read_buffer(

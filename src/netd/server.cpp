@@ -295,6 +295,7 @@ std::uint64_t IngestServer::condemn_watermark_laggard(const std::string& reason)
   // the degradation ledger, never routine housekeeping.
   if (s.finished) return 0;
   s.fin_seen = false;
+  stats_.condemned_streams++;
   finish_stream(s);
   pump();
   return id;
@@ -1052,7 +1053,8 @@ std::string IngestServer::stats_line() const {
          " shed=" + std::to_string(stats_.shed_connections) +
          " hostile=" + std::to_string(stats_.evicted_hostile) +
          " warn=" + std::to_string(stats_.evicted_warn) +
-         " forced=" + std::to_string(stats_.forced_releases);
+         " forced=" + std::to_string(stats_.forced_releases) +
+         " condemned=" + std::to_string(stats_.condemned_streams);
 }
 
 }  // namespace uncharted::netd

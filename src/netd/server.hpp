@@ -137,6 +137,9 @@ struct ServerStats {
   std::uint64_t evicted_warn = 0;
   std::uint64_t shed_connections = 0;
   std::uint64_t forced_releases = 0;
+  /// Streams condemned as watermark laggards: every frame such a stream
+  /// had yet to send is lost to the report.
+  std::uint64_t condemned_streams = 0;
   std::uint64_t paused_reads = 0;
   std::uint64_t queries_served = 0;
   std::uint64_t streams_finished = 0;

@@ -21,6 +21,33 @@
 
 namespace uncharted {
 
+/// Unchecked loads at a fixed offset. The caller has already checked that
+/// the bytes exist: fixed-offset header decoders check a header's length
+/// once and then read every field through these. Assembled in unsigned
+/// arithmetic (the implicit uint8_t -> int promotion of `b << 8` is a signed
+/// shift); the compiler folds each into one load and a byte swap.
+inline std::uint16_t load_u16be(const std::uint8_t* p) {
+  return static_cast<std::uint16_t>((static_cast<std::uint32_t>(p[0]) << 8) |
+                                    static_cast<std::uint32_t>(p[1]));
+}
+
+inline std::uint16_t load_u16le(const std::uint8_t* p) {
+  return static_cast<std::uint16_t>(static_cast<std::uint32_t>(p[0]) |
+                                    (static_cast<std::uint32_t>(p[1]) << 8));
+}
+
+inline std::uint32_t load_u32be(const std::uint8_t* p) {
+  return (static_cast<std::uint32_t>(p[0]) << 24) |
+         (static_cast<std::uint32_t>(p[1]) << 16) |
+         (static_cast<std::uint32_t>(p[2]) << 8) | static_cast<std::uint32_t>(p[3]);
+}
+
+inline std::uint32_t load_u32le(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
+}
+
 /// Sequential reader over a non-owning byte span. All reads are checked.
 /// A failed read poisons the reader: every subsequent read also fails, so
 /// multi-field decode chains can check only the final result without a
@@ -44,40 +71,28 @@ class ByteReader {
 
   Result<std::uint16_t> u16le() {
     if (!can_read(2)) return fail(2);
-    // Assemble in unsigned arithmetic: the implicit uint8_t -> int promotion
-    // of `b << 8` is a signed shift, which tidy rightly flags on a wire path.
-    std::uint16_t v = static_cast<std::uint16_t>(
-        static_cast<std::uint32_t>(data_[pos_]) |
-        (static_cast<std::uint32_t>(data_[pos_ + 1]) << 8));
+    std::uint16_t v = load_u16le(data_.data() + pos_);
     pos_ += 2;
     return v;
   }
 
   Result<std::uint16_t> u16be() {
     if (!can_read(2)) return fail(2);
-    std::uint16_t v = static_cast<std::uint16_t>(
-        (static_cast<std::uint32_t>(data_[pos_]) << 8) |
-        static_cast<std::uint32_t>(data_[pos_ + 1]));
+    std::uint16_t v = load_u16be(data_.data() + pos_);
     pos_ += 2;
     return v;
   }
 
   Result<std::uint32_t> u32le() {
     if (!can_read(4)) return fail(4);
-    std::uint32_t v = static_cast<std::uint32_t>(data_[pos_]) |
-                      (static_cast<std::uint32_t>(data_[pos_ + 1]) << 8) |
-                      (static_cast<std::uint32_t>(data_[pos_ + 2]) << 16) |
-                      (static_cast<std::uint32_t>(data_[pos_ + 3]) << 24);
+    std::uint32_t v = load_u32le(data_.data() + pos_);
     pos_ += 4;
     return v;
   }
 
   Result<std::uint32_t> u32be() {
     if (!can_read(4)) return fail(4);
-    std::uint32_t v = (static_cast<std::uint32_t>(data_[pos_]) << 24) |
-                      (static_cast<std::uint32_t>(data_[pos_ + 1]) << 16) |
-                      (static_cast<std::uint32_t>(data_[pos_ + 2]) << 8) |
-                      static_cast<std::uint32_t>(data_[pos_ + 3]);
+    std::uint32_t v = load_u32be(data_.data() + pos_);
     pos_ += 4;
     return v;
   }

@@ -3,9 +3,12 @@
 // (hostile wins over degraded). These tests shell out to the real
 // binaries, because the contract is what scripts/soak.sh and operators'
 // cron jobs consume.
+#include <arpa/inet.h>
 #include <fcntl.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
 #include <sys/prctl.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -16,6 +19,10 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <vector>
+
+#include "netd/wire.hpp"
+#include "util/bytes.hpp"
 
 namespace {
 
@@ -163,8 +170,15 @@ TEST(ExitCodes, FleetHonorsTheSameLadder) {
 /// PR_SET_PDEATHSIG covers the last case, the test binary itself dying.
 class BackgroundDaemon {
  public:
-  explicit BackgroundDaemon(const std::string& stdout_path)
+  explicit BackgroundDaemon(const std::string& stdout_path,
+                            std::vector<std::string> extra_args = {})
       : stdout_path_(stdout_path) {
+    // The argument vector is built before fork: the child only execs.
+    std::vector<std::string> args = {UNCHARTED_BIN_IEC104D, "--port", "0", "--quiet"};
+    args.insert(args.end(), extra_args.begin(), extra_args.end());
+    std::vector<char*> argv;
+    for (std::string& arg : args) argv.push_back(arg.data());
+    argv.push_back(nullptr);
     pid_ = ::fork();
     if (pid_ != 0) return;
     ::prctl(PR_SET_PDEATHSIG, SIGTERM);
@@ -173,8 +187,7 @@ class BackgroundDaemon {
     if (out < 0 || null < 0) ::_exit(127);
     ::dup2(out, STDOUT_FILENO);
     ::dup2(null, STDERR_FILENO);
-    ::execl(UNCHARTED_BIN_IEC104D, UNCHARTED_BIN_IEC104D, "--port", "0",
-            "--quiet", static_cast<char*>(nullptr));
+    ::execv(UNCHARTED_BIN_IEC104D, argv.data());
     ::_exit(127);
   }
   ~BackgroundDaemon() {
@@ -185,6 +198,20 @@ class BackgroundDaemon {
   BackgroundDaemon& operator=(const BackgroundDaemon&) = delete;
 
   bool started() const { return pid_ > 0; }
+
+  /// Waits up to `timeout_s` for the daemon to exit on its own and returns
+  /// its exit code; -1 if it had to be stopped or did not exit normally.
+  int wait_exit(double timeout_s) {
+    for (double waited = 0.0; waited < timeout_s; waited += 0.05) {
+      int status = 0;
+      if (::waitpid(pid_, &status, WNOHANG) == pid_) {
+        pid_ = -1;
+        return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    return -1;
+  }
 
  private:
   /// SIGTERM drains the daemon; one still running after 10 s is killed,
@@ -254,6 +281,38 @@ TEST(ExitCodes, FleetExitsTwoWhenTheDaemonClosesAStreamShortOfItsFrames) {
       quoted(UNCHARTED_BIN_IEC104_FLEET) + " --connect 127.0.0.1:" + port;
   EXPECT_EQ(run(fleet + " --year 1 --duration 2 --quiet"), 0);
   EXPECT_EQ(run(fleet + " --year 1 --duration 4 --quiet"), 2);
+}
+
+TEST(ExitCodes, DaemonExitsTwoWhenItCondemnsASilentStream) {
+  // A data stream that says hello and then sends nothing gates the
+  // watermark merge until the merge watchdog condemns it. Whatever it had
+  // yet to send is lost, so the daemon ends degraded (2), not clean.
+  const std::string out = temp_path("condemn_daemon.out");
+  BackgroundDaemon daemon(out, {"--run-for", "3", "--watchdog-poll", "0.02",
+                                "--watchdog-merge", "0.3"});
+  ASSERT_TRUE(daemon.started());
+  const std::string port = announced_port(out);
+  ASSERT_FALSE(port.empty()) << "daemon never announced its port";
+
+  const int silent = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(silent, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(std::stoi(port)));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(silent, reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0);
+  uncharted::ByteWriter hello;
+  uncharted::netd::wire::encode_hello(
+      hello, {uncharted::netd::wire::HelloKind::kData, 9000, 0});
+  ASSERT_EQ(::send(silent, hello.view().data(), hello.size(), 0),
+            static_cast<ssize_t>(hello.size()));
+
+  // The fleet's frames release once the silent stream is condemned.
+  EXPECT_EQ(run(quoted(UNCHARTED_BIN_IEC104_FLEET) + " --connect 127.0.0.1:" + port +
+                " --year 1 --duration 2 --pace 0 --quiet"),
+            0);
+  EXPECT_EQ(daemon.wait_exit(30.0), 2);
+  ::close(silent);
 }
 
 }  // namespace

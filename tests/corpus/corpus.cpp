@@ -286,6 +286,42 @@ void add_frames(std::vector<Seed>& out) {
   if (bad_checksum.size() > 40) bad_checksum[40] ^= 0xff;
   out.push_back({"eth_corrupted_byte", Category::kFrame, std::move(bad_checksum)});
 
+  // Boundary frames for the frame decoder differential (fuzz_frame and
+  // FrameDecode.*). The first two are valid but for one IPv4 field and
+  // carry a correct header checksum, so only that field's check rejects
+  // them; the third is valid and carries options.
+  constexpr std::size_t kIp = net::EthernetHeader::kSize;
+  auto more_fragments = frame;
+  more_fragments[kIp + 6] = 0x20;  // MF set, fragment offset 0
+  more_fragments[kIp + 7] = 0x00;
+  refresh_ipv4_checksum(more_fragments);
+  out.push_back({"eth_ipv4_more_fragments", Category::kFrame, std::move(more_fragments)});
+
+  // IHL 4 words: the TCP header read 4 bytes early would still parse,
+  // because the ack's top byte stands where a data offset of 5 would.
+  net::TcpSegmentSpec short_ihl_spec = spec;
+  short_ihl_spec.ack = 0x50000000;
+  auto short_ihl = net::build_tcp_frame(short_ihl_spec);
+  short_ihl[kIp] = 0x44;
+  refresh_ipv4_checksum(short_ihl);
+  out.push_back({"eth_ipv4_short_ihl", Category::kFrame, std::move(short_ihl)});
+
+  // A valid frame with 4 bytes of IPv4 options and 4 of TCP options.
+  auto options = frame;
+  const std::array<std::uint8_t, 4> nops = {1, 1, 1, 1};
+  const std::size_t tcp_opts = kIp + 24 + net::TcpHeader::kSize;
+  options.insert(options.begin() + static_cast<std::ptrdiff_t>(kIp + 20), nops.begin(),
+                 nops.end());
+  options.insert(options.begin() + static_cast<std::ptrdiff_t>(tcp_opts), nops.begin(),
+                 nops.end());
+  options[kIp] = 0x46;
+  options[kIp + 24 + 12] = 0x60;
+  const std::size_t total = options.size() - kIp;
+  options[kIp + 2] = static_cast<std::uint8_t>(total >> 8);
+  options[kIp + 3] = static_cast<std::uint8_t>(total & 0xff);
+  refresh_ipv4_checksum(options);
+  out.push_back({"eth_ipv4_tcp_options", Category::kFrame, std::move(options)});
+
   // Minimal valid pcap: global header plus one 6-byte record.
   ByteWriter w;
   w.u32le(net::kPcapMagic);
@@ -446,6 +482,20 @@ std::vector<const Seed*> seeds_for(Category c) {
     if (seed.category == c) out.push_back(&seed);
   }
   return out;
+}
+
+void refresh_ipv4_checksum(std::vector<std::uint8_t>& frame) {
+  constexpr std::size_t kIp = net::EthernetHeader::kSize;
+  constexpr std::size_t kSum = kIp + 10;
+  if (frame.size() <= kIp) return;
+  const std::size_t ihl = static_cast<std::size_t>(frame[kIp] & 0x0f) * 4;
+  if (ihl < 12 || kIp + ihl > frame.size()) return;
+  frame[kSum] = 0;
+  frame[kSum + 1] = 0;
+  const std::uint16_t sum =
+      net::internet_checksum(std::span<const std::uint8_t>(frame.data() + kIp, ihl));
+  frame[kSum] = static_cast<std::uint8_t>(sum >> 8);
+  frame[kSum + 1] = static_cast<std::uint8_t>(sum & 0xff);
 }
 
 bool write_seed_files(const std::string& dir) {

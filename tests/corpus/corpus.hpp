@@ -42,6 +42,12 @@ const std::vector<Seed>& seeds();
 /// The subset for one decoder family.
 std::vector<const Seed*> seeds_for(Category c);
 
+/// Rewrites the IPv4 header checksum of an Ethernet frame in place (over
+/// the header length its IHL claims, when the frame holds that much), so a
+/// mutated IPv4 header reaches the decoder checks that follow the checksum.
+/// Frames too short to carry the checksum field are left as they are.
+void refresh_ipv4_checksum(std::vector<std::uint8_t>& frame);
+
 /// Writes each seed as <dir>/<category>/<name>.bin for use as a libFuzzer
 /// starting corpus. Creates directories as needed; returns false on any
 /// filesystem error.

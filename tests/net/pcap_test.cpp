@@ -186,5 +186,132 @@ TEST(Pcap, OpenFailsForBadPath) {
   EXPECT_FALSE(PcapReader::read_file("/nonexistent-dir/x.pcap").ok());
 }
 
+/// A pcap with three records of distinct sizes, in either byte order.
+std::vector<std::uint8_t> three_record_pcap(bool swapped) {
+  ByteWriter w;
+  auto u16 = [&](std::uint16_t v) { swapped ? w.u16be(v) : w.u16le(v); };
+  auto u32 = [&](std::uint32_t v) { swapped ? w.u32be(v) : w.u32le(v); };
+  u32(kPcapMagic);
+  u16(2);
+  u16(4);
+  u32(0);
+  u32(0);
+  u32(65535);
+  u32(kLinkTypeEthernet);
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    const std::uint32_t len = 40 + 10 * i;
+    u32(1600000000 + i);
+    u32(1000 * i + 7);
+    u32(len);
+    u32(len + 3);
+    for (std::uint32_t b = 0; b < len; ++b) w.u8(static_cast<std::uint8_t>(i * 16 + b));
+  }
+  return w.take();
+}
+
+constexpr std::size_t kGlobalHeader = 24;
+constexpr std::size_t kRecordHeader = 16;
+
+/// Offset of record `i` in three_record_pcap().
+std::size_t record_offset(std::size_t i) {
+  std::size_t off = kGlobalHeader;
+  for (std::size_t r = 0; r < i; ++r) off += kRecordHeader + 40 + 10 * r;
+  return off;
+}
+
+void expect_tolerant_prefix(std::span<const std::uint8_t> bytes, std::size_t packets,
+                            const std::string& warning) {
+  auto read = PcapReader::read_buffer_tolerant(bytes);
+  ASSERT_TRUE(read.ok()) << read.error().str();
+  EXPECT_TRUE(read->truncated_tail);
+  EXPECT_EQ(read->warning, warning);
+  ASSERT_EQ(read->packets.size(), packets);
+  for (std::size_t i = 0; i < packets; ++i) {
+    EXPECT_EQ(read->packets[i].data.size(), 40 + 10 * i);
+    EXPECT_EQ(read->packets[i].original_length, 43 + 10 * i);
+  }
+  auto strict = PcapReader::read_buffer(bytes);
+  ASSERT_FALSE(strict.ok());
+  EXPECT_EQ(strict.error().code, "truncated");
+  EXPECT_EQ(strict.error().detail, warning);
+}
+
+TEST(Pcap, RecordHeaderCutAtEachByteKeepsPrefixAndWarning) {
+  for (bool swapped : {false, true}) {
+    const auto full = three_record_pcap(swapped);
+    for (std::size_t cut = 1; cut < kRecordHeader; ++cut) {
+      SCOPED_TRACE("swapped " + std::to_string(swapped) + " cut " + std::to_string(cut));
+      std::span<const std::uint8_t> bytes(full.data(), record_offset(2) + cut);
+      expect_tolerant_prefix(bytes, 2, "pcap record header cut short after 2 packets");
+    }
+  }
+}
+
+TEST(Pcap, RecordBodyCutShortKeepsPrefixAndWarning) {
+  for (bool swapped : {false, true}) {
+    const auto full = three_record_pcap(swapped);
+    const std::size_t body = record_offset(1) + kRecordHeader;
+    for (std::size_t cut = 0; cut < 50; ++cut) {
+      SCOPED_TRACE("swapped " + std::to_string(swapped) + " cut " + std::to_string(cut));
+      std::span<const std::uint8_t> bytes(full.data(), body + cut);
+      expect_tolerant_prefix(bytes, 1, "pcap record body cut short after 1 packets");
+    }
+  }
+}
+
+TEST(Pcap, ByteSwappedFileWalksLikeNative) {
+  const auto native = three_record_pcap(false);
+  const auto swapped = three_record_pcap(true);
+  ASSERT_EQ(native.size(), swapped.size());
+  auto a = PcapCursor::open(native);
+  auto b = PcapCursor::open(swapped);
+  ASSERT_TRUE(a.ok() && b.ok());
+  FrameView va, vb;
+  std::size_t records = 0;
+  while (a->next(va)) {
+    ASSERT_TRUE(b->next(vb));
+    EXPECT_EQ(va.ts, make_timestamp(1600000000 + records, 1000 * records + 7));
+    EXPECT_EQ(va.ts, vb.ts);
+    EXPECT_EQ(va.original_length, vb.original_length);
+    EXPECT_TRUE(std::equal(va.data.begin(), va.data.end(), vb.data.begin(), vb.data.end()));
+    EXPECT_EQ(a->offset(), b->offset());
+    ++records;
+  }
+  EXPECT_FALSE(b->next(vb));
+  EXPECT_EQ(records, 3u);
+  EXPECT_FALSE(a->truncated_tail());
+  EXPECT_FALSE(b->truncated_tail());
+  EXPECT_TRUE(b->warning().empty());
+}
+
+TEST(Pcap, TolerantFileReadMatchesBufferReadOnCutFiles) {
+  const auto full = three_record_pcap(true);
+  const std::string path = temp_path("uncharted_pcap_cut_file.pcap");
+  for (std::size_t len : {full.size(), record_offset(2) + 5, record_offset(1) + kRecordHeader + 9,
+                          kGlobalHeader, std::size_t{10}, std::size_t{0}}) {
+    SCOPED_TRACE("length " + std::to_string(len));
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(full.data(), 1, len, f), len);
+    std::fclose(f);
+    auto from_file = PcapReader::read_file_tolerant(path);
+    auto from_buffer =
+        PcapReader::read_buffer_tolerant(std::span<const std::uint8_t>(full.data(), len));
+    ASSERT_EQ(from_file.ok(), from_buffer.ok());
+    if (!from_file.ok()) {
+      EXPECT_EQ(from_file.error().str(), from_buffer.error().str());
+      continue;
+    }
+    EXPECT_EQ(from_file->truncated_tail, from_buffer->truncated_tail);
+    EXPECT_EQ(from_file->warning, from_buffer->warning);
+    ASSERT_EQ(from_file->packets.size(), from_buffer->packets.size());
+    for (std::size_t i = 0; i < from_file->packets.size(); ++i) {
+      EXPECT_EQ(from_file->packets[i].ts, from_buffer->packets[i].ts);
+      EXPECT_EQ(from_file->packets[i].data, from_buffer->packets[i].data);
+    }
+  }
+  std::filesystem::remove(path);
+}
+
 }  // namespace
 }  // namespace uncharted::net

@@ -23,6 +23,7 @@
 
 #include "core/analyzer.hpp"
 #include "core/export.hpp"
+#include "net/frame.hpp"
 #include "netd/client.hpp"
 #include "passthrough_sysops.hpp"
 #include "sim/capture.hpp"
@@ -273,6 +274,18 @@ TEST(LiveIngest, RestoreWithoutCheckpointStartsFresh) {
   EXPECT_EQ(daemon.frames_ingested(), 0u);
 }
 
+/// A raw loopback connection to the daemon's ingest port.
+int dial_daemon(LiveIngestDaemon& daemon) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(daemon.server().port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  return fd;
+}
+
 TEST(LiveIngest, ForcedReleaseDegradesReportWithWarning) {
   netd::Reactor reactor;
   LiveIngestOptions opt = daemon_options(1, 2, "");
@@ -281,17 +294,7 @@ TEST(LiveIngest, ForcedReleaseDegradesReportWithWarning) {
   LiveIngestDaemon daemon(reactor, opt);
   ASSERT_TRUE(daemon.start(false).ok());
 
-  auto dial = [&] {
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    EXPECT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(daemon.server().port());
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-              0);
-    return fd;
-  };
+  auto dial = [&] { return dial_daemon(daemon); };
 
   // Gating stream: says hello (opening the expect_streams=2 gate and
   // registering a low watermark bound), then sends nothing.
@@ -349,6 +352,69 @@ TEST(LiveIngest, ForcedReleaseDegradesReportWithWarning) {
     found |= warning.find("degraded to sampling") != std::string::npos;
   }
   EXPECT_TRUE(found);
+}
+
+TEST(LiveIngest, CondemnedStreamDegradesReportWithWarning) {
+  // A registered stream that never sends gates the watermark merge; the
+  // merge watchdog condemns it. Whatever it had yet to send is lost, so
+  // the report must say so, not read as a clean run.
+  netd::Reactor reactor;
+  LiveIngestOptions opt = daemon_options(1, 2, "");
+  opt.watchdog.poll_s = 0.02;
+  opt.watchdog.merge_deadline_s = 0.3;
+  opt.watchdog.reactor_deadline_s = 1000.0;
+  opt.watchdog.lane_deadline_s = 1000.0;
+  LiveIngestDaemon daemon(reactor, opt);
+  ASSERT_TRUE(daemon.start(false).ok());
+
+  const int silent_fd = dial_daemon(daemon);
+  {
+    ByteWriter w;
+    netd::wire::encode_hello(w, {netd::wire::HelloKind::kData, 2, 5});
+    ASSERT_EQ(::send(silent_fd, w.view().data(), w.view().size(), 0),
+              static_cast<ssize_t>(w.view().size()));
+  }
+  // A finished stream of 10 clean TCP acks, all above the silent stream's
+  // bound: they release only once the silent stream is condemned.
+  const int data_fd = dial_daemon(daemon);
+  {
+    ByteWriter w;
+    netd::wire::encode_hello(w, {netd::wire::HelloKind::kData, 1, 10});
+    net::TcpSegmentSpec spec;
+    spec.src_ip = net::Ipv4Addr::from_octets(10, 0, 0, 1);
+    spec.dst_ip = net::Ipv4Addr::from_octets(10, 1, 0, 1);
+    spec.src_port = 40000;
+    spec.dst_port = 2404;
+    spec.flags = net::kTcpAck;
+    for (std::uint64_t i = 0; i < 10; ++i) {
+      const std::vector<std::uint8_t> frame = net::build_tcp_frame(spec);
+      netd::wire::RecordHeader rec;
+      rec.ts = 1'000'000 + i * 10;
+      rec.original_length = static_cast<std::uint32_t>(frame.size());
+      rec.cap_len = static_cast<std::uint32_t>(frame.size());
+      netd::wire::encode_record_header(w, rec);
+      w.bytes(frame);
+    }
+    netd::wire::encode_fin(w, 10);
+    ASSERT_EQ(::send(data_fd, w.view().data(), w.view().size(), 0),
+              static_cast<ssize_t>(w.view().size()));
+  }
+
+  ASSERT_TRUE(drive(reactor, [&] {
+    return daemon.server().all_expected_finished();
+  }, 10.0)) << "the merge watchdog never condemned the silent stream";
+  ::close(silent_fd);
+  ::close(data_fd);
+  EXPECT_EQ(daemon.server().stats().condemned_streams, 1u);
+  EXPECT_EQ(daemon.server().stats().frames_released, 10u);
+  EXPECT_EQ(daemon.server().stats().forced_releases, 0u);
+
+  const std::string warning =
+      "live ingest lost frames: 1 stream condemned as watermark laggard; "
+      "frames not yet sent are missing from the report";
+  EXPECT_NE(daemon.report_json().find(warning), std::string::npos);
+  const AnalysisReport report = daemon.finalize();
+  EXPECT_EQ(report.degradation.warnings, std::vector<std::string>{warning});
 }
 
 }  // namespace
