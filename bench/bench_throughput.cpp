@@ -169,29 +169,23 @@ int main(int argc, char** argv) {
     std::printf("%s: %zu packets, %llu apdus\n", c.name, packets.size(),
                 static_cast<unsigned long long>(apdus));
 
+    const auto frames = net::as_frame_views(packets);
     for (unsigned t : thread_counts) {
       core::CaptureAnalyzer::Options opts;
       opts.threads = t;
+      auto build = [&] {
+        auto pool = exec::Pool::for_threads(t);
+        return analysis::build_dataset_sharded(frames, ds_opts, pool.get());
+      };
 
       double ingest_ms = best_of(reps, [&] {
-        if (t <= 1) {
-          auto ds = analysis::CaptureDataset::build(packets, ds_opts);
-          (void)ds;
-        } else {
-          exec::Pool pool(t);
-          auto ds = analysis::build_dataset_sharded(packets, ds_opts, &pool);
-          (void)ds;
-        }
+        auto ds = build();
+        (void)ds;
       });
       entries.push_back(
           {c.name, "ingest", t, ingest_ms, packets.size(), apdus});
 
-      auto dataset = t <= 1 ? analysis::CaptureDataset::build(packets, ds_opts)
-                            : [&] {
-                                exec::Pool pool(t);
-                                return analysis::build_dataset_sharded(
-                                    packets, ds_opts, &pool);
-                              }();
+      auto dataset = build();
       double analyze_ms = best_of(reps, [&] {
         auto report = core::analyze_dataset(
             dataset, analysis::analyze_bandwidth(packets), opts);

@@ -290,9 +290,7 @@ int main(int argc, char** argv) {
   }
 
   const bool hostile = report.conformance.any_hostile() || stats.evicted_hostile > 0;
-  const bool degraded =
-      report.degradation.degraded() || !report.degradation.warnings.empty();
   if (hostile) return 3;
-  if (degraded) return 2;
+  if (report.degradation.degraded()) return 2;
   return 0;
 }

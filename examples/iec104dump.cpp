@@ -79,17 +79,12 @@ int main(int argc, char** argv) {
   analysis::CaptureDataset::Options opts;
   opts.parser_mode = strict ? iec104::ApduStreamParser::Mode::kStrict
                             : iec104::ApduStreamParser::Mode::kTolerant;
-  unsigned resolved = threads == 0 ? exec::Pool::default_threads() : threads;
+  auto pool = exec::Pool::for_threads(threads);
   core::StageTimings timings;
   auto ds = [&] {
-    if (resolved <= 1) {
-      core::ScopedStageTimer t(&timings, "ingest");
-      return analysis::CaptureDataset::build(packets, opts);
-    }
-    exec::Pool pool(resolved);
-    return analysis::build_dataset_sharded(
-        packets, opts, &pool, analysis::kDefaultShardCount, {}, nullptr,
-        [&](const char* stage, double ms) { timings.add(stage, ms); });
+    core::ScopedStageTimer t(&timings, "ingest");
+    return analysis::build_dataset_sharded(net::as_frame_views(packets), opts,
+                                           pool.get());
   }();
   if (names.empty()) names = core::infer_names(ds);
 
@@ -169,7 +164,8 @@ int main(int argc, char** argv) {
                  pcap_truncated ? ", pcap tail truncated" : "");
   }
   if (profile) {
-    std::printf("\n== stage timings (%u threads) ==\n", resolved);
+    std::printf("\n== stage timings (%u threads) ==\n",
+                pool ? pool->worker_count() : 1u);
     for (const auto& s : timings.stages) {
       std::printf("%-14s %10.2f ms\n", s.stage.c_str(), s.wall_ms);
     }

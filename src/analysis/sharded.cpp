@@ -1,7 +1,6 @@
 #include "analysis/sharded.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "exec/pool.hpp"
@@ -37,9 +36,6 @@ ResourceBudgets divide_budgets(const ResourceBudgets& budgets, std::size_t shard
 
 namespace {
 
-net::FrameView to_view(const net::CapturedPacket& pkt) { return net::as_frame_view(pkt); }
-net::FrameView to_view(const net::FrameView& view) { return view; }
-
 void fold_pressure(ResourcePressure& into, const ResourcePressure& from) {
   into.flow_evictions += from.flow_evictions;
   into.reassembly_flushes += from.reassembly_flushes;
@@ -54,91 +50,27 @@ void fold_pressure(ResourcePressure& into, const ResourcePressure& from) {
   into.peak_parsers = std::max(into.peak_parsers, from.peak_parsers);
 }
 
-/// Both frame representations expose `.ts` and `.data` (an owning vector
-/// or a borrowed span — shard_of and the builder take spans either way),
-/// so one template serves both public overloads identically.
-template <typename Frame>
-CaptureDataset build_dataset_sharded_impl(std::span<const Frame> packets,
-                                          const CaptureDataset::Options& options,
-                                          exec::Pool* pool, std::size_t shard_count,
-                                          const ResourceBudgets& budgets,
-                                          ResourcePressure* pressure_out,
-                                          const StageHook& on_stage) {
-  using Clock = std::chrono::steady_clock;
-  auto ms_since = [](Clock::time_point start) {
-    return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
-  };
-
-  if (shard_count == 0) shard_count = 1;
-  // Partition by index — routing is a header peek, far cheaper than the
-  // decode the shard will do, so the driver loop is not the bottleneck.
-  std::vector<std::vector<std::size_t>> members(shard_count);
-  for (std::size_t i = 0; i < packets.size(); ++i) {
-    members[shard_of(packets[i].data, shard_count)].push_back(i);
-  }
-  Timestamp flush_ts = packets.empty() ? Timestamp{0} : packets.back().ts;
-  ResourceBudgets per_shard = divide_budgets(budgets, shard_count);
-
-  std::vector<ShardPartial> partials(shard_count);
-  std::vector<ResourcePressure> pressures(shard_count);
-  {
-    auto start = Clock::now();
-    exec::TaskGroup group(pool);
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      if (members[s].empty()) continue;
-      group.run([&, s] {
-        DatasetBuilder builder(options, per_shard);
-        // Gather the shard's frames into one contiguous batch so the
-        // builder's batched path amortizes its per-packet bookkeeping.
-        // Views only — for owning packets this borrows, never copies.
-        std::vector<net::FrameView> batch;
-        batch.reserve(members[s].size());
-        for (std::size_t idx : members[s]) batch.push_back(to_view(packets[idx]));
-        builder.add_packets(batch);
-        pressures[s] = builder.pressure();
-        partials[s] = builder.finish_partial(flush_ts);
-      });
-    }
-    group.wait();
-    if (on_stage) on_stage("shard fan-out", ms_since(start));
-  }
-
-  if (pressure_out) {
-    *pressure_out = ResourcePressure{};
-    for (const auto& p : pressures) fold_pressure(*pressure_out, p);
-  }
-  auto start = Clock::now();
-  auto dataset = merge_partials(std::move(partials), options);
-  if (on_stage) on_stage("shard merge", ms_since(start));
-  return dataset;
+net::CapturedPacket copy_of(const net::FrameView& frame) {
+  return {frame.ts, frame.original_length, {frame.data.begin(), frame.data.end()}};
 }
 
 }  // namespace
 
-CaptureDataset build_dataset_sharded(const std::vector<net::CapturedPacket>& packets,
-                                     const CaptureDataset::Options& options,
-                                     exec::Pool* pool, std::size_t shard_count,
-                                     const ResourceBudgets& budgets,
-                                     ResourcePressure* pressure_out,
-                                     const StageHook& on_stage) {
-  return build_dataset_sharded_impl<net::CapturedPacket>(
-      packets, options, pool, shard_count, budgets, pressure_out, on_stage);
-}
-
 CaptureDataset build_dataset_sharded(std::span<const net::FrameView> frames,
                                      const CaptureDataset::Options& options,
-                                     exec::Pool* pool, std::size_t shard_count,
-                                     const ResourceBudgets& budgets,
-                                     ResourcePressure* pressure_out,
-                                     const StageHook& on_stage) {
-  return build_dataset_sharded_impl<net::FrameView>(
-      frames, options, pool, shard_count, budgets, pressure_out, on_stage);
+                                     exec::Pool* pool,
+                                     BandwidthAccumulator* bandwidth) {
+  ShardedDatasetBuilder builder(options, {}, pool);
+  builder.add_packets(frames, bandwidth);
+  return builder.finish();
 }
 
 struct ShardedDatasetBuilder::Lane {
   std::mutex m;
   std::deque<std::vector<net::CapturedPacket>> pending;
   bool active = false;  ///< a drain task is scheduled or running
+  /// Frames held while the stall hook wedges this lane. Driver-only.
+  std::deque<net::CapturedPacket> deferred;
   DatasetBuilder builder;
   // Health-watchdog counters, readable without the lane mutex.
   std::atomic<std::uint64_t> ingested{0};
@@ -150,17 +82,10 @@ struct ShardedDatasetBuilder::Lane {
 
 ShardedDatasetBuilder::ShardedDatasetBuilder(CaptureDataset::Options options,
                                              ResourceBudgets budgets,
-                                             exec::Pool* pool,
-                                             std::size_t shard_count)
-    : options_(options), pool_(pool) {
-  if (shard_count == 0) shard_count = 1;
+                                             exec::Pool* pool, StallHook stall)
+    : options_(options), budgets_(budgets), pool_(pool), stall_(std::move(stall)) {
   group_ = std::make_unique<exec::TaskGroup>(pool_);
-  ResourceBudgets per_shard = divide_budgets(budgets, shard_count);
-  lanes_.reserve(shard_count);
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    lanes_.push_back(std::make_unique<Lane>(options_, per_shard));
-  }
-  staging_.resize(shard_count);
+  make_lanes(std::min<std::size_t>(pool_ ? pool_->worker_count() : 1, kMaxLanes));
 }
 
 ShardedDatasetBuilder::~ShardedDatasetBuilder() {
@@ -169,17 +94,79 @@ ShardedDatasetBuilder::~ShardedDatasetBuilder() {
   group_.reset();
 }
 
-void ShardedDatasetBuilder::add_packet(const net::FrameView& frame) {
+void ShardedDatasetBuilder::make_lanes(std::size_t count) {
+  ResourceBudgets slice = divide_budgets(budgets_, count);
+  lanes_.clear();
+  lanes_.reserve(count);
+  for (std::size_t s = 0; s < count; ++s) {
+    lanes_.push_back(std::make_unique<Lane>(options_, slice));
+  }
+  staging_.assign(count, {});
+  deferred_ = 0;
+}
+
+void ShardedDatasetBuilder::add_packet(const net::FrameView& frame,
+                                       BandwidthAccumulator* bandwidth) {
   std::size_t s = shard_of(frame.data, lanes_.size());
+  Lane& lane = *lanes_[s];
   ++dispatched_;
   last_ts_ = frame.ts;
+  // A lane with deferred frames keeps deferring even once the hook clears:
+  // only poll_deferred() hands them on, in order.
+  bool defer = !lane.deferred.empty() || (stall_ && stall_(s));
+  if (!pool_ && !defer) {
+    lane.builder.add_packet(frame.ts, frame.data, bandwidth);
+    lane.ingested.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  // The frame waits, so it is accounted now: the bandwidth series must not
+  // depend on when a lane gets to it.
+  if (bandwidth) bandwidth->add_packet(frame.ts, frame.data);
+  if (defer) {
+    lane.deferred.push_back(copy_of(frame));
+    ++deferred_;
+    return;
+  }
   auto& batch = staging_[s];
-  batch.push_back(net::CapturedPacket{frame.ts, frame.original_length,
-                                      {frame.data.begin(), frame.data.end()}});
+  batch.push_back(copy_of(frame));
   if (batch.size() >= staging_batch_) {
-    push_batch(*lanes_[s], std::move(batch));
+    push_batch(lane, std::move(batch));
     batch = {};
   }
+}
+
+void ShardedDatasetBuilder::add_packets(std::span<const net::FrameView> frames,
+                                        BandwidthAccumulator* bandwidth) {
+  if (frames.empty()) return;
+  if (stall_ || (!pool_ && lanes_.size() > 1)) {
+    for (const auto& frame : frames) add_packet(frame, bandwidth);
+    return;
+  }
+  dispatched_ += frames.size();
+  last_ts_ = frames.back().ts;
+  if (!pool_) {
+    lanes_[0]->builder.add_packets(frames, bandwidth);
+    lanes_[0]->ingested.fetch_add(frames.size(), std::memory_order_relaxed);
+    return;
+  }
+  drain();  // earlier frames first: a lane sees its packets in order
+  if (bandwidth) {
+    for (const auto& frame : frames) bandwidth->add_packet(frame.ts, frame.data);
+  }
+  // Partition by lane — routing is a header peek, far cheaper than the
+  // decode the lane will do, so the driver loop is not the bottleneck.
+  std::vector<std::vector<net::FrameView>> shares(lanes_.size());
+  for (const auto& frame : frames) {
+    shares[shard_of(frame.data, lanes_.size())].push_back(frame);
+  }
+  for (std::size_t s = 0; s < lanes_.size(); ++s) {
+    if (shares[s].empty()) continue;
+    group_->run([this, s, &shares] {
+      lanes_[s]->builder.add_packets(shares[s]);
+      lanes_[s]->ingested.fetch_add(shares[s].size(), std::memory_order_relaxed);
+    });
+  }
+  group_->wait();
 }
 
 void ShardedDatasetBuilder::push_batch(Lane& lane,
@@ -219,6 +206,30 @@ void ShardedDatasetBuilder::drain_lane(Lane& lane) {
   }
 }
 
+std::size_t ShardedDatasetBuilder::poll_deferred(bool force) {
+  if (deferred_ == 0) return 0;
+  std::size_t released = 0;
+  for (std::size_t s = 0; s < lanes_.size(); ++s) {
+    Lane& lane = *lanes_[s];
+    if (lane.deferred.empty() || (!force && stall_ && stall_(s))) continue;
+    released += lane.deferred.size();
+    if (pool_) {
+      // Staged frames are older than every deferred one: append after them.
+      auto& batch = staging_[s];
+      for (auto& pkt : lane.deferred) batch.push_back(std::move(pkt));
+      push_batch(lane, std::move(batch));
+      batch = {};
+    } else {
+      // Already accounted at admission: no bandwidth feed.
+      for (const auto& pkt : lane.deferred) lane.builder.add_packet(pkt);
+      lane.ingested.fetch_add(lane.deferred.size(), std::memory_order_relaxed);
+    }
+    lane.deferred.clear();
+  }
+  deferred_ -= released;
+  return released;
+}
+
 std::vector<ShardedDatasetBuilder::LaneStat> ShardedDatasetBuilder::lane_stats()
     const {
   std::vector<LaneStat> out(lanes_.size());
@@ -228,7 +239,8 @@ std::vector<ShardedDatasetBuilder::LaneStat> ShardedDatasetBuilder::lane_stats()
     // buffer flushed on a deterministic threshold, so packets parked
     // there under a slow trickle are normal operation, not lane demand —
     // counting them would make the lane watchdog see phantom stalls.
-    out[s].queued_packets = lanes_[s]->queued.load(std::memory_order_relaxed);
+    out[s].queued_packets = lanes_[s]->queued.load(std::memory_order_relaxed) +
+                            lanes_[s]->deferred.size();
   }
   return out;
 }
@@ -251,15 +263,14 @@ ResourcePressure ShardedDatasetBuilder::pressure() {
 }
 
 CaptureDataset ShardedDatasetBuilder::finish() {
+  // The report must cover every admitted frame, whatever the hook says.
+  poll_deferred(true);
   drain();
   std::vector<ShardPartial> partials(lanes_.size());
-  {
-    exec::TaskGroup group(pool_);
-    for (std::size_t s = 0; s < lanes_.size(); ++s) {
-      group.run([&, s] { partials[s] = lanes_[s]->builder.finish_partial(last_ts_); });
-    }
-    group.wait();
+  for (std::size_t s = 0; s < lanes_.size(); ++s) {
+    group_->run([&, s] { partials[s] = lanes_[s]->builder.finish_partial(last_ts_); });
   }
+  group_->wait();
   return merge_partials(std::move(partials), options_);
 }
 
@@ -269,6 +280,11 @@ void ShardedDatasetBuilder::query(DatasetView& view) {
 }
 
 Status ShardedDatasetBuilder::save(ByteWriter& w) {
+  if (!quiescent()) {
+    return Error{"checkpoint-deferred",
+                 "frames deferred behind a wedged lane; checkpoint would be "
+                 "inconsistent"};
+  }
   drain();
   w.u32le(static_cast<std::uint32_t>(lanes_.size()));
   w.u64le(dispatched_);
@@ -281,16 +297,18 @@ Status ShardedDatasetBuilder::save(ByteWriter& w) {
 
 Status ShardedDatasetBuilder::load(ByteReader& r) {
   drain();
-  auto shard_count = r.u32le();
-  if (!shard_count) return shard_count.error();
-  if (shard_count.value() != lanes_.size()) {
-    return Error{"checkpoint-shard-mismatch",
-                 "checkpoint has " + std::to_string(shard_count.value()) +
-                     " shards, builder has " + std::to_string(lanes_.size())};
+  auto lanes = r.u32le();
+  if (!lanes) return lanes.error();
+  if (lanes.value() == 0 || lanes.value() > kMaxLanes) {
+    return Error{"checkpoint-lanes", "checkpoint claims " +
+                                         std::to_string(lanes.value()) +
+                                         " lanes (1.." + std::to_string(kMaxLanes) +
+                                         " allowed)"};
   }
   auto dispatched = r.u64le();
   auto last_ts = r.u64le();
   if (!last_ts) return last_ts.error();
+  make_lanes(lanes.value());
   for (auto& lane : lanes_) {
     if (auto st = lane->builder.load(r); !st) return st;
   }

@@ -12,7 +12,9 @@
 // sequential builder restricted to its connections would have seen, and
 // the merged dataset is byte-identical to the sequential one (whenever
 // resource budgets never bind — bounded state is divided per shard, so an
-// *enforced* budget evicts on different packet boundaries).
+// *enforced* budget evicts on different packet boundaries, and reports can
+// differ between shard counts). A fresh builder has one shard ("lane") per
+// pool worker; a restored one keeps its checkpoint's lane count.
 #pragma once
 
 #include <atomic>
@@ -34,10 +36,9 @@ class TaskGroup;
 
 namespace uncharted::analysis {
 
-/// Default shard count. Fixed — deliberately NOT derived from the worker
-/// count — so the shard a connection maps to, the per-shard budget slices
-/// and the checkpoint layout are identical at every --threads value.
-inline constexpr std::size_t kDefaultShardCount = 16;
+/// Lane-count cap for a checkpoint: load() refuses a payload that claims
+/// more lanes (or none) before it allocates any.
+inline constexpr std::size_t kMaxLanes = 1024;
 
 /// Shard index for a raw frame: SplitMix64 hash of the undirected IPv4
 /// endpoint pair (via net::peek_ipv4_pair — no checksum work, no TCP
@@ -49,41 +50,30 @@ std::size_t shard_of(std::span<const std::uint8_t> frame, std::size_t shard_coun
 /// gets ceil(budget / shards); 0 (unlimited) stays 0.
 ResourceBudgets divide_budgets(const ResourceBudgets& budgets, std::size_t shards);
 
-/// Wall-clock hook for the profiler layer: called with a stage label and
-/// elapsed milliseconds. Keeps analysis free of a core/profiler dependency.
-using StageHook = std::function<void(const char* stage, double wall_ms)>;
+/// Test-only stall seam: called on the driver thread with a frame's lane
+/// before the frame is handed to that lane. Returning true wedges the
+/// lane: the frame waits in the lane's deferred queue, and so does every
+/// later frame of that lane, until poll_deferred() finds the hook
+/// returning false again.
+using StallHook = std::function<bool(std::size_t lane)>;
 
-/// Batch entry point: partitions `packets` by shard (index lists — no
-/// packet copies), runs one DatasetBuilder per non-empty shard on the
-/// pool, and merges. With a null pool the shards run inline, in order —
-/// same code path, same result. `pressure_out`, when given, receives the
-/// sum of per-shard enforcement counters and the max of per-shard peaks;
-/// `on_stage` receives fan-out and merge wall times.
-CaptureDataset build_dataset_sharded(const std::vector<net::CapturedPacket>& packets,
-                                     const CaptureDataset::Options& options,
-                                     exec::Pool* pool,
-                                     std::size_t shard_count = kDefaultShardCount,
-                                     const ResourceBudgets& budgets = {},
-                                     ResourcePressure* pressure_out = nullptr,
-                                     const StageHook& on_stage = {});
-
-/// Zero-copy batch entry: same partition/merge machinery over frame views
-/// (spans into an mmap'd capture or owning packets, which must outlive the
-/// call). Produces byte-identical datasets to the owning overload.
+/// Batch entry point: one ShardedDatasetBuilder over `frames` (their
+/// spans must outlive the call), finished. Bandwidth is accounted into
+/// `bandwidth` when given — from the lane's own decode with no pool.
 CaptureDataset build_dataset_sharded(std::span<const net::FrameView> frames,
                                      const CaptureDataset::Options& options,
                                      exec::Pool* pool,
-                                     std::size_t shard_count = kDefaultShardCount,
-                                     const ResourceBudgets& budgets = {},
-                                     ResourcePressure* pressure_out = nullptr,
-                                     const StageHook& on_stage = {});
+                                     BandwidthAccumulator* bandwidth = nullptr);
 
-/// Streaming counterpart: packets arrive one at a time on the driver
-/// thread and are routed to per-shard lanes. Each lane is a strand — a
-/// FIFO of packet batches plus an "a drain task is scheduled" flag — so a
-/// lane's builder only ever runs on one thread at a time while different
-/// lanes run concurrently. The driver buffers a small staging batch per
-/// lane to amortize locking.
+/// The ingest engine: frames arrive one at a time (or as one batch) on the
+/// driver thread and are routed to lanes, one per pool worker (one with no
+/// pool), each owning a DatasetBuilder. With no pool a frame goes straight
+/// into its lane's builder on the driver thread, and that decode feeds the
+/// bandwidth accumulator. With a pool each lane is a strand — a FIFO of
+/// packet batches plus an "a drain task is scheduled" flag — so a lane's
+/// builder only ever runs on one thread at a time while different lanes
+/// run concurrently; the driver stages a small batch per lane to amortize
+/// locking, and accounts bandwidth at admission.
 ///
 /// drain() is the quiescence barrier: after it returns no lane task is
 /// running and every dispatched packet has been ingested. save()/load()/
@@ -91,26 +81,42 @@ CaptureDataset build_dataset_sharded(std::span<const net::FrameView> frames,
 class ShardedDatasetBuilder {
  public:
   ShardedDatasetBuilder(CaptureDataset::Options options, ResourceBudgets budgets,
-                        exec::Pool* pool,
-                        std::size_t shard_count = kDefaultShardCount);
+                        exec::Pool* pool, StallHook stall = {});
   ~ShardedDatasetBuilder();
 
   ShardedDatasetBuilder(const ShardedDatasetBuilder&) = delete;
   ShardedDatasetBuilder& operator=(const ShardedDatasetBuilder&) = delete;
 
-  /// Routes one frame to its lane. The lane's staged batch takes a copy,
-  /// the one copy a frame gets on its way to a lane builder.
-  void add_packet(const net::FrameView& frame);
+  /// Routes one frame to its lane; `bandwidth`, when given, accounts it
+  /// exactly once, in arrival order. A frame that must wait (a lane's
+  /// staged batch, a wedged lane's deferred queue) is copied once, there.
+  void add_packet(const net::FrameView& frame, BandwidthAccumulator* bandwidth);
 
-  /// Packets dispatched so far — the resume cursor, mirroring
-  /// DatasetBuilder::packets_consumed().
+  /// Batch ingest of frames that outlive the call. With no pool and one
+  /// lane this is DatasetBuilder::add_packets on the caller's thread; with
+  /// a pool each lane's share runs as one task over borrowed views.
+  void add_packets(std::span<const net::FrameView> frames,
+                   BandwidthAccumulator* bandwidth);
+
+  /// Packets admitted so far, deferred ones included — the resume cursor,
+  /// mirroring DatasetBuilder::packets_consumed().
   std::uint64_t packets_consumed() const { return dispatched_; }
+
+  /// Hands every wedged lane's deferred frames, in order, to the lane once
+  /// the stall hook releases it — or, with `force`, whatever the hook says.
+  /// Returns the number of frames handed on.
+  std::size_t poll_deferred(bool force = false);
+
+  /// No frame waits behind a wedged lane. save() requires it: a deferred
+  /// frame is counted by the cursor but absent from the lane's state.
+  bool quiescent() const { return deferred_ == 0; }
 
   /// Per-lane progress snapshot for the health watchdogs: how many packets
   /// a lane's builder has ingested and how many sit queued behind it
-  /// (pending batches, not the driver's staging buffer). Lock-free reads
-  /// of per-lane atomics — safe to call from the driver thread while lane
-  /// tasks run; values from different lanes are not a consistent cut.
+  /// (pending batches and deferred frames, not the driver's staging
+  /// buffer). Lock-free reads of per-lane atomics — safe to call from the
+  /// driver thread while lane tasks run; values from different lanes are
+  /// not a consistent cut.
   struct LaneStat {
     std::uint64_t ingested = 0;
     std::size_t queued_packets = 0;
@@ -121,39 +127,46 @@ class ShardedDatasetBuilder {
   /// the first exception any lane task raised.
   void drain();
 
-  /// Sum of per-shard enforcement actions, max of per-shard peaks.
+  /// Sum of per-lane enforcement actions, max of per-lane peaks.
   /// Drains first.
   ResourcePressure pressure();
 
-  /// Flushes every lane at the global cursor timestamp and merges. The
-  /// builder is spent afterwards.
+  /// Releases every deferred frame whatever the stall hook says, flushes
+  /// every lane at the global cursor timestamp and merges (one lane is
+  /// adopted without a merge). The builder is spent afterwards.
   CaptureDataset finish();
 
   /// A live query without spending the builder: drains, then adds every
   /// lane to `view` (DatasetBuilder::query) at the global cursor
-  /// timestamp. The lanes keep ingesting afterwards as if nothing
-  /// happened, once the view is done reading them.
+  /// timestamp. Deferred frames stay deferred. The lanes keep ingesting
+  /// afterwards as if nothing happened, once the view is done reading them.
   void query(DatasetView& view);
 
-  /// Checkpoint serialization: shard count, cursor, global last timestamp,
-  /// then each lane's DatasetBuilder state. load() refuses a checkpoint
-  /// whose shard count differs from this builder's (the caller starts
-  /// fresh — re-ingesting is always correct).
+  /// Checkpoint serialization: lane count, cursor, global last timestamp,
+  /// then each lane's DatasetBuilder state. save() fails while frames are
+  /// deferred. load() rebuilds the lanes to the checkpoint's count, which
+  /// need not match the pool's workers; it refuses a count of 0 or above
+  /// kMaxLanes (the caller starts fresh — re-ingesting is always correct).
   Status save(ByteWriter& w);
   Status load(ByteReader& r);
 
  private:
   struct Lane;
 
+  /// Replaces the lanes with `count` fresh ones, each with its budget slice.
+  void make_lanes(std::size_t count);
   void push_batch(Lane& lane, std::vector<net::CapturedPacket>&& batch);
   void drain_lane(Lane& lane);
 
   CaptureDataset::Options options_;
+  ResourceBudgets budgets_;  ///< global; each lane gets a slice
   exec::Pool* pool_;
+  StallHook stall_;
   std::unique_ptr<exec::TaskGroup> group_;
   std::vector<std::unique_ptr<Lane>> lanes_;
   std::vector<std::vector<net::CapturedPacket>> staging_;  ///< driver-only
   std::size_t staging_batch_ = 256;
+  std::size_t deferred_ = 0;  ///< frames in every lane's deferred queue
   std::uint64_t dispatched_ = 0;
   Timestamp last_ts_ = 0;  ///< ts of the last dispatched packet
 };

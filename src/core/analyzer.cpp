@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "analysis/sharded.hpp"
 #include "exec/pool.hpp"
 #include "iec104/constants.hpp"
 #include "util/strings.hpp"
@@ -10,10 +11,6 @@
 namespace uncharted::core {
 
 namespace {
-
-unsigned resolve_threads(unsigned threads) {
-  return threads == 0 ? exec::Pool::default_threads() : threads;
-}
 
 /// What the §6 pass reads besides the records.
 struct PassInputs {
@@ -130,12 +127,8 @@ AnalysisReport analyze_view(analysis::DatasetView& view,
 AnalysisReport analyze_dataset(const analysis::CaptureDataset& dataset,
                                analysis::BandwidthReport bandwidth,
                                const CaptureAnalyzer::Options& options) {
-  unsigned threads = resolve_threads(options.threads);
-  if (threads <= 1) {
-    return analyze_dataset(dataset, std::move(bandwidth), options, nullptr);
-  }
-  exec::Pool pool(threads);
-  return analyze_dataset(dataset, std::move(bandwidth), options, &pool);
+  auto pool = exec::Pool::for_threads(options.threads);
+  return analyze_dataset(dataset, std::move(bandwidth), options, pool.get());
 }
 
 AnalysisReport CaptureAnalyzer::analyze(const std::vector<net::CapturedPacket>& packets,
@@ -150,45 +143,18 @@ AnalysisReport CaptureAnalyzer::analyze(std::span<const net::FrameView> frames,
   ds_opts.mode = options.mode;
   ds_opts.parser_mode = options.parser_mode;
 
-  unsigned threads = resolve_threads(options.threads);
-  if (threads <= 1) {
-    StageTimings build_timings;
-    analysis::CaptureDataset dataset;
-    analysis::BandwidthAccumulator bandwidth;
-    {
-      // One decode per frame feeds both the dataset and the bandwidth
-      // accounting, so "ingest" covers both.
-      ScopedStageTimer t(&build_timings, "ingest");
-      analysis::DatasetBuilder builder(ds_opts);
-      builder.add_packets(frames, &bandwidth);
-      dataset = builder.finish();
-    }
-    auto report = analyze_dataset(dataset, bandwidth.finish(), options, nullptr);
-    report.timings.stages.insert(report.timings.stages.begin(),
-                                 build_timings.stages.begin(),
-                                 build_timings.stages.end());
-    return report;
-  }
-
-  exec::Pool pool(threads);
+  auto pool = exec::Pool::for_threads(options.threads);
   StageTimings build_timings;
   analysis::CaptureDataset dataset;
+  analysis::BandwidthAccumulator bandwidth;
   {
+    // With no pool one decode per frame feeds both the dataset and the
+    // bandwidth accounting; with one, bandwidth is accounted as the frames
+    // are handed to the lanes. "ingest" covers both either way.
     ScopedStageTimer t(&build_timings, "ingest");
-    dataset = analysis::build_dataset_sharded(
-        frames, ds_opts, &pool, options.shard_count, {}, nullptr,
-        [&build_timings](const char* stage, double wall_ms) {
-          build_timings.add(stage, wall_ms);
-        });
+    dataset = analysis::build_dataset_sharded(frames, ds_opts, pool.get(), &bandwidth);
   }
-  // The shard lanes decode on worker threads, so bandwidth accounting
-  // stays a pass of its own here.
-  analysis::BandwidthReport bandwidth;
-  {
-    ScopedStageTimer t(&build_timings, "bandwidth");
-    bandwidth = analysis::analyze_bandwidth(frames);
-  }
-  auto report = analyze_dataset(dataset, std::move(bandwidth), options, &pool);
+  auto report = analyze_dataset(dataset, bandwidth.finish(), options, pool.get());
   report.timings.stages.insert(report.timings.stages.begin(),
                                build_timings.stages.begin(),
                                build_timings.stages.end());

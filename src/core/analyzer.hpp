@@ -15,7 +15,6 @@
 #include "analysis/physical.hpp"
 #include "analysis/seq_audit.hpp"
 #include "analysis/sessions.hpp"
-#include "analysis/sharded.hpp"
 #include "analysis/topology_diff.hpp"
 #include "analysis/typeid_stats.hpp"
 #include "core/names.hpp"
@@ -31,8 +30,10 @@ namespace uncharted::core {
 
 /// What degraded-mode ingestion dropped, skipped or quarantined while the
 /// report was produced. `degraded()` is false for a clean capture; when
-/// true the headline numbers carry the documented drift bounds (DESIGN.md
-/// "Degraded-mode ingestion") instead of being exact.
+/// true — any counter, enforced budget, truncated pcap or warning (a live
+/// ingest loss, a failed checkpoint write) — the headline numbers carry
+/// the documented drift bounds (DESIGN.md "Degraded-mode ingestion")
+/// instead of being exact.
 struct DegradationReport {
   analysis::DegradationCounters counters;
   /// Budget enforcement during streaming ingestion (empty for batch runs
@@ -44,7 +45,7 @@ struct DegradationReport {
   std::vector<std::string> warnings;
 
   bool degraded() const {
-    return counters.any() || resources.any() || pcap_truncated;
+    return counters.any() || resources.any() || pcap_truncated || !warnings.empty();
   }
 };
 
@@ -78,15 +79,12 @@ class CaptureAnalyzer {
         iec104::ApduStreamParser::Mode::kTolerant;
     int cluster_k = 5;        ///< 0 = pick by elbow
     bool keep_series = true;  ///< retain full time series in the report
-    /// Worker threads for the flow-sharded pipeline and the parallelized
-    /// analytics. 1 = today's sequential path (no pool is created);
-    /// 0 = one per hardware thread. The report is byte-identical at every
-    /// value — see DESIGN.md "Parallel execution model".
+    /// Worker threads, and so ingest lanes, for the flow-sharded engine
+    /// and the parallelized analytics. 1 = one lane on the caller's thread
+    /// (no pool is created); 0 = one per hardware thread. The report is
+    /// byte-identical at every value while no budget binds — see DESIGN.md
+    /// "Parallel execution model".
     unsigned threads = 1;
-    /// Shards for the parallel ingest path. Fixed by default (never
-    /// derived from `threads`) so checkpoints and budget slices are
-    /// thread-count independent.
-    std::size_t shard_count = analysis::kDefaultShardCount;
   };
 
   /// Analyzes in-memory packets (borrows them as views; see below).

@@ -37,12 +37,13 @@ namespace uncharted::core {
 
 inline constexpr std::uint32_t kCheckpointMagic = 0x554E434B;  // "UNCK"
 // Version 2: DatasetBuilder serializes per-flow damage kinds (FlowDamage)
-// instead of the former two-counter FlowHealth. Version 3: the
-// StreamingAnalyzer payload starts with an engine tag byte (1 = single
-// builder, 2 = flow-sharded) and the sharded engine serializes per-lane
-// builder state. Older checkpoints are rejected on read and the analyzer
-// restarts from the capture — by design, never a crash.
-inline constexpr std::uint32_t kCheckpointVersion = 3;
+// instead of the former two-counter FlowHealth. Version 3: an engine tag
+// byte chose between two ingest engines. Version 4: one engine; the
+// StreamingAnalyzer payload starts with its lane count, and a restore
+// rebuilds that many lanes at any --threads. Older checkpoints are
+// rejected on read and the analyzer restarts from the capture — by
+// design, never a crash.
+inline constexpr std::uint32_t kCheckpointVersion = 4;
 
 /// Atomically replaces `path` with a checkpoint wrapping `payload`,
 /// rotating any existing file to `path + ".1"` first. Durable: the tmp

@@ -19,8 +19,8 @@ std::uint64_t enforcement_total(const analysis::ResourcePressure& p) {
          p.parsers_evicted;
 }
 
-std::string lane_name(std::size_t shard) {
-  return "lane/" + std::to_string(shard);
+std::string lane_name(std::size_t lane) {
+  return "lane/" + std::to_string(lane);
 }
 
 std::string fmt_stalled(double s) {
@@ -72,13 +72,6 @@ void LiveIngestDaemon::register_watchdogs() {
   health_.configure_breaker(wd.breaker);
   health_.add("reactor", {wd.reactor_deadline_s, {health::Action::kObserve}});
   health_.add("merge", {wd.merge_deadline_s, {health::Action::kCondemnStream}});
-  const std::size_t shards = analyzer_->lane_stats().size();
-  for (std::size_t s = 0; s < shards; ++s) {
-    health_.add(lane_name(s),
-                {wd.lane_deadline_s,
-                 {health::Action::kRestartLane, health::Action::kRestartLane,
-                  health::Action::kSelfTerminate}});
-  }
   double ckpt_deadline = wd.checkpoint_deadline_s;
   if (ckpt_deadline <= 0.0 && options_.checkpoint_every_s > 0.0) {
     ckpt_deadline = std::max(3.0 * options_.checkpoint_every_s, 30.0);
@@ -89,6 +82,20 @@ void LiveIngestDaemon::register_watchdogs() {
                 health::Action::kRestartCheckpoint, health::Action::kSelfTerminate}});
   // Heartbeat only: a quiet query socket is normal, never a stall.
   health_.add("query", {0.0, {}});
+}
+
+void LiveIngestDaemon::watch_lanes() {
+  // The engine's lane count is fixed only once a restore has run: fresh
+  // from --threads, or the restored checkpoint's.
+  const std::size_t lanes = analyzer_->lane_stats().size();
+  for (std::size_t s = lanes; s < watched_lanes_; ++s) health_.remove(lane_name(s));
+  for (std::size_t s = watched_lanes_; s < lanes; ++s) {
+    health_.add(lane_name(s),
+                {options_.watchdog.lane_deadline_s,
+                 {health::Action::kRestartLane, health::Action::kRestartLane,
+                  health::Action::kSelfTerminate}});
+  }
+  watched_lanes_ = lanes;
 }
 
 Status LiveIngestDaemon::try_restore_composed() {
@@ -114,6 +121,7 @@ Status LiveIngestDaemon::start(bool restore) {
       rebuild_engine();
     }
   }
+  watch_lanes();
   install_handlers();
   if (auto st = server_->start(); !st) return st;
   if (options_.checkpoint_every_s > 0.0 && !checkpoint_path_.empty()) {
@@ -174,7 +182,7 @@ void LiveIngestDaemon::poll_pressure() {
 }
 
 void LiveIngestDaemon::poll_watchdogs() {
-  // Drain packets whose shard is no longer wedged before measuring lanes,
+  // Drain frames whose lane is no longer wedged before measuring lanes,
   // so a cleared stall shows up as progress on this very poll.
   analyzer_->poll_deferred();
   const netd::ServerStats& stats = server_->stats();
@@ -274,6 +282,7 @@ Status LiveIngestDaemon::recover_from_checkpoint(const std::string& why) {
       rebuild_engine();
     }
   }
+  watch_lanes();
   install_handlers();
   return server_->start();
 }
@@ -285,12 +294,6 @@ Status LiveIngestDaemon::checkpoint_now() {
   Status st = [&]() -> Status {
     if (options_.stall_checkpoint) {
       return Error{"checkpoint-stalled", "checkpoint writer wedged by test knob"};
-    }
-    if (!analyzer_->quiescent()) {
-      // Cursors count admitted packets; parked ones are absent from the
-      // analyzer state. A snapshot now could never restore consistently.
-      return Error{"checkpoint-deferred",
-                   "packets parked behind a wedged shard"};
     }
     ByteWriter w;
     w.u32le(kLiveMagic);

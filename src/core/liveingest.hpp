@@ -5,7 +5,7 @@
 // this class feeds them synchronously into a StreamingAnalyzer and owns
 // the pieces neither side can own alone:
 //
-//   Composed checkpoint   One atomic v3-container snapshot holding the
+//   Composed checkpoint   One atomic v4-container snapshot holding the
 //                         server's release cursors AND the analyzer state.
 //                         Because the sink is synchronous, the two halves
 //                         are always mutually consistent: a restore resumes
@@ -161,6 +161,9 @@ class LiveIngestDaemon {
   void arm_watchdog_timer();
   void poll_pressure();
   void register_watchdogs();
+  /// Registers a lane/N watchdog per engine lane (and drops any beyond
+  /// the count): called once the engine is settled after a restore.
+  void watch_lanes();
   void poll_watchdogs();
   void execute_recovery(const health::StallEvent& ev);
   /// kRestartLane: tear down the server and analyzer and rebuild both from
@@ -189,6 +192,7 @@ class LiveIngestDaemon {
   std::uint64_t checkpoint_successes_ = 0;
   std::string checkpoint_error_;
   health::Registry health_;
+  std::size_t watched_lanes_ = 0;
   RecoveryHook recovery_hook_;
   bool terminate_requested_ = false;
   std::string terminate_reason_;

@@ -1,6 +1,6 @@
 // Profiling, in both of this file's senses:
 //  - StageTimings / ScopedStageTimer: wall-clock per-stage timers for the
-//    analysis pipeline (shard fan-out, merge, each §6 analytics stage),
+//    analysis pipeline (ingest, the record pass, each §6 stage's close),
 //    rendered behind --profile and fed by the throughput benchmark.
 //  - NetworkProfiler: the whitelist the paper's conclusion proposes —
 //    correlate cyber profiles (per-connection Markov/bigram models, known
@@ -32,9 +32,9 @@ struct StageTiming {
 /// Ordered wall-clock stage timings for one analysis run. Wall time is
 /// inherently nondeterministic, so timings live OUTSIDE every determinism
 /// surface: they are excluded from report_to_json and rendered only when
-/// RenderOptions.profile asks for them. At threads <= 1 the "ingest" stage
-/// includes bandwidth accounting (it rides on the builder's decode); the
-/// sharded path times it as a separate "bandwidth" stage.
+/// RenderOptions.profile asks for them. The "ingest" stage covers the
+/// engine's lanes, their merge and bandwidth accounting at every thread
+/// count.
 struct StageTimings {
   std::vector<StageTiming> stages;
 

@@ -10,11 +10,6 @@ namespace uncharted::core {
 
 namespace {
 
-// Checkpoint payload engine tags: a sharded checkpoint cannot restore into
-// a single builder (or vice versa), so the payload says which wrote it.
-constexpr std::uint8_t kEngineSingle = 1;
-constexpr std::uint8_t kEngineSharded = 2;
-
 analysis::CaptureDataset::Options dataset_options(const StreamingOptions& options) {
   analysis::CaptureDataset::Options ds_opts;
   ds_opts.mode = options.analyze.mode;
@@ -22,120 +17,28 @@ analysis::CaptureDataset::Options dataset_options(const StreamingOptions& option
   return ds_opts;
 }
 
-unsigned resolve_stream_threads(unsigned threads) {
-  return threads == 0 ? exec::Pool::default_threads() : threads;
-}
-
 }  // namespace
 
 StreamingAnalyzer::StreamingAnalyzer(StreamingOptions options)
-    : options_(std::move(options)) {
-  unsigned threads = resolve_stream_threads(options_.analyze.threads);
-  if (threads > 1) {
-    pool_ = std::make_unique<exec::Pool>(threads);
-    sharded_ = std::make_unique<analysis::ShardedDatasetBuilder>(
-        dataset_options(options_), options_.budgets, pool_.get(),
-        options_.analyze.shard_count);
-  } else {
-    single_ = std::make_unique<analysis::DatasetBuilder>(dataset_options(options_),
-                                                         options_.budgets);
-  }
-  std::size_t shards = std::max<std::size_t>(options_.analyze.shard_count, 1);
-  deferred_.resize(shards);
-  shard_ingested_.resize(shards, 0);
-}
+    : options_(std::move(options)),
+      pool_(exec::Pool::for_threads(options_.analyze.threads)),
+      engine_(dataset_options(options_), options_.budgets, pool_.get(),
+              options_.stall_hook) {}
 
-// Lanes must quiesce before the pool dies: sharded_ (declared after
-// pool_) is destroyed first, joining its TaskGroup.
+// Lanes must quiesce before the pool dies: engine_ (declared after pool_)
+// is destroyed first, joining its TaskGroup.
 StreamingAnalyzer::~StreamingAnalyzer() = default;
 
-std::uint64_t StreamingAnalyzer::packets_consumed() const {
-  return sharded_ ? sharded_->packets_consumed() : single_->packets_consumed();
-}
-
-analysis::ResourcePressure StreamingAnalyzer::pressure() {
-  return sharded_ ? sharded_->pressure() : single_->pressure();
-}
-
-void StreamingAnalyzer::ingest(std::size_t shard, const net::FrameView& frame,
-                               analysis::BandwidthAccumulator* bandwidth) {
-  if (sharded_) {
-    sharded_->add_packet(frame);
-  } else {
-    single_->add_packet(frame.ts, frame.data, bandwidth);
-  }
-  ++shard_ingested_[shard];
-}
-
 void StreamingAnalyzer::add_packet(const net::FrameView& frame) {
-  std::size_t shard = analysis::shard_of(frame.data, deferred_.size());
-  // A non-empty queue keeps deferring even if the hook cleared — per-shard
-  // order must survive the stall, and only poll_deferred() drains in order.
-  bool defer = !deferred_[shard].empty() ||
-               (options_.stall_hook && options_.stall_hook(shard));
-  // Bandwidth is accounted at admission, before any stall deferral, so the
-  // byte/interval series the report derives from does not depend on when a
-  // wedged shard recovers. A packet the single builder ingests right now
-  // is accounted from the builder's own decode of it; every other packet
-  // (deferred, or bound for a shard lane) is decoded here.
-  if (defer || sharded_) bandwidth_.add_packet(frame.ts, frame.data);
-  if (defer) {
-    deferred_[shard].push_back(net::CapturedPacket{
-        frame.ts, frame.original_length, {frame.data.begin(), frame.data.end()}});
-    ++deferred_total_;
-    return;
-  }
-  ingest(shard, frame, sharded_ ? nullptr : &bandwidth_);
+  engine_.add_packet(frame, &bandwidth_);
   if (options_.checkpoint_every_packets > 0 && !options_.checkpoint_path.empty() &&
-      deferred_total_ == 0 &&
+      engine_.quiescent() &&
       packets_consumed() - last_checkpoint_packets_ >=
           options_.checkpoint_every_packets) {
     // A failed periodic write must not stop ingestion (a full disk should
     // degrade durability, not availability); remember it for the report.
     if (auto st = write_checkpoint(); !st) checkpoint_error_ = st.error().str();
   }
-}
-
-std::size_t StreamingAnalyzer::poll_deferred() {
-  if (deferred_total_ == 0) return 0;
-  std::size_t drained = 0;
-  for (std::size_t s = 0; s < deferred_.size(); ++s) {
-    auto& q = deferred_[s];
-    while (!q.empty() && !(options_.stall_hook && options_.stall_hook(s))) {
-      ingest(s, net::as_frame_view(q.front()));
-      q.pop_front();
-      --deferred_total_;
-      ++drained;
-    }
-  }
-  return drained;
-}
-
-void StreamingAnalyzer::force_drain_deferred() {
-  // Finalize override: whatever the hook says, the report must cover every
-  // admitted packet. Per-shard order is all correctness requires.
-  for (std::size_t s = 0; s < deferred_.size(); ++s) {
-    for (const auto& pkt : deferred_[s]) ingest(s, net::as_frame_view(pkt));
-    deferred_total_ -= deferred_[s].size();
-    deferred_[s].clear();
-  }
-}
-
-std::vector<analysis::ShardedDatasetBuilder::LaneStat>
-StreamingAnalyzer::lane_stats() const {
-  std::vector<analysis::ShardedDatasetBuilder::LaneStat> out;
-  if (sharded_) {
-    out = sharded_->lane_stats();
-  } else {
-    out.resize(deferred_.size());
-    for (std::size_t s = 0; s < out.size(); ++s) {
-      out[s].ingested = shard_ingested_[s];
-    }
-  }
-  for (std::size_t s = 0; s < out.size() && s < deferred_.size(); ++s) {
-    out[s].queued_packets += deferred_[s].size();
-  }
-  return out;
 }
 
 void StreamingAnalyzer::add_packets(std::span<const net::FrameView> frames) {
@@ -147,48 +50,25 @@ void StreamingAnalyzer::add_packets(std::span<const net::FrameView> frames) {
 }
 
 Status StreamingAnalyzer::save_state(ByteWriter& w) {
-  if (sharded_) {
-    w.u8(kEngineSharded);
-    if (auto st = sharded_->save(w); !st) return st;
-  } else {
-    w.u8(kEngineSingle);
-    if (auto st = single_->save(w); !st) return st;
-  }
+  if (auto st = engine_.save(w); !st) return st;
   bandwidth_.save(w);
   return Status::Ok();
 }
 
 Status StreamingAnalyzer::load_state(ByteReader& r) {
-  auto engine = r.u8();
-  if (!engine) return Error{"streaming-state", "engine tag unreadable"};
-  // An engine (or shard-count) mismatch means the state was written under
-  // a different --threads configuration; the caller must rebuild fresh.
-  if (engine.value() == kEngineSharded) {
-    if (!sharded_) return Error{"streaming-engine", "sharded state, single engine"};
-    if (auto st = sharded_->load(r); !st) return st;
-  } else if (engine.value() == kEngineSingle) {
-    if (!single_) return Error{"streaming-engine", "single state, sharded engine"};
-    if (auto st = single_->load(r); !st) return st;
-  } else {
-    return Error{"streaming-engine",
-                 "unknown engine tag " + std::to_string(engine.value())};
-  }
+  if (auto st = engine_.load(r); !st) return st;
   if (auto st = bandwidth_.load(r); !st) return st;
   last_checkpoint_packets_ = packets_consumed();
   return Status::Ok();
 }
 
 AnalysisReport StreamingAnalyzer::report_snapshot() {
-  // Pressure first: on the sharded engine it drains the lanes, which the
-  // query then needs anyway. Packets parked behind a wedged shard stay
-  // parked — absent from the records, but already in bandwidth_.
+  // Pressure first: it drains the lanes, which the query then needs
+  // anyway. Frames deferred behind a wedged lane stay deferred — absent
+  // from the records, but already in bandwidth_.
   auto pressure = this->pressure();
   analysis::DatasetView view;
-  if (sharded_) {
-    sharded_->query(view);
-  } else {
-    single_->query(single_->last_ts(), view);
-  }
+  engine_.query(view);
   return with_pressure(
       analyze_view(view, bandwidth_.finish(), options_.analyze, pool_.get()), pressure);
 }
@@ -221,11 +101,6 @@ Status StreamingAnalyzer::checkpoint_now() {
   if (options_.checkpoint_path.empty()) {
     return Error{"checkpoint-unconfigured", "no checkpoint_path set"};
   }
-  if (!quiescent()) {
-    return Error{"checkpoint-stalled",
-                 "packets parked behind a wedged shard; checkpoint would be "
-                 "inconsistent"};
-  }
   return write_checkpoint();
 }
 
@@ -234,7 +109,7 @@ bool StreamingAnalyzer::try_restore() {
   auto payload = read_latest_checkpoint(options_.checkpoint_path);
   if (!payload) return false;  // missing/corrupt/truncated: start fresh
   ByteReader r(payload.value());
-  // A load failure (engine mismatch, truncated payload) means re-ingesting
+  // A load failure (bad lane count, truncated payload) means re-ingesting
   // from the start is the correct recovery; treat like a missing
   // checkpoint. Note a partial load may have mutated builder state — the
   // builders tolerate that only because every caller discards the analyzer
@@ -243,14 +118,16 @@ bool StreamingAnalyzer::try_restore() {
 }
 
 AnalysisReport StreamingAnalyzer::finalize() {
-  force_drain_deferred();
+  // The report covers every admitted frame, and so does the shutdown
+  // checkpoint: wedged lanes are released first.
+  engine_.poll_deferred(true);
   if (!options_.checkpoint_path.empty()) {
     // Shutdown checkpoint: a restart after this point resumes at the end
     // of input instead of re-ingesting.
     if (auto st = write_checkpoint(); !st) checkpoint_error_ = st.error().str();
   }
   auto final_pressure = pressure();
-  auto dataset = sharded_ ? sharded_->finish() : single_->finish();
+  auto dataset = engine_.finish();
   auto report = with_pressure(
       analyze_dataset(dataset, bandwidth_.finish(), options_.analyze, pool_.get()),
       final_pressure);

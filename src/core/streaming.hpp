@@ -11,8 +11,6 @@
 // never bound.
 #pragma once
 
-#include <deque>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -28,18 +26,9 @@ class Pool;
 
 namespace uncharted::core {
 
-/// Test-only stall seam: called with a packet's shard index before it is
-/// handed to the analysis engine. Returning true parks the packet in a
-/// per-shard deferred queue instead — the shard is "wedged" — until a
-/// later poll_deferred() finds the hook returning false again. Per-shard
-/// order is preserved, and the shard index is computed with the same
-/// endpoint-pair hash at every --threads value, so a stalled-then-drained
-/// run produces the same report on both engines.
-using StallHook = std::function<bool(std::size_t shard)>;
-
 struct StreamingOptions {
   CaptureAnalyzer::Options analyze;
-  /// Budgets handed to the DatasetBuilder. Default: unlimited.
+  /// Global budgets, divided across the engine's lanes. Default: unlimited.
   analysis::ResourceBudgets budgets;
   /// add_packets() slice size — bounds how much work happens between
   /// checkpoint opportunities.
@@ -48,8 +37,9 @@ struct StreamingOptions {
   std::uint64_t checkpoint_every_packets = 0;
   /// Checkpoint file path; empty disables checkpointing entirely.
   std::string checkpoint_path;
-  /// Test-only: wedge selected shards (see StallHook above). Empty = never.
-  StallHook stall_hook;
+  /// Test-only: wedge selected lanes (see analysis::StallHook). Empty =
+  /// never.
+  analysis::StallHook stall_hook;
 };
 
 class StreamingAnalyzer {
@@ -63,48 +53,50 @@ class StreamingAnalyzer {
   /// Ingests one frame; writes a checkpoint when the interval elapses.
   /// Checkpoint write failures never interrupt ingestion — they surface as
   /// a degradation warning in the final report. The view need only live
-  /// for the call: a frame that must wait (a deferral queue, a shard
-  /// lane's staged batch) is copied once, there.
+  /// for the call: a frame that must wait (a wedged lane's deferred queue,
+  /// a lane's staged batch) is copied once, there.
   void add_packet(const net::FrameView& frame);
 
   /// Ingests a span in `batch_packets`-sized slices.
   void add_packets(std::span<const net::FrameView> frames);
 
   /// Packets ingested so far; after try_restore(), the resume cursor.
-  std::uint64_t packets_consumed() const;
+  std::uint64_t packets_consumed() const { return engine_.packets_consumed(); }
 
-  /// Re-checks the stall hook for every wedged shard and ingests (in
-  /// per-shard order) everything whose shard is no longer stalled. Returns
-  /// the number of packets drained. Cheap no-op when nothing is deferred.
-  std::size_t poll_deferred();
+  /// Hands the frames of every lane the stall hook no longer wedges to
+  /// their lanes, in order. Returns the number handed on. Cheap no-op when
+  /// nothing is deferred.
+  std::size_t poll_deferred() { return engine_.poll_deferred(); }
 
-  /// No packets are parked behind a wedged shard. Checkpoints composed
-  /// with external cursors are only consistent when this holds — a parked
-  /// packet is counted by the cursor but absent from builder state.
-  bool quiescent() const { return deferred_total_ == 0; }
+  /// No frame waits behind a wedged lane. Checkpoints composed with
+  /// external cursors are only consistent when this holds — a deferred
+  /// frame is counted by the cursor but absent from the lane's state.
+  bool quiescent() const { return engine_.quiescent(); }
 
-  /// Per-shard progress for the health watchdogs: packets handed to the
-  /// engine and packets queued behind it (engine lanes + deferred). On the
-  /// single-builder engine the "lanes" are the same hash partition the
-  /// sharded engine would use, so watchdog wiring is thread-count-neutral.
-  std::vector<analysis::ShardedDatasetBuilder::LaneStat> lane_stats() const;
+  /// Per-lane progress for the health watchdogs: packets handed to each
+  /// lane's builder and packets queued behind it (staged batches and
+  /// deferred frames). One entry per lane of the engine.
+  std::vector<analysis::ShardedDatasetBuilder::LaneStat> lane_stats() const {
+    return engine_.lane_stats();
+  }
 
-  /// Budget enforcement so far. Drains in-flight lane work first on the
-  /// sharded engine, hence by value and non-const.
-  analysis::ResourcePressure pressure();
+  /// Budget enforcement so far. Drains in-flight lane work first, hence
+  /// non-const.
+  analysis::ResourcePressure pressure() { return engine_.pressure(); }
 
   /// Writes a checkpoint now (error if no checkpoint_path configured).
   Status checkpoint_now();
 
-  /// Serializes the full analyzer state (engine tag + builder + bandwidth)
-  /// into `w` — the payload `write_checkpoint()` wraps in the v3 container.
-  /// Exposed so a daemon can compose it with its own durable state into
-  /// one atomic checkpoint.
+  /// Serializes the full analyzer state (engine lanes + bandwidth) into
+  /// `w` — the payload `write_checkpoint()` wraps in the v4 container. It
+  /// starts with the lane count. Exposed so a daemon can compose it with
+  /// its own durable state into one atomic checkpoint. Fails while frames
+  /// are deferred (see quiescent()).
   Status save_state(ByteWriter& w);
 
-  /// Restores state previously written by save_state(). The engine (and
-  /// shard count) must match the current configuration; a mismatch is an
-  /// error and the analyzer should be discarded and rebuilt fresh.
+  /// Restores state previously written by save_state(), with the lane
+  /// count it was written with, whatever `--threads` says now. On error
+  /// the analyzer should be discarded and rebuilt fresh.
   Status load_state(ByteReader& r);
 
   /// The report over everything ingested so far, without spending the
@@ -112,10 +104,11 @@ class StreamingAnalyzer {
   /// afterwards. Every lane's small state is copied and flushed
   /// (DatasetBuilder::query) and its records are read in place, in one
   /// pass that feeds every §6 accumulator (analyze_view); nothing is
-  /// cached, so every call recomputes from the current state. Equals finalize() of a fresh analyzer fed the same packets,
-  /// except that packets parked behind a wedged shard are missing from the
-  /// records but present in the bandwidth series (accounted at admission),
-  /// and that a failed checkpoint write is not reported here.
+  /// cached, so every call recomputes from the current state. Equals
+  /// finalize() of a fresh analyzer fed the same packets, except that
+  /// frames deferred behind a wedged lane are missing from the records but
+  /// present in the bandwidth series (accounted at admission), and that a
+  /// failed checkpoint write is not reported here.
   AnalysisReport report_snapshot();
 
   /// Loads the newest valid checkpoint generation, if any. Returns true
@@ -134,29 +127,15 @@ class StreamingAnalyzer {
   /// and report_snapshot() so the two cannot drift apart.
   AnalysisReport with_pressure(AnalysisReport report,
                                const analysis::ResourcePressure& pressure) const;
-  /// Hands `frame` to the engine. `bandwidth` is fed from the single
-  /// builder's decode; deferred and sharded packets pass null, because
-  /// they were accounted at admission.
-  void ingest(std::size_t shard, const net::FrameView& frame,
-              analysis::BandwidthAccumulator* bandwidth = nullptr);
-  void force_drain_deferred();
 
   StreamingOptions options_;
-  /// Engine selection: threads <= 1 uses the single DatasetBuilder (the
-  /// seed code path, byte-for-byte); more threads use the flow-sharded
-  /// builder over pool_. Exactly one of single_/sharded_ is set. pool_ is
-  /// declared first so it outlives the lanes that run on it.
+  /// Null at one thread: the engine's lanes then run on the caller's
+  /// thread. Declared first so it outlives the lanes that run on it.
   std::unique_ptr<exec::Pool> pool_;
-  std::unique_ptr<analysis::DatasetBuilder> single_;
-  std::unique_ptr<analysis::ShardedDatasetBuilder> sharded_;
+  analysis::ShardedDatasetBuilder engine_;
   analysis::BandwidthAccumulator bandwidth_;
   std::uint64_t last_checkpoint_packets_ = 0;
   std::string checkpoint_error_;  ///< last failed write, for the report
-  /// Stall-deferral state, one slot per deferral shard (the sharded
-  /// engine's shard count on both engines). Driver-thread only.
-  std::vector<std::deque<net::CapturedPacket>> deferred_;
-  std::vector<std::uint64_t> shard_ingested_;
-  std::size_t deferred_total_ = 0;
 };
 
 /// Streams a pcap file: restore from checkpoint if present, skip what was

@@ -17,6 +17,11 @@ unsigned Pool::default_threads() {
   return hw > 0 ? hw : 1;
 }
 
+std::unique_ptr<Pool> Pool::for_threads(unsigned threads) {
+  if (threads == 0) threads = default_threads();
+  return threads > 1 ? std::make_unique<Pool>(threads) : nullptr;
+}
+
 Pool::Pool(unsigned threads, std::size_t queue_bound)
     : queue_bound_(std::max<std::size_t>(1, queue_bound)) {
   unsigned count = threads > 0 ? threads : default_threads();

@@ -19,6 +19,7 @@
 #include <deque>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -37,6 +38,11 @@ class Pool {
 
   /// max(1, hardware_concurrency) — the `--threads 0` resolution.
   static unsigned default_threads();
+
+  /// The pool a `--threads` value asks for: null when it resolves to one
+  /// thread (the work then runs on the caller's thread), else a pool of
+  /// that many workers. 0 means default_threads().
+  static std::unique_ptr<Pool> for_threads(unsigned threads);
 
   unsigned worker_count() const { return static_cast<unsigned>(workers_.size()); }
 

@@ -62,7 +62,7 @@ const char* state_name(State s);
 enum class Action : std::uint8_t {
   kObserve,            ///< record the stall; nothing to restart (late tick)
   kCondemnStream,      ///< evict the merge laggard on the severity ladder
-  kRestartLane,        ///< quarantine-restart from the last v3 checkpoint
+  kRestartLane,        ///< quarantine-restart from the last checkpoint
   kRestartCheckpoint,  ///< reset the checkpoint writer and retry now
   kSelfTerminate,      ///< exit kRecoveryExitCode for a supervisor restart
 };
@@ -110,6 +110,9 @@ class Registry {
   /// Registers a subsystem. Re-adding an existing name replaces its
   /// watchdog config but keeps its history (recoveries, ledger).
   void add(const std::string& name, WatchdogConfig config);
+
+  /// Unregisters a subsystem (its ledger entries stay).
+  void remove(const std::string& name) { subs_.erase(name); }
 
   /// Publishes the subsystem's monotonic progress counter. Any advance
   /// restarts the watchdog deadline and, if the subsystem was stalled or

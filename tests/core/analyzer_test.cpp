@@ -169,16 +169,13 @@ TEST(Analyzer, ProfileStagesCoverBandwidthAtEveryThreadCount) {
   const std::vector<std::string> analytics = {
       "flow analysis", "record pass",    "session clustering", "markov chains",
       "station typing", "time series",   "sequence audit",     "conformance audit"};
-  // Threads 1: bandwidth accounting rides on the builder's decode, inside
-  // "ingest".
-  std::vector<std::string> sequential = {"ingest"};
-  sequential.insert(sequential.end(), analytics.begin(), analytics.end());
-  EXPECT_EQ(stage_names(1), sequential);
-  // Sharded: the lanes decode on workers, so bandwidth is its own pass.
-  std::vector<std::string> sharded = {"shard fan-out", "shard merge", "ingest",
-                                      "bandwidth"};
-  sharded.insert(sharded.end(), analytics.begin(), analytics.end());
-  EXPECT_EQ(stage_names(2), sharded);
+  // One engine at every thread count: bandwidth accounting happens inside
+  // "ingest", from the lane's decode with no pool and as frames are handed
+  // to the lanes with one.
+  std::vector<std::string> expected = {"ingest"};
+  expected.insert(expected.end(), analytics.begin(), analytics.end());
+  EXPECT_EQ(stage_names(1), expected);
+  EXPECT_EQ(stage_names(2), expected);
 }
 
 TEST(Analyzer, FileRoundTrip) {

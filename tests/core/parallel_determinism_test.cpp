@@ -7,6 +7,7 @@
 
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/export.hpp"
@@ -127,31 +128,39 @@ TEST(ParallelDeterminism, ReportSnapshotMatchesFinalizeAtEightThreads) {
   }
 }
 
-TEST(ParallelDeterminism, EngineMismatchedCheckpointIsRefused) {
+TEST(ParallelDeterminism, CheckpointRestoresAcrossThreadCounts) {
+  // The lane count is the writer's --threads and travels in the
+  // checkpoint: a restore under another --threads rebuilds that many lanes
+  // and still ends at the batch report.
   const auto& packets = y1_packets();
-  auto ckpt = ::testing::TempDir() + "parallel_engine_mismatch.ckpt";
-  std::filesystem::remove(ckpt);
-  std::filesystem::remove(ckpt + ".1");
-
-  core::StreamingOptions sequential;
-  sequential.analyze = options_with(1);
-  sequential.checkpoint_path = ckpt;
-  {
-    core::StreamingAnalyzer writer(sequential);
-    for (std::size_t i = 0; i < 1000 && i < packets.size(); ++i) {
-      writer.add_packet(net::as_frame_view(packets[i]));
+  auto batch = core::CaptureAnalyzer::analyze(packets, options_with(1));
+  const std::string batch_text = core::render_report(batch, {});
+  const std::string batch_json = core::report_to_json(batch);
+  const std::size_t cut = packets.size() / 2;
+  auto ckpt = ::testing::TempDir() + "parallel_cross_threads.ckpt";
+  for (auto [write, restore] : {std::pair{1u, 4u}, std::pair{4u, 1u}}) {
+    const std::string label =
+        std::to_string(write) + " -> " + std::to_string(restore) + " threads";
+    std::filesystem::remove(ckpt);
+    std::filesystem::remove(ckpt + ".1");
+    core::StreamingOptions options;
+    options.analyze = options_with(write);
+    options.checkpoint_path = ckpt;
+    {
+      core::StreamingAnalyzer writer(options);
+      writer.add_packets(net::as_frame_views({packets.data(), cut}));
+      ASSERT_TRUE(writer.checkpoint_now().ok()) << label;
     }
-    ASSERT_TRUE(writer.checkpoint_now().ok());
+    options.analyze = options_with(restore);
+    core::StreamingAnalyzer reader(options);
+    ASSERT_TRUE(reader.try_restore()) << label;
+    EXPECT_EQ(reader.packets_consumed(), cut) << label;
+    EXPECT_EQ(reader.lane_stats().size(), write) << label;
+    reader.add_packets(net::as_frame_views({packets.data() + cut, packets.size() - cut}));
+    auto resumed = reader.finalize();
+    EXPECT_EQ(core::render_report(resumed, {}), batch_text) << label;
+    EXPECT_EQ(core::report_to_json(resumed), batch_json) << label;
   }
-
-  // A sharded analyzer cannot resume a single-builder checkpoint: it must
-  // start fresh (returning false), never mis-restore.
-  core::StreamingOptions parallel = sequential;
-  parallel.analyze = options_with(8);
-  core::StreamingAnalyzer reader(parallel);
-  EXPECT_FALSE(reader.try_restore());
-  EXPECT_EQ(reader.packets_consumed(), 0u);
-
   std::filesystem::remove(ckpt);
   std::filesystem::remove(ckpt + ".1");
 }

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "core/checkpoint.hpp"
 #include "core/export.hpp"
 #include "core/names.hpp"
 #include "faultinject/fault.hpp"
@@ -154,6 +155,73 @@ TEST(Streaming, GarbageCheckpointsStartFreshNotCrash) {
   expect_headlines_match(report, batch_report());
 }
 
+TEST(Streaming, VersionThreeCheckpointIsRefused) {
+  // Version 3 framed its payload with an engine tag. Such a file restores
+  // nothing, and ingest starts fresh.
+  auto path = temp_path("v3.ckpt");
+  StreamingOptions options;
+  options.analyze = batch_options();
+  options.checkpoint_path = path;
+  const auto& packets = capture().packets;
+  {
+    StreamingAnalyzer writer(options);
+    writer.add_packets(net::as_frame_views({packets.data(), std::size_t{300}}));
+    ASSERT_TRUE(writer.checkpoint_now().ok());
+  }
+  {
+    // The version word follows the magic; the CRC covers only the payload.
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    const char v3[4] = {3, 0, 0, 0};
+    f.seekp(4);
+    f.write(v3, sizeof v3);
+  }
+  StreamingAnalyzer reader(options);
+  EXPECT_FALSE(reader.try_restore());
+  EXPECT_EQ(reader.packets_consumed(), 0u);
+  reader.add_packets(net::as_frame_views(packets));
+  expect_headlines_match(reader.finalize(), batch_report());
+}
+
+/// A hand-made analyzer payload in a current container: `lanes` empty
+/// lanes, then an empty bandwidth series.
+void write_empty_state(const std::string& path, std::uint32_t lanes) {
+  ByteWriter w;
+  w.u32le(lanes);
+  w.u64le(0);  // cursor
+  w.u64le(0);  // last timestamp
+  for (std::uint32_t i = 0; i < lanes; ++i) {
+    ASSERT_TRUE(analysis::DatasetBuilder().save(w).ok());
+  }
+  analysis::BandwidthAccumulator().save(w);
+  ASSERT_TRUE(write_checkpoint_file(path, w.view()).ok());
+}
+
+TEST(Streaming, CheckpointLaneCountOutsideOneToCapIsRefused) {
+  StreamingOptions options;
+  options.analyze = batch_options();
+  options.checkpoint_path = temp_path("lanes.ckpt");
+  // Control: the same payload with two lanes restores with two lanes,
+  // though one thread would start with one.
+  write_empty_state(options.checkpoint_path, 2);
+  {
+    StreamingAnalyzer analyzer(options);
+    ASSERT_TRUE(analyzer.try_restore());
+    EXPECT_EQ(analyzer.lane_stats().size(), 2u);
+  }
+  // Every lane state is well formed here, so only the count check can
+  // refuse these.
+  const auto over_cap = static_cast<std::uint32_t>(analysis::kMaxLanes + 1);
+  for (std::uint32_t lanes : {std::uint32_t{0}, over_cap}) {
+    options.checkpoint_path = temp_path("lanes.ckpt");
+    write_empty_state(options.checkpoint_path, lanes);
+    StreamingAnalyzer analyzer(options);
+    EXPECT_FALSE(analyzer.try_restore()) << lanes << " lanes";
+    EXPECT_EQ(analyzer.packets_consumed(), 0u);
+    analyzer.add_packets(net::as_frame_views(capture().packets));
+    expect_headlines_match(analyzer.finalize(), batch_report());
+  }
+}
+
 TEST(Streaming, RestoreWithoutCheckpointPathIsFresh) {
   StreamingAnalyzer analyzer(StreamingOptions{});
   EXPECT_FALSE(analyzer.try_restore());
@@ -222,20 +290,34 @@ TEST(Streaming, RepeatedWarningsRenderOnceWithCount) {
             std::string::npos);
 }
 
+TEST(Streaming, LiveWarningAloneDegradesTheReport) {
+  // A condemned stream loses frames without touching any counter: its
+  // warning alone must render and flip the JSON flag.
+  AnalysisReport report = batch_report();
+  ASSERT_FALSE(report.degradation.degraded());
+  report.degradation.warnings.push_back(
+      "live ingest lost frames: 1 stream condemned as watermark laggard; "
+      "frames not yet sent are missing from the report");
+  EXPECT_TRUE(report.degradation.degraded());
+  EXPECT_NE(render_report(report, NameMap{}).find("warning: live ingest lost frames"),
+            std::string::npos);
+  EXPECT_NE(report_to_json(report).find("\"degraded\":true"), std::string::npos);
+}
+
 TEST(Streaming, DeferredPacketsAreCountedOnce) {
-  // The single engine accounts an immediately ingested packet from the
-  // builder's decode and a deferred one at admission; neither may be
+  // With no pool the engine accounts an immediately ingested packet from
+  // the lane's decode and a deferred one at admission; neither may be
   // missed or counted twice.
   const auto& packets = capture().packets;
   const std::size_t begin = packets.size() / 4;
   const std::size_t end = packets.size() / 2;
-  const std::size_t wedged =
-      analysis::shard_of(packets[begin].data, analysis::kDefaultShardCount);
   bool stalled = false;
+  std::size_t wedged = 0;
   StreamingOptions options;
   options.analyze = batch_options();
-  options.stall_hook = [&](std::size_t shard) { return stalled && shard == wedged; };
+  options.stall_hook = [&](std::size_t lane) { return stalled && lane == wedged; };
   StreamingAnalyzer analyzer(options);
+  wedged = analysis::shard_of(packets[begin].data, analyzer.lane_stats().size());
 
   std::uint64_t deferred = 0;
   for (std::size_t i = 0; i < packets.size(); ++i) {

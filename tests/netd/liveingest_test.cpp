@@ -19,6 +19,7 @@
 #include <set>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/analyzer.hpp"
@@ -37,14 +38,20 @@ using netd::MonoTime;
 
 /// One shared small Fig-6-style capture and its fleet partition: built
 /// once, replayed identically by every run in this file.
-const sim::FleetScript& shared_script() {
-  static const sim::FleetScript script = [] {
+const sim::CaptureResult& shared_capture() {
+  static const sim::CaptureResult capture = [] {
     sim::CaptureConfig cc = sim::CaptureConfig::y1(12.0);
     cc.include_physical_events = false;
-    const sim::CaptureResult capture = sim::generate_capture(cc);
+    return sim::generate_capture(cc);
+  }();
+  return capture;
+}
+
+const sim::FleetScript& shared_script() {
+  static const sim::FleetScript script = [] {
     sim::FleetScriptConfig fc;
     fc.clones = 1;
-    return sim::build_fleet_script(capture.packets, fc);
+    return sim::build_fleet_script(shared_capture().packets, fc);
   }();
   return script;
 }
@@ -95,9 +102,12 @@ std::string uninterrupted_report(unsigned threads) {
 
 /// Paced run killed mid-stream (checkpoint, keep ingesting, then destroy
 /// the daemon without finalize — the in-process stand-in for SIGKILL),
-/// restored on the same port under the same still-running fleet.
-std::string killed_and_restored_report(unsigned threads,
-                                       const std::string& checkpoint) {
+/// restored at `restore_threads` on the same port under the same
+/// still-running fleet. `health`, when given, receives the restored
+/// daemon's health JSON right after its start.
+std::string killed_and_restored_report(unsigned threads, unsigned restore_threads,
+                                       const std::string& checkpoint,
+                                       std::string* health = nullptr) {
   const sim::FleetScript& script = shared_script();
   netd::Reactor reactor;
   auto daemon = std::make_unique<LiveIngestDaemon>(
@@ -125,11 +135,12 @@ std::string killed_and_restored_report(unsigned threads,
   daemon.reset();  // SIGKILL: no finalize, no final checkpoint
 
   LiveIngestOptions opt2 =
-      daemon_options(threads, script.streams.size(), checkpoint);
+      daemon_options(restore_threads, script.streams.size(), checkpoint);
   opt2.server.port = port;  // the fleet keeps dialing the old port
   auto restored = std::make_unique<LiveIngestDaemon>(reactor, opt2);
   EXPECT_TRUE(restored->start(true).ok());
   EXPECT_TRUE(restored->restored());
+  if (health) *health = restored->health_json();
 
   EXPECT_TRUE(drive(reactor, [&] {
     // all_done too: the last fin-ack may still be in flight when the
@@ -144,7 +155,7 @@ TEST(LiveIngest, KillRestoreReportByteIdenticalSingleThread) {
   const std::string checkpoint =
       testing::TempDir() + "/liveingest_t1.ckpt";
   const std::string a = uninterrupted_report(1);
-  const std::string b = killed_and_restored_report(1, checkpoint);
+  const std::string b = killed_and_restored_report(1, 1, checkpoint);
   ASSERT_FALSE(a.empty());
   EXPECT_EQ(a, b) << "restored daemon diverged from uninterrupted run";
 }
@@ -153,9 +164,32 @@ TEST(LiveIngest, KillRestoreReportByteIdenticalEightThreads) {
   const std::string checkpoint =
       testing::TempDir() + "/liveingest_t8.ckpt";
   const std::string a = uninterrupted_report(8);
-  const std::string b = killed_and_restored_report(8, checkpoint);
+  const std::string b = killed_and_restored_report(8, 8, checkpoint);
   ASSERT_FALSE(a.empty());
   EXPECT_EQ(a, b) << "restored daemon diverged at --threads 8";
+}
+
+TEST(LiveIngest, KillRestoreAcrossThreadCountsKeepsTheCheckpointsLanes) {
+  // The engine's lanes come from the writer's --threads and live in the
+  // composed checkpoint: a restore under another --threads keeps them,
+  // and the restored daemon watches exactly those lanes.
+  CaptureAnalyzer::Options batch_options;
+  batch_options.threads = 1;
+  const std::string batch =
+      report_to_json(CaptureAnalyzer::analyze(shared_capture().packets, batch_options));
+  for (auto [write, restore] : {std::pair{1u, 4u}, std::pair{4u, 1u}}) {
+    const std::string label =
+        std::to_string(write) + " -> " + std::to_string(restore) + " threads";
+    std::string health;
+    const std::string report = killed_and_restored_report(
+        write, restore, testing::TempDir() + "/liveingest_cross.ckpt", &health);
+    EXPECT_EQ(report, batch) << label;
+    for (unsigned lane = 0; lane <= 4; ++lane) {
+      const bool watched = health.find("\"lane/" + std::to_string(lane) + "\"") !=
+                           std::string::npos;
+      EXPECT_EQ(watched, lane < write) << label << ": lane/" << lane;
+    }
+  }
 }
 
 /// Holds back one stream's records at the client's send(): while `hold`
