@@ -61,7 +61,7 @@ echo "==> [5/8] hostile-peer: adversarial sweep under sanitizers"
 ASAN_OPTIONS=strict_string_checks=1:detect_stack_use_after_return=1 \
 UBSAN_OPTIONS=print_stacktrace=1 \
   ctest --preset debug-asan-ubsan \
-    -R 'HostilePeer|Conformance|QuarantinePolicy|Supervisor.Hostile' \
+    -R 'HostilePeer|Conformance|QuarantinePolicy' \
     --output-on-failure
 
 echo "==> [6/8] tsan: work-stealing pool + parallel pipeline"

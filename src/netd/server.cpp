@@ -18,6 +18,10 @@ namespace {
 /// Durable-cursor section magic inside the daemon's composed checkpoint.
 constexpr std::uint32_t kCursorMagic = 0x4E544443;  // "NTDC"
 
+/// A cursor entry's end state. Checkpoints written before kCondemned
+/// existed hold only 0 and 1.
+enum CursorEnd : std::uint8_t { kOpen = 0, kFinished = 1, kCondemned = 2 };
+
 /// Accounting charge per queued frame on top of its payload. The budgets,
 /// pause points and shedding thresholds are tuned in these units, so it
 /// stays fixed whatever a queue entry actually costs.
@@ -295,6 +299,7 @@ std::uint64_t IngestServer::condemn_watermark_laggard(const std::string& reason)
   // the degradation ledger, never routine housekeeping.
   if (s.finished) return 0;
   s.fin_seen = false;
+  s.condemned = true;
   stats_.condemned_streams++;
   finish_stream(s);
   pump();
@@ -1003,7 +1008,7 @@ void IngestServer::save_cursors(ByteWriter& w) const {
     w.u64le(id);
     w.u64le(s.cursor);
     w.u64le(s.released_ts);
-    w.u8(s.finished ? 1 : 0);
+    w.u8(!s.finished ? kOpen : s.condemned ? kCondemned : kFinished);
   }
 }
 
@@ -1018,19 +1023,24 @@ Status IngestServer::load_cursors(ByteReader& r) {
     auto id = r.u64le();
     auto cursor = r.u64le();
     auto released_ts = r.u64le();
-    auto finished = r.u8();
-    if (!finished) return Error{"netd-cursors", "cursor entry truncated"};
+    auto end = r.u8();
+    if (!end) return Error{"netd-cursors", "cursor entry truncated"};
+    if (end.value() > kCondemned) {
+      return Error{"netd-cursors", "unknown stream end state"};
+    }
     Stream s;
     s.id = id.value();
     s.cursor = cursor.value();
     s.released_ts = released_ts.value();
-    s.finished = finished.value() != 0;
+    s.finished = end.value() != kOpen;
+    s.condemned = end.value() == kCondemned;
     s.recv_seq = s.cursor;
     s.last_recv_ts = s.released_ts;
     auto [it, inserted] = streams_.emplace(s.id, std::move(s));
     if (!inserted) return Error{"netd-cursors", "duplicate stream id"};
     if (it->second.finished) {
       stats_.streams_finished++;
+      if (it->second.condemned) stats_.condemned_streams++;
     } else {
       bounds_.set(it->second,
                   Key{it->second.released_ts, it->second.id, it->second.cursor});

@@ -210,10 +210,11 @@ class IngestServer {
   std::uint64_t condemn_watermark_laggard(const std::string& reason);
 
   /// Serializes per-stream release cursors (the netd half of the daemon's
-  /// composed checkpoint). Only durable fields: cursor, released_ts,
-  /// finished.
+  /// composed checkpoint). Only durable fields: cursor, released_ts, and
+  /// whether the stream finished or was condemned.
   void save_cursors(ByteWriter& w) const;
-  /// Restores cursors into an empty server (call before start()).
+  /// Restores cursors into an empty server (call before start()), and
+  /// recounts the condemned streams, so their loss survives a restart.
   Status load_cursors(ByteReader& r);
 
   const ServerStats& stats() const { return stats_; }
@@ -289,6 +290,7 @@ class IngestServer {
     std::uint64_t cursor = 0;    ///< frames released to the sink
     Timestamp released_ts = 0;   ///< ts of the last released frame
     bool finished = false;
+    bool condemned = false;      ///< finished by condemn_watermark_laggard
     // Volatile:
     int conn_fd = -1;            ///< -1 while disconnected
     std::uint64_t recv_seq = 0;  ///< seq of the next frame to arrive

@@ -6,7 +6,6 @@
 #include <initializer_list>
 
 #include "iccp/iccp.hpp"
-#include "iec101/ft12.hpp"
 #include "iec104/apdu.hpp"
 #include "net/frame.hpp"
 #include "net/pcap.hpp"
@@ -178,30 +177,6 @@ void add_fault_streams(std::vector<Seed>& out) {
   // state of a link at a few percent corruption.
   out.push_back({"fault_noisy_control_channel", Category::kIec104,
                  concat({u_frame, {0x00, 0x13}, s_frame, {0xfe}, u_frame})});
-}
-
-void add_ft12(std::vector<Seed>& out) {
-  using iec101::Ft12Frame;
-  using iec101::LinkControl;
-
-  out.push_back({"ft12_single_char_ack", Category::kFt12,
-                 Ft12Frame::single_char().encode()});
-
-  LinkControl reset;
-  reset.prm = true;
-  reset.function = static_cast<std::uint8_t>(iec101::PrimaryFunction::kResetRemoteLink);
-  out.push_back({"ft12_fixed_reset_link", Category::kFt12,
-                 Ft12Frame::fixed(reset, 21).encode()});
-
-  // Variable frame carrying a serial-profile ASDU — byte-identical to what
-  // an un-reconfigured upgrade ships over TCP (paper §6.1).
-  auto framed = iec101::frame_asdu(measurement_asdu(), 21, true);
-  if (framed.ok()) {
-    out.push_back({"ft12_variable_user_data", Category::kFt12, framed->encode()});
-    auto bad_checksum = framed->encode();
-    if (bad_checksum.size() > 2) bad_checksum[bad_checksum.size() - 2] ^= 0xff;
-    out.push_back({"ft12_bad_checksum", Category::kFt12, std::move(bad_checksum)});
-  }
 }
 
 void add_iccp(std::vector<Seed>& out) {
@@ -450,7 +425,6 @@ void add_tapstream(std::vector<Seed>& out) {
 std::string category_name(Category c) {
   switch (c) {
     case Category::kIec104: return "iec104";
-    case Category::kFt12: return "ft12";
     case Category::kIccp: return "iccp";
     case Category::kC37118: return "c37118";
     case Category::kFrame: return "frame";
@@ -465,7 +439,6 @@ const std::vector<Seed>& seeds() {
     std::vector<Seed> out;
     add_iec104(out);
     add_fault_streams(out);
-    add_ft12(out);
     add_iccp(out);
     add_c37118(out);
     add_frames(out);

@@ -19,7 +19,6 @@ namespace uncharted::corpus {
 /// never crash on them), so cross-feeding categories is fair game.
 enum class Category {
   kIec104,   ///< APDU/ASDU frames (standard + legacy profiles)
-  kFt12,     ///< IEC 101 serial link frames
   kIccp,     ///< TPKT/COTP/ICCP wire messages
   kC37118,   ///< synchrophasor frames
   kFrame,    ///< Ethernet/IPv4/TCP frames and pcap buffers

@@ -7,7 +7,6 @@
 
 #include "corpus/corpus.hpp"
 #include "iccp/iccp.hpp"
-#include "iec101/ft12.hpp"
 #include "iec104/parser.hpp"
 #include "net/frame.hpp"
 #include "net/pcap.hpp"
@@ -90,20 +89,6 @@ TEST(Fuzz, Iec104Decoders) {
       (void)iec104::decode_apdu(r, profile);
     }
     (void)iec104::detect_profiles(bytes);
-  });
-}
-
-TEST(Fuzz, Ft12Decoder) {
-  Rng rng(5);
-  for (int i = 0; i < 500; ++i) {
-    auto bytes = random_bytes(rng, 100);
-    ByteReader r(bytes);
-    (void)iec101::decode_ft12(r);
-  }
-  sweep_category(rng, corpus::Category::kFt12, 200, [](auto bytes) {
-    ByteReader r(bytes);
-    auto frame = iec101::decode_ft12(r);
-    if (frame.ok()) (void)iec101::unframe_asdu(*frame);
   });
 }
 
@@ -214,11 +199,6 @@ TEST(Corpus, ValidSeedsDecode) {
       EXPECT_FALSE(iec104::detect_profiles(seed->bytes).empty())
           << seed->name << " should decode under at least one profile";
     }
-  }
-  for (const auto* seed : corpus::seeds_for(corpus::Category::kFt12)) {
-    if (seed->name.rfind("ft12_bad", 0) == 0) continue;
-    ByteReader r(seed->bytes);
-    EXPECT_TRUE(iec101::decode_ft12(r).ok()) << seed->name;
   }
 }
 

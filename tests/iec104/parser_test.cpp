@@ -14,8 +14,9 @@ Asdu float_asdu(std::uint16_t ca, std::uint32_t ioa, float value) {
   return asdu;
 }
 
-std::vector<std::uint8_t> encode_with(const Asdu& asdu, const CodecProfile& profile) {
-  return Apdu::make_i(0, 0, asdu).encode(profile).take();
+std::vector<std::uint8_t> encode_with(const Asdu& asdu, const CodecProfile& profile,
+                                      std::uint16_t send_seq = 0) {
+  return Apdu::make_i(send_seq, 0, asdu).encode(profile).take();
 }
 
 TEST(StreamParser, ParsesBackToBackApdus) {
@@ -129,15 +130,19 @@ TEST(StreamParser, DetectsLegacyIoaProfileDespiteAmbiguity) {
   // The O37 case: 2-octet IOA. The same bytes also parse "exactly" under
   // the 1-octet-COT profile, but with an implausible CA and IOA; the
   // plausibility score must pick the right one.
-  ApduStreamParser parser;
-  auto frame = encode_with(float_asdu(37, 4701, 59.98f), CodecProfile::legacy_ioa());
-  parser.feed(0, frame);
-  ASSERT_EQ(parser.apdus().size(), 1u);
-  const auto& parsed = parser.apdus()[0];
-  EXPECT_FALSE(parsed.compliant);
-  EXPECT_EQ(parsed.profile, CodecProfile::legacy_ioa());
-  EXPECT_EQ(parsed.apdu.asdu->common_address, 37);
-  EXPECT_EQ(parsed.apdu.asdu->objects[0].ioa, 4701u);
+  for (std::uint16_t send_seq : {0, 3}) {
+    ApduStreamParser parser;
+    auto frame = encode_with(float_asdu(37, 4701, 59.98f), CodecProfile::legacy_ioa(),
+                             send_seq);
+    parser.feed(0, frame);
+    ASSERT_EQ(parser.apdus().size(), 1u);
+    const auto& parsed = parser.apdus()[0];
+    EXPECT_FALSE(parsed.compliant);
+    EXPECT_EQ(parsed.profile, CodecProfile::legacy_ioa());
+    EXPECT_EQ(parsed.apdu.send_seq, send_seq);
+    EXPECT_EQ(parsed.apdu.asdu->common_address, 37);
+    EXPECT_EQ(parsed.apdu.asdu->objects[0].ioa, 4701u);
+  }
 }
 
 TEST(StreamParser, StandardPreferredWhenItParses) {
@@ -154,13 +159,15 @@ TEST(StreamParser, StandardPreferredWhenItParses) {
 }
 
 TEST(StreamParser, StrictModeFailsOnLegacyTraffic) {
-  ApduStreamParser parser(ApduStreamParser::Mode::kStrict);
-  auto frame = encode_with(float_asdu(37, 4701, 59.98f), CodecProfile::legacy_ioa());
-  parser.feed(0, frame);
-  // Depending on byte layout the strict parse either fails outright or is
-  // rejected by exactness; either way nothing compliant comes out.
-  EXPECT_TRUE(parser.apdus().empty());
-  EXPECT_EQ(parser.failures().size(), 1u);
+  for (const CodecProfile& profile : {CodecProfile::legacy_ioa(), CodecProfile::legacy_cot()}) {
+    ApduStreamParser parser(ApduStreamParser::Mode::kStrict);
+    auto frame = encode_with(float_asdu(37, 4701, 59.98f), profile);
+    parser.feed(0, frame);
+    // Depending on byte layout the strict parse either fails outright or is
+    // rejected by exactness; either way nothing compliant comes out.
+    EXPECT_TRUE(parser.apdus().empty()) << profile.str();
+    EXPECT_EQ(parser.failures().size(), 1u) << profile.str();
+  }
 }
 
 TEST(StreamParser, LockedProfileStaysSticky) {

@@ -61,6 +61,7 @@ TEST(LintEngine, GoldenBadRepoFlagsEveryRule) {
       {"src/iec104/rawseq.cpp", 8, "seq15-raw-arith"},
       {"src/iec104/rawseq.cpp", 9, "seq15-raw-arith"},
       {"src/iec104/rawseq.cpp", 10, "seq15-raw-arith"},
+      {"src/plugin/orphan.cpp", 1, "layering-unranked"},
       {"src/util/uplayer.hpp", 5, "layering-cycle"},
       {"src/util/uplayer.hpp", 5, "layering-order"},
   };

@@ -107,7 +107,7 @@ TEST(LintRules, Seq15RawArithmetic) {
 TEST(LintRules, DecoderByteSafety) {
   EXPECT_TRUE(has_rule(scan("src/iec104/p.cpp", "auto v = buf[pos + 1];"),
                        "decoder-byte-index"));
-  EXPECT_TRUE(has_rule(scan("src/iec101/p.cpp", "auto v = buf[n - 2];"),
+  EXPECT_TRUE(has_rule(scan("src/iccp/p.cpp", "auto v = buf[n - 2];"),
                        "decoder-byte-index"));
   EXPECT_TRUE(has_rule(scan("src/iccp/p.cpp", "memcpy(dst, src, n);"),
                        "decoder-memcpy"));
@@ -237,6 +237,7 @@ TEST(LintRules, CatalogKnowsEveryEmittedRule) {
   EXPECT_TRUE(is_known_rule("zerocopy-vector-payload"));
   EXPECT_TRUE(is_known_rule("layering-order"));
   EXPECT_TRUE(is_known_rule("layering-cycle"));
+  EXPECT_TRUE(is_known_rule("layering-unranked"));
   EXPECT_FALSE(is_known_rule("no-such-rule"));
 }
 

@@ -1,8 +1,9 @@
 // LiveIngestDaemon end-to-end over loopback: the ISSUE's core acceptance
 // property — SIGKILL mid-soak + --restore yields a byte-identical final
 // report to an uninterrupted run over the same fleet script, at 1 worker
-// thread and at 8 — plus restore-from-nothing, the forced-release
-// degradation warning, and paced replays whose progress promises keep a
+// thread and at 8 — plus restore-from-nothing, the forced-release and
+// condemned-stream degradation warnings (the latter across a lane restart
+// and a restore), and paced replays whose progress promises keep a
 // silent stream from holding the merge.
 #include "core/liveingest.hpp"
 
@@ -388,6 +389,31 @@ TEST(LiveIngest, ForcedReleaseDegradesReportWithWarning) {
   EXPECT_TRUE(found);
 }
 
+/// Appends records `from`..`to`-1 of a stream of clean TCP acks, 10 us
+/// apart from ts 1 s on.
+void put_acks(ByteWriter& w, std::uint64_t from, std::uint64_t to) {
+  net::TcpSegmentSpec spec;
+  spec.src_ip = net::Ipv4Addr::from_octets(10, 0, 0, 1);
+  spec.dst_ip = net::Ipv4Addr::from_octets(10, 1, 0, 1);
+  spec.src_port = 40000;
+  spec.dst_port = 2404;
+  spec.flags = net::kTcpAck;
+  const std::vector<std::uint8_t> frame = net::build_tcp_frame(spec);
+  for (std::uint64_t i = from; i < to; ++i) {
+    netd::wire::RecordHeader rec;
+    rec.ts = 1'000'000 + i * 10;
+    rec.original_length = static_cast<std::uint32_t>(frame.size());
+    rec.cap_len = static_cast<std::uint32_t>(frame.size());
+    netd::wire::encode_record_header(w, rec);
+    w.bytes(frame);
+  }
+}
+
+void send_all(int fd, const ByteWriter& w) {
+  ASSERT_EQ(::send(fd, w.view().data(), w.view().size(), 0),
+            static_cast<ssize_t>(w.view().size()));
+}
+
 TEST(LiveIngest, CondemnedStreamDegradesReportWithWarning) {
   // A registered stream that never sends gates the watermark merge; the
   // merge watchdog condemns it. Whatever it had yet to send is lost, so
@@ -405,8 +431,7 @@ TEST(LiveIngest, CondemnedStreamDegradesReportWithWarning) {
   {
     ByteWriter w;
     netd::wire::encode_hello(w, {netd::wire::HelloKind::kData, 2, 5});
-    ASSERT_EQ(::send(silent_fd, w.view().data(), w.view().size(), 0),
-              static_cast<ssize_t>(w.view().size()));
+    send_all(silent_fd, w);
   }
   // A finished stream of 10 clean TCP acks, all above the silent stream's
   // bound: they release only once the silent stream is condemned.
@@ -414,24 +439,9 @@ TEST(LiveIngest, CondemnedStreamDegradesReportWithWarning) {
   {
     ByteWriter w;
     netd::wire::encode_hello(w, {netd::wire::HelloKind::kData, 1, 10});
-    net::TcpSegmentSpec spec;
-    spec.src_ip = net::Ipv4Addr::from_octets(10, 0, 0, 1);
-    spec.dst_ip = net::Ipv4Addr::from_octets(10, 1, 0, 1);
-    spec.src_port = 40000;
-    spec.dst_port = 2404;
-    spec.flags = net::kTcpAck;
-    for (std::uint64_t i = 0; i < 10; ++i) {
-      const std::vector<std::uint8_t> frame = net::build_tcp_frame(spec);
-      netd::wire::RecordHeader rec;
-      rec.ts = 1'000'000 + i * 10;
-      rec.original_length = static_cast<std::uint32_t>(frame.size());
-      rec.cap_len = static_cast<std::uint32_t>(frame.size());
-      netd::wire::encode_record_header(w, rec);
-      w.bytes(frame);
-    }
+    put_acks(w, 0, 10);
     netd::wire::encode_fin(w, 10);
-    ASSERT_EQ(::send(data_fd, w.view().data(), w.view().size(), 0),
-              static_cast<ssize_t>(w.view().size()));
+    send_all(data_fd, w);
   }
 
   ASSERT_TRUE(drive(reactor, [&] {
@@ -449,6 +459,97 @@ TEST(LiveIngest, CondemnedStreamDegradesReportWithWarning) {
   EXPECT_NE(daemon.report_json().find(warning), std::string::npos);
   const AnalysisReport report = daemon.finalize();
   EXPECT_EQ(report.degradation.warnings, std::vector<std::string>{warning});
+}
+
+TEST(LiveIngest, CondemnedStreamLossSurvivesALaneRestartAndARestore) {
+  // The checkpoint holds a condemned stream. A lane restart rebuilds the
+  // server from it, and so does a process --restore: the loss must still
+  // be reported, not read as a clean finish.
+  const std::string checkpoint = testing::TempDir() + "/liveingest_condemned.ckpt";
+  bool wedged = false;
+  LiveIngestOptions opt = daemon_options(1, 2, checkpoint);
+  opt.watchdog.poll_s = 0.02;
+  opt.watchdog.merge_deadline_s = 0.3;
+  opt.watchdog.lane_deadline_s = 0.3;
+  opt.watchdog.reactor_deadline_s = 1000.0;
+  opt.streaming.stall_hook = [&](std::size_t) { return wedged; };
+  netd::Reactor reactor;
+  LiveIngestDaemon daemon(reactor, opt);
+  ASSERT_TRUE(daemon.start(false).ok());
+
+  const int silent_fd = dial_daemon(daemon);
+  {
+    ByteWriter w;
+    netd::wire::encode_hello(w, {netd::wire::HelloKind::kData, 2, 5});
+    send_all(silent_fd, w);
+  }
+  const int data_fd = dial_daemon(daemon);
+  {
+    ByteWriter w;
+    netd::wire::encode_hello(w, {netd::wire::HelloKind::kData, 1, 20});
+    put_acks(w, 0, 10);
+    send_all(data_fd, w);
+  }
+  ASSERT_TRUE(drive(reactor, [&] {
+    return daemon.server().stats().condemned_streams == 1 &&
+           daemon.frames_ingested() == 10;
+  }, 10.0)) << "the merge watchdog never condemned the silent stream";
+  ASSERT_TRUE(daemon.checkpoint_now().ok());
+
+  // Frames past the checkpoint wedge their lane; the lane watchdog
+  // restarts the engine from the checkpoint, closing every connection.
+  wedged = true;
+  {
+    ByteWriter w;
+    put_acks(w, 10, 15);
+    send_all(data_fd, w);
+  }
+  ASSERT_TRUE(drive(reactor, [&] {
+    return daemon.health().recoveries("lane/0") >= 1;
+  }, 10.0)) << "the lane watchdog never fired";
+  wedged = false;
+  ::close(silent_fd);
+  ::close(data_fd);
+  ASSERT_TRUE(daemon.restored()) << daemon.health_json();
+
+  // Stream 1 resumes from its checkpointed cursor and finishes.
+  const int resume_fd = dial_daemon(daemon);
+  {
+    ByteWriter w;
+    netd::wire::encode_hello(w, {netd::wire::HelloKind::kData, 1, 20});
+    put_acks(w, 10, 20);
+    netd::wire::encode_fin(w, 20);
+    send_all(resume_fd, w);
+  }
+  ASSERT_TRUE(drive(reactor, [&] {
+    return daemon.server().all_expected_finished();
+  }, 10.0));
+  ::close(resume_fd);
+
+  const std::string warning =
+      "live ingest lost frames: 1 stream condemned as watermark laggard; "
+      "frames not yet sent are missing from the report";
+  auto expect_loss_reported = [&](LiveIngestDaemon& d) {
+    EXPECT_EQ(d.server().stats().condemned_streams, 1u);
+    const AnalysisReport report = d.finalize();
+    EXPECT_EQ(report.degradation.warnings, std::vector<std::string>{warning});
+    EXPECT_NE(report_to_json(report).find("\"degraded\":true"), std::string::npos);
+    // iec104d's exit code: degraded (2), since nothing is hostile.
+    EXPECT_TRUE(report.degradation.degraded());
+    EXPECT_FALSE(report.conformance.any_hostile());
+    EXPECT_EQ(d.server().stats().evicted_hostile, 0u);
+    EXPECT_EQ(report.stats.packets, 20u);
+  };
+  expect_loss_reported(daemon);
+
+  // finalize() wrote the final checkpoint; a process --restore of it
+  // finds both streams finished and the loss still on record.
+  netd::Reactor reactor2;
+  LiveIngestDaemon restored(reactor2, daemon_options(1, 2, checkpoint));
+  ASSERT_TRUE(restored.start(true).ok());
+  ASSERT_TRUE(restored.restored());
+  EXPECT_TRUE(restored.server().all_expected_finished());
+  expect_loss_reported(restored);
 }
 
 }  // namespace

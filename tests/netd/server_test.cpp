@@ -703,6 +703,18 @@ TEST(IngestServer, LoadCursorsRejectsGarbage) {
   std::vector<std::uint8_t> junk = {0xDE, 0xAD, 0xBE, 0xEF};
   ByteReader r(junk);
   EXPECT_FALSE(server.load_cursors(r).ok());
+
+  // A well-formed entry whose end state is none of open (0), finished (1)
+  // or condemned (2).
+  ByteWriter w;
+  w.u32le(0x4E544443);  // cursor section magic
+  w.u64le(1);
+  w.u64le(7);   // stream id
+  w.u64le(0);   // cursor
+  w.u64le(0);   // released_ts
+  w.u8(3);
+  ByteReader r2(w.view());
+  EXPECT_FALSE(server.load_cursors(r2).ok());
 }
 
 TEST(IngestServer, QueryConnectionServesReportJson) {

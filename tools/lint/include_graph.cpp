@@ -15,10 +15,9 @@ std::string first_segment(const std::string& path) {
 
 std::optional<int> module_rank(const std::string& module) {
   static const std::map<std::string, int> kRanks = {
-      {"util", 0},   {"exec", 0},    {"health", 1},     {"net", 1},
-      {"faultinject", 2},
-      {"iec104", 2}, {"iccp", 2},    {"synchro", 2},    {"power", 2},
-      {"iec101", 3}, {"netd", 3},    {"analysis", 4}, {"resilience", 4}, {"sim", 4},
+      {"util", 0},        {"exec", 0},    {"health", 1},  {"net", 1},
+      {"faultinject", 2}, {"iec104", 2},  {"iccp", 2},    {"synchro", 2},
+      {"power", 2},       {"netd", 3},    {"analysis", 4}, {"sim", 4},
       {"core", 5},
   };
   const auto it = kRanks.find(module);
@@ -29,6 +28,7 @@ std::optional<int> module_rank(const std::string& module) {
 void IncludeGraph::add_file(const FileContext& ctx,
                             const std::vector<Token>& tokens) {
   if (ctx.zone != Zone::kSrc || ctx.module.empty()) return;
+  if (!module_rank(ctx.module).has_value()) unranked_[ctx.rel_path] = ctx.module;
   // Node key: path relative to src/ (project includes are spelled that way).
   const std::string key = ctx.rel_path.substr(std::string("src/").size());
   auto& edges = adj_[key];  // registers the node even with no includes
@@ -40,6 +40,14 @@ void IncludeGraph::add_file(const FileContext& ctx,
 }
 
 void IncludeGraph::check(std::vector<Finding>& out) const {
+  // A module missing from the rank table would escape layering-order.
+  for (const auto& [file, module] : unranked_) {
+    out.push_back(Finding{
+        "layering-unranked", file, 1,
+        "module '" + module +
+            "' has no rank: add it to the layer order in "
+            "tools/lint/include_graph.cpp"});
+  }
   // Rank violations: includes must point strictly down the module order.
   for (const auto& [file, edges] : adj_) {
     for (const Edge& e : edges) {

@@ -6,13 +6,14 @@
 // has (see DESIGN.md §11):
 //
 //   rank 0  util, exec          leaf infrastructure, no project deps
-//   rank 1  net                 frames/flows/pcap over util
+//   rank 1  health, net         supervision registry; frames/flows/pcap
 //   rank 2  faultinject, iec104, iccp, synchro, power
-//   rank 3  iec101              the 101->104 upgrade path sits on iec104
-//   rank 4  analysis, resilience, sim
+//   rank 3  netd                live ingest reactor and server
+//   rank 4  analysis, sim
 //   rank 5  core                batch/streaming orchestration on top
 //
-// Only quoted project includes whose first path segment is a ranked module
+// Every src/ module must have a rank (layering-unranked). Only quoted
+// project includes whose first path segment is a ranked module
 // participate; system includes and unknown prefixes are ignored.
 #pragma once
 
@@ -36,7 +37,8 @@ class IncludeGraph {
   /// are not constrained.
   void add_file(const FileContext& ctx, const std::vector<Token>& tokens);
 
-  /// Emits layering-order findings for rank violations and layering-cycle
+  /// Emits layering-unranked findings for src/ files of a module with no
+  /// rank, layering-order findings for rank violations and layering-cycle
   /// findings for include cycles.
   void check(std::vector<Finding>& out) const;
 
@@ -52,6 +54,8 @@ class IncludeGraph {
   /// include order within the file, key order is lexicographic — both
   /// deterministic so findings are stable across runs.
   std::map<std::string, std::vector<Edge>> adj_;
+  /// Root-relative path -> module, for src/ files whose module has no rank.
+  std::map<std::string, std::string> unranked_;
 };
 
 }  // namespace uncharted::lint

@@ -7,8 +7,7 @@
 namespace uncharted::lint {
 namespace {
 
-const std::array<const char*, 4> kDecoderModules = {"iec104", "iec101", "iccp",
-                                                    "synchro"};
+const std::array<const char*, 3> kDecoderModules = {"iec104", "iccp", "synchro"};
 
 /// The one file allowed to spell 15-bit wrap arithmetic.
 constexpr const char* kSeq15Home = "src/iec104/seq15.hpp";
@@ -446,6 +445,8 @@ const std::vector<RuleInfo>& rule_catalog() {
        "module includes must follow the ranked DAG (util -> net -> decoders "
        "-> analysis -> core)"},
       {"layering-cycle", "the file-level include graph must be acyclic"},
+      {"layering-unranked",
+       "every src/ module must have a rank in the layer order"},
   };
   return kCatalog;
 }

@@ -31,6 +31,8 @@
 //                                    DAG in include_graph.cpp
 //   layering-cycle                   the file-level include graph must be
 //                                    acyclic
+//   layering-unranked                every src/ module must have a rank in
+//                                    that DAG
 //
 // Every rule is suppressible in place with an UNCHARTED-LINT-ALLOW comment
 // naming the rule id in parentheses followed by a colon and a mandatory
