@@ -5,11 +5,14 @@
 //   ./bench_throughput [--out BENCH_throughput.json] [--reps N]
 //
 // Three stages are timed per (capture, thread-count) pair:
-//   ingest      — dataset construction (sequential build at 1 thread, the
-//                 flow-sharded builder above that; the 1-thread number is
-//                 exactly the pre-parallelism code path),
-//   analyze     — every §6 computation over the built dataset,
-//   end_to_end  — CaptureAnalyzer::analyze, both of the above.
+//   ingest      — the ingest engine's add_packets over the whole capture
+//                 (one lane on this thread at 1 thread, one per pool
+//                 worker above that) plus the one query into a
+//                 DatasetView that ends a batch run,
+//   analyze     — query + analyze_view over one kept, fully ingested
+//                 engine: every §6 computation, the lanes read in place,
+//   end_to_end  — CaptureAnalyzer::analyze, both of the above (and the
+//                 bandwidth accounting ingest feeds).
 // Two more, at threads 1 only:
 //   query       — StreamingAnalyzer::report_snapshot() once the whole
 //                 capture is ingested: a live daemon's report query;
@@ -173,22 +176,24 @@ int main(int argc, char** argv) {
     for (unsigned t : thread_counts) {
       core::CaptureAnalyzer::Options opts;
       opts.threads = t;
-      auto build = [&] {
-        auto pool = exec::Pool::for_threads(t);
-        return analysis::build_dataset_sharded(frames, ds_opts, pool.get());
-      };
+      auto pool = exec::Pool::for_threads(t);
 
       double ingest_ms = best_of(reps, [&] {
-        auto ds = build();
-        (void)ds;
+        analysis::ShardedDatasetBuilder engine(ds_opts, {}, pool.get());
+        engine.add_packets(frames, nullptr);
+        analysis::DatasetView view;
+        engine.query(view);
       });
       entries.push_back(
           {c.name, "ingest", t, ingest_ms, packets.size(), apdus});
 
-      auto dataset = build();
+      analysis::ShardedDatasetBuilder engine(ds_opts, {}, pool.get());
+      analysis::BandwidthAccumulator bandwidth;
+      engine.add_packets(frames, &bandwidth);
       double analyze_ms = best_of(reps, [&] {
-        auto report = core::analyze_dataset(
-            dataset, analysis::analyze_bandwidth(packets), opts);
+        analysis::DatasetView view;
+        engine.query(view);
+        auto report = core::analyze_view(view, bandwidth.finish(), opts, pool.get());
         (void)report;
       });
       entries.push_back(

@@ -2,13 +2,14 @@
 // you reach for when Wireshark calls the packets malformed.
 //
 //   ./iec104dump capture.pcap [--strict] [--limit N] [--conformance]
-//               [--threads N] [--profile]
+//               [--profile]
 //
 // Prints one line per APDU with the tolerant parse, marking non-compliant
 // frames with the legacy profile that explains them. With --conformance,
 // also runs the conformance state machine over every connection and prints
 // per-connection profiles plus a violation summary. Without a pcap,
-// self-demos on a short synthetic capture.
+// self-demos on a short synthetic capture. Ingest runs on one lane on the
+// caller's thread: with no §6 analytics to fan out, extra lanes never paid.
 //
 // Exit codes: 0 clean, 1 unreadable input, 2 degraded (the pcap tail was
 // truncated or the capture carried damage the pipeline had to skip), 3
@@ -20,10 +21,8 @@
 
 #include "analysis/conformance_audit.hpp"
 #include "analysis/dataset.hpp"
-#include "analysis/sharded.hpp"
 #include "core/names.hpp"
 #include "core/profiler.hpp"
-#include "exec/pool.hpp"
 #include "sim/capture.hpp"
 #include "util/strings.hpp"
 
@@ -35,7 +34,6 @@ int main(int argc, char** argv) {
   bool conformance = false;
   bool profile = false;
   long limit = 40;
-  unsigned threads = 0;  // 0 = one per hardware thread
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--strict") {
@@ -46,8 +44,6 @@ int main(int argc, char** argv) {
       profile = true;
     } else if (arg == "--limit" && i + 1 < argc) {
       limit = std::atol(argv[++i]);
-    } else if (arg == "--threads" && i + 1 < argc) {
-      threads = static_cast<unsigned>(std::atol(argv[++i]));
     } else {
       path = arg;
     }
@@ -79,12 +75,10 @@ int main(int argc, char** argv) {
   analysis::CaptureDataset::Options opts;
   opts.parser_mode = strict ? iec104::ApduStreamParser::Mode::kStrict
                             : iec104::ApduStreamParser::Mode::kTolerant;
-  auto pool = exec::Pool::for_threads(threads);
   core::StageTimings timings;
   auto ds = [&] {
     core::ScopedStageTimer t(&timings, "ingest");
-    return analysis::build_dataset_sharded(net::as_frame_views(packets), opts,
-                                           pool.get());
+    return analysis::CaptureDataset::build(net::as_frame_views(packets), opts);
   }();
   if (names.empty()) names = core::infer_names(ds);
 
@@ -164,8 +158,7 @@ int main(int argc, char** argv) {
                  pcap_truncated ? ", pcap tail truncated" : "");
   }
   if (profile) {
-    std::printf("\n== stage timings (%u threads) ==\n",
-                pool ? pool->worker_count() : 1u);
+    std::printf("\n== stage timings ==\n");
     for (const auto& s : timings.stages) {
       std::printf("%-14s %10.2f ms\n", s.stage.c_str(), s.wall_ms);
     }

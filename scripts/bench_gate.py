@@ -8,7 +8,7 @@ Four stages are gated, all at threads 1:
 
   ingest      the zero-copy hot path the repo commits a trajectory for;
   end_to_end  ingest plus every analysis (CaptureAnalyzer::analyze), so a
-              regression in the dataset finish or a §6 stage fails too;
+              regression in the end-of-stream query or a §6 stage fails too;
   query       a live report query over the whole ingested capture
               (StreamingAnalyzer::report_snapshot), so a query that starts
               copying the records again fails;

@@ -13,9 +13,7 @@ EndpointPair EndpointPair::of(net::Ipv4Addr x, net::Ipv4Addr y) {
 
 CaptureDataset CaptureDataset::build(const std::vector<net::CapturedPacket>& packets,
                                      const Options& options) {
-  DatasetBuilder builder(options);
-  for (const auto& pkt : packets) builder.add_packet(pkt);
-  return builder.finish();
+  return build(net::as_frame_views(packets), options);
 }
 
 CaptureDataset CaptureDataset::build(std::span<const net::FrameView> frames,
@@ -279,36 +277,6 @@ std::vector<net::FlowKey> DatasetBuilder::quarantined() const {
   return out;  // damage_ iterates in key order
 }
 
-ShardPartial DatasetBuilder::finish_partial(Timestamp flush_ts) {
-  ShardPartial part;
-  flush(flush_ts);
-  part.quarantined = quarantined();
-  if (!part.quarantined.empty()) {
-    auto dropped = std::erase_if(records_, [&](const ApduRecord& rec) {
-      return std::binary_search(part.quarantined.begin(), part.quarantined.end(),
-                                rec.flow);
-    });
-    stats_.degradation.quarantined_apdus += dropped;
-    stats_.degradation.quarantined_connections += part.quarantined.size();
-  }
-
-  part.stats = stats_;
-  part.flows = std::move(flows_);
-  part.records = std::move(records_);
-  part.damage = std::move(damage_);
-  // Shared, not moved: the builder's parsers still point at the arena, and
-  // the partial must keep it alive once the records leave the builder.
-  part.arena = record_arena_;
-  damage_cache_.invalidate();
-  return part;
-}
-
-CaptureDataset DatasetBuilder::finish() {
-  std::vector<ShardPartial> one;
-  one.push_back(finish_partial(last_ts_));
-  return merge_partials(std::move(one), options_);
-}
-
 namespace {
 
 void sum_degradation(DegradationCounters& into, const DegradationCounters& from) {
@@ -505,48 +473,48 @@ const ApduRecord* RecordCursor::next() {
   return out;
 }
 
-CaptureDataset merge_partials(std::vector<ShardPartial> partials,
-                              const CaptureDataset::Options& options) {
+CaptureDataset DatasetBuilder::finish() {
+  flush(last_ts_);
   CaptureDataset ds;
-  ds.iec104_port_ = options.iec104_port;
-
-  RecordCursor cursor;
-  std::vector<ApduRecord>* sole = nullptr;
-  std::size_t total = 0;
-  for (auto& part : partials) {
-    sum_stats(ds.stats_, part.stats);
-    if (part.arena) ds.arenas_.push_back(std::move(part.arena));
-    ds.flows_.merge(std::move(part.flows));
-    ds.quarantined_.insert(ds.quarantined_.end(), part.quarantined.begin(),
-                           part.quarantined.end());
-    // Directed flows are shard-affine, so damage maps are disjoint.
-    ds.damage_.merge(std::move(part.damage));
-    // A lane appends in capture order, so sorting its equal-ts stretches
-    // in place leaves it one ordered run unless timestamps step back.
-    auto& recs = part.records;
-    for (auto first = recs.begin(); first != recs.end();) {
-      auto last = std::next(first);
-      while (last != recs.end() && last->ts == first->ts) ++last;
-      if (std::distance(first, last) > 1) std::sort(first, last, canonical_less);
-      first = last;
-    }
-    cursor.add(recs);
-    if (!recs.empty()) sole = &recs;
-    total += recs.size();
+  ds.iec104_port_ = options_.iec104_port;
+  ds.quarantined_ = quarantined();
+  if (!ds.quarantined_.empty()) {
+    auto dropped = std::erase_if(records_, [&](const ApduRecord& rec) {
+      return std::binary_search(ds.quarantined_.begin(), ds.quarantined_.end(),
+                                rec.flow);
+    });
+    stats_.degradation.quarantined_apdus += dropped;
+    stats_.degradation.quarantined_connections += ds.quarantined_.size();
   }
-  std::sort(ds.quarantined_.begin(), ds.quarantined_.end());
 
-  if (cursor.runs() == 1) {
-    ds.records_ = std::move(*sole);  // already canonical: adopt, move nothing
+  // The lane appends in capture order, so sorting its equal-ts stretches
+  // in place leaves one ordered run unless timestamps stepped back.
+  for (auto first = records_.begin(); first != records_.end();) {
+    auto last = std::next(first);
+    while (last != records_.end() && last->ts == first->ts) ++last;
+    if (std::distance(first, last) > 1) std::sort(first, last, canonical_less);
+    first = last;
+  }
+  RecordCursor cursor;
+  cursor.add(records_, {}, backward_steps_ == 0);
+  if (cursor.runs() <= 1) {
+    ds.records_ = std::move(records_);  // already canonical: move nothing
   } else {
-    // The cursor only reads; the partials are ours to move from.
-    ds.records_.reserve(total);
+    // The cursor only reads; the records are ours to move from.
+    ds.records_.reserve(records_.size());
     while (const ApduRecord* rec = cursor.next()) {
       ds.records_.push_back(std::move(const_cast<ApduRecord&>(*rec)));
     }
   }
 
-  ComplianceAccumulator compliance(options.iec104_port);
+  ds.stats_ = stats_;
+  ds.flows_ = std::move(flows_);
+  ds.damage_ = std::move(damage_);
+  damage_cache_.invalidate();
+  // Shared, not moved: the builder's parsers still point at the arena, and
+  // the dataset must keep it alive once the records leave the builder.
+  ds.arena_ = record_arena_;
+  ComplianceAccumulator compliance(options_.iec104_port);
   feed(ds.records_, compliance);
   ds.compliance_ = compliance.close(ds.stats_);
   return ds;

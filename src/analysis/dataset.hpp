@@ -39,10 +39,10 @@ struct ApduRecord {
   net::FlowKey flow;  ///< directed 4-tuple it travelled on
   /// Arrival index within this directed flow (0-based). Part of the
   /// canonical record order (ts, flow, seq): timestamps tie across flows
-  /// whenever a burst shares a capture tick, and the merge of per-shard
-  /// record lanes must not depend on which shard finished first. Within a
-  /// flow the sequence is the parse order, which every execution —
-  /// sequential, sharded, or restored from a checkpoint — reproduces.
+  /// whenever a burst shares a capture tick, and reading several record
+  /// lanes must not depend on the order they are read in. Within a flow
+  /// the sequence is the parse order, which every execution — one lane,
+  /// many, or restored from a checkpoint — reproduces.
   std::uint64_t seq = 0;
   iec104::ParsedApdu apdu;
 };
@@ -121,8 +121,6 @@ struct EndpointPair {
   std::string str() const { return a.str() + " <-> " + b.str(); }
 };
 
-struct ShardPartial;
-
 class CaptureDataset {
  public:
   struct Options {
@@ -184,13 +182,11 @@ class CaptureDataset {
 
  private:
   friend class DatasetBuilder;
-  friend CaptureDataset merge_partials(std::vector<ShardPartial> partials,
-                                       const Options& options);
 
-  /// Lane arenas backing the records' parsed-ASDU object storage. Declared
-  /// first so they are destroyed last — records_ must release its pmr
-  /// vectors while their resource is still alive.
-  std::vector<std::shared_ptr<util::RecordArena>> arenas_;
+  /// The builder's arena backing the records' parsed-ASDU object storage.
+  /// Declared first so it is destroyed last — records_ must release its
+  /// pmr vectors while their resource is still alive.
+  std::shared_ptr<util::RecordArena> arena_;
   DatasetStats stats_;
   net::FlowTable flows_;
   std::vector<ApduRecord> records_;
@@ -291,33 +287,6 @@ class RecordCursor {
   bool started_ = false;
 };
 
-/// One shard's contribution to a dataset: everything a DatasetBuilder
-/// accumulated, flushed and quarantined, but not yet sorted or indexed.
-/// Partials from flow-disjoint shards merge into the same CaptureDataset a
-/// single sequential builder would have produced (see merge_partials).
-struct ShardPartial {
-  /// The lane's record arena (declared first: destroyed after records).
-  /// Travels with the records whose ASDU objects it backs.
-  std::shared_ptr<util::RecordArena> arena;
-  DatasetStats stats;
-  net::FlowTable flows;
-  std::vector<ApduRecord> records;
-  std::vector<net::FlowKey> quarantined;
-  std::map<net::FlowKey, FlowDamage> damage;
-};
-
-/// Deterministic order-independent reducer: folds shard partials into one
-/// CaptureDataset. Integer stats are summed and flow tables merged
-/// (disjoint across shards by construction). Records reach the canonical
-/// (ts, flow, seq) order without a global sort: each partial's stretches
-/// of equal timestamps are sorted in place, and a RecordCursor merges the
-/// partials' ordered runs, each record moving once. A single run (threads
-/// 1, any in-order capture) is adopted without moving any. One pass then
-/// fills compliance and the record totals. The result is invariant under
-/// any permutation of `partials`.
-CaptureDataset merge_partials(std::vector<ShardPartial> partials,
-                              const CaptureDataset::Options& options);
-
 class DatasetView;
 
 /// Incremental dataset construction: packets go in one at a time (or in
@@ -364,26 +333,26 @@ class DatasetBuilder {
   /// Enforcement actions and high-water marks so far.
   const ResourcePressure& pressure() const { return pressure_; }
 
-  /// Finalizes: flushes reassembly, applies quarantine, sorts and indexes.
-  /// The builder is spent afterwards; ingest into a fresh one.
+  /// Finalizes this one lane into a dataset: flushes reassembly and the
+  /// parsers at last_ts(), drops the quarantined flows' records, and puts
+  /// the records in canonical (ts, flow, seq) order — stretches of equal
+  /// timestamps are sorted in place, and a RecordCursor merge moves the
+  /// records only when the lane's timestamps stepped back. One pass then
+  /// fills compliance and the record totals. The builder is spent
+  /// afterwards; ingest into a fresh one.
   CaptureDataset finish();
-
-  /// Shard-lane variant of finish(): flushes and quarantines but leaves
-  /// sorting and indexing to merge_partials(). `flush_ts` must be the
-  /// GLOBAL last dispatched timestamp, not this shard's — truncated-tail
-  /// failures are stamped with it and feed the conformance audit, so a
-  /// shard that went quiet early must still flush at the capture's end.
-  /// finish() is exactly merge_partials({finish_partial(last_ts())}).
-  ShardPartial finish_partial(Timestamp flush_ts);
 
   /// Adds this lane to a live query without spending the builder or
   /// copying its records: the small state (stats, parsers, reassembler,
   /// damage) is copied into a scratch builder, which is flushed at
-  /// `flush_ts` exactly as finish_partial() would flush. The records that
-  /// flush produces become one more span of the view's cursor, and the
-  /// lane's own records are read in place, minus the flows the scratch
-  /// damage quarantines. Nothing is allocated from this builder's record
-  /// arena, so record_arena_bytes() is unchanged.
+  /// `flush_ts` exactly as finish() flushes at last_ts(). `flush_ts` must
+  /// be the GLOBAL last dispatched timestamp, not this lane's —
+  /// truncated-tail failures are stamped with it and feed the conformance
+  /// audit, so a lane that went quiet early still flushes at the capture's
+  /// end. The records that flush produces become one more span of the
+  /// view's cursor, and the lane's own records are read in place, minus
+  /// the flows the scratch damage quarantines. Nothing is allocated from
+  /// this builder's record arena, so record_arena_bytes() is unchanged.
   void query(Timestamp flush_ts, DatasetView& view) const;
 
   /// Timestamp of the most recently ingested packet.
@@ -428,7 +397,7 @@ class DatasetBuilder {
 
   /// Backs the parsed-ASDU object storage of everything this lane parses.
   /// Declared before records_/parsers_/scratch (destroyed after them) and
-  /// shared into the ShardPartial so the dataset keeps it alive.
+  /// shared into the finished dataset, which keeps it alive.
   std::shared_ptr<util::RecordArena> record_arena_;
 
   DatasetStats stats_;

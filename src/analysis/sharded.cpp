@@ -56,15 +56,6 @@ net::CapturedPacket copy_of(const net::FrameView& frame) {
 
 }  // namespace
 
-CaptureDataset build_dataset_sharded(std::span<const net::FrameView> frames,
-                                     const CaptureDataset::Options& options,
-                                     exec::Pool* pool,
-                                     BandwidthAccumulator* bandwidth) {
-  ShardedDatasetBuilder builder(options, {}, pool);
-  builder.add_packets(frames, bandwidth);
-  return builder.finish();
-}
-
 struct ShardedDatasetBuilder::Lane {
   std::mutex m;
   std::deque<std::vector<net::CapturedPacket>> pending;
@@ -260,18 +251,6 @@ ResourcePressure ShardedDatasetBuilder::pressure() {
   ResourcePressure total;
   for (const auto& lane : lanes_) fold_pressure(total, lane->builder.pressure());
   return total;
-}
-
-CaptureDataset ShardedDatasetBuilder::finish() {
-  // The report must cover every admitted frame, whatever the hook says.
-  poll_deferred(true);
-  drain();
-  std::vector<ShardPartial> partials(lanes_.size());
-  for (std::size_t s = 0; s < lanes_.size(); ++s) {
-    group_->run([&, s] { partials[s] = lanes_[s]->builder.finish_partial(last_ts_); });
-  }
-  group_->wait();
-  return merge_partials(std::move(partials), options_);
 }
 
 void ShardedDatasetBuilder::query(DatasetView& view) {

@@ -5,16 +5,18 @@
 // reassembler, stream parser and flow record for a connection must see its
 // packets in order. So packets are partitioned by *endpoint pair*: every
 // packet between two IP addresses (both directions, all port pairs) lands
-// in the same shard, each shard owns a full DatasetBuilder, and shard
-// results fold into one CaptureDataset through merge_partials(), whose
-// output is invariant under shard count, thread count and completion
-// order. A shard therefore sees exactly the subsequence of the capture a
-// sequential builder restricted to its connections would have seen, and
-// the merged dataset is byte-identical to the sequential one (whenever
-// resource budgets never bind — bounded state is divided per shard, so an
-// *enforced* budget evicts on different packet boundaries, and reports can
-// differ between shard counts). A fresh builder has one shard ("lane") per
-// pool worker; a restored one keeps its checkpoint's lane count.
+// in the same shard ("lane"), and each lane owns a full DatasetBuilder. A
+// lane therefore sees exactly the subsequence of the capture a sequential
+// builder restricted to its connections would have seen. A report reads
+// the lanes in place through query(): a DatasetView whose RecordCursor
+// yields every lane's records once, in the canonical order, so the report
+// is invariant under lane count, thread count and completion order
+// (whenever resource budgets never bind — bounded state is divided per
+// lane, so an *enforced* budget evicts on different packet boundaries, and
+// reports can differ between lane counts). Batch analysis is one ingest
+// and one query at end of stream; a live daemon queries as often as it
+// likes. A fresh builder has one lane per pool worker; a restored one
+// keeps its checkpoint's lane count.
 #pragma once
 
 #include <atomic>
@@ -57,14 +59,6 @@ ResourceBudgets divide_budgets(const ResourceBudgets& budgets, std::size_t shard
 /// returning false again.
 using StallHook = std::function<bool(std::size_t lane)>;
 
-/// Batch entry point: one ShardedDatasetBuilder over `frames` (their
-/// spans must outlive the call), finished. Bandwidth is accounted into
-/// `bandwidth` when given — from the lane's own decode with no pool.
-CaptureDataset build_dataset_sharded(std::span<const net::FrameView> frames,
-                                     const CaptureDataset::Options& options,
-                                     exec::Pool* pool,
-                                     BandwidthAccumulator* bandwidth = nullptr);
-
 /// The ingest engine: frames arrive one at a time (or as one batch) on the
 /// driver thread and are routed to lanes, one per pool worker (one with no
 /// pool), each owning a DatasetBuilder. With no pool a frame goes straight
@@ -77,7 +71,7 @@ CaptureDataset build_dataset_sharded(std::span<const net::FrameView> frames,
 ///
 /// drain() is the quiescence barrier: after it returns no lane task is
 /// running and every dispatched packet has been ingested. save()/load()/
-/// pressure()/finish()/query() require it (they take it themselves).
+/// pressure()/query() require it (they take it themselves).
 class ShardedDatasetBuilder {
  public:
   ShardedDatasetBuilder(CaptureDataset::Options options, ResourceBudgets budgets,
@@ -131,15 +125,11 @@ class ShardedDatasetBuilder {
   /// Drains first.
   ResourcePressure pressure();
 
-  /// Releases every deferred frame whatever the stall hook says, flushes
-  /// every lane at the global cursor timestamp and merges (one lane is
-  /// adopted without a merge). The builder is spent afterwards.
-  CaptureDataset finish();
-
-  /// A live query without spending the builder: drains, then adds every
-  /// lane to `view` (DatasetBuilder::query) at the global cursor
-  /// timestamp. Deferred frames stay deferred. The lanes keep ingesting
-  /// afterwards as if nothing happened, once the view is done reading them.
+  /// A query without spending the builder: drains, then adds every lane
+  /// to `view` (DatasetBuilder::query) at the global cursor timestamp.
+  /// Deferred frames stay deferred: a final report releases them first
+  /// (poll_deferred(true)). The lanes keep ingesting afterwards as if
+  /// nothing happened, once the view is done reading them.
   void query(DatasetView& view);
 
   /// Checkpoint serialization: lane count, cursor, global last timestamp,

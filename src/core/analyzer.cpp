@@ -10,32 +10,16 @@
 
 namespace uncharted::core {
 
-namespace {
-
-/// What the §6 pass reads besides the records.
-struct PassInputs {
-  const analysis::DatasetStats& stats;
-  const net::FlowTable& flows;
-  const std::map<net::FlowKey, analysis::FlowDamage>& damage;
-  std::uint16_t iec104_port;
-};
-
-/// Every §6 computation in one pass: `next()` yields the records in
-/// canonical order (nullptr at the end), each record feeds every
-/// accumulator once, and the stages then close. Batch analysis and live
-/// queries differ only in where the records come from.
-template <typename NextRecord>
-AnalysisReport analyze_records(NextRecord next, const PassInputs& in,
-                               analysis::BandwidthReport bandwidth,
-                               const CaptureAnalyzer::Options& options,
-                               exec::Pool* pool) {
+AnalysisReport analyze_view(analysis::DatasetView& view,
+                            analysis::BandwidthReport bandwidth,
+                            const CaptureAnalyzer::Options& options, exec::Pool* pool) {
   AnalysisReport report;
-  report.stats = in.stats;
+  report.stats = view.stats();
   {
     ScopedStageTimer t(&report.timings, "flow analysis");
-    report.flows = analysis::analyze_flows(in.flows);
+    report.flows = analysis::analyze_flows(view.flow_table());
   }
-  analysis::ComplianceAccumulator compliance(in.iec104_port);
+  analysis::ComplianceAccumulator compliance(view.iec104_port());
   analysis::SessionAccumulator sessions;
   analysis::ChainAccumulator chains;
   analysis::StationTypingAccumulator typing;
@@ -43,11 +27,11 @@ AnalysisReport analyze_records(NextRecord next, const PassInputs& in,
   analysis::TypeIdStationAccumulator typeid_stations;
   analysis::SeriesAccumulator series;
   analysis::SeqAuditAccumulator sequences;
-  analysis::ConformanceAccumulator conformance(in.flows);
+  analysis::ConformanceAccumulator conformance(view.flow_table());
   {
     ScopedStageTimer t(&report.timings, "record pass");
     analysis::FlowIds ids;
-    while (const analysis::ApduRecord* rec = next()) {
+    while (const analysis::ApduRecord* rec = view.records().next()) {
       const std::uint32_t flow = ids.id(rec->flow);
       compliance.add(*rec, flow);
       sessions.add(*rec, flow);
@@ -89,7 +73,7 @@ AnalysisReport analyze_records(NextRecord next, const PassInputs& in,
   }
   {
     ScopedStageTimer t(&report.timings, "conformance audit");
-    report.conformance = conformance.close(in.damage);
+    report.conformance = conformance.close(view.damage());
   }
   report.degradation.counters = report.stats.degradation;
   if (report.degradation.counters.any()) {
@@ -98,37 +82,6 @@ AnalysisReport analyze_records(NextRecord next, const PassInputs& in,
         " fault events survived (see degradation counters)");
   }
   return report;
-}
-
-}  // namespace
-
-AnalysisReport analyze_dataset(const analysis::CaptureDataset& dataset,
-                               analysis::BandwidthReport bandwidth,
-                               const CaptureAnalyzer::Options& options,
-                               exec::Pool* pool) {
-  const auto& records = dataset.records();
-  std::size_t i = 0;
-  return analyze_records(
-      [&]() { return i < records.size() ? &records[i++] : nullptr; },
-      PassInputs{dataset.stats(), dataset.flow_table(), dataset.damage(),
-                 dataset.iec104_port()},
-      std::move(bandwidth), options, pool);
-}
-
-AnalysisReport analyze_view(analysis::DatasetView& view,
-                            analysis::BandwidthReport bandwidth,
-                            const CaptureAnalyzer::Options& options, exec::Pool* pool) {
-  return analyze_records([&]() { return view.records().next(); },
-                         PassInputs{view.stats(), view.flow_table(), view.damage(),
-                                    view.iec104_port()},
-                         std::move(bandwidth), options, pool);
-}
-
-AnalysisReport analyze_dataset(const analysis::CaptureDataset& dataset,
-                               analysis::BandwidthReport bandwidth,
-                               const CaptureAnalyzer::Options& options) {
-  auto pool = exec::Pool::for_threads(options.threads);
-  return analyze_dataset(dataset, std::move(bandwidth), options, pool.get());
 }
 
 AnalysisReport CaptureAnalyzer::analyze(const std::vector<net::CapturedPacket>& packets,
@@ -145,16 +98,20 @@ AnalysisReport CaptureAnalyzer::analyze(std::span<const net::FrameView> frames,
 
   auto pool = exec::Pool::for_threads(options.threads);
   StageTimings build_timings;
-  analysis::CaptureDataset dataset;
+  analysis::ShardedDatasetBuilder engine(ds_opts, {}, pool.get());
   analysis::BandwidthAccumulator bandwidth;
+  analysis::DatasetView view;
   {
-    // With no pool one decode per frame feeds both the dataset and the
+    // With no pool one decode per frame feeds both the lane and the
     // bandwidth accounting; with one, bandwidth is accounted as the frames
-    // are handed to the lanes. "ingest" covers both either way.
+    // are handed to the lanes. "ingest" covers both either way, and the
+    // one query at end of stream that flushes the lanes for the report,
+    // which then reads their records in place.
     ScopedStageTimer t(&build_timings, "ingest");
-    dataset = analysis::build_dataset_sharded(frames, ds_opts, pool.get(), &bandwidth);
+    engine.add_packets(frames, &bandwidth);
+    engine.query(view);
   }
-  auto report = analyze_dataset(dataset, bandwidth.finish(), options, pool.get());
+  auto report = analyze_view(view, bandwidth.finish(), options, pool.get());
   report.timings.stages.insert(report.timings.stages.begin(),
                                build_timings.stages.begin(),
                                build_timings.stages.end());

@@ -115,25 +115,14 @@ class CaptureAnalyzer {
                                              net::FileOps* file_ops);
 };
 
-/// Shared back half of batch and streaming analysis: every §6 computation
-/// over an already-built dataset, in one pass over its records that feeds
-/// every stage's accumulator. Callers supply the bandwidth report because
-/// only they know how the packets were obtained. `pool` fans the closing
-/// analytics out (clustering restarts and assignment, PCA reductions,
-/// per-connection chains) with thread-count-invariant results; null runs
-/// inline. The three-argument form resolves options.threads itself,
-/// creating a transient pool when it asks for more than one.
-AnalysisReport analyze_dataset(const analysis::CaptureDataset& dataset,
-                               analysis::BandwidthReport bandwidth,
-                               const CaptureAnalyzer::Options& options,
-                               exec::Pool* pool);
-AnalysisReport analyze_dataset(const analysis::CaptureDataset& dataset,
-                               analysis::BandwidthReport bandwidth,
-                               const CaptureAnalyzer::Options& options);
-
-/// analyze_dataset() over a live query: the same one pass, reading the
-/// lanes' records in place through the view's cursor. Equals
-/// analyze_dataset() of the dataset finish() would build from the lanes.
+/// Every §6 computation over a query of the ingest lanes, in one pass:
+/// the view's cursor yields the lanes' records in canonical order, read in
+/// place, and each record feeds every stage's accumulator once. Batch
+/// analysis, live queries and the final streaming report all end here.
+/// Callers supply the bandwidth report because only they know how the
+/// packets were obtained. `pool` fans the closing analytics out
+/// (clustering restarts and assignment, PCA reductions, per-connection
+/// chains) with thread-count-invariant results; null runs inline.
 AnalysisReport analyze_view(analysis::DatasetView& view,
                             analysis::BandwidthReport bandwidth,
                             const CaptureAnalyzer::Options& options, exec::Pool* pool);

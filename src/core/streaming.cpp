@@ -66,15 +66,10 @@ AnalysisReport StreamingAnalyzer::report_snapshot() {
   // Pressure first: it drains the lanes, which the query then needs
   // anyway. Frames deferred behind a wedged lane stay deferred — absent
   // from the records, but already in bandwidth_.
-  auto pressure = this->pressure();
+  const auto pressure = this->pressure();
   analysis::DatasetView view;
   engine_.query(view);
-  return with_pressure(
-      analyze_view(view, bandwidth_.finish(), options_.analyze, pool_.get()), pressure);
-}
-
-AnalysisReport StreamingAnalyzer::with_pressure(
-    AnalysisReport report, const analysis::ResourcePressure& pressure) const {
+  auto report = analyze_view(view, bandwidth_.finish(), options_.analyze, pool_.get());
   report.degradation.resources = pressure;
   if (pressure.any()) {
     report.degradation.warnings.push_back(
@@ -126,11 +121,7 @@ AnalysisReport StreamingAnalyzer::finalize() {
     // of input instead of re-ingesting.
     if (auto st = write_checkpoint(); !st) checkpoint_error_ = st.error().str();
   }
-  auto final_pressure = pressure();
-  auto dataset = engine_.finish();
-  auto report = with_pressure(
-      analyze_dataset(dataset, bandwidth_.finish(), options_.analyze, pool_.get()),
-      final_pressure);
+  auto report = report_snapshot();
   if (!checkpoint_error_.empty()) {
     report.degradation.warnings.push_back("checkpoint write failed: " +
                                           checkpoint_error_);

@@ -104,11 +104,12 @@ class StreamingAnalyzer {
   /// afterwards. Every lane's small state is copied and flushed
   /// (DatasetBuilder::query) and its records are read in place, in one
   /// pass that feeds every §6 accumulator (analyze_view); nothing is
-  /// cached, so every call recomputes from the current state. Equals
-  /// finalize() of a fresh analyzer fed the same packets, except that
-  /// frames deferred behind a wedged lane are missing from the records but
-  /// present in the bandwidth series (accounted at admission), and that a
-  /// failed checkpoint write is not reported here.
+  /// cached, so every call recomputes from the current state. finalize()
+  /// is this query once the deferred frames are released; a snapshot
+  /// differs from it only in that frames deferred behind a wedged lane are
+  /// missing from the records but present in the bandwidth series
+  /// (accounted at admission), and that a failed checkpoint write is not
+  /// reported here.
   AnalysisReport report_snapshot();
 
   /// Loads the newest valid checkpoint generation, if any. Returns true
@@ -117,16 +118,14 @@ class StreamingAnalyzer {
   /// fatal). Call before feeding any packets.
   bool try_restore();
 
-  /// Final checkpoint (when configured), then the full §6 report. The
-  /// analyzer is spent afterwards.
+  /// Releases every deferred frame, writes the shutdown checkpoint (when
+  /// configured), then returns report_snapshot() plus the warning of a
+  /// failed checkpoint write: the full §6 report, read from the lanes in
+  /// place like any query.
   AnalysisReport finalize();
 
  private:
   Status write_checkpoint();
-  /// Adds `pressure` and its warning to a §6 report: shared by finalize()
-  /// and report_snapshot() so the two cannot drift apart.
-  AnalysisReport with_pressure(AnalysisReport report,
-                               const analysis::ResourcePressure& pressure) const;
 
   StreamingOptions options_;
   /// Null at one thread: the engine's lanes then run on the caller's

@@ -14,6 +14,7 @@
 #include "core/analyzer.hpp"
 #include "core/export.hpp"
 #include "tests/analysis/testlib.hpp"
+#include "tests/core/reference_report.hpp"
 
 namespace uncharted::analysis {
 namespace {
@@ -245,7 +246,7 @@ TEST(Dataset, SnapshotLeavesBuilderUntouched) {
     EXPECT_EQ(live.packets_consumed(), consumed);
     EXPECT_EQ(core::report_to_json(snapshot),
               core::report_to_json(
-                  core::analyze_dataset(prefix_only.finish(), {}, aopts, nullptr)));
+                  testlib::reference_report(prefix_only.finish(), {}, aopts)));
     if (mode == ParseMode::kReassembled) {
       EXPECT_EQ(snapshot.stats.degradation.reassembly_gaps, 1u);
       EXPECT_GT(snapshot.stats.degradation.truncated_tail_bytes, 0u);
@@ -351,13 +352,14 @@ TEST(TypeIdStats, DistributionAndStations) {
 //
 // A RecordCursor cuts each lane into canonically ordered runs (a new run
 // wherever timestamps step backwards, stretches of equal timestamps
-// tie-broken) and k-way merges them: merge_partials moves records in that
-// order, a live query reads them in place. Each scenario below is built
-// once as a single partial and once split by station into three
-// flow-disjoint partials, merged and queried in every order.
+// tie-broken) and k-way merges them: DatasetBuilder::finish() moves one
+// lane's records in that order, a query reads several lanes in place. Each
+// scenario below is built once as a whole capture, finished by one
+// builder, and once split by station into three flow-disjoint lanes,
+// queried in every order.
 
 /// Emits the same APDUs into one whole capture and into the capture of the
-/// station's partial (station index mod 3).
+/// station's lane (station index mod 3).
 class SplitCapture {
  public:
   void apdu(Timestamp ts, std::size_t station, bool from_station, const Apdu& apdu) {
@@ -397,38 +399,23 @@ void expect_canonical_everywhere(const SplitCapture& cap) {
     opts.mode = mode;
     auto whole = CaptureDataset::build(cap.whole(), opts);
     EXPECT_TRUE(in_canonical_order(whole));
-    const std::string expected = digest(whole);
 
     core::CaptureAnalyzer::Options aopts;
     aopts.mode = mode;
     const std::string expected_report =
-        core::report_to_json(core::analyze_dataset(whole, {}, aopts, nullptr));
+        core::report_to_json(testlib::reference_report(whole, {}, aopts));
 
-    // The three partials, each a lane flushed at the capture's end: merged
-    // into a dataset, and read in place by a live query.
+    // The three lanes, each flushed at the capture's end and read in place
+    // by a query.
     const Timestamp flush_ts = cap.whole().back().ts;
-    auto lanes = [&] {
-      std::array<std::unique_ptr<DatasetBuilder>, SplitCapture::kParts> out;
-      for (std::size_t i = 0; i < out.size(); ++i) {
-        out[i] = std::make_unique<DatasetBuilder>(opts);
-        for (const auto& pkt : cap.part(i)) out[i]->add_packet(pkt);
-      }
-      return out;
-    };
-    for (std::size_t i = 0; i < SplitCapture::kParts; ++i) {
+    std::array<std::unique_ptr<DatasetBuilder>, SplitCapture::kParts> live;
+    for (std::size_t i = 0; i < live.size(); ++i) {
       ASSERT_FALSE(cap.part(i).empty());
+      live[i] = std::make_unique<DatasetBuilder>(opts);
+      for (const auto& pkt : cap.part(i)) live[i]->add_packet(pkt);
     }
-    const auto live = lanes();
     std::array<std::size_t, SplitCapture::kParts> order = {0, 1, 2};
     do {
-      auto spent = lanes();
-      std::vector<ShardPartial> partials;
-      for (std::size_t i : order) partials.push_back(spent[i]->finish_partial(flush_ts));
-      auto merged = merge_partials(std::move(partials), opts);
-      EXPECT_TRUE(in_canonical_order(merged));
-      EXPECT_EQ(digest(merged), expected)
-          << "partials merged in order " << order[0] << order[1] << order[2];
-
       DatasetView view;
       for (std::size_t i : order) live[i]->query(flush_ts, view);
       EXPECT_EQ(core::report_to_json(core::analyze_view(view, {}, aopts, nullptr)),
@@ -475,8 +462,8 @@ TEST(DatasetOrder, TimestampsSteppingBackwardsStartNewRuns) {
 
 TEST(DatasetOrder, ThreePartialsMergeIdenticallyInEveryOrder) {
   // Interleaved flows with irregular spacing and occasional shared ticks:
-  // every partial holds several flows, and the k-way merge must interleave
-  // them record by record.
+  // every lane holds several flows, and the query's k-way merge must
+  // interleave them record by record.
   SplitCapture cap;
   for (std::uint16_t i = 0; i < 60; ++i) {
     const Timestamp ts = 2'000'000 + (i / 3) * 700 + (i % 5) * 10;

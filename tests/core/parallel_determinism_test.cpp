@@ -14,6 +14,7 @@
 #include "core/streaming.hpp"
 #include "faultinject/fault.hpp"
 #include "sim/capture.hpp"
+#include "tests/core/reference_report.hpp"
 #include "tests/core/snapshot_testlib.hpp"
 
 namespace uncharted {
@@ -54,6 +55,44 @@ void expect_identical_across_threads(
     EXPECT_EQ(core::report_to_json(report), base_json)
         << label << " JSON differs at " << threads << " threads";
   }
+}
+
+/// Batch reads the lanes in place; the reference finishes one builder
+/// into one record vector and runs each whole-dataset stage over it. The
+/// two must agree at every thread count, in both parse modes.
+void expect_batch_matches_reference(const std::vector<net::CapturedPacket>& packets,
+                                    const char* label) {
+  for (auto mode : {analysis::ParseMode::kPerPacket, analysis::ParseMode::kReassembled}) {
+    auto options = options_with(1);
+    options.mode = mode;
+    const auto reference = testlib::reference_report(packets, options);
+    const std::string want_text = core::render_report(reference, {});
+    const std::string want_json = core::report_to_json(reference);
+    for (unsigned threads : kThreadCounts) {
+      options.threads = threads;
+      auto report = core::CaptureAnalyzer::analyze(packets, options);
+      EXPECT_EQ(core::render_report(report, {}), want_text)
+          << label << " mode " << static_cast<int>(mode) << " render differs at "
+          << threads << " threads";
+      EXPECT_EQ(core::report_to_json(report), want_json)
+          << label << " mode " << static_cast<int>(mode) << " JSON differs at "
+          << threads << " threads";
+    }
+  }
+}
+
+TEST(ParallelDeterminism, Y1BatchMatchesStageByStageReference) {
+  expect_batch_matches_reference(y1_packets(), "y1");
+}
+
+TEST(ParallelDeterminism, Y2BatchMatchesStageByStageReference) {
+  expect_batch_matches_reference(y2_packets(), "y2");
+}
+
+TEST(ParallelDeterminism, FaultInjectedBatchMatchesStageByStageReference) {
+  auto faulted = faultinject::apply_faults(
+      y1_packets(), faultinject::FaultConfig::uniform(0.05));
+  expect_batch_matches_reference(faulted.packets, "y1@5%");
 }
 
 TEST(ParallelDeterminism, Y1ReportsByteIdenticalAtEveryThreadCount) {
