@@ -6,6 +6,8 @@
 // reassembly, and the full analyzer.
 #include <benchmark/benchmark.h>
 
+#include <memory_resource>
+
 #include "analysis/dataset.hpp"
 #include "core/analyzer.hpp"
 #include "iec104/parser.hpp"
@@ -40,19 +42,38 @@ void BM_ApduEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_ApduEncode)->Arg(1)->Arg(8)->Arg(16);
 
+/// The fixed-offset decode the stream parser runs, into a recycled arena.
 void BM_ApduDecode(benchmark::State& state) {
   auto bytes = iec104::Apdu::make_i(1, 2, sample_asdu(static_cast<int>(state.range(0))))
                    .encode()
                    .take();
+  std::pmr::monotonic_buffer_resource arena;
   for (auto _ : state) {
-    ByteReader r(bytes);
-    auto apdu = iec104::decode_apdu(r);
+    iec104::ParsedApdu apdu;
+    benchmark::DoNotOptimize(
+        iec104::decode_apdu_into(bytes, iec104::CodecProfile::standard(), &arena, apdu));
     benchmark::DoNotOptimize(apdu);
+    arena.release();
   }
   state.SetItemsProcessed(state.iterations());
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * bytes.size()));
 }
 BENCHMARK(BM_ApduDecode)->Arg(1)->Arg(8)->Arg(16);
+
+/// The ByteReader reference decode, for comparison.
+void BM_ApduDecodeLayered(benchmark::State& state) {
+  auto bytes = iec104::Apdu::make_i(1, 2, sample_asdu(static_cast<int>(state.range(0))))
+                   .encode()
+                   .take();
+  for (auto _ : state) {
+    ByteReader r(bytes);
+    auto apdu = iec104::decode_apdu_layered(r);
+    benchmark::DoNotOptimize(apdu);
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * bytes.size()));
+}
+BENCHMARK(BM_ApduDecodeLayered)->Arg(1)->Arg(8)->Arg(16);
 
 void BM_TolerantStreamParse(benchmark::State& state) {
   // A stream mixing standard and legacy-profile APDUs.

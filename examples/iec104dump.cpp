@@ -11,7 +11,8 @@
 // self-demos on a short synthetic capture. Ingest runs on one lane on the
 // caller's thread: with no §6 analytics to fan out, extra lanes never paid.
 //
-// Exit codes: 0 clean, 1 unreadable input, 2 degraded (the pcap tail was
+// Exit codes: 0 clean, 1 unreadable input or a usage error (an unknown
+// option, or --limit without its count), 2 degraded (the pcap tail was
 // truncated or the capture carried damage the pipeline had to skip), 3
 // hostile conformance profiles present (--conformance only; wins over 2) —
 // the partial report is still printed in every case.
@@ -28,6 +29,18 @@
 
 using namespace uncharted;
 
+namespace {
+
+int usage_error(const char* argv0, const std::string& why) {
+  std::fprintf(stderr,
+               "%s\nusage: %s [capture.pcap] [--strict] [--limit N] [--conformance] "
+               "[--profile]\n",
+               why.c_str(), argv0);
+  return 1;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   std::string path;
   bool strict = false;
@@ -42,8 +55,11 @@ int main(int argc, char** argv) {
       conformance = true;
     } else if (arg == "--profile") {
       profile = true;
-    } else if (arg == "--limit" && i + 1 < argc) {
+    } else if (arg == "--limit") {
+      if (i + 1 >= argc) return usage_error(argv[0], "--limit needs a count");
       limit = std::atol(argv[++i]);
+    } else if (arg.size() > 1 && arg[0] == '-') {
+      return usage_error(argv[0], "unknown option " + arg);
     } else {
       path = arg;
     }
@@ -91,14 +107,12 @@ int main(int argc, char** argv) {
       break;
     }
     double t = to_seconds(static_cast<DurationUs>(rec.ts - t0));
-    std::string flag = rec.apdu.compliant ? "" : "  [LEGACY " + rec.apdu.profile.str() + "]";
+    std::string flag = rec.apdu.compliant ? "" : "  [LEGACY " + rec.apdu.profile().str() + "]";
     std::printf("%10.6f  %-12s -> %-12s  %-5s %s%s\n", t,
                 core::name_of(names, rec.flow.src_ip).c_str(),
                 core::name_of(names, rec.flow.dst_ip).c_str(),
-                rec.apdu.apdu.token().c_str(),
-                rec.apdu.apdu.format == iec104::ApduFormat::kI
-                    ? rec.apdu.apdu.asdu->str().c_str()
-                    : "",
+                rec.apdu.token().c_str(),
+                rec.apdu.is_i() ? rec.apdu.asdu().str().c_str() : "",
                 flag.c_str());
     ++printed;
   }

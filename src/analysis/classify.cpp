@@ -32,7 +32,7 @@ void StationTypingAccumulator::add(const ApduRecord& rec, std::uint32_t flow) {
     return &it->second;
   });
   ConnectionProfile& p = c->profile;
-  const auto& apdu = rec.apdu.apdu;
+  const auto& apdu = rec.apdu;
   switch (apdu.format) {
     case iec104::ApduFormat::kI:
       if (rec.flow.src_ip == c->station) {
@@ -41,7 +41,7 @@ void StationTypingAccumulator::add(const ApduRecord& rec, std::uint32_t flow) {
         ++p.i_from_server;
       }
       c->seen_i = true;
-      if (apdu.asdu && apdu.asdu->type == iec104::TypeId::C_IC_NA_1) p.has_i100 = true;
+      if (apdu.type == iec104::TypeId::C_IC_NA_1) p.has_i100 = true;
       break;
     case iec104::ApduFormat::kU:
       switch (apdu.u_function) {

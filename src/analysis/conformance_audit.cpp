@@ -63,7 +63,7 @@ void ConformanceAccumulator::add(const ApduRecord& rec, std::uint32_t flow) {
   const Slot& slot = flow_slot(slots_, flow, [&] {
     return Slot{&machine_for(rec.flow.canonical()), rec.flow.src_port != port_};
   });
-  slot.machine->on_apdu(rec.ts, slot.from_controller, rec.apdu.apdu, rec.apdu.profile);
+  slot.machine->on_apdu(rec.ts, slot.from_controller, rec.apdu);
 }
 
 ConformanceReport ConformanceAccumulator::close(

@@ -49,18 +49,40 @@ iec104::ApduStreamParser& DatasetBuilder::parser_for(const net::FlowKey& key) {
   return it->second;
 }
 
-void DatasetBuilder::collect(const net::FlowKey& key,
-                             std::vector<iec104::ParsedApdu>& apdus,
-                             std::vector<iec104::ParseFailure>& failures) {
-  auto& deg = stats_.degradation;
-  std::uint64_t hash = net::flow_key_hash(key);
-  FlowDamage* dmgp = damage_cache_.find(key, hash);
-  if (dmgp == nullptr) {
-    dmgp = &damage_[key];
-    damage_cache_.put(key, hash, dmgp);
+FlowDamage& DatasetBuilder::damage_for(const net::FlowKey& key) {
+  const std::uint64_t hash = net::flow_key_hash(key);
+  FlowDamage* dmg = damage_cache_.find(key, hash);
+  if (dmg == nullptr) {
+    dmg = &damage_[key];
+    damage_cache_.put(key, hash, dmg);
   }
-  auto& dmg = *dmgp;
-  for (const auto& f : failures) {
+  return *dmg;
+}
+
+class DatasetBuilder::RecordSink final : public iec104::ApduSink {
+ public:
+  RecordSink(DatasetBuilder& builder, const net::FlowKey& key, Timestamp ts)
+      : builder_(builder), key_(key), ts_(ts), dmg_(builder.damage_for(key)) {}
+
+  void put(const iec104::ParsedApdu& apdu) override {
+    auto& records = builder_.records_;
+    if (!records.empty() && ts_ < records.back().ts) ++builder_.backward_steps_;
+    // seq: the arrival index within this directed flow.
+    records.push_back(ApduRecord{ts_, key_, dmg_.apdus++, apdu});
+  }
+
+  FlowDamage& damage() { return dmg_; }
+
+ private:
+  DatasetBuilder& builder_;
+  const net::FlowKey& key_;
+  Timestamp ts_;
+  FlowDamage& dmg_;
+};
+
+void DatasetBuilder::account_failures(FlowDamage& dmg, iec104::ApduStreamParser& parser) {
+  auto& deg = stats_.degradation;
+  for (const auto& f : parser.failures()) {
     ++stats_.apdu_failures;
     dmg.last_failure_ts = f.ts;
     // A framed 0x68 start whose length octet exceeds the 253-octet APDU
@@ -87,26 +109,15 @@ void DatasetBuilder::collect(const net::FlowKey& key,
         break;
     }
   }
-  for (auto& parsed : apdus) {
-    if (!records_.empty() && parsed.ts < records_.back().ts) ++backward_steps_;
-    ApduRecord rec;
-    rec.ts = parsed.ts;
-    rec.flow = key;
-    rec.seq = dmg.apdus;  // arrival index within this directed flow
-    rec.apdu = std::move(parsed);
-    records_.push_back(std::move(rec));
-    ++dmg.apdus;
-  }
-  apdus.clear();
-  failures.clear();
+  parser.clear_failures();
 }
 
 void DatasetBuilder::ingest(const net::FlowKey& key, Timestamp ts,
                             std::span<const std::uint8_t> payload) {
   auto& parser = parser_for(key);
-  parser.feed(ts, payload);
-  parser.drain(drained_apdus_, drained_failures_);
-  collect(key, drained_apdus_, drained_failures_);
+  RecordSink sink(*this, key, ts);
+  parser.feed(ts, payload, sink);
+  account_failures(sink.damage(), parser);
 }
 
 void DatasetBuilder::enforce_budgets() {
@@ -140,8 +151,7 @@ void DatasetBuilder::enforce_budgets() {
           continue;
         }
         it->second.finish(last_ts_);
-        it->second.drain(drained_apdus_, drained_failures_);
-        collect(it->first, drained_apdus_, drained_failures_);
+        account_failures(damage_for(it->first), it->second);
         it = parsers_.erase(it);
         ++pressure_.parsers_evicted;
       }
@@ -208,10 +218,10 @@ void DatasetBuilder::add_packet_impl(Timestamp ts,
     // the packet boundary is a truncated tail, not silence. The scratch
     // parser is reset, not reconstructed: same semantics, no allocation.
     packet_parser_.reset_stream();
-    packet_parser_.feed(ts, frame->payload);
+    RecordSink sink(*this, key, ts);
+    packet_parser_.feed(ts, frame->payload, sink);
     packet_parser_.finish(ts);
-    packet_parser_.drain(drained_apdus_, drained_failures_);
-    collect(key, drained_apdus_, drained_failures_);
+    account_failures(sink.damage(), packet_parser_);
   }
 }
 
@@ -255,8 +265,7 @@ void DatasetBuilder::flush(Timestamp flush_ts) {
   deg.wild_segments += totals.wild_segments;
   for (auto& [key, parser] : parsers_) {
     parser.finish(flush_ts);
-    parser.drain(drained_apdus_, drained_failures_);
-    collect(key, drained_apdus_, drained_failures_);
+    account_failures(damage_for(key), parser);
   }
 }
 
@@ -373,13 +382,13 @@ void ComplianceAccumulator::add(const ApduRecord& rec, std::uint32_t flow) {
   });
   ++apdus_;
   if (!rec.apdu.compliant) ++non_compliant_;
-  if (rec.apdu.apdu.format != iec104::ApduFormat::kI) return;
+  if (!rec.apdu.is_i()) return;
   if (slot.entry == nullptr) slot.entry = &compliance_[slot.station];
   auto& entry = *slot.entry;
   ++entry.i_apdus;
   if (!rec.apdu.compliant) {
     ++entry.non_compliant;
-    entry.profile = rec.apdu.profile;
+    entry.profile = rec.apdu.profile();
   }
 }
 
@@ -606,16 +615,16 @@ Status DatasetBuilder::save(ByteWriter& w) const {
   w.u64le(packets_consumed_);
 
   // APDU records travel re-encoded under their own codec profile. The
-  // parser only accepts exact decodes, so encode(profile) round-trips.
+  // parser only accepts exact decodes, so encode() round-trips.
   w.u32le(static_cast<std::uint32_t>(records_.size()));
   for (const auto& rec : records_) {
     w.u64le(rec.ts);
     rec.flow.save(w);
-    w.u64le(rec.apdu.ts);
-    save_profile(w, rec.apdu.profile);
+    w.u64le(rec.ts);  // the record's timestamp again, where the APDU's once was
+    save_profile(w, rec.apdu.profile());
     w.u8(rec.apdu.compliant ? 1 : 0);
-    w.u32le(static_cast<std::uint32_t>(rec.apdu.wire_size));
-    auto encoded = rec.apdu.apdu.encode(rec.apdu.profile);
+    w.u32le(rec.apdu.wire_size);
+    auto encoded = rec.apdu.encode();
     if (!encoded) return encoded.error();
     w.u32le(static_cast<std::uint32_t>(encoded->size()));
     w.bytes(*encoded);
@@ -670,24 +679,32 @@ Status DatasetBuilder::load(ByteReader& r) {
     rec.flow = flow.value();
     auto apdu_ts = r.u64le();
     if (!apdu_ts) return apdu_ts.error();
-    rec.apdu.ts = apdu_ts.value();
+    if (apdu_ts.value() != rec.ts) {
+      return Error{"checkpoint-record-mismatch", "APDU timestamp differs from its record's"};
+    }
     auto profile = load_profile(r);
     if (!profile) return profile.error();
-    rec.apdu.profile = profile.value();
     auto compliant = r.u8();
     auto wire_size = r.u32le();
     auto len = r.u32le();
     if (!len) return len.error();
     auto bytes = r.bytes(len.value());
     if (!bytes) return bytes.error();
+    // A record holds its profile in one octet and its wire size in 16 bits:
+    // refuse what they cannot hold rather than truncate it.
+    if (!profile->codable()) return Error{"checkpoint-bad-profile", profile->str()};
+    if (wire_size.value() > 0xffff) {
+      return Error{"checkpoint-bad-wire-size", std::to_string(wire_size.value())};
+    }
+    if (!iec104::decode_apdu_into(*bytes, *profile, record_arena_->resource(), rec.apdu)) {
+      ByteReader apdu_reader(*bytes);
+      auto detail = iec104::decode_apdu_layered(apdu_reader, *profile);
+      return detail ? Error{"checkpoint-bad-apdu", "bytes beyond the framed APDU"}
+                    : detail.error();
+    }
     rec.apdu.compliant = compliant.value() != 0;
-    rec.apdu.wire_size = wire_size.value();
-    ByteReader apdu_reader(*bytes);
-    auto apdu =
-        iec104::decode_apdu(apdu_reader, rec.apdu.profile, record_arena_->resource());
-    if (!apdu) return apdu.error();
-    rec.apdu.apdu = std::move(apdu).take();
-    records_.push_back(std::move(rec));
+    rec.apdu.wire_size = static_cast<std::uint16_t>(wire_size.value());
+    records_.push_back(rec);
   }
 
   backward_steps_ = 0;

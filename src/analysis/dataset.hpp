@@ -33,7 +33,8 @@ namespace uncharted::analysis {
 
 enum class ParseMode { kPerPacket, kReassembled };
 
-/// One parsed APDU with its position in the capture.
+/// One parsed APDU with its position in the capture: 8 + 16 + 8 + 24
+/// bytes. The APDU's objects live in the lane's record arena.
 struct ApduRecord {
   Timestamp ts = 0;
   net::FlowKey flow;  ///< directed 4-tuple it travelled on
@@ -46,6 +47,7 @@ struct ApduRecord {
   std::uint64_t seq = 0;
   iec104::ParsedApdu apdu;
 };
+static_assert(sizeof(ApduRecord) <= 64, "an ApduRecord must fit one cache line");
 
 /// Typed error counters for degraded-mode ingestion: everything the
 /// pipeline dropped, skipped or quarantined instead of crashing on. All
@@ -183,9 +185,9 @@ class CaptureDataset {
  private:
   friend class DatasetBuilder;
 
-  /// The builder's arena backing the records' parsed-ASDU object storage.
-  /// Declared first so it is destroyed last — records_ must release its
-  /// pmr vectors while their resource is still alive.
+  /// The builder's arena holding the records' information objects.
+  /// Declared first so it is destroyed last, after the records that point
+  /// into it.
   std::shared_ptr<util::RecordArena> arena_;
   DatasetStats stats_;
   net::FlowTable flows_;
@@ -382,12 +384,15 @@ class DatasetBuilder {
   /// add_packet without the budget epilogue — the shared decode body.
   void add_packet_impl(Timestamp ts, std::span<const std::uint8_t> data,
                        BandwidthAccumulator* bandwidth);
+  /// The parser sink of one feed: appends each APDU to records_.
+  class RecordSink;
   /// The reassembler's delivery target: this builder's ingest().
   net::TcpReassembler::Sink reassembly_sink();
   iec104::ApduStreamParser& parser_for(const net::FlowKey& key);
-  /// Accounts freshly drained parse results for one directed flow.
-  void collect(const net::FlowKey& key, std::vector<iec104::ParsedApdu>& apdus,
-               std::vector<iec104::ParseFailure>& failures);
+  FlowDamage& damage_for(const net::FlowKey& key);
+  /// Accounts the failures `parser` (of the flow `dmg` belongs to) has
+  /// collected, and clears them.
+  void account_failures(FlowDamage& dmg, iec104::ApduStreamParser& parser);
   void ingest(const net::FlowKey& key, Timestamp ts,
               std::span<const std::uint8_t> payload);
   void enforce_budgets();
@@ -409,16 +414,13 @@ class DatasetBuilder {
   std::uint64_t backward_steps_ = 0;
   std::map<net::FlowKey, iec104::ApduStreamParser> parsers_;
   std::map<net::FlowKey, FlowDamage> damage_;
-  /// Short-circuit for the per-packet damage_ lookup in collect(). Any
+  /// Short-circuit for the per-packet damage_ lookup in damage_for(). Any
   /// path that moves or clears damage_ must invalidate it.
   DirectMappedCache<net::FlowKey, FlowDamage, 1024> damage_cache_;
   std::optional<net::TcpReassembler> reassembler_;
   Timestamp last_ts_ = 0;
   std::uint64_t packets_consumed_ = 0;
   ResourcePressure pressure_;
-  /// Scratch for drain(); members so buffers are reused across packets.
-  std::vector<iec104::ParsedApdu> drained_apdus_;
-  std::vector<iec104::ParseFailure> drained_failures_;
   /// Per-packet-mode scratch parser, reset_stream()ed per payload so its
   /// buffers keep their capacity instead of reallocating every packet.
   iec104::ApduStreamParser packet_parser_;

@@ -179,14 +179,14 @@ std::string chain_cluster_name(ChainCluster c) {
   return "?";
 }
 
-std::uint32_t ChainAccumulator::token_id(const iec104::Apdu& apdu) {
-  // Token code: an I-format typeID is 0..255, then I without an ASDU, S,
-  // and the U functions by their control bit (an unknown function is
-  // "U?"). Equal codes, equal tokens, and the reverse.
+std::uint32_t ChainAccumulator::token_id(const iec104::ParsedApdu& apdu) {
+  // Token code: an I-format typeID is 0..255, then S, and the U functions
+  // by their control bit (an unknown function is "U?"). Equal codes, equal
+  // tokens, and the reverse.
   std::size_t code = 0;
   switch (apdu.format) {
     case iec104::ApduFormat::kI:
-      code = apdu.asdu ? static_cast<std::uint8_t>(apdu.asdu->type) : 256;
+      code = static_cast<std::uint8_t>(apdu.type);
       break;
     case iec104::ApduFormat::kS: code = 257; break;
     case iec104::ApduFormat::kU: {
@@ -208,9 +208,9 @@ void ChainAccumulator::add(const ApduRecord& rec, std::uint32_t flow) {
   Connection* c = flow_slot(by_flow_, flow, [&] {
     return &connections_[EndpointPair::of(rec.flow.src_ip, rec.flow.dst_ip)];
   });
-  const auto& apdu = rec.apdu.apdu;
+  const auto& apdu = rec.apdu;
   const std::uint32_t id = token_id(apdu);
-  if (apdu.asdu && apdu.asdu->type == iec104::TypeId::C_IC_NA_1) c->has_i100 = true;
+  if (apdu.is_i() && apdu.type == iec104::TypeId::C_IC_NA_1) c->has_i100 = true;
   if (!c->any) {
     c->any = true;
     c->first = id;

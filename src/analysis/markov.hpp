@@ -141,7 +141,7 @@ class ChainAccumulator {
     bool any = false;
     bool has_i100 = false;
   };
-  std::uint32_t token_id(const iec104::Apdu& apdu);
+  std::uint32_t token_id(const iec104::ParsedApdu& apdu);
 
   std::map<EndpointPair, Connection> connections_;
   std::vector<Connection*> by_flow_;

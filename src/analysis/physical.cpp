@@ -21,13 +21,13 @@ double TimeSeries::max_value() const {
 }
 
 void SeriesAccumulator::add(const ApduRecord& rec, std::uint32_t /*flow*/) {
-  const auto& apdu = rec.apdu.apdu;
-  if (apdu.format != iec104::ApduFormat::kI || !apdu.asdu) return;
+  const auto& apdu = rec.apdu;
+  if (!apdu.is_i()) return;
   // Monitor direction only: data flowing from the outstation.
   if (rec.flow.src_port != iec104::kIec104Port) return;
-  auto type = static_cast<std::uint8_t>(apdu.asdu->type);
+  auto type = static_cast<std::uint8_t>(apdu.type);
   if (type >= 45) return;  // commands / system types carry no telemetry
-  for (const auto& obj : apdu.asdu->objects) {
+  for (const auto& obj : apdu.objects()) {
     double value = 0.0;
     if (!iec104::numeric_value(obj.value, value)) continue;
     SeriesKey key{rec.flow.src_ip, obj.ioa};
@@ -62,13 +62,13 @@ std::map<SeriesKey, TimeSeries> extract_time_series(const CaptureDataset& datase
 std::map<net::Ipv4Addr, TimeSeries> extract_setpoint_series(const CaptureDataset& dataset) {
   std::map<net::Ipv4Addr, TimeSeries> out;
   for (const auto& rec : dataset.records()) {
-    const auto& apdu = rec.apdu.apdu;
-    if (apdu.format != iec104::ApduFormat::kI || !apdu.asdu) continue;
-    if (apdu.asdu->type != iec104::TypeId::C_SE_NC_1) continue;
-    if (apdu.asdu->cot.cause != iec104::Cause::kActivation) continue;
+    const auto& apdu = rec.apdu;
+    if (!apdu.is_i()) continue;
+    if (apdu.type != iec104::TypeId::C_SE_NC_1) continue;
+    if (apdu.cause() != iec104::Cause::kActivation) continue;
     // Control direction: the target outstation owns the IEC 104 port.
     if (rec.flow.dst_port != iec104::kIec104Port) continue;
-    for (const auto& obj : apdu.asdu->objects) {
+    for (const auto& obj : apdu.objects()) {
       if (const auto* sp = std::get_if<iec104::SetpointFloat>(&obj.value)) {
         auto& series = out[rec.flow.dst_ip];
         series.type_id = 50;

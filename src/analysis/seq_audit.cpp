@@ -17,7 +17,7 @@ void SeqAuditAccumulator::add(const ApduRecord& rec, std::uint32_t flow) {
       dirs_[peer->second].peer = flow;
     }
   }
-  const auto& apdu = rec.apdu.apdu;
+  const auto& apdu = rec.apdu;
   auto& st = dirs_[flow];
 
   if (apdu.format == iec104::ApduFormat::kI) {

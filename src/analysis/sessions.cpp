@@ -32,13 +32,13 @@ void SessionAccumulator::add(const ApduRecord& rec, std::uint32_t flow) {
     return &it->second;
   });
   s->bytes += static_cast<double>(rec.apdu.wire_size);
-  switch (rec.apdu.apdu.format) {
+  switch (rec.apdu.format) {
     case iec104::ApduFormat::kI: ++s->count_i; break;
     case iec104::ApduFormat::kS: ++s->count_s; break;
     case iec104::ApduFormat::kU: ++s->count_u; break;
   }
-  if (rec.apdu.apdu.asdu) {
-    for (const auto& obj : rec.apdu.apdu.asdu->objects) {
+  if (rec.apdu.is_i()) {
+    for (const auto& obj : rec.apdu.objects()) {
       const std::uint32_t index = obj.ioa >> 12;
       if (s->block == nullptr || s->block_index != index) {
         s->block = &s->ioa_blocks[index];

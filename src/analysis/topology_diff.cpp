@@ -14,11 +14,10 @@ std::map<net::Ipv4Addr, StationInventory> station_inventory(const CaptureDataset
     auto& inv = out[station];
     inv.station = station;
     ++inv.apdus;
-    if (rec.apdu.apdu.format == iec104::ApduFormat::kI && rec.apdu.apdu.asdu &&
-        rec.flow.src_port == iec104::kIec104Port) {
-      auto type = static_cast<std::uint8_t>(rec.apdu.apdu.asdu->type);
+    if (rec.apdu.is_i() && rec.flow.src_port == iec104::kIec104Port) {
+      auto type = static_cast<std::uint8_t>(rec.apdu.type);
       if (type < 45) {  // monitor-direction telemetry only
-        for (const auto& obj : rec.apdu.apdu.asdu->objects) inv.ioas.insert(obj.ioa);
+        for (const auto& obj : rec.apdu.objects()) inv.ioas.insert(obj.ioa);
       }
     }
   }

@@ -15,9 +15,8 @@ namespace {
 
 /// The record's ASDU typeID, or -1 when it carries no I-format ASDU.
 int type_of(const ApduRecord& rec) {
-  const auto& apdu = rec.apdu.apdu;
-  if (apdu.format != iec104::ApduFormat::kI || !apdu.asdu) return -1;
-  return static_cast<std::uint8_t>(apdu.asdu->type);
+  if (!rec.apdu.is_i()) return -1;
+  return static_cast<std::uint8_t>(rec.apdu.type);
 }
 
 }  // namespace

@@ -31,15 +31,14 @@ void NetworkProfiler::learn(const analysis::CaptureDataset& dataset) {
     net::Ipv4Addr station = station_of(rec);
     stations_.insert(station);
     station_typeids_.try_emplace(station);
-    if (rec.apdu.apdu.format == iec104::ApduFormat::kI && rec.apdu.apdu.asdu) {
-      station_typeids_[station].insert(
-          static_cast<std::uint8_t>(rec.apdu.apdu.asdu->type));
-      if (rec.apdu.apdu.asdu->type == iec104::TypeId::C_IC_NA_1 &&
+    if (rec.apdu.is_i()) {
+      station_typeids_[station].insert(static_cast<std::uint8_t>(rec.apdu.type));
+      if (rec.apdu.type == iec104::TypeId::C_IC_NA_1 &&
           rec.flow.dst_port == iec104::kIec104Port) {
         interrogators_.insert(rec.flow.src_ip);
       }
       if (rec.flow.src_port == iec104::kIec104Port) {
-        for (const auto& obj : rec.apdu.apdu.asdu->objects) {
+        for (const auto& obj : rec.apdu.objects()) {
           station_ioas_[station].insert(obj.ioa);
         }
       }
@@ -84,15 +83,15 @@ std::vector<Anomaly> NetworkProfiler::detect(const analysis::CaptureDataset& dat
       push_once(AnomalyKind::kUnknownStation, rec.ts, name_of(names, station));
       continue;
     }
-    if (rec.apdu.apdu.format != iec104::ApduFormat::kI || !rec.apdu.apdu.asdu) continue;
-    auto type = static_cast<std::uint8_t>(rec.apdu.apdu.asdu->type);
+    if (!rec.apdu.is_i()) continue;
+    auto type = static_cast<std::uint8_t>(rec.apdu.type);
 
     auto known_types = station_typeids_.find(station);
     if (known_types != station_typeids_.end() && !known_types->second.count(type)) {
       push_once(AnomalyKind::kUnknownTypeId, rec.ts,
                 name_of(names, station) + " typeID " + std::to_string(type));
     }
-    if (rec.apdu.apdu.asdu->type == iec104::TypeId::C_IC_NA_1 &&
+    if (rec.apdu.type == iec104::TypeId::C_IC_NA_1 &&
         rec.flow.dst_port == iec104::kIec104Port &&
         !interrogators_.count(rec.flow.src_ip)) {
       push_once(AnomalyKind::kUnexpectedInterrogation, rec.ts,
@@ -100,7 +99,7 @@ std::vector<Anomaly> NetworkProfiler::detect(const analysis::CaptureDataset& dat
     }
     if (rec.flow.src_port == iec104::kIec104Port) {
       auto known_ioas = station_ioas_.find(station);
-      for (const auto& obj : rec.apdu.apdu.asdu->objects) {
+      for (const auto& obj : rec.apdu.objects()) {
         if (known_ioas != station_ioas_.end() && !known_ioas->second.count(obj.ioa)) {
           push_once(AnomalyKind::kUnknownIoa, rec.ts,
                     name_of(names, station) + " ioa " + std::to_string(obj.ioa));
@@ -112,7 +111,7 @@ std::vector<Anomaly> NetworkProfiler::detect(const analysis::CaptureDataset& dat
     auto direction = rec.flow.src_port == iec104::kIec104Port
                          ? iec104::Direction::kFromOutstation
                          : iec104::Direction::kFromController;
-    for (const auto& v : iec104::validate_asdu(*rec.apdu.apdu.asdu, direction)) {
+    for (const auto& v : iec104::validate_asdu(rec.apdu.asdu(), direction)) {
       push_once(AnomalyKind::kSpecViolation, rec.ts,
                 name_of(names, station) + ": " +
                     iec104::violation_kind_name(v.kind) + " (" + v.detail + ")");

@@ -693,6 +693,11 @@ Result<ElementValue> decode_element(TypeId t, ByteReader& r) {
 }
 
 Status Asdu::encode(ByteWriter& w, const CodecProfile& profile) const {
+  return encode_asdu(*this, w, profile);
+}
+
+Status encode_asdu(const AsduView& asdu, ByteWriter& w, const CodecProfile& profile) {
+  const auto& [type, sequence, cot, common_address, objects] = asdu;
   if (objects.empty() || objects.size() > 127) {
     return Err("bad-object-count", std::to_string(objects.size()));
   }
@@ -731,18 +736,13 @@ Status Asdu::encode(ByteWriter& w, const CodecProfile& profile) const {
   return Status::Ok();
 }
 
-Result<Asdu> Asdu::decode(ByteReader& r, const CodecProfile& profile,
-                          std::pmr::memory_resource* arena) {
+Result<Asdu> Asdu::decode(ByteReader& r, const CodecProfile& profile) {
   auto type_code = r.u8();
   if (!type_code) return type_code.error();
   if (!is_supported_type(type_code.value())) {
     return Err("unknown-typeid", std::to_string(type_code.value()));
   }
-  // The arena must be seated at construction: polymorphic_allocator never
-  // propagates on assignment, so assigning an arena-backed vector into a
-  // default-constructed one would silently keep the default resource.
-  Asdu asdu{.objects = std::pmr::vector<InformationObject>(
-                arena != nullptr ? arena : std::pmr::get_default_resource())};
+  Asdu asdu;
   asdu.type = static_cast<TypeId>(type_code.value());
 
   auto vsq = r.u8();
@@ -813,7 +813,9 @@ Result<Asdu> Asdu::decode(ByteReader& r, const CodecProfile& profile,
   return asdu;
 }
 
-std::string Asdu::str() const {
+std::string Asdu::str() const { return AsduView(*this).str(); }
+
+std::string AsduView::str() const {
   std::string s = type_acronym(type) + " cot=" + cot.str() +
                   " ca=" + std::to_string(common_address) + " n=" +
                   std::to_string(objects.size());

@@ -7,8 +7,8 @@
 #pragma once
 
 #include <cstdint>
-#include <memory_resource>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,6 +35,19 @@ struct CodecProfile {
   bool is_standard() const { return cot_octets == 2 && ioa_octets == 3 && ca_octets == 2; }
   std::string str() const;
   bool operator==(const CodecProfile&) const = default;
+
+  /// The one-octet form a compact record stores: bit 0 set for a 1-octet
+  /// COT, bit 1 for a 2-octet IOA, bit 2 for a 1-octet common address, so
+  /// the standard profile is 0. Exact for codable() profiles only.
+  std::uint8_t code() const {
+    return static_cast<std::uint8_t>((cot_octets == 2 ? 0 : 1) | (ioa_octets == 3 ? 0 : 2) |
+                                     (ca_octets == 2 ? 0 : 4));
+  }
+  static CodecProfile from_code(std::uint8_t code) {
+    return {(code & 1) != 0 ? 1 : 2, (code & 2) != 0 ? 2 : 3, (code & 4) != 0 ? 1 : 2};
+  }
+  /// True iff every width is one the codec reads (COT 1/2, IOA 2/3, CA 1/2).
+  bool codable() const { return from_code(code()) == *this; }
 };
 
 /// One information object: address + element + optional time tag.
@@ -61,12 +74,7 @@ struct Asdu {
   bool sequence = false;  ///< SQ bit: objects share a base IOA
   CauseOfTransmission cot{};
   std::uint16_t common_address = 0;
-  /// pmr so the ingest hot path can arena-allocate object storage per lane
-  /// (see util::RecordArena). Default-constructed ASDUs use the default
-  /// resource — plain heap — and behave exactly like std::vector; copies
-  /// always land on the default resource, so a copied ASDU never pins an
-  /// arena.
-  std::pmr::vector<InformationObject> objects;
+  std::vector<InformationObject> objects;
 
   /// Serializes with the given profile. Returns an error for object counts
   /// > 127 or elements inconsistent with the type.
@@ -75,15 +83,41 @@ struct Asdu {
   /// Decodes an ASDU expected to fill `r` exactly. Unknown typeIDs and
   /// leftover/missing bytes are errors (this exactness is what lets the
   /// tolerant parser detect which legacy profile a device speaks).
-  /// `arena`, when non-null, provides the storage for `objects`; the
-  /// returned ASDU (and anything it is moved into) must then not outlive
-  /// the arena.
   static Result<Asdu> decode(ByteReader& r,
-                             const CodecProfile& profile = CodecProfile::standard(),
-                             std::pmr::memory_resource* arena = nullptr);
+                             const CodecProfile& profile = CodecProfile::standard());
 
   std::string str() const;
 };
+
+/// Read-only view of an ASDU: of an owning Asdu, or of the header fields
+/// and arena-held objects of a ParsedApdu. Validation, the plausibility
+/// vote and the encoder read ASDUs through it, so the compact ingest
+/// record never has to be copied back into an Asdu.
+struct AsduView {
+  TypeId type = TypeId::M_ME_NC_1;
+  bool sequence = false;
+  CauseOfTransmission cot{};
+  std::uint16_t common_address = 0;
+  std::span<const InformationObject> objects;
+
+  AsduView() = default;
+  AsduView(TypeId type_id, bool sq, CauseOfTransmission c, std::uint16_t ca,
+           std::span<const InformationObject> objs)
+      : type(type_id), sequence(sq), cot(c), common_address(ca), objects(objs) {}
+  AsduView(const Asdu& asdu)  // NOLINT(google-explicit-constructor)
+      : type(asdu.type),
+        sequence(asdu.sequence),
+        cot(asdu.cot),
+        common_address(asdu.common_address),
+        objects(asdu.objects) {}
+
+  /// What Asdu::str() prints.
+  std::string str() const;
+};
+
+/// Asdu::encode over a view.
+Status encode_asdu(const AsduView& asdu, ByteWriter& w,
+                   const CodecProfile& profile = CodecProfile::standard());
 
 /// Encodes one element (no IOA, no time tag; ClockSync/QueryLog embed
 /// their CP56 fields). Fails when the variant does not match the type.

@@ -275,8 +275,8 @@ void ConformanceMachine::handle_u(Timestamp ts, bool from_controller,
 }
 
 bool ConformanceMachine::handle_sequence(Timestamp ts, DirState& dir,
-                                         const Apdu& apdu) {
-  std::uint16_t ns = seq15(apdu.send_seq);
+                                         std::uint16_t send_seq) {
+  std::uint16_t ns = seq15(send_seq);
   if (!dir.seen_i) {
     dir.seen_i = true;
     if (fresh_ && ns != 0) {
@@ -428,7 +428,7 @@ void ConformanceMachine::handle_ack(Timestamp ts, bool from_controller,
 }
 
 void ConformanceMachine::on_apdu(Timestamp ts, bool from_controller,
-                                 const Apdu& apdu, const CodecProfile& profile) {
+                                 const ParsedApdu& apdu) {
   observe_idle(ts);
   ++profile_.apdus;
   switch (apdu.format) {
@@ -478,36 +478,34 @@ void ConformanceMachine::on_apdu(Timestamp ts, bool from_controller,
       break;
   }
 
-  if (handle_sequence(ts, dirs_[from_controller ? 0 : 1], apdu)) {
+  if (handle_sequence(ts, dirs_[from_controller ? 0 : 1], apdu.send_seq)) {
     handle_ack(ts, from_controller, apdu.recv_seq);
   }
 
-  if (!profile.is_standard()) {
+  if (!apdu.profile().is_standard()) {
     // A record keeps the detail of its first occurrence: build it once.
     flag(ViolationCode::kLegacyProfile, ts,
          flagged(ViolationCode::kLegacyProfile)
              ? std::string()
-             : "decoded with legacy profile " + profile.str());
+             : "decoded with legacy profile " + apdu.profile().str());
   }
-  if (apdu.asdu) {
-    Direction direction = from_controller ? Direction::kFromController
-                                          : Direction::kFromOutstation;
-    for (const auto& v : validate_asdu(*apdu.asdu, direction)) {
-      ViolationCode code = ViolationCode::kCotTypeMismatch;
-      switch (v.kind) {
-        case ViolationKind::kWrongDirection:
-          code = ViolationCode::kWrongDirection;
-          break;
-        case ViolationKind::kCauseMismatch:
-          code = ViolationCode::kCotTypeMismatch;
-          break;
-        case ViolationKind::kBadQualifier:
-        case ViolationKind::kSequenceOverflow:
-          code = ViolationCode::kBadQualifier;
-          break;
-      }
-      flag(code, ts, v.detail);
+  Direction direction = from_controller ? Direction::kFromController
+                                        : Direction::kFromOutstation;
+  for (const auto& v : validate_asdu(apdu.asdu(), direction)) {
+    ViolationCode code = ViolationCode::kCotTypeMismatch;
+    switch (v.kind) {
+      case ViolationKind::kWrongDirection:
+        code = ViolationCode::kWrongDirection;
+        break;
+      case ViolationKind::kCauseMismatch:
+        code = ViolationCode::kCotTypeMismatch;
+        break;
+      case ViolationKind::kBadQualifier:
+      case ViolationKind::kSequenceOverflow:
+        code = ViolationCode::kBadQualifier;
+        break;
     }
+    flag(code, ts, v.detail);
   }
 }
 

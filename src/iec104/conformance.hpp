@@ -190,10 +190,14 @@ class ConformanceMachine {
   /// definitively in STOPDT and both sequence counters are at zero.
   void on_connection_open(Timestamp ts);
 
-  /// One decoded APDU. `profile` is the codec profile that explained it
+  /// One decoded APDU. Its profile is the codec profile that explained it
   /// (legacy profiles trip the whitelist path).
+  void on_apdu(Timestamp ts, bool from_controller, const ParsedApdu& apdu);
+  /// The same for an owning Apdu decoded under `profile`.
   void on_apdu(Timestamp ts, bool from_controller, const Apdu& apdu,
-               const CodecProfile& profile = CodecProfile::standard());
+               const CodecProfile& profile = CodecProfile::standard()) {
+    on_apdu(ts, from_controller, ParsedApdu::view_of(apdu, profile));
+  }
 
   /// Parse-level damage on this connection: `events` failures of `kind`
   /// plus how many of them were frames claiming an oversized length.
@@ -245,7 +249,7 @@ class ConformanceMachine {
   void handle_u(Timestamp ts, bool from_controller, UFunction f);
   /// Returns false when the frame is (possibly) a stale retransmitted
   /// copy whose N(R) must not feed ack tracking.
-  bool handle_sequence(Timestamp ts, DirState& dir, const Apdu& apdu);
+  bool handle_sequence(Timestamp ts, DirState& dir, std::uint16_t send_seq);
   void handle_ack(Timestamp ts, bool from_controller, std::uint16_t nr);
   void observe_idle(Timestamp ts);
 

@@ -64,6 +64,20 @@ Result<Cp56Time2a> Cp56Time2a::decode(ByteReader& r) {
   return t;
 }
 
+bool Cp56Time2a::decode_at(const std::uint8_t* p, Cp56Time2a& out) {
+  out.milliseconds = load_u16le(p);
+  out.minute = static_cast<std::uint8_t>(p[2] & 0x3f);
+  out.invalid = (p[2] & 0x80) != 0;
+  out.hour = static_cast<std::uint8_t>(p[3] & 0x1f);
+  out.summer_time = (p[3] & 0x80) != 0;
+  out.day_of_month = static_cast<std::uint8_t>(p[4] & 0x1f);
+  out.day_of_week = static_cast<std::uint8_t>((p[4] >> 5) & 0x07);
+  out.month = static_cast<std::uint8_t>(p[5] & 0x0f);
+  out.year = static_cast<std::uint8_t>(p[6] & 0x7f);
+  return out.milliseconds <= 59999 && out.minute <= 59 && out.hour <= 23 &&
+         out.day_of_month != 0 && out.month != 0 && out.month <= 12;
+}
+
 Cp56Time2a Cp56Time2a::from_timestamp(Timestamp ts) {
   std::int64_t total_ms = static_cast<std::int64_t>(ts / 1000);
   std::int64_t days = total_ms / 86'400'000;

@@ -27,6 +27,10 @@ struct Cp56Time2a {
 
   void encode(ByteWriter& w) const;
   static Result<Cp56Time2a> decode(ByteReader& r);
+  /// Fixed-offset decode of the 7 octets at `p`, which the caller has
+  /// length-checked: the fields decode() reads, and false where decode()
+  /// rejects an out-of-range field. No error detail.
+  static bool decode_at(const std::uint8_t* p, Cp56Time2a& out);
 
   /// Conversion to/from microseconds since the Unix epoch. Date math uses
   /// the proleptic Gregorian calendar; two-digit years map to 1970..2069

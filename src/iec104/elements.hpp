@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory_resource>
 #include <string>
 #include <variant>
 #include <vector>
@@ -286,7 +287,9 @@ struct AckFile {
 struct Segment {
   std::uint16_t file_name = 0;
   std::uint8_t section = 0;
-  std::vector<std::uint8_t> data;  ///< LOS bytes
+  /// LOS bytes. pmr so a segment decoded into a record arena keeps its
+  /// bytes there too: arena objects are never destroyed one by one.
+  std::pmr::vector<std::uint8_t> data;
   bool operator==(const Segment&) const = default;
 };
 

@@ -12,14 +12,13 @@ std::array<CodecProfile, 4> candidate_profiles() {
 
 std::vector<CodecProfile> detect_profiles(std::span<const std::uint8_t> apdu_bytes) {
   std::vector<CodecProfile> matches;
+  ParsedApdu apdu;
   for (const auto& profile : candidate_profiles()) {
-    ByteReader r(apdu_bytes);
-    auto apdu = decode_apdu(r, profile);
-    if (apdu && r.empty()) {
+    if (check_apdu(apdu_bytes, profile, apdu)) {
       matches.push_back(profile);
       // S/U frames carry no ASDU, so every profile "matches"; report only
       // the standard one for them.
-      if (apdu->format != ApduFormat::kI) break;
+      if (!apdu.is_i()) break;
     }
   }
   return matches;
@@ -34,12 +33,42 @@ std::string failure_kind_name(FailureKind kind) {
   return "unknown";
 }
 
+namespace {
+
+/// The sink of a plain feed(): the parser's own list.
+class KeepSink final : public ApduSink {
+ public:
+  explicit KeepSink(std::vector<ParsedApdu>& out) : out_(out) {}
+  void put(const ParsedApdu& apdu) override { out_.push_back(apdu); }
+
+ private:
+  std::vector<ParsedApdu>& out_;
+};
+
+}  // namespace
+
+std::pmr::memory_resource* ApduStreamParser::ScratchArena::get() {
+  if (!storage_) storage_ = std::make_unique<Storage>();
+  return &storage_->resource;
+}
+
+void ApduStreamParser::ScratchArena::recycle() {
+  // release() rewinds to the initial buffer: no heap traffic per packet.
+  if (storage_) storage_->resource.release();
+}
+
 void ApduStreamParser::feed(Timestamp ts, std::span<const std::uint8_t> data) {
+  KeepSink keep(apdus_);
+  feed(ts, data, keep);
+}
+
+void ApduStreamParser::feed(Timestamp ts, std::span<const std::uint8_t> data,
+                            ApduSink& sink) {
   if (buffer_.empty()) {
     // Zero-copy fast path: with no partial frame pending, parse straight
     // from the caller's bytes. Only a frame cut off at the end of `data`
     // is copied in, to wait for the rest of the stream.
-    std::size_t consumed = parse_span(ts, data);
+    std::size_t consumed = parse_span(ts, data, sink);
     if (consumed < data.size()) {
       buffer_.assign(data.begin() + static_cast<std::ptrdiff_t>(consumed),
                      data.end());
@@ -47,7 +76,7 @@ void ApduStreamParser::feed(Timestamp ts, std::span<const std::uint8_t> data) {
     return;
   }
   buffer_.insert(buffer_.end(), data.begin(), data.end());
-  parse_buffer(ts);
+  parse_buffer(ts, sink);
 }
 
 void ApduStreamParser::finish(Timestamp ts) {
@@ -97,7 +126,10 @@ Result<ApduStreamParser> ApduStreamParser::load(ByteReader& r) {
     auto ioa = r.u8();
     auto ca = r.u8();
     if (!ca) return ca.error();
-    p.locked_ = CodecProfile{cot.value(), ioa.value(), ca.value()};
+    const CodecProfile locked{cot.value(), ioa.value(), ca.value()};
+    // Records store the profile in one octet (CodecProfile::code()).
+    if (!locked.codable()) return Err("bad-locked-profile", locked.str());
+    p.locked_ = locked;
   }
   auto non_compliant = r.u64le();
   auto resyncs = r.u64le();
@@ -115,13 +147,13 @@ Result<ApduStreamParser> ApduStreamParser::load(ByteReader& r) {
   return p;
 }
 
-void ApduStreamParser::parse_buffer(Timestamp ts) {
-  std::size_t pos = parse_span(ts, buffer_);
+void ApduStreamParser::parse_buffer(Timestamp ts, ApduSink& sink) {
+  std::size_t pos = parse_span(ts, buffer_, sink);
   buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<std::ptrdiff_t>(pos));
 }
 
-std::size_t ApduStreamParser::parse_span(Timestamp ts,
-                                         std::span<const std::uint8_t> data) {
+std::size_t ApduStreamParser::parse_span(Timestamp ts, std::span<const std::uint8_t> data,
+                                         ApduSink& sink) {
   std::size_t pos = 0;
   while (pos < data.size()) {
     // Resynchronize on the start byte, recording skipped garbage.
@@ -140,17 +172,15 @@ std::size_t ApduStreamParser::parse_span(Timestamp ts,
       pos = next;
       continue;
     }
-    // Length octet via the bounds-checked reader (start byte already
-    // validated above); an absent octet means the frame is still arriving.
-    ByteReader header(data.subspan(pos));
-    (void)header.u8();
-    const auto length_octet = header.u8();
-    if (!length_octet) break;  // need the length octet
-    const std::size_t frame_len = 2 + static_cast<std::size_t>(length_octet.value());
-    if (pos + frame_len > data.size()) break;  // incomplete frame
+    // The start byte is validated above; an absent length octet, or too
+    // few bytes for what it frames, means the frame is still arriving.
+    const std::span<const std::uint8_t> rest = data.subspan(pos);
+    if (rest.size() < 2) break;
+    const std::size_t frame_len = 2 + static_cast<std::size_t>(rest[1]);
+    if (frame_len > rest.size()) break;  // incomplete frame
 
-    std::span<const std::uint8_t> frame = data.subspan(pos, frame_len);
-    if (!try_parse_frame(ts, frame)) {
+    std::span<const std::uint8_t> frame = rest.first(frame_len);
+    if (!try_parse_frame(frame, sink)) {
       ParseFailure f;
       f.ts = ts;
       f.kind = FailureKind::kUndecodable;
@@ -163,7 +193,7 @@ std::size_t ApduStreamParser::parse_span(Timestamp ts,
   return pos;
 }
 
-int asdu_plausibility(const Asdu& asdu, const CodecProfile& profile) {
+int asdu_plausibility(const AsduView& asdu, const CodecProfile& profile) {
   int score = 0;
 
   // Known cause of transmission values.
@@ -204,70 +234,61 @@ int asdu_plausibility(const Asdu& asdu, const CodecProfile& profile) {
   return score;
 }
 
-bool ApduStreamParser::try_parse_frame(Timestamp ts, std::span<const std::uint8_t> frame) {
-  // Running best instead of a materialized candidate list: the fast paths
-  // below produce at most one candidate, so the common case does no
-  // bookkeeping. Ties keep the earliest attempt, matching the previous
-  // first-of-max-element selection.
-  bool have_best = false;
-  Apdu best_apdu;
-  CodecProfile best_profile = CodecProfile::standard();
-  int best_score = 0;
-  int best_preference = 0;
-
-  auto attempt = [&](const CodecProfile& profile, int preference) {
-    ByteReader r(frame);
-    auto apdu = decode_apdu(r, profile, arena_);
-    if (!apdu || !r.empty()) return false;
-    int score = 0;
-    if (apdu->format == ApduFormat::kI) {
-      score = asdu_plausibility(*apdu->asdu, profile);
-    }
-    if (!have_best || score > best_score ||
-        (score == best_score && preference > best_preference)) {
-      best_apdu = std::move(apdu).take();
-      best_profile = profile;
-      best_score = score;
-      best_preference = preference;
-      have_best = true;
-    }
-    return true;
-  };
-
+bool ApduStreamParser::try_parse_frame(std::span<const std::uint8_t> frame,
+                                       ApduSink& sink) {
+  // Fast paths first: a locked legacy profile explains this stream, and
+  // the standard profile explains compliant streams — the field-width
+  // mismatch makes cross-profile "exact" parses impossible for them (the
+  // VSQ object count pins the expected length). Each is one header check;
+  // only a frame neither explains goes to the plausibility vote, which
+  // disambiguates the legacy layouts (a 1-octet-COT reading of a
+  // 2-octet-IOA frame consumes the same bytes).
+  const CodecProfile standard = CodecProfile::standard();
+  ParsedApdu apdu;
+  std::optional<CodecProfile> chosen;
   if (mode_ == Mode::kStrict) {
-    attempt(CodecProfile::standard(), 0);
+    if (check_apdu(frame, standard, apdu)) chosen = standard;
+  } else if (locked_ && check_apdu(frame, *locked_, apdu)) {
+    chosen = *locked_;
+  } else if (check_apdu(frame, standard, apdu)) {
+    chosen = standard;
   } else {
-    // Fast paths first: a locked legacy profile explains this stream, and
-    // the standard profile explains compliant streams — the field-width
-    // mismatch makes cross-profile "exact" parses impossible for them
-    // (the VSQ object count pins the expected length). Only a frame no
-    // fast path explains falls through to the full plausibility vote,
-    // which disambiguates the legacy layouts (a 1-octet-COT reading of a
-    // 2-octet-IOA frame consumes the same bytes).
-    if (locked_) attempt(*locked_, 3);
-    if (!have_best) attempt(CodecProfile::standard(), 2);
-    if (!have_best) {
-      for (const auto& profile : candidate_profiles()) {
-        if (profile.is_standard() || (locked_ && profile == *locked_)) continue;
-        attempt(profile, 0);
-      }
+    chosen = vote(frame, apdu);
+  }
+  if (!chosen) return false;
+  if (apdu.object_data == nullptr) decode_objects(frame, *chosen, arena(), apdu);
+  if (!apdu.compliant) {
+    ++non_compliant_;
+    locked_ = *chosen;
+  }
+  sink.put(apdu);
+  return true;
+}
+
+std::optional<CodecProfile> ApduStreamParser::vote(std::span<const std::uint8_t> frame,
+                                                   ParsedApdu& out) {
+  std::array<ParsedApdu, 3> candidates;
+  std::array<CodecProfile, 3> profiles;
+  std::size_t n = 0;
+  for (const auto& profile : candidate_profiles()) {
+    if (profile.is_standard() || (locked_ && profile == *locked_)) continue;
+    if (check_apdu(frame, profile, candidates[n])) profiles[n++] = profile;
+  }
+  if (n == 0) return std::nullopt;
+  // Several layouts explain the bytes exactly: decode each and keep the
+  // most plausible, the earliest on a tie.
+  std::size_t best = 0;
+  int best_score = 0;
+  for (std::size_t k = 0; k < n && n > 1; ++k) {
+    decode_objects(frame, profiles[k], arena(), candidates[k]);
+    const int score = asdu_plausibility(candidates[k].asdu(), profiles[k]);
+    if (k == 0 || score > best_score) {
+      best = k;
+      best_score = score;
     }
   }
-  if (!have_best) return false;
-
-  ParsedApdu parsed;
-  parsed.ts = ts;
-  parsed.apdu = std::move(best_apdu);
-  parsed.profile = best_profile;
-  parsed.compliant =
-      best_profile.is_standard() || parsed.apdu.format != ApduFormat::kI;
-  parsed.wire_size = frame.size();
-  if (!parsed.compliant) {
-    ++non_compliant_;
-    locked_ = best_profile;
-  }
-  apdus_.push_back(std::move(parsed));
-  return true;
+  out = candidates[best];
+  return profiles[best];
 }
 
 }  // namespace uncharted::iec104

@@ -12,7 +12,10 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <memory_resource>
 #include <optional>
 #include <vector>
 
@@ -20,15 +23,6 @@
 #include "util/timebase.hpp"
 
 namespace uncharted::iec104 {
-
-/// One successfully parsed APDU with provenance.
-struct ParsedApdu {
-  Timestamp ts = 0;
-  Apdu apdu;
-  CodecProfile profile;      ///< profile that decoded it
-  bool compliant = true;     ///< true iff profile is the IEC 104 standard
-  std::size_t wire_size = 0; ///< bytes on the wire including start+length
-};
 
 /// Why a byte range failed to parse — the degraded-mode taxonomy. Garbage
 /// means the stream lost framing (desync) and the parser had to hunt for
@@ -62,7 +56,18 @@ std::vector<CodecProfile> detect_profiles(std::span<const std::uint8_t> apdu_byt
 /// consumes the same length), so byte-level success is not enough; the
 /// paper's tell-tales — invalid IOA addresses and random-looking
 /// measurements — are scored instead. Higher is more plausible.
-int asdu_plausibility(const Asdu& asdu, const CodecProfile& profile);
+int asdu_plausibility(const AsduView& asdu, const CodecProfile& profile);
+
+/// Receives each APDU a parser decodes, in stream order. A parser keeps
+/// them for apdus()/drain() unless feed() is given a sink of its own; the
+/// dataset builder's sink appends each one straight to its record lane.
+class ApduSink {
+ public:
+  virtual void put(const ParsedApdu& apdu) = 0;
+
+ protected:
+  ~ApduSink() = default;
+};
 
 /// Incremental parser over one TCP stream direction.
 class ApduStreamParser {
@@ -74,9 +79,12 @@ class ApduStreamParser {
 
   explicit ApduStreamParser(Mode mode = Mode::kTolerant) : mode_(mode) {}
 
-  /// Appends reassembled stream bytes; complete APDUs are parsed out.
-  /// Partial APDUs stay buffered until the next feed.
+  /// Appends reassembled stream bytes; complete APDUs are parsed out and
+  /// kept for apdus(). Partial APDUs stay buffered until the next feed.
   void feed(Timestamp ts, std::span<const std::uint8_t> data);
+  /// The same, handing each APDU to `sink` instead of keeping it.
+  /// Failures are kept either way.
+  void feed(Timestamp ts, std::span<const std::uint8_t> data, ApduSink& sink);
 
   /// End of stream: a partial frame still buffered becomes a
   /// kTruncatedTail failure. Idempotent; further feeds restart framing.
@@ -92,6 +100,8 @@ class ApduStreamParser {
   /// partial frame still waiting for bytes — the state a checkpoint must
   /// carry — instead of the whole stream history.
   void drain(std::vector<ParsedApdu>& apdus_out, std::vector<ParseFailure>& failures_out);
+  /// Forgets the accumulated failures (a caller that has read failures()).
+  void clear_failures() { failures_.clear(); }
 
   /// Checkpoint serialization. Only the resumable core is saved (mode,
   /// partial-frame buffer, locked profile, counters); drained results are
@@ -100,11 +110,13 @@ class ApduStreamParser {
   void save(ByteWriter& w) const;
   static Result<ApduStreamParser> load(ByteReader& r);
 
-  /// Arena for parsed-APDU object storage (null = plain heap). Runtime
-  /// configuration, not state: it is not checkpointed, and the caller must
-  /// re-set it after load(). ASDUs parsed while an arena is set must not
-  /// outlive it — the dataset keeps its lane arenas alive for exactly this
-  /// reason.
+  /// Arena for parsed-APDU object storage. Runtime configuration, not
+  /// state: it is not checkpointed, and the caller must re-set it after
+  /// load(). APDUs parsed while an arena is set must not outlive it — the
+  /// dataset keeps its lane arenas alive for exactly this reason. With no
+  /// arena set (null), the parser stores objects in a scratch arena of its
+  /// own, which reset_stream() recycles: its APDUs then live until the
+  /// next reset_stream() or the parser's end.
   void set_arena(std::pmr::memory_resource* arena) { arena_ = arena; }
 
   /// Times the parser lost framing and hunted for the next start byte.
@@ -127,7 +139,8 @@ class ApduStreamParser {
   /// Resets per-stream state (framing buffer, locked profile, counters) so
   /// a per-packet caller can reuse one parser — and the capacity of its
   /// result vectors — instead of constructing a fresh parser per packet.
-  /// Results must have been drained first.
+  /// Results must have been drained first; the scratch arena (no arena
+  /// set) is recycled.
   void reset_stream() {
     buffer_.clear();
     locked_.reset();
@@ -135,19 +148,48 @@ class ApduStreamParser {
     resyncs_ = 0;
     garbage_bytes_ = 0;
     truncated_tail_bytes_ = 0;
+    scratch_.recycle();
   }
 
  private:
-  void parse_buffer(Timestamp ts);
+  /// Object storage of a parser with no arena set. A copied parser starts
+  /// with its own (empty) scratch; a moved one takes it along, so APDUs
+  /// already parsed stay valid.
+  class ScratchArena {
+   public:
+    ScratchArena() = default;
+    ScratchArena(const ScratchArena&) {}
+    ScratchArena& operator=(const ScratchArena&) { return *this; }
+    ScratchArena(ScratchArena&&) noexcept = default;
+    ScratchArena& operator=(ScratchArena&&) noexcept = default;
+    std::pmr::memory_resource* get();
+    void recycle();
+
+   private:
+    struct Storage {
+      /// Room for a packet's objects; a larger burst spills to the heap
+      /// until the next recycle().
+      alignas(std::max_align_t) std::array<std::byte, 16384> initial;
+      std::pmr::monotonic_buffer_resource resource{initial.data(), initial.size()};
+    };
+    std::unique_ptr<Storage> storage_;
+  };
+
+  std::pmr::memory_resource* arena() { return arena_ != nullptr ? arena_ : scratch_.get(); }
+  void parse_buffer(Timestamp ts, ApduSink& sink);
   /// Parses frames from `data` without buffering; returns bytes consumed.
   /// The zero-copy core of feed(): a trailing partial frame is left for
   /// the caller to buffer.
-  std::size_t parse_span(Timestamp ts, std::span<const std::uint8_t> data);
+  std::size_t parse_span(Timestamp ts, std::span<const std::uint8_t> data, ApduSink& sink);
   /// Attempts one framed APDU (start byte already verified).
-  bool try_parse_frame(Timestamp ts, std::span<const std::uint8_t> frame);
+  bool try_parse_frame(std::span<const std::uint8_t> frame, ApduSink& sink);
+  /// The legacy-profile vote for a frame neither fast path explains:
+  /// fills `out` and returns the winning profile, or nullopt.
+  std::optional<CodecProfile> vote(std::span<const std::uint8_t> frame, ParsedApdu& out);
 
   Mode mode_;
   std::pmr::memory_resource* arena_ = nullptr;
+  ScratchArena scratch_;
   std::vector<std::uint8_t> buffer_;
   std::vector<ParsedApdu> apdus_;
   std::vector<ParseFailure> failures_;

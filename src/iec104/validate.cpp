@@ -52,7 +52,7 @@ bool is_error_cause(Cause c) {
 
 }  // namespace
 
-std::vector<Violation> validate_asdu(const Asdu& asdu, Direction direction) {
+std::vector<Violation> validate_asdu(const AsduView& asdu, Direction direction) {
   std::vector<Violation> out;
   auto add = [&](ViolationKind kind, std::string detail) {
     out.push_back(Violation{kind, std::move(detail)});

@@ -45,6 +45,6 @@ struct Violation {
 
 /// Validates one ASDU observed travelling in `direction`.
 /// Returns every rule violation found (empty = clean).
-std::vector<Violation> validate_asdu(const Asdu& asdu, Direction direction);
+std::vector<Violation> validate_asdu(const AsduView& asdu, Direction direction);
 
 }  // namespace uncharted::iec104

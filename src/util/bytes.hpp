@@ -11,6 +11,7 @@
 // stays out of line.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -36,6 +37,13 @@ inline std::uint16_t load_u16le(const std::uint8_t* p) {
                                     (static_cast<std::uint32_t>(p[1]) << 8));
 }
 
+/// The 3-octet little-endian integer of an IEC 60870-5 information object
+/// address (and of a file length).
+inline std::uint32_t load_u24le(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16);
+}
+
 inline std::uint32_t load_u32be(const std::uint8_t* p) {
   return (static_cast<std::uint32_t>(p[0]) << 24) |
          (static_cast<std::uint32_t>(p[1]) << 16) |
@@ -46,6 +54,11 @@ inline std::uint32_t load_u32le(const std::uint8_t* p) {
   return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
          (static_cast<std::uint32_t>(p[2]) << 16) |
          (static_cast<std::uint32_t>(p[3]) << 24);
+}
+
+/// IEEE-754 single precision, little-endian (the IEC 104 float encoding).
+inline float load_f32le(const std::uint8_t* p) {
+  return std::bit_cast<float>(load_u32le(p));
 }
 
 /// Sequential reader over a non-owning byte span. All reads are checked.

@@ -55,8 +55,8 @@ TEST(Dataset, ExtractsApdusPerSessionAndConnection) {
   EXPECT_EQ(chains[0].last_token, "S");
 
   // Records are in time order.
-  EXPECT_EQ(ds.records()[0].apdu.apdu.token(), "I_13");
-  EXPECT_EQ(ds.records()[2].apdu.apdu.token(), "S");
+  EXPECT_EQ(ds.records()[0].apdu.token(), "I_13");
+  EXPECT_EQ(ds.records()[2].apdu.token(), "S");
 }
 
 TEST(Dataset, MultipleApdusInOneSegment) {
@@ -180,7 +180,7 @@ std::string digest(const CaptureDataset& ds) {
   }
   for (const auto& rec : ds.records()) {
     out += '\n' + std::to_string(rec.ts) + ' ' + rec.flow.str() + ' ' +
-           std::to_string(rec.seq) + ' ' + rec.apdu.apdu.str();
+           std::to_string(rec.seq) + ' ' + rec.apdu.str();
   }
   for (const auto& [key, dmg] : ds.damage()) {
     out += '\n' + key.str() + ' ' + std::to_string(dmg.apdus) + ' ' +
@@ -192,6 +192,45 @@ std::string digest(const CaptureDataset& ds) {
            std::to_string(entry.non_compliant);
   }
   return out;
+}
+
+// The record section keeps its byte format; what the compact record cannot
+// hold is refused on load rather than truncated: an APDU timestamp slot
+// that is not the record's, a wire size beyond 16 bits, and a profile
+// width outside the four codec layouts.
+TEST(Dataset, CheckpointRecordFieldsTheRecordCannotHoldAreRefused) {
+  CaptureBuilder cb;
+  const Apdu apdu = i_apdu(float_asdu(5, 100, 1.0f), 3, 1);
+  cb.apdu(1'000'000, ip(10, 0, 0, 1), ip(10, 1, 0, 5), true, apdu);
+  DatasetBuilder builder;
+  for (const auto& pkt : cb.packets()) builder.add_packet(pkt);
+  ByteWriter w;
+  ASSERT_TRUE(builder.save(w).ok());
+  const std::vector<std::uint8_t> saved = w.data();
+  const std::vector<std::uint8_t> frame = apdu.encode().take();
+  // ... apdu_ts:u64, profile:3, compliant:1, wire_size:u32, len:u32, frame
+  const auto at = std::search(saved.begin(), saved.end(), frame.begin(), frame.end());
+  ASSERT_NE(at, saved.end());
+  const auto pos = static_cast<std::size_t>(at - saved.begin());
+  ASSERT_GE(pos, 20u);
+
+  auto load = [](const std::vector<std::uint8_t>& bytes) {
+    DatasetBuilder restored;
+    ByteReader r(bytes);
+    return restored.load(r);
+  };
+  ASSERT_TRUE(load(saved).ok());
+  auto code_of = [&](std::size_t offset, std::uint8_t value) {
+    std::vector<std::uint8_t> bytes = saved;
+    bytes[offset] = value;
+    const Status st = load(bytes);
+    return st.ok() ? std::string("ok") : st.error().code;
+  };
+  EXPECT_EQ(code_of(pos - 20, static_cast<std::uint8_t>(saved[pos - 20] ^ 1)),
+            "checkpoint-record-mismatch");
+  EXPECT_EQ(code_of(pos - 12, 3), "checkpoint-bad-profile");  // a 3-octet COT
+  EXPECT_EQ(code_of(pos - 6, 1), "checkpoint-bad-wire-size");  // + 65536
+  EXPECT_EQ(code_of(pos - 8, 0xff), "ok");  // any 16-bit size is kept
 }
 
 TEST(Dataset, SnapshotLeavesBuilderUntouched) {

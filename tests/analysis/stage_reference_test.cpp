@@ -36,7 +36,7 @@ SeqAuditReport reference_audit_sequences(const CaptureDataset& dataset) {
   };
   std::map<net::FlowKey, DirState> dirs;
   for (const auto& rec : dataset.records()) {
-    const auto& apdu = rec.apdu.apdu;
+    const auto& apdu = rec.apdu;
     auto& st = dirs[rec.flow];
     st.entry.direction = rec.flow;
     if (apdu.format == iec104::ApduFormat::kI) {
@@ -144,7 +144,7 @@ std::map<EndpointPair, std::vector<std::string>> reference_tokens(
   std::map<EndpointPair, std::vector<std::string>> out;
   for (const auto& rec : dataset.records()) {
     out[EndpointPair::of(rec.flow.src_ip, rec.flow.dst_ip)].push_back(
-        rec.apdu.apdu.token());
+        rec.apdu.token());
   }
   return out;
 }

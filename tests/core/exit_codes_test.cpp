@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -111,6 +112,27 @@ TEST(ExitCodes, UsageErrorsExitOne) {
             1);
   EXPECT_EQ(run(quoted(UNCHARTED_BIN_IEC104D) + " --no-such-flag"), 1);
   EXPECT_EQ(run(quoted(UNCHARTED_BIN_LONGRUN_MONITOR) + " --no-such-flag"), 1);
+}
+
+// An unknown option is a usage error, never a pcap path: `--threads 4`
+// once made iec104dump report that it could not read a file named 4.
+TEST(ExitCodes, Iec104dumpRefusesUnknownOptions) {
+  const std::string dump = quoted(UNCHARTED_BIN_IEC104DUMP);
+  EXPECT_EQ(run(dump + " " + pcaps().clean + " --threads 4"), 1);
+  EXPECT_EQ(run(dump + " -x " + pcaps().clean), 1);
+  EXPECT_EQ(run(dump + " " + pcaps().clean + " --limit"), 1);
+
+  const std::string err_path = temp_path("dump_usage.txt");
+  const std::string cmd =
+      dump + " " + pcaps().clean + " --threads 4 >/dev/null 2>" + err_path;
+  ASSERT_NE(std::system(cmd.c_str()), -1);
+  std::ifstream in(err_path);
+  const std::string err((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+  std::remove(err_path.c_str());
+  EXPECT_NE(err.find("unknown option --threads"), std::string::npos) << err;
+  EXPECT_NE(err.find("usage: "), std::string::npos) << err;
+  EXPECT_EQ(err.find("cannot read"), std::string::npos) << err;
 }
 
 TEST(ExitCodes, TruncatedCaptureExitsTwoDegraded) {

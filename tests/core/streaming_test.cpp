@@ -93,6 +93,29 @@ TEST(Streaming, CheckpointRestoreResumesMidStream) {
   expect_headlines_match(report, batch_report());
 }
 
+// A full Y1 checkpoint survives save -> load -> save byte for byte (the
+// record section keeps its format across the compact record), and the
+// restored analyzer reports exactly what batch does, at 1 and 4 lanes.
+TEST(Streaming, FullCheckpointReloadsByteIdenticalAndReportsLikeBatch) {
+  for (unsigned threads : {1u, 4u}) {
+    StreamingOptions options;
+    options.analyze = batch_options();
+    options.analyze.threads = threads;
+    StreamingAnalyzer first(options);
+    first.add_packets(net::as_frame_views(capture().packets));
+    ByteWriter saved;
+    ASSERT_TRUE(first.save_state(saved).ok());
+
+    StreamingAnalyzer second(options);
+    ByteReader r(saved.view());
+    ASSERT_TRUE(second.load_state(r).ok()) << threads;
+    ByteWriter resaved;
+    ASSERT_TRUE(second.save_state(resaved).ok());
+    EXPECT_TRUE(saved.data() == resaved.data()) << threads;
+    EXPECT_EQ(report_to_json(second.finalize()), report_to_json(batch_report())) << threads;
+  }
+}
+
 TEST(Streaming, PeriodicCheckpointsAreWritten) {
   auto path = temp_path("periodic.ckpt");
   StreamingOptions options;

@@ -107,6 +107,46 @@ void add_iec104(std::vector<Seed>& out) {
 
   out.push_back({"apdu_bad_start_byte", Category::kIec104,
                  {0x69, 0x04, 0x43, 0x00, 0x00, 0x00}});
+
+  // One seed per check of the fixed-offset decode: the variable-length
+  // file segment, a zero-object VSQ, an unsupported type id, an unknown
+  // U function, and an S frame framing more than its 4 control octets.
+  iec104::Asdu segment;
+  segment.type = iec104::TypeId::F_SG_NA_1;
+  segment.cot.cause = iec104::Cause::kFile;
+  segment.common_address = 7;
+  segment.objects.push_back({0, iec104::Segment{3, 1, {0x10, 0x20, 0x30, 0x40, 0x50}},
+                             std::nullopt});
+  out.push_back({"apdu_i_file_segment", Category::kIec104,
+                 encode_apdu(Apdu::make_i(6, 1, segment), CodecProfile::standard())});
+  // Elements that embed CP56 times: a clock sync and a log query.
+  iec104::Asdu clock;
+  clock.type = iec104::TypeId::C_CS_NA_1;
+  clock.cot.cause = iec104::Cause::kActivation;
+  clock.common_address = 7;
+  const auto noon = iec104::Cp56Time2a::from_timestamp(1560556800ULL * 1'000'000);
+  clock.objects.push_back({0, iec104::ClockSync{noon}, std::nullopt});
+  out.push_back({"apdu_i_clock_sync", Category::kIec104,
+                 encode_apdu(Apdu::make_i(2, 0, clock), CodecProfile::standard())});
+  iec104::Asdu query;
+  query.type = iec104::TypeId::F_SC_NB_1;
+  query.cot.cause = iec104::Cause::kRequest;
+  query.common_address = 7;
+  query.objects.push_back(
+      {0, iec104::QueryLog{9, noon, iec104::Cp56Time2a::from_timestamp(1560560400ULL * 1'000'000)},
+       std::nullopt});
+  out.push_back({"apdu_i_query_log", Category::kIec104,
+                 encode_apdu(Apdu::make_i(3, 0, query), CodecProfile::standard())});
+  auto zero_objects = valid;
+  zero_objects[7] = 0x00;  // VSQ
+  out.push_back({"apdu_bad_zero_objects", Category::kIec104, std::move(zero_objects)});
+  auto unsupported = valid;
+  unsupported[6] = 0x02;  // type id 2: IEC 101 only
+  out.push_back({"apdu_bad_unsupported_type", Category::kIec104, std::move(unsupported)});
+  out.push_back({"apdu_bad_u_function", Category::kIec104,
+                 {0x68, 0x04, 0x0f, 0x00, 0x00, 0x00}});
+  out.push_back({"apdu_bad_s_length", Category::kIec104,
+                 {0x68, 0x05, 0x01, 0x00, 0x18, 0x00, 0x00}});
 }
 
 // Byte streams shaped like what the fault injector leaves behind after

@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <span>
+#include <vector>
 
 #include "iec104/conformance.hpp"
 #include "iec104/elements.hpp"
@@ -142,18 +143,27 @@ void run_script(std::span<const std::uint8_t> input) {
 /// Part 2: the input as raw stream bytes, the dataset-audit path.
 void run_stream(std::span<const std::uint8_t> input) {
   iec104::ApduStreamParser parser;
-  std::size_t split = input.empty() ? 0 : input[0] % (input.size() + 1);
-  parser.feed(1, input.subspan(0, split));
-  parser.feed(2, input.subspan(split));
-  parser.finish(3);
-
   iec104::ConformanceMachine machine;
   bool from_controller = !input.empty() && (input[0] & 4);
-  for (const auto& parsed : parser.apdus()) {
-    machine.on_apdu(parsed.ts, from_controller, parsed.apdu, parsed.profile);
-    from_controller = !from_controller;  // ping-pong the directions
-  }
-  for (const auto& failure : parser.failures()) {
+  std::vector<iec104::ParseFailure> failures;
+  // Each feed's APDUs carry that feed's timestamp.
+  auto feed = [&](Timestamp ts, std::span<const std::uint8_t> bytes) {
+    parser.feed(ts, bytes);
+    for (const auto& parsed : parser.apdus()) {
+      machine.on_apdu(ts, from_controller, parsed);
+      from_controller = !from_controller;  // ping-pong the directions
+    }
+    std::vector<iec104::ParsedApdu> drained;
+    std::vector<iec104::ParseFailure> kept;
+    parser.drain(drained, kept);
+    for (auto& f : kept) failures.push_back(std::move(f));
+  };
+  std::size_t split = input.empty() ? 0 : input[0] % (input.size() + 1);
+  feed(1, input.subspan(0, split));
+  feed(2, input.subspan(split));
+  parser.finish(3);
+  for (auto& f : parser.failures()) failures.push_back(f);
+  for (const auto& failure : failures) {
     bool oversized = failure.raw.size() >= 2 &&
                      failure.raw[1] > iec104::kMaxApduLength;
     machine.on_parse_failures(failure.ts, failure.kind, 1, oversized ? 1 : 0);

@@ -80,13 +80,13 @@ TEST(Fuzz, Iec104Decoders) {
   for (int i = 0; i < 500; ++i) {
     auto bytes = random_bytes(rng, 260);
     ByteReader r(bytes);
-    (void)iec104::decode_apdu(r);
+    (void)iec104::decode_apdu_layered(r);
     (void)iec104::detect_profiles(bytes);
   }
   sweep_category(rng, corpus::Category::kIec104, 150, [](auto bytes) {
     for (const auto& profile : iec104::candidate_profiles()) {
       ByteReader r(bytes);
-      (void)iec104::decode_apdu(r, profile);
+      (void)iec104::decode_apdu_layered(r, profile);
     }
     (void)iec104::detect_profiles(bytes);
   });

@@ -37,7 +37,7 @@ TEST(Apdu, SFormatSequenceNumber) {
   ASSERT_EQ(bytes->size(), 6u);
   EXPECT_EQ((*bytes)[2], 0x01);
   ByteReader r(*bytes);
-  auto back = decode_apdu(r);
+  auto back = decode_apdu_layered(r);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->format, ApduFormat::kS);
   EXPECT_EQ(back->recv_seq, 1234);
@@ -48,7 +48,7 @@ TEST(Apdu, IFormatRoundTripWithSequenceNumbers) {
   auto bytes = apdu.encode();
   ASSERT_TRUE(bytes.ok());
   ByteReader r(*bytes);
-  auto back = decode_apdu(r);
+  auto back = decode_apdu_layered(r);
   ASSERT_TRUE(back.ok()) << back.error().str();
   EXPECT_EQ(back->format, ApduFormat::kI);
   EXPECT_EQ(back->send_seq, 32767);
@@ -84,7 +84,7 @@ TEST(Apdu, Tokens) {
 TEST(Apdu, RejectsBadStartByte) {
   std::uint8_t bytes[] = {0x67, 0x04, 0x43, 0x00, 0x00, 0x00};
   ByteReader r(bytes);
-  auto res = decode_apdu(r);
+  auto res = decode_apdu_layered(r);
   ASSERT_FALSE(res.ok());
   EXPECT_EQ(res.error().code, "bad-start-byte");
 }
@@ -92,23 +92,23 @@ TEST(Apdu, RejectsBadStartByte) {
 TEST(Apdu, RejectsBadLengths) {
   std::uint8_t too_short[] = {0x68, 0x03, 0x43, 0x00, 0x00};
   ByteReader r1(too_short);
-  EXPECT_FALSE(decode_apdu(r1).ok());
+  EXPECT_FALSE(decode_apdu_layered(r1).ok());
 
   // U frame claiming extra body bytes.
   std::uint8_t bad_u[] = {0x68, 0x06, 0x43, 0x00, 0x00, 0x00, 0xde, 0xad};
   ByteReader r2(bad_u);
-  EXPECT_FALSE(decode_apdu(r2).ok());
+  EXPECT_FALSE(decode_apdu_layered(r2).ok());
 
   // Truncated body.
   std::uint8_t truncated[] = {0x68, 0x0a, 0x43, 0x00};
   ByteReader r3(truncated);
-  EXPECT_FALSE(decode_apdu(r3).ok());
+  EXPECT_FALSE(decode_apdu_layered(r3).ok());
 }
 
 TEST(Apdu, RejectsUnknownUFunction) {
   std::uint8_t bytes[] = {0x68, 0x04, 0xc3, 0x00, 0x00, 0x00};  // two bits set
   ByteReader r(bytes);
-  auto res = decode_apdu(r);
+  auto res = decode_apdu_layered(r);
   ASSERT_FALSE(res.ok());
   EXPECT_EQ(res.error().code, "bad-u-function");
 }
@@ -139,10 +139,10 @@ TEST(Apdu, DecodeConsumesExactlyOneFrame) {
   std::vector<std::uint8_t> both = one;
   both.insert(both.end(), two.begin(), two.end());
   ByteReader r(both);
-  auto first = decode_apdu(r);
+  auto first = decode_apdu_layered(r);
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(first->format, ApduFormat::kU);
-  auto second = decode_apdu(r);
+  auto second = decode_apdu_layered(r);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->format, ApduFormat::kS);
   EXPECT_TRUE(r.empty());

@@ -76,7 +76,7 @@ std::vector<std::string> parse_tokens(std::span<const std::uint8_t> stream,
     pos += n;
   }
   std::vector<std::string> tokens;
-  for (const auto& parsed : parser.apdus()) tokens.push_back(parsed.apdu.token());
+  for (const auto& parsed : parser.apdus()) tokens.push_back(parsed.token());
   EXPECT_TRUE(parser.failures().empty());
   EXPECT_EQ(parser.buffered_bytes(), 0u);
   return tokens;
@@ -118,10 +118,11 @@ TEST(ParserRobustness, RandomGarbageNeverCrashes) {
     ApduStreamParser parser;
     parser.feed(0, garbage);
     // Whatever was "parsed" from noise must at least be internally
-    // consistent: every parsed I-APDU carries an ASDU.
+    // consistent: every parsed I-APDU carries its VSQ's objects.
     for (const auto& parsed : parser.apdus()) {
-      if (parsed.apdu.format == ApduFormat::kI) {
-        EXPECT_TRUE(parsed.apdu.asdu.has_value());
+      if (parsed.is_i()) {
+        EXPECT_GT(parsed.object_count(), 0u);
+        EXPECT_NE(parsed.object_data, nullptr);
       }
     }
   }
@@ -155,13 +156,13 @@ TEST_P(ProfileRoundTrip, ParsedAsduMatches) {
     parser.feed(0, bytes.value());
     ASSERT_EQ(parser.apdus().size(), 1u);
     const auto& parsed = parser.apdus()[0];
-    ASSERT_TRUE(parsed.apdu.asdu.has_value());
-    EXPECT_EQ(parsed.apdu.asdu->type, apdu.asdu->type);
-    EXPECT_EQ(parsed.apdu.asdu->common_address, apdu.asdu->common_address);
-    ASSERT_EQ(parsed.apdu.asdu->objects.size(), apdu.asdu->objects.size());
+    ASSERT_TRUE(parsed.is_i());
+    EXPECT_EQ(parsed.type, apdu.asdu->type);
+    EXPECT_EQ(parsed.common_address, apdu.asdu->common_address);
+    ASSERT_EQ(parsed.object_count(), apdu.asdu->objects.size());
     for (std::size_t k = 0; k < apdu.asdu->objects.size(); ++k) {
-      EXPECT_EQ(parsed.apdu.asdu->objects[k].ioa, apdu.asdu->objects[k].ioa);
-      EXPECT_EQ(parsed.apdu.asdu->objects[k].value, apdu.asdu->objects[k].value);
+      EXPECT_EQ(parsed.objects()[k].ioa, apdu.asdu->objects[k].ioa);
+      EXPECT_EQ(parsed.objects()[k].value, apdu.asdu->objects[k].value);
     }
   }
 }

@@ -30,9 +30,9 @@ TEST(StreamParser, ParsesBackToBackApdus) {
 
   parser.feed(1000, stream);
   ASSERT_EQ(parser.apdus().size(), 3u);
-  EXPECT_EQ(parser.apdus()[0].apdu.token(), "U16");
-  EXPECT_EQ(parser.apdus()[1].apdu.token(), "S");
-  EXPECT_EQ(parser.apdus()[2].apdu.token(), "I_13");
+  EXPECT_EQ(parser.apdus()[0].token(), "U16");
+  EXPECT_EQ(parser.apdus()[1].token(), "S");
+  EXPECT_EQ(parser.apdus()[2].token(), "I_13");
   EXPECT_TRUE(parser.apdus()[2].compliant);
   EXPECT_TRUE(parser.failures().empty());
   EXPECT_EQ(parser.buffered_bytes(), 0u);
@@ -47,7 +47,7 @@ TEST(StreamParser, ReassemblesAcrossFeedBoundaries) {
                 std::span<const std::uint8_t>(&frame[i], 1));
   }
   ASSERT_EQ(parser.apdus().size(), 1u);
-  EXPECT_EQ(parser.apdus()[0].apdu.token(), "I_13");
+  EXPECT_EQ(parser.apdus()[0].token(), "I_13");
 }
 
 TEST(StreamParser, ResynchronizesAfterGarbage) {
@@ -57,7 +57,7 @@ TEST(StreamParser, ResynchronizesAfterGarbage) {
   stream.insert(stream.end(), good.begin(), good.end());
   parser.feed(0, stream);
   ASSERT_EQ(parser.apdus().size(), 1u);
-  EXPECT_EQ(parser.apdus()[0].apdu.token(), "U32");
+  EXPECT_EQ(parser.apdus()[0].token(), "U32");
   ASSERT_EQ(parser.failures().size(), 1u);
   EXPECT_EQ(parser.failures()[0].error, "bad-start-byte");
   EXPECT_EQ(parser.failures()[0].raw.size(), 4u);
@@ -105,7 +105,7 @@ TEST(StreamParser, ResyncBetweenValidApdusAfterInjectedGarbage) {
   stream.insert(stream.end(), frame.begin(), frame.end());
   parser.feed(0, stream);
   ASSERT_EQ(parser.apdus().size(), 2u);
-  EXPECT_EQ(parser.apdus()[1].apdu.token(), "I_13");
+  EXPECT_EQ(parser.apdus()[1].token(), "I_13");
   EXPECT_EQ(parser.resyncs(), 1u);
   EXPECT_EQ(parser.garbage_bytes(), 2u);
 }
@@ -118,10 +118,10 @@ TEST(StreamParser, DetectsLegacyCotProfile) {
   ASSERT_EQ(parser.apdus().size(), 1u);
   const auto& parsed = parser.apdus()[0];
   EXPECT_FALSE(parsed.compliant);
-  EXPECT_EQ(parsed.profile, CodecProfile::legacy_cot());
-  EXPECT_EQ(parsed.apdu.asdu->common_address, 28);
-  EXPECT_EQ(parsed.apdu.asdu->objects[0].ioa, 3801u);
-  EXPECT_FLOAT_EQ(std::get<ShortFloat>(parsed.apdu.asdu->objects[0].value).value, 131.2f);
+  EXPECT_EQ(parsed.profile(), CodecProfile::legacy_cot());
+  EXPECT_EQ(parsed.common_address, 28);
+  EXPECT_EQ(parsed.objects()[0].ioa, 3801u);
+  EXPECT_FLOAT_EQ(std::get<ShortFloat>(parsed.objects()[0].value).value, 131.2f);
   EXPECT_EQ(parser.non_compliant_count(), 1u);
   ASSERT_TRUE(parser.locked_profile().has_value());
 }
@@ -138,10 +138,10 @@ TEST(StreamParser, DetectsLegacyIoaProfileDespiteAmbiguity) {
     ASSERT_EQ(parser.apdus().size(), 1u);
     const auto& parsed = parser.apdus()[0];
     EXPECT_FALSE(parsed.compliant);
-    EXPECT_EQ(parsed.profile, CodecProfile::legacy_ioa());
-    EXPECT_EQ(parsed.apdu.send_seq, send_seq);
-    EXPECT_EQ(parsed.apdu.asdu->common_address, 37);
-    EXPECT_EQ(parsed.apdu.asdu->objects[0].ioa, 4701u);
+    EXPECT_EQ(parsed.profile(), CodecProfile::legacy_ioa());
+    EXPECT_EQ(parsed.send_seq, send_seq);
+    EXPECT_EQ(parsed.common_address, 37);
+    EXPECT_EQ(parsed.objects()[0].ioa, 4701u);
   }
 }
 
@@ -181,7 +181,7 @@ TEST(StreamParser, LockedProfileStaysSticky) {
   EXPECT_EQ(parser.non_compliant_count(), 50u);
   EXPECT_EQ(*parser.locked_profile(), CodecProfile::legacy_cot());
   for (const auto& parsed : parser.apdus()) {
-    EXPECT_EQ(parsed.apdu.asdu->common_address, 53);
+    EXPECT_EQ(parsed.common_address, 53);
   }
 }
 

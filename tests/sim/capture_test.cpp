@@ -124,7 +124,7 @@ TEST(Capture, ContainsRefusedAndKeepAliveTraffic) {
   // And U16 keep-alives flow on secondary connections.
   std::size_t u16 = 0;
   for (const auto& rec : ds.records()) {
-    if (rec.apdu.apdu.token() == "U16") ++u16;
+    if (rec.apdu.token() == "U16") ++u16;
   }
   EXPECT_GT(u16, 50u);
 }

@@ -158,6 +158,25 @@ TEST(ByteReader, HighBitBoundaryValues) {
   EXPECT_EQ(r2.u32be().value(), 0x80000000u);
 }
 
+// The fixed-offset loads agree with the ByteReader reads of the same bytes,
+// including the all-ones and top-bit-only patterns of the 24-bit IOA load.
+TEST(Bytes, FixedOffsetLoadsMatchReader) {
+  const std::uint8_t bytes[] = {0x01, 0x02, 0x03, 0x04, 0xff, 0xff, 0xff,
+                                0x00, 0x00, 0x80, 0x00, 0x00, 0xc0, 0x3f};
+  EXPECT_EQ(load_u24le(bytes), 0x030201u);
+  EXPECT_EQ(load_u24le(bytes + 4), 0xffffffu);
+  EXPECT_EQ(load_u24le(bytes + 7), 0x800000u);
+  EXPECT_EQ(load_u24le(bytes + 2), 0xff0403u);
+  for (std::size_t off = 0; off + 4 <= sizeof(bytes); ++off) {
+    ByteReader r(std::span<const std::uint8_t>(bytes).subspan(off));
+    const float f = r.f32le().value();
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(load_f32le(bytes + off)),
+              std::bit_cast<std::uint32_t>(f))
+        << off;
+  }
+  EXPECT_EQ(load_f32le(bytes + 10), 1.5f);
+}
+
 TEST(ByteReader, SeekClearsPoisonAtBoundaries) {
   std::uint8_t data[2] = {0x12, 0x34};
   ByteReader r(std::span<const std::uint8_t>(data, 2));
