@@ -193,7 +193,7 @@ int main(int argc, char** argv) {
       double analyze_ms = best_of(reps, [&] {
         analysis::DatasetView view;
         engine.query(view);
-        auto report = core::analyze_view(view, bandwidth.finish(), opts, pool.get());
+        auto report = core::analyze_view(view, bandwidth.finish(), pool.get());
         (void)report;
       });
       entries.push_back(

@@ -18,12 +18,15 @@
 // the partial report is still printed in every case.
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "analysis/conformance_audit.hpp"
 #include "analysis/dataset.hpp"
 #include "core/names.hpp"
 #include "core/profiler.hpp"
+#include "net/mapping.hpp"
 #include "sim/capture.hpp"
 #include "util/strings.hpp"
 
@@ -65,26 +68,34 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Frames are views: into the mmap'd pcap, or into the synthetic packets.
+  std::optional<net::PcapMapping> mapping;
   std::vector<net::CapturedPacket> packets;
+  std::vector<net::FrameView> frames;
   core::NameMap names;
   bool pcap_truncated = false;
   if (!path.empty()) {
-    auto loaded = net::PcapReader::read_file_tolerant(path);
-    if (!loaded) {
-      std::fprintf(stderr, "cannot read %s: %s\n", path.c_str(),
-                   loaded.error().str().c_str());
+    auto cannot_read = [&](const Error& error) {
+      std::fprintf(stderr, "cannot read %s: %s\n", path.c_str(), error.str().c_str());
       return 1;
-    }
-    if (loaded->truncated_tail) {
+    };
+    auto mapped = net::PcapMapping::open(path);
+    if (!mapped) return cannot_read(mapped.error());
+    mapping.emplace(std::move(mapped).take());
+    auto cursor = net::PcapCursor::open(mapping->bytes());
+    if (!cursor) return cannot_read(cursor.error());
+    net::FrameView frame;
+    while (cursor->next(frame)) frames.push_back(frame);
+    if (cursor->truncated_tail()) {
       std::fprintf(stderr, "warning: %s: %s; dumping the complete prefix\n",
-                   path.c_str(), loaded->warning.c_str());
+                   path.c_str(), cursor->warning().c_str());
       pcap_truncated = true;
     }
-    packets = std::move(loaded->packets);
   } else {
     std::printf("(no pcap given; using a 30 s synthetic capture)\n");
     auto capture = sim::generate_capture(sim::CaptureConfig::y1(30.0));
     packets = std::move(capture.packets);
+    frames = net::as_frame_views(packets);
     names = core::name_map(capture.topology);
   }
 
@@ -94,7 +105,7 @@ int main(int argc, char** argv) {
   core::StageTimings timings;
   auto ds = [&] {
     core::ScopedStageTimer t(&timings, "ingest");
-    return analysis::CaptureDataset::build(net::as_frame_views(packets), opts);
+    return analysis::CaptureDataset::build(frames, opts);
   }();
   if (names.empty()) names = core::infer_names(ds);
 

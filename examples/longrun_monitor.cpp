@@ -2,19 +2,23 @@
 //
 //   ./longrun_monitor --pcap y1.pcap --checkpoint mon.ckpt --interval 500
 //
-// Consumes a capture the way a permanent monitor would: in bounded
-// batches, under resource budgets, writing a crash-safe checkpoint every
-// N packets. Re-running after a crash (or `--kill-after N`, which
-// simulates one by exiting mid-stream) resumes from the last good
-// checkpoint instead of starting over — the soak harness in
-// scripts/soak.sh kills and restarts this binary repeatedly and asserts
-// the final report matches the batch analyzer.
+// Consumes a capture the way a permanent monitor would: one frame at a
+// time, straight off the mmap'd pcap, under resource budgets, writing a
+// crash-safe checkpoint every N packets. Re-running after a crash (or
+// `--kill-after N`, which simulates one by exiting mid-stream) resumes
+// from the last good checkpoint instead of starting over — the soak
+// harness in scripts/soak.sh kills and restarts this binary repeatedly
+// and asserts the final report matches the batch analyzer.
+//
+// Exit codes: 0 clean, 1 a usage error, unreadable input or a checkpoint
+// cursor beyond the end of the capture, 2 degraded, 3 hostile.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
 #include "core/export.hpp"
 #include "core/streaming.hpp"
+#include "net/mapping.hpp"
 #include "net/pcap.hpp"
 #include "util/strings.hpp"
 
@@ -25,10 +29,9 @@ namespace {
 void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --pcap FILE [--checkpoint FILE] [--interval PACKETS]\n"
-               "          [--batch PACKETS] [--max-flows N] [--max-reassembly-bytes N]\n"
-               "          [--max-records N] [--max-parsers N] [--reassembled]\n"
-               "          [--kill-after PACKETS] [--quiet] [--threads N]\n"
-               "          [--report FILE]\n",
+               "          [--max-flows N] [--max-reassembly-bytes N] [--max-records N]\n"
+               "          [--max-parsers N] [--reassembled] [--kill-after PACKETS]\n"
+               "          [--quiet] [--threads N] [--report FILE]\n",
                argv0);
 }
 
@@ -59,8 +62,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--interval") {
       options.checkpoint_every_packets =
           static_cast<std::uint64_t>(std::atoll(next()));
-    } else if (arg == "--batch") {
-      options.batch_packets = static_cast<std::size_t>(std::atoll(next()));
     } else if (arg == "--max-flows") {
       options.budgets.max_flow_entries = static_cast<std::size_t>(std::atoll(next()));
     } else if (arg == "--max-reassembly-bytes") {
@@ -90,9 +91,16 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  auto read = net::PcapReader::read_file_tolerant(pcap_path);
-  if (!read) {
-    std::fprintf(stderr, "read failed: %s\n", read.error().str().c_str());
+  // The capture is mmap'd (read only when unmappable) and every frame is
+  // fed straight off the mapping: no per-packet copy is held.
+  auto mapping = net::PcapMapping::open(pcap_path);
+  if (!mapping) {
+    std::fprintf(stderr, "read failed: %s\n", mapping.error().str().c_str());
+    return 1;
+  }
+  auto cursor = net::PcapCursor::open(mapping->bytes());
+  if (!cursor) {
+    std::fprintf(stderr, "read failed: %s\n", cursor.error().str().c_str());
     return 1;
   }
 
@@ -102,15 +110,16 @@ int main(int argc, char** argv) {
     skip = analyzer.packets_consumed();
     std::printf("resumed from checkpoint: %s packets already consumed\n",
                 format_count(skip).c_str());
-    if (skip > read->packets.size()) {
-      std::fprintf(stderr, "checkpoint cursor beyond end of input; starting over\n");
-      return 1;
-    }
   }
 
-  const auto& packets = read->packets;
-  for (std::size_t i = static_cast<std::size_t>(skip); i < packets.size(); ++i) {
-    analyzer.add_packet(net::as_frame_view(packets[i]));
+  net::FrameView frame;
+  while (cursor->records() < skip && cursor->next(frame)) {}
+  if (cursor->records() < skip) {
+    std::fprintf(stderr, "checkpoint cursor beyond end of input; starting over\n");
+    return 1;
+  }
+  while (cursor->next(frame)) {
+    analyzer.add_packet(frame);
     if (kill_after > 0 && analyzer.packets_consumed() >= kill_after) {
       // Simulated crash: no shutdown checkpoint, no destructors — the
       // next run must survive on the last periodic checkpoint alone.
@@ -122,10 +131,10 @@ int main(int argc, char** argv) {
   }
 
   auto report = analyzer.finalize();
-  if (read->truncated_tail) {
+  if (cursor->truncated_tail()) {
     report.degradation.pcap_truncated = true;
     report.degradation.warnings.insert(report.degradation.warnings.begin(),
-                                       read->warning);
+                                       cursor->warning());
   }
 
   if (!report_path.empty()) {

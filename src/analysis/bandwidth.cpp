@@ -8,16 +8,6 @@
 namespace uncharted::analysis {
 
 namespace {
-TapProtocol classify(const net::DecodedFrame& frame) {
-  auto on = [&](std::uint16_t port) {
-    return frame.tcp.src_port == port || frame.tcp.dst_port == port;
-  };
-  if (on(2404)) return TapProtocol::kIec104;
-  if (on(4712)) return TapProtocol::kC37118;
-  if (on(102)) return TapProtocol::kIccp;
-  return TapProtocol::kOther;
-}
-
 /// Longest silence (in buckets) densely zero-filled in a rate series. At
 /// the default 10 s bucket that is ~28 hours; a larger jump is recorded as
 /// a discontinuity instead of materializing the gap, so one absurd
@@ -93,7 +83,7 @@ void BandwidthAccumulator::add_decoded(Timestamp ts, std::size_t wire_bytes,
     have_start_ = true;
   }
   if (frame == nullptr) return;
-  TapProtocol proto = classify(*frame);
+  TapProtocol proto = tap_protocol(*frame);
   // A packet stamped before the capture start (reordered tap, or a forged
   // timestamp) collapses into bucket 0; unsigned subtraction would
   // otherwise wrap to a ~580,000-year offset.

@@ -14,9 +14,12 @@
 #include <string>
 #include <vector>
 
+#include "iccp/tpkt.hpp"
+#include "iec104/constants.hpp"
 #include "net/flow.hpp"
 #include "net/frame.hpp"
 #include "net/pcap.hpp"
+#include "synchro/c37118.hpp"
 #include "util/ptrcache.hpp"
 #include "util/stats.hpp"
 
@@ -24,6 +27,19 @@ namespace uncharted::analysis {
 
 /// Protocol classes on the tap.
 enum class TapProtocol { kIec104, kC37118, kIccp, kOther };
+
+/// Classifies a TCP frame by well-known port: IEC 104 (2404), C37.118
+/// (4712), ICCP (102), in that order of precedence. The one port rule
+/// behind both the bandwidth series and the dataset's packet counts.
+inline TapProtocol tap_protocol(const net::DecodedFrame& frame) {
+  auto on = [&](std::uint16_t port) {
+    return frame.tcp.src_port == port || frame.tcp.dst_port == port;
+  };
+  if (on(iec104::kIec104Port)) return TapProtocol::kIec104;
+  if (on(synchro::kC37118Port)) return TapProtocol::kC37118;
+  if (on(iccp::kIsoTsapPort)) return TapProtocol::kIccp;
+  return TapProtocol::kOther;
+}
 
 std::string tap_protocol_name(TapProtocol p);
 

@@ -37,9 +37,8 @@ void merge_profile(iec104::ConformanceProfile& into,
 }  // namespace
 
 ConformanceAccumulator::ConformanceAccumulator(const net::FlowTable& flows,
-                                               const iec104::ConformancePolicy& policy,
-                                               std::uint16_t iec104_port)
-    : policy_(policy), port_(iec104_port) {
+                                               const iec104::ConformancePolicy& policy)
+    : policy_(policy) {
   // Fresh connections (SYN + SYN-ACK inside the capture) get the strict
   // state machine: STOPDT initial state, sequence counters pinned to zero.
   for (const auto& flow : flows.flows()) {
@@ -61,7 +60,8 @@ iec104::ConformanceMachine& ConformanceAccumulator::machine_for(
 void ConformanceAccumulator::add(const ApduRecord& rec, std::uint32_t flow) {
   // Each record feeds its flow's machine, resolved once per directed flow.
   const Slot& slot = flow_slot(slots_, flow, [&] {
-    return Slot{&machine_for(rec.flow.canonical()), rec.flow.src_port != port_};
+    return Slot{&machine_for(rec.flow.canonical()),
+                rec.flow.src_port != iec104::kIec104Port};
   });
   slot.machine->on_apdu(rec.ts, slot.from_controller, rec.apdu);
 }
@@ -110,9 +110,8 @@ ConformanceReport ConformanceAccumulator::close(
 }
 
 ConformanceReport audit_conformance(const CaptureDataset& dataset,
-                                    const iec104::ConformancePolicy& policy,
-                                    std::uint16_t iec104_port) {
-  ConformanceAccumulator acc(dataset.flow_table(), policy, iec104_port);
+                                    const iec104::ConformancePolicy& policy) {
+  ConformanceAccumulator acc(dataset.flow_table(), policy);
   feed(dataset.records(), acc);
   return acc.close(dataset.damage());
 }

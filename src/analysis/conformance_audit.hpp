@@ -41,9 +41,8 @@ struct ConformanceReport {
 /// adds the parse-level damage and aggregates per endpoint pair.
 class ConformanceAccumulator {
  public:
-  ConformanceAccumulator(const net::FlowTable& flows,
-                         const iec104::ConformancePolicy& policy = {},
-                         std::uint16_t iec104_port = iec104::kIec104Port);
+  explicit ConformanceAccumulator(const net::FlowTable& flows,
+                                  const iec104::ConformancePolicy& policy = {});
   void add(const ApduRecord& rec, std::uint32_t flow);
   ConformanceReport close(const std::map<net::FlowKey, FlowDamage>& damage);
 
@@ -55,18 +54,15 @@ class ConformanceAccumulator {
   iec104::ConformanceMachine& machine_for(const net::FlowKey& canonical);
 
   iec104::ConformancePolicy policy_;
-  std::uint16_t port_;
   std::map<net::FlowKey, iec104::ConformanceMachine> machines_;
   std::vector<Slot> slots_;
 };
 
 /// Runs the conformance machines over `dataset`. The outstation side of
-/// each flow is identified by `iec104_port`; flows whose establishing
+/// each flow is the owner of iec104::kIec104Port; flows whose establishing
 /// SYN/SYN-ACK are inside the capture get the definitive fresh-connection
 /// state machine, everything else anchors mid-stream.
-ConformanceReport audit_conformance(
-    const CaptureDataset& dataset,
-    const iec104::ConformancePolicy& policy = {},
-    std::uint16_t iec104_port = iec104::kIec104Port);
+ConformanceReport audit_conformance(const CaptureDataset& dataset,
+                                    const iec104::ConformancePolicy& policy = {});
 
 }  // namespace uncharted::analysis

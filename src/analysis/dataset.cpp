@@ -31,7 +31,7 @@ DatasetBuilder::DatasetBuilder(CaptureDataset::Options options,
       packet_parser_(options.parser_mode) {
   packet_parser_.set_arena(record_arena_->resource());
   if (options_.mode == ParseMode::kReassembled) {
-    reassembler_.emplace(reassembly_sink(), options_.reassembly_limits);
+    reassembler_.emplace(reassembly_sink());
   }
 }
 
@@ -191,20 +191,11 @@ void DatasetBuilder::add_packet_impl(Timestamp ts,
   ++stats_.tcp_packets;
   flows_.add(ts, *frame);
 
-  bool is_iec104 = frame->tcp.src_port == options_.iec104_port ||
-                   frame->tcp.dst_port == options_.iec104_port;
-  if (!is_iec104) {
-    auto on_port = [&](std::uint16_t port) {
-      return frame->tcp.src_port == port || frame->tcp.dst_port == port;
-    };
-    if (on_port(4712)) {
-      ++stats_.c37118_packets;
-    } else if (on_port(102)) {
-      ++stats_.iccp_packets;
-    } else {
-      ++stats_.other_tcp_packets;
-    }
-    return;
+  switch (tap_protocol(*frame)) {
+    case TapProtocol::kIec104: break;
+    case TapProtocol::kC37118: ++stats_.c37118_packets; return;
+    case TapProtocol::kIccp: ++stats_.iccp_packets; return;
+    case TapProtocol::kOther: ++stats_.other_tcp_packets; return;
   }
 
   if (options_.mode == ParseMode::kReassembled) {
@@ -275,8 +266,9 @@ std::vector<net::FlowKey> DatasetBuilder::quarantined() const {
   // by severity; streams crossing the threshold are dropped so one
   // poisoned stream cannot skew the report, and the counters say so. The
   // decision reads only this stream's own damage, so applying it per shard
-  // is identical to applying it globally.
-  const auto& policy = options_.quarantine;
+  // is identical to applying it globally. The default policy is the flat
+  // ">= 8 failures, and more failures than APDUs" rule.
+  constexpr iec104::QuarantinePolicy policy{};
   std::vector<net::FlowKey> out;
   for (const auto& [key, dmg] : damage_) {
     double score =
@@ -358,7 +350,6 @@ void DatasetBuilder::query(Timestamp flush_ts, DatasetView& view) const {
   view.flows_.merge(net::FlowTable(flows_));
   // Directed flows are lane-affine, so damage maps are disjoint.
   view.damage_.merge(std::move(scratch->damage_));
-  view.iec104_port_ = options_.iec104_port;
   view.scratch_.push_back(std::move(scratch));
 }
 
@@ -378,7 +369,8 @@ void ComplianceAccumulator::add(const ApduRecord& rec, std::uint32_t flow) {
   // vendor server configured for a legacy RTU mirrors its dialect, but the
   // paper's compliance finding is about the device, not the direction.
   Slot& slot = flow_slot(slots_, flow, [&] {
-    return Slot{rec.flow.src_port == port_ ? rec.flow.src_ip : rec.flow.dst_ip};
+    return Slot{rec.flow.src_port == iec104::kIec104Port ? rec.flow.src_ip
+                                                         : rec.flow.dst_ip};
   });
   ++apdus_;
   if (!rec.apdu.compliant) ++non_compliant_;
@@ -485,7 +477,6 @@ const ApduRecord* RecordCursor::next() {
 CaptureDataset DatasetBuilder::finish() {
   flush(last_ts_);
   CaptureDataset ds;
-  ds.iec104_port_ = options_.iec104_port;
   ds.quarantined_ = quarantined();
   if (!ds.quarantined_.empty()) {
     auto dropped = std::erase_if(records_, [&](const ApduRecord& rec) {
@@ -523,7 +514,7 @@ CaptureDataset DatasetBuilder::finish() {
   // Shared, not moved: the builder's parsers still point at the arena, and
   // the dataset must keep it alive once the records leave the builder.
   ds.arena_ = record_arena_;
-  ComplianceAccumulator compliance(options_.iec104_port);
+  ComplianceAccumulator compliance;
   feed(ds.records_, compliance);
   ds.compliance_ = compliance.close(ds.stats_);
   return ds;

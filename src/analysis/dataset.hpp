@@ -23,6 +23,7 @@
 #include "analysis/resource.hpp"
 #include "util/arena.hpp"
 #include "iec104/conformance.hpp"
+#include "iec104/constants.hpp"
 #include "iec104/parser.hpp"
 #include "net/flow.hpp"
 #include "net/pcap.hpp"
@@ -129,18 +130,9 @@ class CaptureDataset {
     ParseMode mode = ParseMode::kPerPacket;
     iec104::ApduStreamParser::Mode parser_mode =
         iec104::ApduStreamParser::Mode::kTolerant;
-    /// Only payloads to/from this TCP port are treated as IEC 104.
-    std::uint16_t iec104_port = 2404;
-    /// Bounds on per-direction out-of-order buffering (reassembled mode).
-    net::ReassemblyLimits reassembly_limits;
-    /// Severity-weighted quarantine: a directed stream whose damage score
-    /// crosses the policy threshold (and whose failures outnumber its
-    /// successful APDUs, under the default policy) is quarantined — its
-    /// (likely mis-decoded) APDUs are dropped from the dataset so one
-    /// poisoned stream cannot skew compliance, clustering or type
-    /// statistics. The defaults reproduce the former flat ">= 8 failures"
-    /// rule; score_threshold = 0 disables quarantine.
-    iec104::QuarantinePolicy quarantine;
+    /// Only payloads to/from this TCP port are parsed as IEC 104 (see
+    /// tap_protocol). Not settable.
+    static constexpr std::uint16_t iec104_port = iec104::kIec104Port;
   };
 
   /// Builds the dataset from captured packets.
@@ -179,9 +171,6 @@ class CaptureDataset {
   /// conformance audit can attribute parse-level hostility to peers.
   const std::map<net::FlowKey, FlowDamage>& damage() const { return damage_; }
 
-  /// The builder option that names the outstation side of every flow.
-  std::uint16_t iec104_port() const { return iec104_port_; }
-
  private:
   friend class DatasetBuilder;
 
@@ -195,7 +184,6 @@ class CaptureDataset {
   std::map<net::Ipv4Addr, ComplianceEntry> compliance_;
   std::vector<net::FlowKey> quarantined_;
   std::map<net::FlowKey, FlowDamage> damage_;
-  std::uint16_t iec104_port_ = 2404;
 };
 
 /// Dense ids for directed flows: 0, 1, 2... in order of first sight. A
@@ -230,10 +218,9 @@ void feed(std::span<const ApduRecord> records, Accumulators&... accumulators) {
 }
 
 /// §6.1 compliance and the record totals of DatasetStats: attributes each
-/// I-format APDU to its outstation (the owner of `iec104_port`).
+/// I-format APDU to its outstation (the owner of iec104::kIec104Port).
 class ComplianceAccumulator {
  public:
-  explicit ComplianceAccumulator(std::uint16_t iec104_port) : port_(iec104_port) {}
   void add(const ApduRecord& rec, std::uint32_t flow);
   /// Sets stats.apdus and stats.non_compliant_apdus; returns compliance().
   std::map<net::Ipv4Addr, CaptureDataset::ComplianceEntry> close(DatasetStats& stats);
@@ -245,7 +232,6 @@ class ComplianceAccumulator {
     /// only stations with I-format traffic.
     CaptureDataset::ComplianceEntry* entry = nullptr;
   };
-  std::uint16_t port_;
   std::map<net::Ipv4Addr, CaptureDataset::ComplianceEntry> compliance_;
   std::vector<Slot> slots_;
   std::uint64_t apdus_ = 0;
@@ -368,7 +354,7 @@ class DatasetBuilder {
 
   /// Checkpoint serialization. Options and budgets are configuration and
   /// are NOT saved — construct the restoring builder with the same ones
-  /// (a mismatch is a caller bug, like mismatched ReassemblyLimits).
+  /// (a mismatch is a caller bug).
   /// APDU records are stored re-encoded in their own codec profile; save
   /// fails only if a record cannot be re-encoded (cannot happen for
   /// parser-produced records, which round-trip by construction).
@@ -441,7 +427,6 @@ class DatasetView {
   const DatasetStats& stats() const { return stats_; }
   const net::FlowTable& flow_table() const { return flows_; }
   const std::map<net::FlowKey, FlowDamage>& damage() const { return damage_; }
-  std::uint16_t iec104_port() const { return iec104_port_; }
   RecordCursor& records() { return cursor_; }
 
  private:
@@ -451,7 +436,6 @@ class DatasetView {
   DatasetStats stats_;
   net::FlowTable flows_;
   std::map<net::FlowKey, FlowDamage> damage_;
-  std::uint16_t iec104_port_ = 2404;
   RecordCursor cursor_;
 };
 

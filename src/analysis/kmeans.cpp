@@ -56,18 +56,25 @@ Matrix seed_plus_plus(const Matrix& points, int k, Rng& rng) {
 /// operands — identical at all thread counts.
 constexpr std::size_t kAssignGrain = 64;
 
-KMeansResult lloyd(const Matrix& points, Matrix centroids, const KMeansOptions& options) {
+/// Lloyd runs at most kMaxIterations, stopping once the centroids move
+/// (summed squared distance) less than kTolerance; kmeans() keeps the best
+/// of kRestarts seedings.
+constexpr int kMaxIterations = 100;
+constexpr double kTolerance = 1e-9;
+constexpr int kRestarts = 4;
+
+KMeansResult lloyd(const Matrix& points, Matrix centroids, exec::Pool* pool) {
   const int k = static_cast<int>(centroids.size());
   const std::size_t dims = points[0].size();
   KMeansResult result;
   result.k = k;
   result.assignment.assign(points.size(), 0);
 
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
+  for (int iter = 0; iter < kMaxIterations; ++iter) {
     result.iterations = iter + 1;
     // Assign. Each point is independent (no reduction), so this
     // parallelizes without any FP-order concern.
-    exec::parallel_for(options.pool, points.size(), kAssignGrain,
+    exec::parallel_for(pool, points.size(), kAssignGrain,
                        [&](std::size_t begin, std::size_t end) {
                          for (std::size_t i = begin; i < end; ++i) {
                            double best = std::numeric_limits<double>::infinity();
@@ -101,7 +108,7 @@ KMeansResult lloyd(const Matrix& points, Matrix centroids, const KMeansOptions& 
       movement += sq_distance(next[c], centroids[c]);
     }
     centroids = std::move(next);
-    if (movement < options.tolerance) break;
+    if (movement < kTolerance) break;
   }
 
   result.centroids = std::move(centroids);
@@ -123,21 +130,20 @@ KMeansResult kmeans(const Matrix& points, int k, const KMeansOptions& options) {
   // options.seed: restarts never share generator state, so they can run
   // concurrently, and restart r draws the same numbers no matter how many
   // threads execute the batch (or whether a pool exists at all).
-  const int restarts = std::max(1, options.restarts);
-  std::vector<std::uint64_t> seeds(static_cast<std::size_t>(restarts));
+  std::vector<std::uint64_t> seeds(kRestarts);
   SplitMix64 seeder(options.seed);
   for (auto& s : seeds) s = seeder.next();
 
-  std::vector<KMeansResult> results(static_cast<std::size_t>(restarts));
+  std::vector<KMeansResult> results(kRestarts);
   {
     exec::TaskGroup group(options.pool);
-    for (int r = 0; r < restarts; ++r) {
+    for (int r = 0; r < kRestarts; ++r) {
       group.run([&, r] {
         // Assignment-level parallelism nests under restart-level
         // parallelism; the group's help-based wait makes that safe.
         Rng rng(seeds[static_cast<std::size_t>(r)]);
         results[static_cast<std::size_t>(r)] =
-            lloyd(points, seed_plus_plus(points, k, rng), options);
+            lloyd(points, seed_plus_plus(points, k, rng), options.pool);
       });
     }
     group.wait();

@@ -26,9 +26,6 @@ struct KMeansResult {
 };
 
 struct KMeansOptions {
-  int max_iterations = 100;
-  double tolerance = 1e-9;   ///< centroid movement convergence threshold
-  int restarts = 4;          ///< keep the best of this many seedings
   std::uint64_t seed = 7;
   /// Runs restarts and the assignment step on this pool (null = inline).
   /// Each restart draws from its own SplitMix64-derived seed, and ties

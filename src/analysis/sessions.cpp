@@ -97,7 +97,8 @@ std::vector<SessionFeatures> extract_session_features(const CaptureDataset& data
 }
 
 std::vector<FeatureRank> rank_features_by_silhouette(
-    const std::vector<SessionFeatures>& sessions, int k, exec::Pool* pool) {
+    const std::vector<SessionFeatures>& sessions, exec::Pool* pool) {
+  constexpr int k = kSessionClusters;
   std::vector<FeatureRank> ranks;
   if (sessions.size() < static_cast<std::size_t>(k) + 1) return ranks;
 
@@ -128,12 +129,12 @@ std::vector<std::size_t> paper_feature_selection() {
           kFeatPercentU};
 }
 
-SessionClustering cluster_sessions(const CaptureDataset& dataset, int force_k,
+SessionClustering cluster_sessions(const CaptureDataset& dataset, int k,
                                    exec::Pool* pool) {
-  return cluster_sessions(extract_session_features(dataset), force_k, pool);
+  return cluster_sessions(extract_session_features(dataset), k, pool);
 }
 
-SessionClustering cluster_sessions(std::vector<SessionFeatures> sessions, int force_k,
+SessionClustering cluster_sessions(std::vector<SessionFeatures> sessions, int k,
                                    exec::Pool* pool) {
   SessionClustering out;
   out.sessions = std::move(sessions);
@@ -154,15 +155,15 @@ SessionClustering cluster_sessions(std::vector<SessionFeatures> sessions, int fo
   opts.pool = pool;
   int k_max = static_cast<int>(std::min<std::size_t>(8, out.sessions.size() - 1));
   out.k_sweep = sweep_k(standardized, 2, k_max, opts);
-  out.chosen_k = force_k > 0 ? force_k : elbow_k(out.k_sweep);
-  out.chosen_k = std::min<int>(out.chosen_k, static_cast<int>(out.sessions.size()));
+  out.chosen_k = std::min<int>(k, static_cast<int>(out.sessions.size()));
   out.clustering = kmeans(standardized, out.chosen_k, opts);
   out.projection = pca(standardized, 2, pool);
 
   // Cluster profiles with heuristic interpretations (Fig 11 semantics).
-  const int k = out.chosen_k;
-  out.profiles.assign(static_cast<std::size_t>(k), {});
-  for (int c = 0; c < k; ++c) out.profiles[static_cast<std::size_t>(c)].cluster = c;
+  out.profiles.assign(static_cast<std::size_t>(out.chosen_k), {});
+  for (int c = 0; c < out.chosen_k; ++c) {
+    out.profiles[static_cast<std::size_t>(c)].cluster = c;
+  }
   for (std::size_t i = 0; i < out.sessions.size(); ++i) {
     auto& p = out.profiles[static_cast<std::size_t>(out.clustering.assignment[i])];
     const auto& v = out.sessions[i].values;

@@ -75,15 +75,18 @@ class SessionAccumulator {
 std::vector<SessionFeatures> extract_session_features(const CaptureDataset& dataset,
                                                       exec::Pool* pool = nullptr);
 
-/// Mean silhouette of clustering on a single feature (k clusters), used to
-/// rank candidate features as the paper does.
+/// The paper's K for session clustering (§6.3, Fig 10): chosen offline
+/// from the elbow of the k sweep, and fixed.
+constexpr int kSessionClusters = 5;
+
+/// Mean silhouette of clustering on a single feature (kSessionClusters
+/// clusters), used to rank candidate features as the paper does.
 struct FeatureRank {
   std::size_t feature;
   double silhouette;
 };
 std::vector<FeatureRank> rank_features_by_silhouette(
-    const std::vector<SessionFeatures>& sessions, int k = 5,
-    exec::Pool* pool = nullptr);
+    const std::vector<SessionFeatures>& sessions, exec::Pool* pool = nullptr);
 
 /// The paper's selected five features.
 std::vector<std::size_t> paper_feature_selection();
@@ -93,7 +96,7 @@ struct SessionClustering {
   std::vector<SessionFeatures> sessions;
   std::vector<std::size_t> selected_features;
   std::vector<KSweepEntry> k_sweep;      ///< k = 2..8 diagnostics
-  int chosen_k = 0;                      ///< elbow choice
+  int chosen_k = 0;                      ///< the k clustered with
   KMeansResult clustering;               ///< on the chosen k
   PcaResult projection;                  ///< 2-D PCA of the selected features
 
@@ -112,14 +115,15 @@ struct SessionClustering {
   std::vector<const SessionFeatures*> outlier_sessions;
 };
 
-/// Runs the paper's session-clustering pipeline. `force_k` pins K (the
-/// paper uses 5); 0 lets the elbow choose. `pool` parallelizes feature
-/// extraction, the k sweep, the final k-means and the PCA — all with
-/// thread-count-invariant results.
-SessionClustering cluster_sessions(const CaptureDataset& dataset, int force_k = 5,
+/// Runs the paper's session-clustering pipeline into `k` clusters (at most
+/// one per session). The k sweep is report output only: elbow_k reads the
+/// choice off it. `pool` parallelizes feature extraction, the k sweep, the
+/// final k-means and the PCA — all with thread-count-invariant results.
+SessionClustering cluster_sessions(const CaptureDataset& dataset,
+                                   int k = kSessionClusters,
                                    exec::Pool* pool = nullptr);
 /// The same pipeline over already-extracted session features.
-SessionClustering cluster_sessions(std::vector<SessionFeatures> sessions, int force_k,
+SessionClustering cluster_sessions(std::vector<SessionFeatures> sessions, int k,
                                    exec::Pool* pool);
 
 }  // namespace uncharted::analysis

@@ -11,15 +11,14 @@
 namespace uncharted::core {
 
 AnalysisReport analyze_view(analysis::DatasetView& view,
-                            analysis::BandwidthReport bandwidth,
-                            const CaptureAnalyzer::Options& options, exec::Pool* pool) {
+                            analysis::BandwidthReport bandwidth, exec::Pool* pool) {
   AnalysisReport report;
   report.stats = view.stats();
   {
     ScopedStageTimer t(&report.timings, "flow analysis");
     report.flows = analysis::analyze_flows(view.flow_table());
   }
-  analysis::ComplianceAccumulator compliance(view.iec104_port());
+  analysis::ComplianceAccumulator compliance;
   analysis::SessionAccumulator sessions;
   analysis::ChainAccumulator chains;
   analysis::StationTypingAccumulator typing;
@@ -48,7 +47,7 @@ AnalysisReport analyze_view(analysis::DatasetView& view,
   {
     ScopedStageTimer t(&report.timings, "session clustering");
     report.clustering =
-        analysis::cluster_sessions(sessions.close(), options.cluster_k, pool);
+        analysis::cluster_sessions(sessions.close(), analysis::kSessionClusters, pool);
   }
   {
     ScopedStageTimer t(&report.timings, "markov chains");
@@ -62,9 +61,8 @@ AnalysisReport analyze_view(analysis::DatasetView& view,
   }
   {
     ScopedStageTimer t(&report.timings, "time series");
-    auto closed = series.close();
-    report.variance_ranking = analysis::rank_by_normalized_variance(closed);
-    if (options.keep_series) report.series = std::move(closed);
+    report.series = series.close();
+    report.variance_ranking = analysis::rank_by_normalized_variance(report.series);
   }
   report.bandwidth = std::move(bandwidth);
   {
@@ -111,7 +109,7 @@ AnalysisReport CaptureAnalyzer::analyze(std::span<const net::FrameView> frames,
     engine.add_packets(frames, &bandwidth);
     engine.query(view);
   }
-  auto report = analyze_view(view, bandwidth.finish(), options, pool.get());
+  auto report = analyze_view(view, bandwidth.finish(), pool.get());
   report.timings.stages.insert(report.timings.stages.begin(),
                                build_timings.stages.begin(),
                                build_timings.stages.end());

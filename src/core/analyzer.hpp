@@ -77,8 +77,10 @@ class CaptureAnalyzer {
     analysis::ParseMode mode = analysis::ParseMode::kPerPacket;
     iec104::ApduStreamParser::Mode parser_mode =
         iec104::ApduStreamParser::Mode::kTolerant;
-    int cluster_k = 5;        ///< 0 = pick by elbow
-    bool keep_series = true;  ///< retain full time series in the report
+    /// Not settable: the report always clusters into the paper's K and
+    /// always carries the full time series.
+    static constexpr int cluster_k = analysis::kSessionClusters;
+    static constexpr bool keep_series = true;
     /// Worker threads, and so ingest lanes, for the flow-sharded engine
     /// and the parallelized analytics. 1 = one lane on the caller's thread
     /// (no pool is created); 0 = one per hardware thread. The report is
@@ -124,8 +126,7 @@ class CaptureAnalyzer {
 /// (clustering restarts and assignment, PCA reductions, per-connection
 /// chains) with thread-count-invariant results; null runs inline.
 AnalysisReport analyze_view(analysis::DatasetView& view,
-                            analysis::BandwidthReport bandwidth,
-                            const CaptureAnalyzer::Options& options, exec::Pool* pool);
+                            analysis::BandwidthReport bandwidth, exec::Pool* pool);
 
 struct RenderOptions {
   /// Appends the wall-clock stage-timing footer (nondeterministic; keep

@@ -14,6 +14,10 @@ namespace {
 /// Composed-checkpoint payload magic: cursors + analyzer state follow.
 constexpr std::uint32_t kLiveMagic = 0x554E4C44;  // "UNLD"
 
+/// Cadence of the analyzer-pressure poll that couples ResourceBudgets
+/// enforcement to the server's buffer budget.
+constexpr double kPressurePollS = 1.0;
+
 std::uint64_t enforcement_total(const analysis::ResourcePressure& p) {
   return p.flow_evictions + p.reassembly_flushes + p.records_evicted +
          p.parsers_evicted;
@@ -127,7 +131,7 @@ Status LiveIngestDaemon::start(bool restore) {
   if (options_.checkpoint_every_s > 0.0 && !checkpoint_path_.empty()) {
     arm_checkpoint_timer();
   }
-  if (options_.pressure_poll_s > 0.0) arm_pressure_timer();
+  arm_pressure_timer();
   if (options_.watchdog.poll_s > 0.0) arm_watchdog_timer();
   return Status::Ok();
 }
@@ -155,7 +159,7 @@ void LiveIngestDaemon::arm_watchdog_timer() {
 }
 
 void LiveIngestDaemon::arm_pressure_timer() {
-  pressure_timer_ = reactor_.add_timer_after(options_.pressure_poll_s, [this] {
+  pressure_timer_ = reactor_.add_timer_after(kPressurePollS, [this] {
     pressure_timer_armed_ = false;
     if (finalized_) return;
     poll_pressure();

@@ -72,8 +72,6 @@ struct LiveIngestOptions {
   netd::ServerConfig server;
   /// Composed-checkpoint cadence (0 = only on finalize).
   double checkpoint_every_s = 2.0;
-  /// Analyzer-pressure poll cadence (0 = coupling off).
-  double pressure_poll_s = 1.0;
   /// Syscall surface for the checkpoint writer (nullptr = the real
   /// kernel). The server's I/O has its own knob in `server.sys`.
   faultinject::SysOps* sys = nullptr;

@@ -1,7 +1,5 @@
 #include "core/streaming.hpp"
 
-#include <algorithm>
-
 #include "core/checkpoint.hpp"
 #include "exec/pool.hpp"
 #include "util/strings.hpp"
@@ -42,11 +40,7 @@ void StreamingAnalyzer::add_packet(const net::FrameView& frame) {
 }
 
 void StreamingAnalyzer::add_packets(std::span<const net::FrameView> frames) {
-  while (!frames.empty()) {
-    std::size_t n = std::min(frames.size(), options_.batch_packets);
-    for (const auto& frame : frames.first(n)) add_packet(frame);
-    frames = frames.subspan(n);
-  }
+  for (const auto& frame : frames) add_packet(frame);
 }
 
 Status StreamingAnalyzer::save_state(ByteWriter& w) {
@@ -69,7 +63,7 @@ AnalysisReport StreamingAnalyzer::report_snapshot() {
   const auto pressure = this->pressure();
   analysis::DatasetView view;
   engine_.query(view);
-  auto report = analyze_view(view, bandwidth_.finish(), options_.analyze, pool_.get());
+  auto report = analyze_view(view, bandwidth_.finish(), pool_.get());
   report.degradation.resources = pressure;
   if (pressure.any()) {
     report.degradation.warnings.push_back(

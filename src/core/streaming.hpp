@@ -2,7 +2,7 @@
 //
 // The batch CaptureAnalyzer holds the whole capture in memory; fine for a
 // day of traffic, wrong for a permanent monitor. StreamingAnalyzer consumes
-// packets one bounded batch at a time, keeps only builder state (flow
+// packets one frame at a time, keeps only builder state (flow
 // table, per-direction parsers, APDU records — each under a resource
 // budget), and periodically snapshots that state to a crash-safe
 // checkpoint file. After a crash, `try_restore` resumes from the newest
@@ -30,9 +30,6 @@ struct StreamingOptions {
   CaptureAnalyzer::Options analyze;
   /// Global budgets, divided across the engine's lanes. Default: unlimited.
   analysis::ResourceBudgets budgets;
-  /// add_packets() slice size — bounds how much work happens between
-  /// checkpoint opportunities.
-  std::size_t batch_packets = 1024;
   /// Write a checkpoint every N consumed packets (0 = only on finalize).
   std::uint64_t checkpoint_every_packets = 0;
   /// Checkpoint file path; empty disables checkpointing entirely.
@@ -57,7 +54,7 @@ class StreamingAnalyzer {
   /// a lane's staged batch) is copied once, there.
   void add_packet(const net::FrameView& frame);
 
-  /// Ingests a span in `batch_packets`-sized slices.
+  /// Ingests a span, one add_packet() per frame.
   void add_packets(std::span<const net::FrameView> frames);
 
   /// Packets ingested so far; after try_restore(), the resume cursor.

@@ -72,10 +72,9 @@ enum class ViolationCode {
 
 std::string violation_code_name(ViolationCode c);
 
-/// Severity policy: classifies violations and weighs them into a verdict.
-/// One policy serves all three consumers — the analysis audit, the
-/// redundancy supervisor's circuit breaker, and (via QuarantinePolicy)
-/// the dataset quarantine.
+/// Severity policy: classifies violations and weighs them into the
+/// conformance audit's verdict. The dataset quarantine scores parse damage
+/// with QuarantinePolicy below.
 struct ConformancePolicy {
   int k = kDefaultK;  ///< max unacknowledged I-frames the sender may hold
   int w = kDefaultW;  ///< receiver must acknowledge at latest every w

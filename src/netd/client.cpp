@@ -18,6 +18,9 @@ namespace {
 constexpr std::size_t kOutBacklogCap = 256 * 1024;
 constexpr std::size_t kReadChunk = 4096;
 
+/// Ceiling of the doubling reconnect backoff, in seconds.
+constexpr double kRetryMaxS = 2.0;
+
 /// Slow-loris abuse: declare this many payload bytes, deliver only a few.
 constexpr std::uint32_t kLorisDeclaredBytes = 4096;
 constexpr std::size_t kLorisDeliveredBytes = 16;
@@ -427,7 +430,7 @@ void FleetClient::retry_later(std::size_t idx, bool count_reconnect) {
   }
   st.backoff_s = st.backoff_s <= 0.0
                      ? config_.retry_initial_s
-                     : std::min(config_.retry_max_s, st.backoff_s * 2.0);
+                     : std::min(kRetryMaxS, st.backoff_s * 2.0);
   // Seeded jitter: spreads a thundering herd of retries without breaking
   // run-to-run reproducibility under a fixed seed.
   const double delay = st.backoff_s * (0.75 + 0.5 * rng_.uniform());

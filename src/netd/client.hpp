@@ -62,9 +62,9 @@ struct FleetConfig {
   /// disconnect+resume (seeded; exercises reconnect churn).
   double churn = 0.0;
   std::uint64_t seed = 0x5ca1ab1eULL;
-  /// Reconnect backoff after a failed/refused/evicted connection.
+  /// Reconnect backoff after a failed/refused/evicted connection; it
+  /// doubles per retry up to 2 s.
   double retry_initial_s = 0.05;
-  double retry_max_s = 2.0;
   /// Give up on a stream after this long without progress.
   double retry_for_s = 60.0;
   /// Keep re-offering finished streams (see header comment).

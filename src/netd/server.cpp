@@ -16,10 +16,11 @@ namespace uncharted::netd {
 namespace {
 
 /// Durable-cursor section magic inside the daemon's composed checkpoint.
-constexpr std::uint32_t kCursorMagic = 0x4E544443;  // "NTDC"
+/// The section carries the forced-release count since "NTD2"; an older
+/// ("NTDC") section is refused, and the daemon starts fresh.
+constexpr std::uint32_t kCursorMagic = 0x4E544432;  // "NTD2"
 
-/// A cursor entry's end state. Checkpoints written before kCondemned
-/// existed hold only 0 and 1.
+/// A cursor entry's end state.
 enum CursorEnd : std::uint8_t { kOpen = 0, kFinished = 1, kCondemned = 2 };
 
 /// Accounting charge per queued frame on top of its payload. The budgets,
@@ -33,6 +34,9 @@ constexpr std::size_t kRetainQueueBytes = 64 * 1024;
 
 constexpr int kListenBacklog = 4096;
 constexpr std::size_t kReadChunk = 64 * 1024;
+/// Bytes a connection may accumulate without one complete message: the
+/// largest well-formed record plus slack for its header.
+constexpr std::size_t kMaxMessageBytes = wire::kMaxFrameBytes + 64;
 /// Per-readiness-event read cap so one flooding peer cannot starve the
 /// rest of the loop (level-triggered polling re-fires for the remainder).
 constexpr std::size_t kReadBudget = 256 * 1024;
@@ -569,7 +573,7 @@ bool IngestServer::parse_conn(Conn& conn) {
   // A peer accumulating bytes without ever completing a message is abusing
   // the framing (the slow-loris tick handles the time axis). A paused
   // connection is exempt: its backlog is well-framed, just deferred.
-  if (!conn.paused && conn.in.size() - conn.in_off > config_.max_message_bytes) {
+  if (!conn.paused && conn.in.size() - conn.in_off > kMaxMessageBytes) {
     evict(conn.fd, iec104::Severity::kHostile, "unframed byte flood");
     return false;
   }
@@ -1003,6 +1007,9 @@ void IngestServer::on_tick() {
 
 void IngestServer::save_cursors(ByteWriter& w) const {
   w.u32le(kCursorMagic);
+  // Every release counted here is behind the cursors below: force_release
+  // counts a frame before the sink that may checkpoint runs.
+  w.u64le(stats_.forced_releases);
   w.u64le(streams_.size());
   for (const auto& [id, s] : streams_) {
     w.u64le(id);
@@ -1017,8 +1024,10 @@ Status IngestServer::load_cursors(ByteReader& r) {
   if (!magic || magic.value() != kCursorMagic) {
     return Error{"netd-cursors", "cursor section magic mismatch"};
   }
+  auto forced = r.u64le();
   auto count = r.u64le();
   if (!count) return Error{"netd-cursors", "cursor section truncated"};
+  stats_.forced_releases = forced.value();
   for (std::uint64_t i = 0; i < count.value(); ++i) {
     auto id = r.u64le();
     auto cursor = r.u64le();

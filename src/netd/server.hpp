@@ -91,8 +91,6 @@ struct ServerConfig {
   std::size_t max_buffered_bytes = 64u << 20;
   /// Reads from one stream pause once it buffers this far ahead.
   std::size_t per_conn_buffered_bytes = 1u << 20;
-  /// Bytes a connection may accumulate without one complete message.
-  std::size_t max_message_bytes = wire::kMaxFrameBytes + 64;
   /// When the global budget is exhausted even after shedding, release
   /// frames past the watermark (sampling: deterministic merge is lost but
   /// memory stays bounded). Disable where byte-identity is asserted.
@@ -131,6 +129,8 @@ struct ServerStats {
   std::uint64_t resumed_hellos = 0;  ///< hellos answered with a nonzero cursor
   std::uint64_t frames_received = 0;
   std::uint64_t frames_released = 0;
+  /// Always 0: the wire carries no per-record sequence, and a resumed
+  /// stream restarts at the server's cursor, so no frame arrives twice.
   std::uint64_t duplicate_frames_dropped = 0;
   std::uint64_t bytes_received = 0;
   std::uint64_t evicted_hostile = 0;
@@ -210,11 +210,14 @@ class IngestServer {
   std::uint64_t condemn_watermark_laggard(const std::string& reason);
 
   /// Serializes per-stream release cursors (the netd half of the daemon's
-  /// composed checkpoint). Only durable fields: cursor, released_ts, and
-  /// whether the stream finished or was condemned.
+  /// composed checkpoint). Only durable fields: the forced releases behind
+  /// the cursors, and per stream its cursor, released_ts, and whether it
+  /// finished or was condemned.
   void save_cursors(ByteWriter& w) const;
-  /// Restores cursors into an empty server (call before start()), and
-  /// recounts the condemned streams, so their loss survives a restart.
+  /// Restores cursors into an empty server (call before start()), with the
+  /// forced-release count, and recounts the condemned streams, so both
+  /// losses survive a restart. A release forced after the checkpoint is
+  /// rewound with the cursors, and is not counted.
   Status load_cursors(ByteReader& r);
 
   const ServerStats& stats() const { return stats_; }

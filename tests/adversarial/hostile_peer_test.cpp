@@ -163,7 +163,6 @@ TEST(HostilePeer, ConformanceReportSurvivesCheckpointRestore) {
                    });
 
   core::StreamingOptions options;
-  options.analyze.keep_series = false;
   options.checkpoint_path = ::testing::TempDir() + "hostile_peer_test.ckpt";
   std::filesystem::remove(options.checkpoint_path);
   std::filesystem::remove(options.checkpoint_path + ".1");

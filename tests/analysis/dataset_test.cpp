@@ -117,16 +117,23 @@ TEST(Dataset, PerPacketModeSeesRetransmittedApdusTwice) {
 }
 
 TEST(Dataset, NonIec104PortIgnoredForParsing) {
-  CaptureBuilder cb;
-  auto server = ip(10, 0, 0, 1);
-  auto station = ip(10, 1, 0, 5);
-  cb.apdu(1000, server, station, true, i_apdu(float_asdu(5, 1, 1.0f)));
-  auto ds_other_port = CaptureDataset::build(cb.packets(), [] {
-    CaptureDataset::Options o;
-    o.iec104_port = 9999;  // nothing matches
-    return o;
-  }());
+  // A well-formed APDU between two ports other than 2404.
+  const auto apdu = i_apdu(float_asdu(5, 1, 1.0f)).encode(iec104::CodecProfile::standard());
+  net::TcpSegmentSpec spec;
+  spec.src_ip = ip(10, 1, 0, 5);
+  spec.dst_ip = ip(10, 0, 0, 1);
+  spec.src_port = 9999;
+  spec.dst_port = 49152;
+  spec.flags = net::kTcpPsh | net::kTcpAck;
+  spec.payload = apdu.value();
+  net::CapturedPacket pkt;
+  pkt.ts = 1000;
+  pkt.data = net::build_tcp_frame(spec);
+  pkt.original_length = static_cast<std::uint32_t>(pkt.data.size());
+  auto ds_other_port = CaptureDataset::build(std::vector<net::CapturedPacket>{pkt});
   EXPECT_EQ(ds_other_port.stats().apdus, 0u);
+  EXPECT_EQ(ds_other_port.stats().iec104_payload_packets, 0u);
+  EXPECT_EQ(ds_other_port.stats().other_tcp_packets, 1u);
   EXPECT_EQ(ds_other_port.stats().tcp_packets, 1u);  // still flow-tracked
 }
 
@@ -273,19 +280,17 @@ TEST(Dataset, SnapshotLeavesBuilderUntouched) {
     }
     const auto arena_bytes = live.record_arena_bytes();
     const auto consumed = live.packets_consumed();
-    core::CaptureAnalyzer::Options aopts;
-    aopts.mode = mode;
     core::AnalysisReport snapshot;
     {
       DatasetView view;
       live.query(live.last_ts(), view);
-      snapshot = core::analyze_view(view, {}, aopts, nullptr);
+      snapshot = core::analyze_view(view, {}, nullptr);
     }
     EXPECT_EQ(live.record_arena_bytes(), arena_bytes);
     EXPECT_EQ(live.packets_consumed(), consumed);
     EXPECT_EQ(core::report_to_json(snapshot),
               core::report_to_json(
-                  testlib::reference_report(prefix_only.finish(), {}, aopts)));
+                  testlib::reference_report(prefix_only.finish(), {})));
     if (mode == ParseMode::kReassembled) {
       EXPECT_EQ(snapshot.stats.degradation.reassembly_gaps, 1u);
       EXPECT_GT(snapshot.stats.degradation.truncated_tail_bytes, 0u);
@@ -439,10 +444,8 @@ void expect_canonical_everywhere(const SplitCapture& cap) {
     auto whole = CaptureDataset::build(cap.whole(), opts);
     EXPECT_TRUE(in_canonical_order(whole));
 
-    core::CaptureAnalyzer::Options aopts;
-    aopts.mode = mode;
     const std::string expected_report =
-        core::report_to_json(testlib::reference_report(whole, {}, aopts));
+        core::report_to_json(testlib::reference_report(whole, {}));
 
     // The three lanes, each flushed at the capture's end and read in place
     // by a query.
@@ -457,12 +460,14 @@ void expect_canonical_everywhere(const SplitCapture& cap) {
     do {
       DatasetView view;
       for (std::size_t i : order) live[i]->query(flush_ts, view);
-      EXPECT_EQ(core::report_to_json(core::analyze_view(view, {}, aopts, nullptr)),
+      EXPECT_EQ(core::report_to_json(core::analyze_view(view, {}, nullptr)),
                 expected_report)
           << "lanes queried in order " << order[0] << order[1] << order[2];
     } while (std::next_permutation(order.begin(), order.end()));
 
     // The whole pipeline, sequential and sharded.
+    core::CaptureAnalyzer::Options aopts;
+    aopts.mode = mode;
     aopts.threads = 1;
     const std::string base = core::report_to_json(core::CaptureAnalyzer::analyze(cap.whole(), aopts));
     for (unsigned threads : {2u, 8u}) {

@@ -41,7 +41,6 @@ const SweepPoint& sweep_point(double rate) {
                                              faultinject::FaultConfig::uniform(rate));
     core::CaptureAnalyzer::Options options;
     options.mode = analysis::ParseMode::kReassembled;
-    options.keep_series = false;
     SweepPoint point;
     point.log = faulted.log;
     point.report = core::CaptureAnalyzer::analyze(faulted.packets, options);
@@ -151,7 +150,6 @@ TEST(ChaosSweep, PerPacketModeSurvivesHeavyDamage) {
                                            faultinject::FaultConfig::uniform(0.20));
   core::CaptureAnalyzer::Options options;
   options.mode = analysis::ParseMode::kPerPacket;
-  options.keep_series = false;
   auto report = core::CaptureAnalyzer::analyze(faulted.packets, options);
   EXPECT_TRUE(report.degradation.degraded());
   EXPECT_GT(report.stats.apdus, 0u);

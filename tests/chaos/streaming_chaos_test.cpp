@@ -37,7 +37,6 @@ const std::vector<net::CapturedPacket>& base_capture() {
 core::CaptureAnalyzer::Options analyze_options() {
   core::CaptureAnalyzer::Options options;
   options.mode = analysis::ParseMode::kReassembled;
-  options.keep_series = false;
   return options;
 }
 

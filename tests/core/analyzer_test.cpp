@@ -144,15 +144,6 @@ TEST(Analyzer, BandwidthAndAuditSectionsPopulated) {
   EXPECT_NE(text.find("== Sequence audit =="), std::string::npos);
 }
 
-TEST(Analyzer, KeepSeriesFalseDropsSeries) {
-  CaptureAnalyzer::Options opts;
-  opts.keep_series = false;
-  auto capture = sim::generate_capture(sim::CaptureConfig::y1(60.0));
-  auto report = CaptureAnalyzer::analyze(capture.packets, opts);
-  EXPECT_TRUE(report.series.empty());
-  EXPECT_FALSE(report.variance_ranking.empty());
-}
-
 TEST(Analyzer, ProfileStagesCoverBandwidthAtEveryThreadCount) {
   auto capture = sim::generate_capture(sim::CaptureConfig::y1(60.0));
   auto stage_names = [&](unsigned threads) {

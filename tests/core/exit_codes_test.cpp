@@ -135,6 +135,23 @@ TEST(ExitCodes, Iec104dumpRefusesUnknownOptions) {
   EXPECT_EQ(err.find("cannot read"), std::string::npos) << err;
 }
 
+// `--batch` is not a longrun_monitor flag: a script that still passes it
+// gets the usage line and exit 1, not a silently different run.
+TEST(ExitCodes, LongrunMonitorRefusesTheBatchFlag) {
+  const std::string err_path = temp_path("longrun_usage.txt");
+  const std::string cmd = quoted(UNCHARTED_BIN_LONGRUN_MONITOR) + " --pcap " +
+                          pcaps().clean + " --batch 64 --quiet >/dev/null 2>" +
+                          err_path;
+  const int rc = std::system(cmd.c_str());
+  ASSERT_TRUE(rc != -1 && WIFEXITED(rc));
+  EXPECT_EQ(WEXITSTATUS(rc), 1);
+  std::ifstream in(err_path);
+  const std::string err((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+  std::remove(err_path.c_str());
+  EXPECT_NE(err.find("usage: "), std::string::npos) << err;
+}
+
 TEST(ExitCodes, TruncatedCaptureExitsTwoDegraded) {
   EXPECT_EQ(run(quoted(UNCHARTED_BIN_IEC104DUMP) + " " + pcaps().truncated +
                 " --limit 1"),

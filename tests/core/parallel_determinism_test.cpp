@@ -1,10 +1,12 @@
 // Determinism regression for the parallel flow-sharded pipeline: the
-// rendered report and the exported JSON must be byte-identical at every
-// thread count — on clean captures, on fault-injected ones, and across a
+// rendered report, the exported JSON and the §6.4 time series (which
+// neither rendering carries) must be byte-identical at every thread
+// count — on clean captures, on fault-injected ones, and across a
 // kill/restore cycle mid-stream. This is the contract that makes --threads
 // a pure performance knob.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <string>
 #include <utility>
@@ -34,10 +36,30 @@ const std::vector<net::CapturedPacket>& y2_packets() {
   return capture.packets;
 }
 
+/// The report's time series and their variance ranking as exact text
+/// (hex floats).
+std::string series_text(const core::AnalysisReport& report) {
+  std::string out;
+  char buf[64];
+  for (const auto& [key, series] : report.series) {
+    out += key.str() + " type " + std::to_string(series.type_id) + ':';
+    for (const auto& p : series.points) {
+      std::snprintf(buf, sizeof buf, " %llu=%a", static_cast<unsigned long long>(p.ts),
+                    p.value);
+      out += buf;
+    }
+    out += '\n';
+  }
+  for (const auto& rank : report.variance_ranking) {
+    std::snprintf(buf, sizeof buf, " %a ", rank.normalized_variance);
+    out += rank.key.str() + buf + std::to_string(rank.samples) + '\n';
+  }
+  return out;
+}
+
 core::CaptureAnalyzer::Options options_with(unsigned threads) {
   core::CaptureAnalyzer::Options options;
   options.mode = analysis::ParseMode::kReassembled;
-  options.keep_series = false;
   options.threads = threads;
   return options;
 }
@@ -47,6 +69,8 @@ void expect_identical_across_threads(
   auto baseline = core::CaptureAnalyzer::analyze(packets, options_with(1));
   std::string base_text = core::render_report(baseline, {});
   std::string base_json = core::report_to_json(baseline);
+  std::string base_series = series_text(baseline);
+  EXPECT_FALSE(baseline.series.empty()) << label;
   for (unsigned threads : kThreadCounts) {
     if (threads == 1) continue;
     auto report = core::CaptureAnalyzer::analyze(packets, options_with(threads));
@@ -54,6 +78,8 @@ void expect_identical_across_threads(
         << label << " render differs at " << threads << " threads";
     EXPECT_EQ(core::report_to_json(report), base_json)
         << label << " JSON differs at " << threads << " threads";
+    EXPECT_EQ(series_text(report), base_series)
+        << label << " series differ at " << threads << " threads";
   }
 }
 
@@ -68,6 +94,7 @@ void expect_batch_matches_reference(const std::vector<net::CapturedPacket>& pack
     const auto reference = testlib::reference_report(packets, options);
     const std::string want_text = core::render_report(reference, {});
     const std::string want_json = core::report_to_json(reference);
+    const std::string want_series = series_text(reference);
     for (unsigned threads : kThreadCounts) {
       options.threads = threads;
       auto report = core::CaptureAnalyzer::analyze(packets, options);
@@ -76,6 +103,9 @@ void expect_batch_matches_reference(const std::vector<net::CapturedPacket>& pack
           << threads << " threads";
       EXPECT_EQ(core::report_to_json(report), want_json)
           << label << " mode " << static_cast<int>(mode) << " JSON differs at "
+          << threads << " threads";
+      EXPECT_EQ(series_text(report), want_series)
+          << label << " mode " << static_cast<int>(mode) << " series differ at "
           << threads << " threads";
     }
   }
@@ -141,6 +171,7 @@ TEST(ParallelDeterminism, KillRestoreMidStreamMatchesSequentialBatch) {
   }
   auto resumed = survivor.finalize();
   EXPECT_EQ(core::render_report(resumed, {}), batch_text);
+  EXPECT_EQ(series_text(resumed), series_text(batch));
 
   std::filesystem::remove(ckpt);
   std::filesystem::remove(ckpt + ".1");
@@ -199,6 +230,7 @@ TEST(ParallelDeterminism, CheckpointRestoresAcrossThreadCounts) {
     auto resumed = reader.finalize();
     EXPECT_EQ(core::render_report(resumed, {}), batch_text) << label;
     EXPECT_EQ(core::report_to_json(resumed), batch_json) << label;
+    EXPECT_EQ(series_text(resumed), series_text(batch)) << label;
   }
   std::filesystem::remove(ckpt);
   std::filesystem::remove(ckpt + ".1");

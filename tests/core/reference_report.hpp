@@ -7,7 +7,6 @@
 // so this is the independent reference they are checked against.
 #pragma once
 
-#include <utility>
 #include <vector>
 
 #include "analysis/bandwidth.hpp"
@@ -28,20 +27,19 @@ namespace uncharted::testlib {
 /// Every §6 stage over `dataset`, inline (no pool), plus the "degraded
 /// capture" warning the analyzer adds.
 inline core::AnalysisReport reference_report(const analysis::CaptureDataset& dataset,
-                                             analysis::BandwidthReport bandwidth,
-                                             const core::CaptureAnalyzer::Options& options) {
+                                             analysis::BandwidthReport bandwidth) {
   core::AnalysisReport report;
   report.stats = dataset.stats();
   report.flows = analysis::analyze_flows(dataset.flow_table());
   report.compliance = dataset.compliance();
-  report.clustering = analysis::cluster_sessions(dataset, options.cluster_k, nullptr);
+  report.clustering =
+      analysis::cluster_sessions(dataset, analysis::kSessionClusters, nullptr);
   report.chains = analysis::build_connection_chains(dataset, nullptr);
   report.station_types = analysis::classify_stations(dataset);
   report.typeids = analysis::typeid_distribution(dataset);
   report.typeid_stations = analysis::typeid_station_counts(dataset);
-  auto series = analysis::extract_time_series(dataset);
-  report.variance_ranking = analysis::rank_by_normalized_variance(series);
-  if (options.keep_series) report.series = std::move(series);
+  report.series = analysis::extract_time_series(dataset);
+  report.variance_ranking = analysis::rank_by_normalized_variance(report.series);
   report.bandwidth = std::move(bandwidth);
   report.sequence_audit = analysis::audit_sequences(dataset);
   report.conformance = analysis::audit_conformance(dataset);
@@ -64,8 +62,7 @@ inline core::AnalysisReport reference_report(
   ds_opts.parser_mode = options.parser_mode;
   analysis::DatasetBuilder builder(ds_opts);
   builder.add_packets(net::as_frame_views(packets));
-  return reference_report(builder.finish(), analysis::analyze_bandwidth(packets),
-                          options);
+  return reference_report(builder.finish(), analysis::analyze_bandwidth(packets));
 }
 
 }  // namespace uncharted::testlib

@@ -27,15 +27,9 @@ const sim::CaptureResult& capture() {
   return c;
 }
 
-CaptureAnalyzer::Options batch_options() {
-  CaptureAnalyzer::Options options;
-  options.keep_series = false;
-  return options;
-}
-
 const AnalysisReport& batch_report() {
   static const auto report =
-      CaptureAnalyzer::analyze(capture().packets, batch_options());
+      CaptureAnalyzer::analyze(capture().packets);
   return report;
 }
 
@@ -59,8 +53,6 @@ void expect_headlines_match(const AnalysisReport& got, const AnalysisReport& wan
 
 TEST(Streaming, MatchesBatchAnalyzerExactly) {
   StreamingOptions options;
-  options.analyze = batch_options();
-  options.batch_packets = 256;  // force many slices
   StreamingAnalyzer analyzer(options);
   analyzer.add_packets(net::as_frame_views(capture().packets));
   auto report = analyzer.finalize();
@@ -72,7 +64,6 @@ TEST(Streaming, MatchesBatchAnalyzerExactly) {
 TEST(Streaming, CheckpointRestoreResumesMidStream) {
   auto path = temp_path("resume.ckpt");
   StreamingOptions options;
-  options.analyze = batch_options();
   options.checkpoint_path = path;
 
   const auto& packets = capture().packets;
@@ -99,7 +90,6 @@ TEST(Streaming, CheckpointRestoreResumesMidStream) {
 TEST(Streaming, FullCheckpointReloadsByteIdenticalAndReportsLikeBatch) {
   for (unsigned threads : {1u, 4u}) {
     StreamingOptions options;
-    options.analyze = batch_options();
     options.analyze.threads = threads;
     StreamingAnalyzer first(options);
     first.add_packets(net::as_frame_views(capture().packets));
@@ -119,7 +109,6 @@ TEST(Streaming, FullCheckpointReloadsByteIdenticalAndReportsLikeBatch) {
 TEST(Streaming, PeriodicCheckpointsAreWritten) {
   auto path = temp_path("periodic.ckpt");
   StreamingOptions options;
-  options.analyze = batch_options();
   options.checkpoint_path = path;
   options.checkpoint_every_packets = 200;
 
@@ -141,7 +130,6 @@ TEST(Streaming, PeriodicCheckpointsAreWritten) {
 TEST(Streaming, CorruptPrimaryFallsBackToRotatedGeneration) {
   auto path = temp_path("fallback.ckpt");
   StreamingOptions options;
-  options.analyze = batch_options();
   options.checkpoint_path = path;
 
   const auto& packets = capture().packets;
@@ -163,7 +151,6 @@ TEST(Streaming, CorruptPrimaryFallsBackToRotatedGeneration) {
 TEST(Streaming, GarbageCheckpointsStartFreshNotCrash) {
   auto path = temp_path("garbage.ckpt");
   StreamingOptions options;
-  options.analyze = batch_options();
   options.checkpoint_path = path;
   for (const auto& victim : {path, path + ".1"}) {
     std::ofstream f(victim, std::ios::binary);
@@ -183,7 +170,6 @@ TEST(Streaming, VersionThreeCheckpointIsRefused) {
   // nothing, and ingest starts fresh.
   auto path = temp_path("v3.ckpt");
   StreamingOptions options;
-  options.analyze = batch_options();
   options.checkpoint_path = path;
   const auto& packets = capture().packets;
   {
@@ -221,7 +207,6 @@ void write_empty_state(const std::string& path, std::uint32_t lanes) {
 
 TEST(Streaming, CheckpointLaneCountOutsideOneToCapIsRefused) {
   StreamingOptions options;
-  options.analyze = batch_options();
   options.checkpoint_path = temp_path("lanes.ckpt");
   // Control: the same payload with two lanes restores with two lanes,
   // though one thread would start with one.
@@ -255,7 +240,6 @@ TEST(Streaming, RestoreWithoutCheckpointPathIsFresh) {
 
 TEST(Streaming, ResourceBudgetsSurfaceAsDegradation) {
   StreamingOptions options;
-  options.analyze = batch_options();
   options.budgets.max_flow_entries = 8;
   options.budgets.max_records = 512;
   options.budgets.max_parsers = 4;
@@ -283,7 +267,6 @@ TEST(Streaming, ResourceBudgetsSurfaceAsDegradation) {
 
 TEST(Streaming, UnlimitedBudgetsReportNoPressure) {
   StreamingOptions options;
-  options.analyze = batch_options();
   StreamingAnalyzer analyzer(options);
   analyzer.add_packets(net::as_frame_views(capture().packets));
   EXPECT_FALSE(analyzer.pressure().any());
@@ -337,7 +320,6 @@ TEST(Streaming, DeferredPacketsAreCountedOnce) {
   bool stalled = false;
   std::size_t wedged = 0;
   StreamingOptions options;
-  options.analyze = batch_options();
   options.stall_hook = [&](std::size_t lane) { return stalled && lane == wedged; };
   StreamingAnalyzer analyzer(options);
   wedged = analysis::shard_of(packets[begin].data, analyzer.lane_stats().size());
@@ -387,7 +369,6 @@ const std::vector<net::CapturedPacket>& quarantine_packets() {
 
 StreamingOptions snapshot_options(unsigned threads, analysis::ParseMode mode) {
   StreamingOptions options;
-  options.analyze = batch_options();
   options.analyze.threads = threads;
   options.analyze.mode = mode;
   return options;
@@ -507,12 +488,11 @@ TEST(Streaming, AnalyzeFileStreamingMatchesAnalyzeFile) {
   ASSERT_TRUE(sim::write_capture_pcap(capture(), pcap).ok());
 
   StreamingOptions options;
-  options.analyze = batch_options();
   options.checkpoint_path = temp_path("file.ckpt");
   options.checkpoint_every_packets = 1000;
   auto streamed = analyze_file_streaming(pcap, options);
   ASSERT_TRUE(streamed.ok());
-  auto batch = CaptureAnalyzer::analyze_file(pcap, batch_options());
+  auto batch = CaptureAnalyzer::analyze_file(pcap);
   ASSERT_TRUE(batch.ok());
   expect_headlines_match(*streamed, *batch);
 

@@ -2,9 +2,9 @@
 // property — SIGKILL mid-soak + --restore yields a byte-identical final
 // report to an uninterrupted run over the same fleet script, at 1 worker
 // thread and at 8 — plus restore-from-nothing, the forced-release and
-// condemned-stream degradation warnings (the latter across a lane restart
-// and a restore), and paced replays whose progress promises keep a
-// silent stream from holding the merge.
+// condemned-stream degradation warnings (both across a lane restart and a
+// restore), and paced replays whose progress promises keep a silent
+// stream from holding the merge.
 #include "core/liveingest.hpp"
 
 #include <arpa/inet.h>
@@ -321,6 +321,20 @@ int dial_daemon(LiveIngestDaemon& daemon) {
   return fd;
 }
 
+/// Appends records `from`..`to`-1 of 256 filler bytes each, 10 us apart
+/// from ts `t0` on.
+void put_filler(ByteWriter& w, Timestamp t0, std::uint64_t from, std::uint64_t to) {
+  const std::vector<std::uint8_t> payload(256, 0xAB);
+  for (std::uint64_t i = from; i < to; ++i) {
+    netd::wire::RecordHeader rec;
+    rec.ts = t0 + i * 10;
+    rec.original_length = static_cast<std::uint32_t>(payload.size());
+    rec.cap_len = static_cast<std::uint32_t>(payload.size());
+    netd::wire::encode_record_header(w, rec);
+    w.bytes(payload);
+  }
+}
+
 TEST(LiveIngest, ForcedReleaseDegradesReportWithWarning) {
   netd::Reactor reactor;
   LiveIngestOptions opt = daemon_options(1, 2, "");
@@ -357,15 +371,7 @@ TEST(LiveIngest, ForcedReleaseDegradesReportWithWarning) {
     hello.stream_id = 1;
     hello.total_frames = 40;
     netd::wire::encode_hello(w, hello);
-    std::vector<std::uint8_t> payload(256, 0xAB);
-    for (std::uint64_t i = 0; i < 40; ++i) {
-      netd::wire::RecordHeader rec;
-      rec.ts = 1'000'000 + i * 10;
-      rec.original_length = static_cast<std::uint32_t>(payload.size());
-      rec.cap_len = static_cast<std::uint32_t>(payload.size());
-      netd::wire::encode_record_header(w, rec);
-      w.bytes(payload);
-    }
+    put_filler(w, 1'000'000, 0, 40);
     netd::wire::encode_fin(w, 40);
     ASSERT_EQ(::send(fat_fd, w.view().data(), w.view().size(), 0),
               static_cast<ssize_t>(w.view().size()));
@@ -550,6 +556,134 @@ TEST(LiveIngest, CondemnedStreamLossSurvivesALaneRestartAndARestore) {
   ASSERT_TRUE(restored.restored());
   EXPECT_TRUE(restored.server().all_expected_finished());
   expect_loss_reported(restored);
+}
+
+/// A release forced before the checkpoint is part of the checkpointed
+/// state, so a lane restart (and a process --restore) must keep its
+/// warning. One forced after the checkpoint is rewound with the cursors
+/// and must leave none.
+void forced_release_across_a_lane_restart(bool force_before_checkpoint) {
+  const std::string checkpoint =
+      testing::TempDir() + (force_before_checkpoint ? "/liveingest_forced_before.ckpt"
+                                                    : "/liveingest_forced_after.ckpt");
+  bool wedged = false;
+  LiveIngestOptions opt = daemon_options(1, 2, checkpoint);
+  opt.server.allow_forced_release = true;
+  opt.server.max_buffered_bytes = 4 * 1024;
+  opt.watchdog.poll_s = 0.02;
+  opt.watchdog.lane_deadline_s = 0.3;
+  opt.watchdog.merge_deadline_s = 1000.0;
+  opt.watchdog.reactor_deadline_s = 1000.0;
+  opt.streaming.stall_hook = [&](std::size_t) { return wedged; };
+  netd::Reactor reactor;
+  LiveIngestDaemon daemon(reactor, opt);
+  ASSERT_TRUE(daemon.start(false).ok());
+
+  // Stream 2 says hello and holds the watermark at 0; stream 1 sends 40
+  // frames (~12 KiB, over the 4-KiB budget) and its fin in one send, so
+  // the server can only force them out.
+  const int gate_fd = dial_daemon(daemon);
+  {
+    ByteWriter w;
+    netd::wire::encode_hello(w, {netd::wire::HelloKind::kData, 2, 5});
+    send_all(gate_fd, w);
+  }
+  ASSERT_TRUE(drive(reactor, [&] { return daemon.server().streams_registered() == 1; },
+                    10.0));
+  if (!force_before_checkpoint) {
+    ASSERT_TRUE(daemon.checkpoint_now().ok());
+  }
+  const int fat_fd = dial_daemon(daemon);
+  {
+    ByteWriter w;
+    netd::wire::encode_hello(w, {netd::wire::HelloKind::kData, 1, 40});
+    put_filler(w, 1'000'000, 0, 40);
+    netd::wire::encode_fin(w, 40);
+    send_all(fat_fd, w);
+  }
+  ASSERT_TRUE(drive(reactor, [&] {
+    return daemon.server().stats().forced_releases > 0;
+  }, 10.0)) << "budget exhaustion with no sheddable connection must force";
+  const std::uint64_t forced = daemon.server().stats().forced_releases;
+  const std::uint64_t stream1_cursor = daemon.server().stats().frames_released;
+  if (force_before_checkpoint) {
+    ASSERT_TRUE(daemon.checkpoint_now().ok());
+  }
+
+  // Stream 2's frames sit below the watermark and release into a wedged
+  // lane; the lane watchdog restarts the engine from the checkpoint.
+  wedged = true;
+  {
+    ByteWriter w;
+    put_filler(w, 500'000, 0, 5);
+    send_all(gate_fd, w);
+  }
+  ASSERT_TRUE(drive(reactor, [&] {
+    return daemon.health().recoveries("lane/0") >= 1;
+  }, 10.0)) << "the lane watchdog never fired";
+  wedged = false;
+  ::close(gate_fd);
+  ::close(fat_fd);
+  ASSERT_TRUE(daemon.restored()) << daemon.health_json();
+
+  if (!force_before_checkpoint) {
+    EXPECT_EQ(daemon.server().stats().forced_releases, 0u);
+    EXPECT_EQ(daemon.report_json().find("degraded to sampling"), std::string::npos);
+    return;
+  }
+  EXPECT_EQ(daemon.server().stats().forced_releases, forced);
+
+  // Both streams resume from their checkpointed cursors and finish.
+  const int resume2_fd = dial_daemon(daemon);
+  {
+    ByteWriter w;
+    netd::wire::encode_hello(w, {netd::wire::HelloKind::kData, 2, 5});
+    put_filler(w, 500'000, 0, 5);
+    netd::wire::encode_fin(w, 5);
+    send_all(resume2_fd, w);
+  }
+  const int resume1_fd = dial_daemon(daemon);
+  {
+    ByteWriter w;
+    netd::wire::encode_hello(w, {netd::wire::HelloKind::kData, 1, 40});
+    put_filler(w, 1'000'000, stream1_cursor, 40);
+    netd::wire::encode_fin(w, 40);
+    send_all(resume1_fd, w);
+  }
+  ASSERT_TRUE(drive(reactor, [&] {
+    return daemon.server().all_expected_finished();
+  }, 10.0));
+  ::close(resume2_fd);
+  ::close(resume1_fd);
+  EXPECT_EQ(daemon.server().stats().forced_releases, forced);
+
+  auto expect_sampling_reported = [&](LiveIngestDaemon& d) {
+    const AnalysisReport report = d.finalize();
+    bool found = false;
+    for (const std::string& warning : report.degradation.warnings) {
+      found |= warning.find("degraded to sampling") != std::string::npos;
+    }
+    EXPECT_TRUE(found) << report_to_json(report);
+    EXPECT_EQ(report.stats.packets, 45u);
+  };
+  expect_sampling_reported(daemon);
+
+  // finalize() wrote the final checkpoint; a process --restore of it
+  // still counts the forced releases.
+  netd::Reactor reactor2;
+  LiveIngestDaemon restored(reactor2, daemon_options(1, 2, checkpoint));
+  ASSERT_TRUE(restored.start(true).ok());
+  ASSERT_TRUE(restored.restored());
+  EXPECT_EQ(restored.server().stats().forced_releases, forced);
+  expect_sampling_reported(restored);
+}
+
+TEST(LiveIngest, ForcedReleaseSurvivesALaneRestartAndARestore) {
+  forced_release_across_a_lane_restart(true);
+}
+
+TEST(LiveIngest, ReleaseForcedAfterTheCheckpointIsRewoundWithoutWarning) {
+  forced_release_across_a_lane_restart(false);
 }
 
 }  // namespace

@@ -707,7 +707,8 @@ TEST(IngestServer, LoadCursorsRejectsGarbage) {
   // A well-formed entry whose end state is none of open (0), finished (1)
   // or condemned (2).
   ByteWriter w;
-  w.u32le(0x4E544443);  // cursor section magic
+  w.u32le(0x4E544432);  // cursor section magic
+  w.u64le(0);   // forced releases
   w.u64le(1);
   w.u64le(7);   // stream id
   w.u64le(0);   // cursor
@@ -715,6 +716,14 @@ TEST(IngestServer, LoadCursorsRejectsGarbage) {
   w.u8(3);
   ByteReader r2(w.view());
   EXPECT_FALSE(server.load_cursors(r2).ok());
+
+  // A section from before the forced-release count ("NTDC"), even an
+  // empty one, is refused rather than misread.
+  ByteWriter old;
+  old.u32le(0x4E544443);
+  old.u64le(0);
+  ByteReader r3(old.view());
+  EXPECT_FALSE(server.load_cursors(r3).ok());
 }
 
 TEST(IngestServer, QueryConnectionServesReportJson) {
