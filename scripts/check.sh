@@ -9,7 +9,7 @@
 #      sweep, called out explicitly so a chaos regression is easy to spot)
 #   4. the hostile-peer adversarial sweep under sanitizers: every
 #      sim::HostilePeer attack scenario through the full pipeline plus the
-#      conformance machine and supervisor quarantine tests
+#      conformance machine tests
 #   5. ThreadSanitizer over the work-stealing pool and the parallel
 #      flow-sharded pipeline (the determinism tests double as race
 #      detectors: every stage runs concurrently at threads=8)

@@ -13,6 +13,16 @@ namespace {
 /// a discontinuity instead of materializing the gap, so one absurd
 /// timestamp cannot balloon the series to gigabytes.
 constexpr std::size_t kMaxGapFill = 10'000;
+
+/// A checkpoint's protocol octet; a value past kOther is refused.
+Result<TapProtocol> load_protocol(ByteReader& r) {
+  auto proto = r.u8();
+  if (!proto) return proto.error();
+  if (proto.value() > static_cast<std::uint8_t>(TapProtocol::kOther)) {
+    return Error{"checkpoint-bad-protocol", std::to_string(proto.value())};
+  }
+  return static_cast<TapProtocol>(proto.value());
+}
 }  // namespace
 
 std::string tap_protocol_name(TapProtocol p) {
@@ -40,13 +50,6 @@ double BandwidthReport::mean_rate_bps(TapProtocol p) const {
   if (dur <= 0.0) return 0.0;
   auto it = total_bytes.find(p);
   return it == total_bytes.end() ? 0.0 : static_cast<double>(it->second) / dur;
-}
-
-BandwidthReport analyze_bandwidth(const std::vector<net::CapturedPacket>& packets,
-                                  double bucket_seconds) {
-  BandwidthAccumulator acc(bucket_seconds);
-  for (const auto& pkt : packets) acc.add_packet(pkt);
-  return acc.finish();
 }
 
 BandwidthReport analyze_bandwidth(std::span<const net::FrameView> frames,
@@ -221,10 +224,18 @@ Status BandwidthAccumulator::load(ByteReader& r) {
   if (!series_count) return series_count.error();
   series_.clear();
   for (std::uint32_t i = 0; i < series_count.value(); ++i) {
-    auto proto = r.u8();
+    auto proto = load_protocol(r);
+    if (!proto) return proto.error();
     auto bucket_count = r.u32le();
     if (!bucket_count) return bucket_count.error();
-    auto& buckets = series_[static_cast<TapProtocol>(proto.value())];
+    // The count comes from the file: refuse one the payload cannot hold
+    // before reserving for it (a bucket is 24 bytes).
+    if (bucket_count.value() > r.remaining() / 24) {
+      return Error{"checkpoint-bad-count", std::to_string(bucket_count.value()) +
+                                               " buckets in " +
+                                               std::to_string(r.remaining()) + " bytes"};
+    }
+    auto& buckets = series_[proto.value()];
     buckets.reserve(bucket_count.value());
     for (std::uint32_t j = 0; j < bucket_count.value(); ++j) {
       auto t = r.f64le();
@@ -240,10 +251,11 @@ Status BandwidthAccumulator::load(ByteReader& r) {
     if (!count) return count.error();
     m.clear();
     for (std::uint32_t i = 0; i < count.value(); ++i) {
-      auto proto = r.u8();
+      auto proto = load_protocol(r);
+      if (!proto) return proto.error();
       auto v = r.u64le();
       if (!v) return v.error();
-      m[static_cast<TapProtocol>(proto.value())] = v.value();
+      m[proto.value()] = v.value();
     }
     return Status::Ok();
   };

@@ -68,10 +68,8 @@ struct BandwidthReport {
   double mean_rate_bps(TapProtocol p) const;
 };
 
-/// Computes the report with the given time bucket (default 10 s).
-BandwidthReport analyze_bandwidth(const std::vector<net::CapturedPacket>& packets,
-                                  double bucket_seconds = 10.0);
-/// Zero-copy variant over frame views (the mmap'd-file path).
+/// Computes the report over frame views with the given time bucket
+/// (default 10 s).
 BandwidthReport analyze_bandwidth(std::span<const net::FrameView> frames,
                                   double bucket_seconds = 10.0);
 
@@ -89,11 +87,7 @@ class BandwidthAccumulator {
   BandwidthAccumulator(const BandwidthAccumulator&) = delete;
   BandwidthAccumulator& operator=(const BandwidthAccumulator&) = delete;
 
-  void add_packet(const net::CapturedPacket& pkt) {
-    add_packet(pkt.ts, pkt.data);
-  }
-  /// Zero-copy form: all accounting reads only the timestamp and the raw
-  /// frame bytes, so views and owning packets take the same path.
+  /// Accounts one frame from its timestamp and raw bytes.
   void add_packet(Timestamp ts, std::span<const std::uint8_t> data);
 
   /// Accounts one already-decoded frame of `wire_bytes` captured bytes.

@@ -658,6 +658,15 @@ Status DatasetBuilder::load(ByteReader& r) {
 
   auto record_count = r.u32le();
   if (!record_count) return record_count.error();
+  // The count comes from the file: refuse one the payload cannot hold
+  // before reserving for it. A record is at least its fixed-width fields
+  // (two timestamps, flow key, profile, compliance, wire size, length).
+  constexpr std::size_t kMinRecordBytes = 8 + 12 + 8 + 3 + 1 + 4 + 4;
+  if (record_count.value() > r.remaining() / kMinRecordBytes) {
+    return Error{"checkpoint-bad-count", std::to_string(record_count.value()) +
+                                             " records in " +
+                                             std::to_string(r.remaining()) + " bytes"};
+  }
   records_.clear();
   records_.reserve(record_count.value());
   for (std::uint32_t i = 0; i < record_count.value(); ++i) {

@@ -9,8 +9,6 @@
 
 namespace uncharted::analysis {
 
-std::string apdu_token(const iec104::Apdu& apdu) { return apdu.token(); }
-
 namespace {
 
 /// Counts one transition into `out` (the Table 4 alphabet is small, so a

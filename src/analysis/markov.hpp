@@ -21,9 +21,6 @@ class Pool;
 
 namespace uncharted::analysis {
 
-/// Paper Table 4 token for an APDU: "S", "U1".."U32", "I_<typeid>".
-std::string apdu_token(const iec104::Apdu& apdu);
-
 /// First-order Markov chain over tokens with MLE transition probabilities.
 class MarkovChain {
  public:

@@ -123,63 +123,4 @@ AnalysisReport StreamingAnalyzer::finalize() {
   return report;
 }
 
-Result<AnalysisReport> analyze_file_streaming(const std::string& pcap_path,
-                                              const StreamingOptions& options) {
-  // The capture is mmap'd (read only when unmappable) and records are fed
-  // straight off the mapping as views.
-  auto mapping = net::PcapMapping::open(pcap_path, nullptr);
-  if (!mapping) return mapping.error();
-  auto probe = net::PcapCursor::open(mapping->bytes());
-  if (!probe) return probe.error();
-  // Count records up front: the checkpoint-beyond-end check below needs the
-  // total before the first packet is admitted. A second cursor pass over
-  // the mapping is header walking only — no payloads are touched.
-  std::uint64_t total = 0;
-  {
-    net::FrameView v;
-    while (probe->next(v)) ++total;
-  }
-
-  StreamingAnalyzer analyzer(options);
-  std::uint64_t skip = 0;
-  bool checkpoint_ignored = false;
-  if (analyzer.try_restore()) {
-    skip = analyzer.packets_consumed();
-    // A checkpoint past the end of this file means it belongs to some
-    // other input; restart clean rather than silently produce nothing.
-    if (skip > total) {
-      checkpoint_ignored = true;
-      skip = 0;
-    }
-  }
-
-  auto feed = [&](StreamingAnalyzer& an) {
-    auto cursor = net::PcapCursor::open(mapping->bytes());
-    net::FrameView view;
-    std::uint64_t index = 0;
-    while (cursor->next(view)) {
-      if (index++ < skip) continue;
-      an.add_packet(view);
-    }
-  };
-
-  AnalysisReport report;
-  if (checkpoint_ignored) {
-    StreamingAnalyzer fresh(options);
-    feed(fresh);
-    report = fresh.finalize();
-    report.degradation.warnings.push_back(
-        "checkpoint ignored: cursor beyond end of input");
-  } else {
-    feed(analyzer);
-    report = analyzer.finalize();
-  }
-  if (probe->truncated_tail()) {
-    report.degradation.pcap_truncated = true;
-    report.degradation.warnings.insert(report.degradation.warnings.begin(),
-                                       probe->warning());
-  }
-  return report;
-}
-
 }  // namespace uncharted::core

@@ -134,10 +134,4 @@ class StreamingAnalyzer {
   std::string checkpoint_error_;  ///< last failed write, for the report
 };
 
-/// Streams a pcap file: restore from checkpoint if present, skip what was
-/// already consumed, ingest the rest, finalize. The crash-recovery entry
-/// point for drivers and the soak harness.
-Result<AnalysisReport> analyze_file_streaming(const std::string& pcap_path,
-                                              const StreamingOptions& options);
-
 }  // namespace uncharted::core

@@ -8,15 +8,6 @@
 
 namespace uncharted::iec104 {
 
-std::string format_name(ApduFormat f) {
-  switch (f) {
-    case ApduFormat::kI: return "I";
-    case ApduFormat::kS: return "S";
-    case ApduFormat::kU: return "U";
-  }
-  return "?";
-}
-
 Apdu Apdu::make_i(std::uint16_t ns, std::uint16_t nr, Asdu a) {
   Apdu apdu;
   apdu.format = ApduFormat::kI;

@@ -26,8 +26,6 @@ namespace uncharted::iec104 {
 
 enum class ApduFormat : std::uint8_t { kI, kS, kU };
 
-std::string format_name(ApduFormat f);
-
 /// A decoded APDU that owns its ASDU. For I-format, `asdu` is present.
 struct Apdu {
   ApduFormat format = ApduFormat::kU;

@@ -123,78 +123,6 @@ std::string type_acronym(TypeId t) {
   return "TYPE_" + std::to_string(static_cast<int>(t));
 }
 
-std::string type_description(TypeId t) {
-  switch (t) {
-    case TypeId::M_SP_NA_1: return "Single-point information";
-    case TypeId::M_DP_NA_1: return "Double-point information";
-    case TypeId::M_ST_NA_1: return "Step position information";
-    case TypeId::M_BO_NA_1: return "Bitstring of 32 bits";
-    case TypeId::M_ME_NA_1: return "Measured value, normalized value";
-    case TypeId::M_ME_NB_1: return "Measured value, scaled value";
-    case TypeId::M_ME_NC_1: return "Measured value, short floating point number";
-    case TypeId::M_IT_NA_1: return "Integrated totals";
-    case TypeId::M_PS_NA_1:
-      return "Packed single-point information with status change detection";
-    case TypeId::M_ME_ND_1:
-      return "Measured value, normalized value without quality descriptor";
-    case TypeId::M_SP_TB_1: return "Single-point information with time tag CP56Time2a";
-    case TypeId::M_DP_TB_1: return "Double-point information with time tag CP56Time2a";
-    case TypeId::M_ST_TB_1: return "Step position information with time tag CP56Time2a";
-    case TypeId::M_BO_TB_1: return "Bitstring of 32 bit with time tag CP56Time2a";
-    case TypeId::M_ME_TD_1:
-      return "Measured value, normalized value with time tag CP56Time2a";
-    case TypeId::M_ME_TE_1: return "Measured value, scaled value with time tag CP56Time2a";
-    case TypeId::M_ME_TF_1:
-      return "Measured value, short floating point number with time tag CP56Time2a";
-    case TypeId::M_IT_TB_1: return "Integrated totals with time tag CP56Time2a";
-    case TypeId::M_EP_TD_1:
-      return "Event of protection equipment with time tag CP56Time2a";
-    case TypeId::M_EP_TE_1:
-      return "Packed start events of protection equipment with time tag CP56Time2a";
-    case TypeId::M_EP_TF_1:
-      return "Packed output circuit information of protection equipment with time tag "
-             "CP56Time2a";
-    case TypeId::C_SC_NA_1: return "Single command";
-    case TypeId::C_DC_NA_1: return "Double command";
-    case TypeId::C_RC_NA_1: return "Regulating step command";
-    case TypeId::C_SE_NA_1: return "Set point command, normalized value";
-    case TypeId::C_SE_NB_1: return "Set point command, scaled value";
-    case TypeId::C_SE_NC_1: return "Set point command, short floating point number";
-    case TypeId::C_BO_NA_1: return "Bitstring of 32 bits";
-    case TypeId::C_SC_TA_1: return "Single command with time tag CP56Time2a";
-    case TypeId::C_DC_TA_1: return "Double command with time tag CP56Time2a";
-    case TypeId::C_RC_TA_1: return "Regulating step command with time tag CP56Time2a";
-    case TypeId::C_SE_TA_1:
-      return "Set point command, normalized value with time tag CP56Time2a";
-    case TypeId::C_SE_TB_1:
-      return "Set point command, scaled value with time tag CP56Time2a";
-    case TypeId::C_SE_TC_1:
-      return "Set point command, short floating point number with time tag CP56Time2a";
-    case TypeId::C_BO_TA_1: return "Bitstring of 32 bits with time tag CP56Time2a";
-    case TypeId::M_EI_NA_1: return "End of initialization";
-    case TypeId::C_IC_NA_1: return "Interrogation command";
-    case TypeId::C_CI_NA_1: return "Counter interrogation command";
-    case TypeId::C_RD_NA_1: return "Read command";
-    case TypeId::C_CS_NA_1: return "Clock synchronization command";
-    case TypeId::C_RP_NA_1: return "Reset process command";
-    case TypeId::C_TS_TA_1: return "Test command with time tag CP56Time2a";
-    case TypeId::P_ME_NA_1: return "Parameter of measured value, normalized value";
-    case TypeId::P_ME_NB_1: return "Parameter of measured value, scaled value";
-    case TypeId::P_ME_NC_1:
-      return "Parameter of measured value, short floating-point number";
-    case TypeId::P_AC_NA_1: return "Parameter activation";
-    case TypeId::F_FR_NA_1: return "File ready";
-    case TypeId::F_SR_NA_1: return "Section ready";
-    case TypeId::F_SC_NA_1: return "Call directory, select file, call file, call section";
-    case TypeId::F_LS_NA_1: return "Last section, last segment";
-    case TypeId::F_AF_NA_1: return "Ack file, ack section";
-    case TypeId::F_SG_NA_1: return "Segment";
-    case TypeId::F_DR_TA_1: return "Directory";
-    case TypeId::F_SC_NB_1: return "Query Log, Request archive file";
-  }
-  return "Unknown type " + std::to_string(static_cast<int>(t));
-}
-
 std::string cause_name(Cause c) {
   switch (c) {
     case Cause::kPeriodic: return "periodic";

@@ -83,9 +83,6 @@ bool is_supported_type(std::uint8_t code);
 /// "M_ME_TF_1"-style acronym; "TYPE_<n>" for unknown codes.
 std::string type_acronym(TypeId t);
 
-/// Human description, matching Table 5 wording.
-std::string type_description(TypeId t);
-
 /// Cause of transmission (low 6 bits of the COT octet).
 enum class Cause : std::uint8_t {
   kPeriodic = 1,          ///< cyclic

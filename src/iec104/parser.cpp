@@ -24,15 +24,6 @@ std::vector<CodecProfile> detect_profiles(std::span<const std::uint8_t> apdu_byt
   return matches;
 }
 
-std::string failure_kind_name(FailureKind kind) {
-  switch (kind) {
-    case FailureKind::kGarbage: return "garbage";
-    case FailureKind::kUndecodable: return "undecodable";
-    case FailureKind::kTruncatedTail: return "truncated-tail";
-  }
-  return "unknown";
-}
-
 namespace {
 
 /// The sink of a plain feed(): the parser's own list.

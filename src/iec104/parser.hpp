@@ -34,8 +34,6 @@ enum class FailureKind {
   kTruncatedTail,  ///< partial frame left in the buffer at end of stream
 };
 
-std::string failure_kind_name(FailureKind kind);
-
 /// One undecodable byte range.
 struct ParseFailure {
   Timestamp ts = 0;

@@ -58,7 +58,6 @@ class Generator {
   /// grid model; the unit tracks it with a first-order lag (turbine/governor
   /// time constant) in step(). Included in output_mw() while online.
   void set_governor_target(double mw) { governor_target_mw_ = mw; }
-  double governor_response() const { return governor_mw_; }
 
   GeneratorPhase phase() const { return phase_; }
   BreakerStatus breaker() const { return breaker_; }

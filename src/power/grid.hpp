@@ -73,7 +73,6 @@ class GridModel {
   const Generator& generator(std::size_t i) const { return generators_.at(i); }
   Load& load(std::size_t i) { return loads_.at(i); }
   std::size_t generator_count() const { return generators_.size(); }
-  std::size_t load_count() const { return loads_.size(); }
 
   /// Schedules `apply` to run when simulation time reaches `at_seconds`.
   void schedule(double at_seconds, std::string description, std::function<void()> apply);

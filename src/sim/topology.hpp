@@ -83,7 +83,6 @@ struct OutstationSpec {
     out += std::to_string(id);
     return out;
   }
-  std::string substation_name() const { return "S" + std::to_string(substation); }
   int ioa_count(bool year2) const { return year2 ? ioa_count_y2 : ioa_count_y1; }
 };
 

@@ -190,8 +190,6 @@ class ByteWriter {
     buf_.insert(buf_.end(), data.begin(), data.end());
   }
 
-  /// Overwrites a previously written byte (e.g. a length field backpatch).
-  void patch_u8(std::size_t pos, std::uint8_t v) { buf_.at(pos) = v; }
   void patch_u16be(std::size_t pos, std::uint16_t v);
 
   std::size_t size() const { return buf_.size(); }

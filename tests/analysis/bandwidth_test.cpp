@@ -57,7 +57,7 @@ TEST(Bandwidth, BucketsAndTotalsFromHandBuiltCapture) {
   cb.apdu(25'000'000, server, station, true,
           testlib::i_apdu(testlib::float_asdu(5, 1, 3.0f), 2, 0));
 
-  auto report = analyze_bandwidth(cb.packets(), 10.0);
+  auto report = analyze_bandwidth(net::as_frame_views(cb.packets()), 10.0);
   ASSERT_TRUE(report.series.count(TapProtocol::kIec104));
   const auto& buckets = report.series.at(TapProtocol::kIec104);
   ASSERT_EQ(buckets.size(), 3u);
@@ -77,7 +77,7 @@ TEST(Bandwidth, BucketsAndTotalsFromHandBuiltCapture) {
 }
 
 TEST(Bandwidth, EmptyCapture) {
-  auto report = analyze_bandwidth(std::vector<net::CapturedPacket>{});
+  auto report = analyze_bandwidth(std::span<const net::FrameView>{});
   EXPECT_TRUE(report.series.empty());
   EXPECT_EQ(report.duration_seconds(), 0.0);
   EXPECT_EQ(report.mean_rate_bps(TapProtocol::kIec104), 0.0);
@@ -85,7 +85,7 @@ TEST(Bandwidth, EmptyCapture) {
 
 TEST(Bandwidth, ProtocolSplitOnSimCapture) {
   auto capture = sim::generate_capture(sim::CaptureConfig::y1(90.0));
-  auto report = analyze_bandwidth(capture.packets, 10.0);
+  auto report = analyze_bandwidth(net::as_frame_views(capture.packets), 10.0);
   EXPECT_GT(report.total_bytes.at(TapProtocol::kIec104), 0u);
   EXPECT_GT(report.total_bytes.at(TapProtocol::kC37118), 0u);
   EXPECT_GT(report.total_bytes.at(TapProtocol::kIccp), 0u);
@@ -112,7 +112,7 @@ TEST(Bandwidth, TimestampJumpRecordsDiscontinuityInsteadOfFillingGap) {
   cb.apdu(kEpoch2019, server, station, true,
           testlib::i_apdu(testlib::float_asdu(5, 1, 2.0f), 1, 0));
 
-  auto report = analyze_bandwidth(cb.packets(), 10.0);
+  auto report = analyze_bandwidth(net::as_frame_views(cb.packets()), 10.0);
   expect_same_bandwidth(fused_bandwidth(net::as_frame_views(cb.packets())), report);
   const auto& buckets = report.series.at(TapProtocol::kIec104);
   ASSERT_EQ(buckets.size(), 2u);
@@ -136,7 +136,7 @@ TEST(Bandwidth, PacketBeforeCaptureStartCollapsesIntoBucketZero) {
   cb.apdu(1'000'000, server, station, true,
           testlib::i_apdu(testlib::float_asdu(5, 1, 2.0f), 1, 0));
 
-  auto report = analyze_bandwidth(cb.packets(), 10.0);
+  auto report = analyze_bandwidth(net::as_frame_views(cb.packets()), 10.0);
   expect_same_bandwidth(fused_bandwidth(net::as_frame_views(cb.packets())), report);
   const auto& buckets = report.series.at(TapProtocol::kIec104);
   ASSERT_EQ(buckets.size(), 1u);
@@ -229,6 +229,45 @@ TEST(Bandwidth, RestoreInvalidatesCachedSlots) {
   DatasetBuilder second;
   second.add_packets(all.subspan(cut), &acc);
   expect_same_bandwidth(acc.finish(), analyze_bandwidth(all));
+}
+
+// Hand-built checkpoints that are well-formed up to one field a restore
+// must refuse: a bucket count the payload cannot hold (refused before it
+// is reserved), or a protocol octet past kOther, in a series or a total.
+TEST(Bandwidth, CheckpointCountAndProtocolOutOfRangeAreRefused) {
+  auto header = [](ByteWriter& w) {
+    w.f64le(10.0);  // bucket width
+    w.u8(1);        // have_start
+    w.u64le(0);     // start_ts
+  };
+  auto load_code = [](const ByteWriter& w) {
+    BandwidthAccumulator acc;
+    ByteReader r(w.view());
+    Status st = Status::Ok();
+    EXPECT_NO_THROW(st = acc.load(r));
+    return st.ok() ? std::string("ok") : st.error().code;
+  };
+  ByteWriter huge_series;
+  header(huge_series);
+  huge_series.u32le(1);  // one series
+  huge_series.u8(static_cast<std::uint8_t>(TapProtocol::kIec104));
+  huge_series.u32le(0xffffffffu);
+  EXPECT_EQ(load_code(huge_series), "checkpoint-bad-count");
+
+  ByteWriter bad_series;
+  header(bad_series);
+  bad_series.u32le(1);
+  bad_series.u8(200);
+  bad_series.u32le(0);
+  EXPECT_EQ(load_code(bad_series), "checkpoint-bad-protocol");
+
+  ByteWriter bad_total;
+  header(bad_total);
+  bad_total.u32le(0);  // no series
+  bad_total.u32le(1);  // one byte total
+  bad_total.u8(200);
+  bad_total.u64le(60);
+  EXPECT_EQ(load_code(bad_total), "checkpoint-bad-protocol");
 }
 
 TEST(Bandwidth, Names) {

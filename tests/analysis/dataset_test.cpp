@@ -240,6 +240,25 @@ TEST(Dataset, CheckpointRecordFieldsTheRecordCannotHoldAreRefused) {
   EXPECT_EQ(code_of(pos - 8, 0xff), "ok");  // any 16-bit size is kept
 }
 
+// A CRC-valid checkpoint can still claim more records than it holds: the
+// count is refused before anything is reserved for it, so restore starts
+// fresh instead of throwing std::bad_alloc.
+TEST(Dataset, CheckpointRecordCountBeyondThePayloadIsRefused) {
+  ByteWriter w;
+  ASSERT_TRUE(DatasetBuilder().save(w).ok());
+  std::vector<std::uint8_t> bytes = w.data();
+  // An empty per-packet builder ends: records:u32, parsers:u32,
+  // damage:u32, has_reassembler:u8.
+  ASSERT_GE(bytes.size(), 13u);
+  std::fill_n(bytes.end() - 13, 4, std::uint8_t{0xff});
+  DatasetBuilder restored;
+  ByteReader r(bytes);
+  Status st = Status::Ok();
+  EXPECT_NO_THROW(st = restored.load(r));
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.error().code, "checkpoint-bad-count");
+}
+
 TEST(Dataset, SnapshotLeavesBuilderUntouched) {
   // At the cut, station A's first APDU is split (its head waits in the
   // stream parser) and station B's second segment is late (30 segments

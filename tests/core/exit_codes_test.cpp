@@ -56,6 +56,12 @@ std::string temp_path(const char* name) {
   return path;
 }
 
+std::string read_text(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
 /// Fixture pcaps, generated once per process on first use and removed at
 /// its exit.
 struct Pcaps {
@@ -73,9 +79,7 @@ struct Pcaps {
               0);
     // Chop the clean pcap mid-record: a truncated tail is the mildest
     // degradation the pipeline reports.
-    std::ifstream in(clean, std::ios::binary);
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
+    const std::string bytes = read_text(clean);
     EXPECT_GT(bytes.size(), 64u);
     std::ofstream cut(truncated, std::ios::binary);
     cut.write(bytes.data(), static_cast<std::streamsize>(bytes.size() - 11));
@@ -126,9 +130,7 @@ TEST(ExitCodes, Iec104dumpRefusesUnknownOptions) {
   const std::string cmd =
       dump + " " + pcaps().clean + " --threads 4 >/dev/null 2>" + err_path;
   ASSERT_NE(std::system(cmd.c_str()), -1);
-  std::ifstream in(err_path);
-  const std::string err((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
+  const std::string err = read_text(err_path);
   std::remove(err_path.c_str());
   EXPECT_NE(err.find("unknown option --threads"), std::string::npos) << err;
   EXPECT_NE(err.find("usage: "), std::string::npos) << err;
@@ -145,9 +147,7 @@ TEST(ExitCodes, LongrunMonitorRefusesTheBatchFlag) {
   const int rc = std::system(cmd.c_str());
   ASSERT_TRUE(rc != -1 && WIFEXITED(rc));
   EXPECT_EQ(WEXITSTATUS(rc), 1);
-  std::ifstream in(err_path);
-  const std::string err((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
+  const std::string err = read_text(err_path);
   std::remove(err_path.c_str());
   EXPECT_NE(err.find("usage: "), std::string::npos) << err;
 }
@@ -174,6 +174,41 @@ TEST(ExitCodes, LongrunMonitorHonorsTheSameLadder) {
   EXPECT_EQ(run(quoted(UNCHARTED_BIN_LONGRUN_MONITOR) + " --pcap " +
                 pcaps().hostile + " --quiet"),
             3);
+}
+
+// A restart on the shutdown checkpoint of a finished run skips the whole
+// capture and must still report it exactly: the same JSON and the same exit
+// code as one uninterrupted single-thread run, for a clean, a degraded and
+// a hostile capture.
+TEST(ExitCodes, LongrunMonitorResumesFromItsShutdownCheckpoint) {
+  const std::string longrun = quoted(UNCHARTED_BIN_LONGRUN_MONITOR);
+  const std::string ckpt = temp_path("resume.ckpt");
+  const std::string ref = temp_path("resume_ref.json");
+  const std::string first = temp_path("resume_first.json");
+  const std::string resumed = temp_path("resume_resumed.json");
+  const std::string stdout_path = temp_path("resume_stdout.txt");
+  for (const std::string* pcap : {&pcaps().clean, &pcaps().truncated, &pcaps().hostile}) {
+    SCOPED_TRACE(*pcap);
+    for (const char* suffix : {"", ".1", ".tmp"}) std::remove((ckpt + suffix).c_str());
+    const std::string base = longrun + " --pcap " + *pcap + " --quiet";
+    const int ref_rc = run(base + " --threads 1 --report " + ref);
+    const int first_rc =
+        run(base + " --checkpoint " + ckpt + " --interval 1000 --report " + first);
+    const std::string resume_cmd = base + " --checkpoint " + ckpt +
+                                   " --interval 1000 --report " + resumed + " >" +
+                                   stdout_path + " 2>/dev/null";
+    const int resumed_rc = std::system(resume_cmd.c_str());
+    ASSERT_TRUE(resumed_rc != -1 && WIFEXITED(resumed_rc));
+    EXPECT_NE(read_text(stdout_path).find("resumed from checkpoint"), std::string::npos);
+    EXPECT_EQ(first_rc, ref_rc);
+    EXPECT_EQ(WEXITSTATUS(resumed_rc), ref_rc);
+    const std::string want = read_text(ref);
+    ASSERT_FALSE(want.empty());
+    EXPECT_EQ(read_text(first), want);
+    EXPECT_EQ(read_text(resumed), want);
+  }
+  for (const std::string& path : {ref, first, resumed, stdout_path}) std::remove(path.c_str());
+  for (const char* suffix : {"", ".1", ".tmp"}) std::remove((ckpt + suffix).c_str());
 }
 
 TEST(ExitCodes, IdleDaemonDrainsCleanWithExitZero) {

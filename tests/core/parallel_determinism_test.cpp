@@ -6,7 +6,6 @@
 // a pure performance knob.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <string>
 #include <utility>
@@ -36,26 +35,7 @@ const std::vector<net::CapturedPacket>& y2_packets() {
   return capture.packets;
 }
 
-/// The report's time series and their variance ranking as exact text
-/// (hex floats).
-std::string series_text(const core::AnalysisReport& report) {
-  std::string out;
-  char buf[64];
-  for (const auto& [key, series] : report.series) {
-    out += key.str() + " type " + std::to_string(series.type_id) + ':';
-    for (const auto& p : series.points) {
-      std::snprintf(buf, sizeof buf, " %llu=%a", static_cast<unsigned long long>(p.ts),
-                    p.value);
-      out += buf;
-    }
-    out += '\n';
-  }
-  for (const auto& rank : report.variance_ranking) {
-    std::snprintf(buf, sizeof buf, " %a ", rank.normalized_variance);
-    out += rank.key.str() + buf + std::to_string(rank.samples) + '\n';
-  }
-  return out;
-}
+using testlib::series_text;
 
 core::CaptureAnalyzer::Options options_with(unsigned threads) {
   core::CaptureAnalyzer::Options options;

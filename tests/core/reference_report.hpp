@@ -7,6 +7,8 @@
 // so this is the independent reference they are checked against.
 #pragma once
 
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "analysis/bandwidth.hpp"
@@ -61,8 +63,30 @@ inline core::AnalysisReport reference_report(
   ds_opts.mode = options.mode;
   ds_opts.parser_mode = options.parser_mode;
   analysis::DatasetBuilder builder(ds_opts);
-  builder.add_packets(net::as_frame_views(packets));
-  return reference_report(builder.finish(), analysis::analyze_bandwidth(packets));
+  const auto views = net::as_frame_views(packets);
+  builder.add_packets(views);
+  return reference_report(builder.finish(), analysis::analyze_bandwidth(views));
+}
+
+/// The report's time series and their variance ranking as exact text
+/// (hex floats).
+inline std::string series_text(const core::AnalysisReport& report) {
+  std::string out;
+  char buf[64];
+  for (const auto& [key, series] : report.series) {
+    out += key.str() + " type " + std::to_string(series.type_id) + ':';
+    for (const auto& p : series.points) {
+      std::snprintf(buf, sizeof buf, " %llu=%a", static_cast<unsigned long long>(p.ts),
+                    p.value);
+      out += buf;
+    }
+    out += '\n';
+  }
+  for (const auto& rank : report.variance_ranking) {
+    std::snprintf(buf, sizeof buf, " %a ", rank.normalized_variance);
+    out += rank.key.str() + buf + std::to_string(rank.samples) + '\n';
+  }
+  return out;
 }
 
 }  // namespace uncharted::testlib

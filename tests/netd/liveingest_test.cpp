@@ -30,6 +30,7 @@
 #include "passthrough_sysops.hpp"
 #include "sim/capture.hpp"
 #include "sim/fleet.hpp"
+#include "tests/core/reference_report.hpp"
 
 namespace uncharted::core {
 namespace {
@@ -55,6 +56,12 @@ const sim::FleetScript& shared_script() {
     return sim::build_fleet_script(shared_capture().packets, fc);
   }();
   return script;
+}
+
+/// What the live-vs-batch tests compare: the report JSON and the §6.4 time
+/// series with their variance ranking, which the JSON does not carry.
+std::string report_text(const AnalysisReport& report) {
+  return report_to_json(report) + testlib::series_text(report);
 }
 
 template <typename Pred>
@@ -98,7 +105,7 @@ std::string uninterrupted_report(unsigned threads) {
     return fleet.all_done() && daemon.server().all_expected_finished();
   }));
   EXPECT_TRUE(fleet.all_benign_ok());
-  return report_to_json(daemon.finalize());
+  return report_text(daemon.finalize());
 }
 
 /// Paced run killed mid-stream (checkpoint, keep ingesting, then destroy
@@ -149,7 +156,7 @@ std::string killed_and_restored_report(unsigned threads, unsigned restore_thread
     return restored->server().all_expected_finished() && fleet.all_done();
   }));
   EXPECT_TRUE(fleet.all_benign_ok());
-  return report_to_json(restored->finalize());
+  return report_text(restored->finalize());
 }
 
 TEST(LiveIngest, KillRestoreReportByteIdenticalSingleThread) {
@@ -177,7 +184,7 @@ TEST(LiveIngest, KillRestoreAcrossThreadCountsKeepsTheCheckpointsLanes) {
   CaptureAnalyzer::Options batch_options;
   batch_options.threads = 1;
   const std::string batch =
-      report_to_json(CaptureAnalyzer::analyze(shared_capture().packets, batch_options));
+      report_text(CaptureAnalyzer::analyze(shared_capture().packets, batch_options));
   for (auto [write, restore] : {std::pair{1u, 4u}, std::pair{4u, 1u}}) {
     const std::string label =
         std::to_string(write) + " -> " + std::to_string(restore) + " threads";
@@ -282,7 +289,7 @@ std::string promised_replay_report(const sim::CaptureResult& capture,
   EXPECT_TRUE(fleet.all_benign_ok());
   EXPECT_GT(fleet.stats().reconnects, 0u) << "churn must have reconnected streams";
   EXPECT_EQ(daemon.server().stats().evicted_hostile, 0u);
-  return report_to_json(daemon.finalize());
+  return report_text(daemon.finalize());
 }
 
 TEST(LiveIngest, PacedChurnReplayWithSilentStreamMatchesBatch) {
@@ -293,7 +300,7 @@ TEST(LiveIngest, PacedChurnReplayWithSilentStreamMatchesBatch) {
     CaptureAnalyzer::Options options;
     options.threads = threads;
     const std::string batch =
-        report_to_json(CaptureAnalyzer::analyze(capture.packets, options));
+        report_text(CaptureAnalyzer::analyze(capture.packets, options));
     EXPECT_EQ(promised_replay_report(capture, threads), batch)
         << "live report diverged from batch at --threads " << threads;
   }
