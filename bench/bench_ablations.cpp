@@ -14,7 +14,7 @@ int main() {
   bench::print_header("Ablations", "DESIGN.md section 5");
 
   auto y1 = bench::y1_capture();
-  auto ds = analysis::CaptureDataset::build(y1.packets);
+  auto ds = analysis::CaptureDataset::build(net::as_frame_views(y1.packets));
 
   // --- A1: flow lifetime definition --------------------------------------
   std::printf("A1: flow lifetime definition\n");
@@ -39,7 +39,7 @@ int main() {
   std::printf("A2: per-packet vs reassembled APDU extraction\n");
   analysis::CaptureDataset::Options reasm_opts;
   reasm_opts.mode = analysis::ParseMode::kReassembled;
-  auto ds_reasm = analysis::CaptureDataset::build(y1.packets, reasm_opts);
+  auto ds_reasm = analysis::CaptureDataset::build(net::as_frame_views(y1.packets), reasm_opts);
   std::printf("  per-packet APDUs:  %s\n", format_count(ds.stats().apdus).c_str());
   std::printf("  reassembled APDUs: %s (TCP retransmissions deduplicated: %s)\n",
               format_count(ds_reasm.stats().apdus).c_str(),
@@ -69,7 +69,7 @@ int main() {
   std::printf("A3: strict vs tolerant parsing coverage\n");
   analysis::CaptureDataset::Options strict_opts;
   strict_opts.parser_mode = iec104::ApduStreamParser::Mode::kStrict;
-  auto ds_strict = analysis::CaptureDataset::build(y1.packets, strict_opts);
+  auto ds_strict = analysis::CaptureDataset::build(net::as_frame_views(y1.packets), strict_opts);
   std::printf("  strict:   %s APDUs, %s failures\n",
               format_count(ds_strict.stats().apdus).c_str(),
               format_count(ds_strict.stats().apdu_failures).c_str());

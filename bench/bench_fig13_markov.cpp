@@ -17,7 +17,7 @@ int main() {
 
   auto y1 = bench::y1_capture();
   core::NameMap names = core::name_map(y1.topology);
-  auto ds = analysis::CaptureDataset::build(y1.packets);
+  auto ds = analysis::CaptureDataset::build(net::as_frame_views(y1.packets));
   auto chains = analysis::build_connection_chains(ds);
 
   auto name_pair = [&](const analysis::EndpointPair& p) {

@@ -15,7 +15,7 @@ int main() {
   core::NameMap names = core::name_map(y1.topology);
   auto packets = y1.packets;
   packets.insert(packets.end(), y2.packets.begin(), y2.packets.end());
-  auto ds = analysis::CaptureDataset::build(packets);
+  auto ds = analysis::CaptureDataset::build(net::as_frame_views(packets));
   auto stations = analysis::classify_stations(ds);
   auto hist = analysis::type_histogram(stations);
 

@@ -10,7 +10,7 @@ int main() {
 
   auto y1 = bench::y1_capture();
   core::NameMap names = core::name_map(y1.topology);
-  auto ds = analysis::CaptureDataset::build(y1.packets);
+  auto ds = analysis::CaptureDataset::build(net::as_frame_views(y1.packets));
   auto series = analysis::extract_time_series(ds);
   auto setpoints = analysis::extract_setpoint_series(ds);
 

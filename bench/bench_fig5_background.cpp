@@ -14,8 +14,8 @@ int main() {
                       "Fig 5 (ICCP and C37.118, 'future studies')");
 
   auto y1 = bench::y1_capture();
-  auto ds = analysis::CaptureDataset::build(y1.packets);
-  auto background = analysis::analyze_background(y1.packets);
+  auto ds = analysis::CaptureDataset::build(net::as_frame_views(y1.packets));
+  auto background = analysis::analyze_background(net::as_frame_views(y1.packets));
 
   TextTable mix("Protocol mix (by TCP packets)");
   mix.header({"protocol", "port", "packets", "share"});

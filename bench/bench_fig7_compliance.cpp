@@ -16,8 +16,8 @@ void report_year(const char* label, const sim::CaptureResult& capture,
                  const core::NameMap& names) {
   analysis::CaptureDataset::Options strict;
   strict.parser_mode = iec104::ApduStreamParser::Mode::kStrict;
-  auto ds_strict = analysis::CaptureDataset::build(capture.packets, strict);
-  auto ds_tolerant = analysis::CaptureDataset::build(capture.packets);
+  auto ds_strict = analysis::CaptureDataset::build(net::as_frame_views(capture.packets), strict);
+  auto ds_tolerant = analysis::CaptureDataset::build(net::as_frame_views(capture.packets));
 
   std::printf("\n--- %s ---\n", label);
   TextTable table("Per-device compliance (tolerant parser)");

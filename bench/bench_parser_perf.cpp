@@ -131,7 +131,7 @@ BENCHMARK(BM_CaptureGeneration)->Arg(30)->Arg(120)->Unit(benchmark::kMillisecond
 void BM_DatasetBuildPerPacket(benchmark::State& state) {
   const auto& capture = capture_120s();
   for (auto _ : state) {
-    auto ds = analysis::CaptureDataset::build(capture.packets);
+    auto ds = analysis::CaptureDataset::build(net::as_frame_views(capture.packets));
     benchmark::DoNotOptimize(ds.stats().apdus);
   }
   state.SetItemsProcessed(state.iterations() *
@@ -144,7 +144,7 @@ void BM_DatasetBuildReassembled(benchmark::State& state) {
   analysis::CaptureDataset::Options opts;
   opts.mode = analysis::ParseMode::kReassembled;
   for (auto _ : state) {
-    auto ds = analysis::CaptureDataset::build(capture.packets, opts);
+    auto ds = analysis::CaptureDataset::build(net::as_frame_views(capture.packets), opts);
     benchmark::DoNotOptimize(ds.stats().apdus);
   }
   state.SetItemsProcessed(state.iterations() *

@@ -16,8 +16,8 @@ int main() {
   auto y2 = bench::y2_capture();
   core::NameMap names = core::name_map(y1.topology);
 
-  auto ds1 = analysis::CaptureDataset::build(y1.packets);
-  auto ds2 = analysis::CaptureDataset::build(y2.packets);
+  auto ds1 = analysis::CaptureDataset::build(net::as_frame_views(y1.packets));
+  auto ds2 = analysis::CaptureDataset::build(net::as_frame_views(y2.packets));
   auto diff = analysis::diff_topology(ds1, ds2);
 
   TextTable table("Inferred outstation changes (Table 2)");

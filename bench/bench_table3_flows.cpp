@@ -8,7 +8,7 @@ using namespace uncharted;
 namespace {
 
 analysis::FlowAnalysis analyze_year(const sim::CaptureResult& capture) {
-  auto ds = analysis::CaptureDataset::build(capture.packets);
+  auto ds = analysis::CaptureDataset::build(net::as_frame_views(capture.packets));
   return analysis::analyze_flows(ds.flow_table());
 }
 

@@ -12,8 +12,8 @@ int main() {
 
   auto y1 = bench::y1_capture();
   auto y2 = bench::y2_capture();
-  auto ds1 = analysis::CaptureDataset::build(y1.packets);
-  auto ds2 = analysis::CaptureDataset::build(y2.packets);
+  auto ds1 = analysis::CaptureDataset::build(net::as_frame_views(y1.packets));
+  auto ds2 = analysis::CaptureDataset::build(net::as_frame_views(y2.packets));
 
   analysis::TypeIdStations combined;
   for (const auto* ds : {&ds1, &ds2}) {

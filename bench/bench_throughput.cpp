@@ -168,7 +168,7 @@ int main(int argc, char** argv) {
     analysis::CaptureDataset::Options ds_opts;
     // APDU count for the throughput denominator (thread-invariant).
     std::uint64_t apdus =
-        analysis::CaptureDataset::build(packets, ds_opts).stats().apdus;
+        analysis::CaptureDataset::build(net::as_frame_views(packets), ds_opts).stats().apdus;
     std::printf("%s: %zu packets, %llu apdus\n", c.name, packets.size(),
                 static_cast<unsigned long long>(apdus));
 

@@ -73,7 +73,7 @@ std::vector<net::CapturedPacket> build_attack(const sim::CaptureResult& benign) 
 int main() {
   std::printf("1. generating a benign day of operation (learning corpus)...\n");
   auto benign = sim::generate_capture(sim::CaptureConfig::y1(600.0));
-  auto benign_ds = analysis::CaptureDataset::build(benign.packets);
+  auto benign_ds = analysis::CaptureDataset::build(net::as_frame_views(benign.packets));
   core::NameMap names = core::name_map(benign.topology);
 
   std::printf("2. learning the cyber/physical whitelist (%zu APDUs)...\n",
@@ -94,7 +94,7 @@ int main() {
             [](const net::CapturedPacket& a, const net::CapturedPacket& b) {
               return a.ts < b.ts;
             });
-  auto mixed_ds = analysis::CaptureDataset::build(mixed);
+  auto mixed_ds = analysis::CaptureDataset::build(net::as_frame_views(mixed));
 
   auto alerts = profiler.detect(mixed_ds, names);
   std::printf("5. detector output on the mixed capture (%zu alerts):\n", alerts.size());

@@ -20,6 +20,7 @@
 #include <functional>
 #include <string>
 
+#include "net/mapping.hpp"
 #include "net/pcap.hpp"
 #include "netd/client.hpp"
 #include "sim/capture.hpp"
@@ -143,13 +144,25 @@ int main(int argc, char** argv) {
 
   std::vector<net::CapturedPacket> packets;
   if (!pcap_path.empty()) {
-    auto read = net::PcapReader::read_file_tolerant(pcap_path);
-    if (!read) {
+    auto cannot_read = [&](const Error& error) {
       std::fprintf(stderr, "cannot read %s: %s\n", pcap_path.c_str(),
-                   read.error().str().c_str());
+                   error.str().c_str());
       return 1;
+    };
+    auto mapping = net::PcapMapping::open(pcap_path);
+    if (!mapping) return cannot_read(mapping.error());
+    auto cursor = net::PcapCursor::open(mapping->bytes());
+    if (!cursor) return cannot_read(cursor.error());
+    // The fleet script owns its frames: each record is copied out once.
+    net::FrameView frame;
+    while (cursor->next(frame)) {
+      packets.push_back({frame.ts, frame.original_length,
+                         {frame.data.begin(), frame.data.end()}});
     }
-    packets = std::move(read->packets);
+    if (cursor->truncated_tail()) {
+      std::fprintf(stderr, "warning: %s: %s; replaying the complete prefix\n",
+                   pcap_path.c_str(), cursor->warning().c_str());
+    }
   } else {
     capture_config =
         year == 2 ? sim::CaptureConfig::y2(duration) : sim::CaptureConfig::y1(duration);

@@ -8,50 +8,79 @@
 // writes redrawable artifacts into DIR: the Fig 10 cluster scatter CSV,
 // the Fig 8 histogram CSV, and a Graphviz .dot per interesting Markov
 // chain (render with `dot -Tpng`).
+//
+// Exit codes: 0 done, 1 unreadable or truncated input, or a usage error
+// (an unknown option, or --export without its directory).
 #include <cstdio>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "analysis/classify.hpp"
 #include "analysis/markov.hpp"
 #include "core/analyzer.hpp"
 #include "core/export.hpp"
+#include "net/mapping.hpp"
 #include "sim/capture.hpp"
 
 using namespace uncharted;
 
+namespace {
+
+int usage_error(const char* argv0, const std::string& why) {
+  std::fprintf(stderr, "%s\nusage: %s [capture.pcap] [--export DIR]\n", why.c_str(),
+               argv0);
+  return 1;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  std::vector<net::CapturedPacket> packets;
   core::NameMap names;
   std::string pcap_path;
   std::string export_dir;
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg == "--export" && i + 1 < argc) {
+    if (arg == "--export") {
+      if (i + 1 >= argc) return usage_error(argv[0], "--export needs a directory");
       export_dir = argv[++i];
+    } else if (arg.size() > 1 && arg[0] == '-') {
+      return usage_error(argv[0], "unknown option " + arg);
     } else {
       pcap_path = arg;
     }
   }
 
+  // Frames are views: into the mmap'd pcap, or into the synthetic packets.
+  std::optional<net::PcapMapping> mapping;
+  std::vector<net::CapturedPacket> packets;
+  std::vector<net::FrameView> frames;
   if (!pcap_path.empty()) {
-    auto loaded = net::PcapReader::read_file(pcap_path);
-    if (!loaded) {
+    auto cannot_read = [&](const Error& error) {
       std::fprintf(stderr, "cannot read %s: %s\n", pcap_path.c_str(),
-                   loaded.error().str().c_str());
+                   error.str().c_str());
       return 1;
-    }
-    packets = std::move(loaded).take();
-    std::printf("loaded %zu packets from %s\n", packets.size(), pcap_path.c_str());
+    };
+    auto mapped = net::PcapMapping::open(pcap_path);
+    if (!mapped) return cannot_read(mapped.error());
+    mapping.emplace(std::move(mapped).take());
+    auto cursor = net::PcapCursor::open(mapping->bytes());
+    if (!cursor) return cannot_read(cursor.error());
+    net::FrameView frame;
+    while (cursor->next(frame)) frames.push_back(frame);
+    if (cursor->truncated_tail()) return cannot_read(Err("truncated", cursor->warning()));
+    std::printf("loaded %zu packets from %s\n", frames.size(), pcap_path.c_str());
   } else {
     std::printf("no pcap given; generating a synthetic Year-1 capture...\n");
     auto capture = sim::generate_capture(sim::CaptureConfig::y1(600.0));
     packets = std::move(capture.packets);
+    frames = net::as_frame_views(packets);
     names = core::name_map(capture.topology);
   }
 
-  auto report = core::CaptureAnalyzer::analyze(packets);
-  auto ds = analysis::CaptureDataset::build(packets);
+  auto report = core::CaptureAnalyzer::analyze(frames, {});
+  auto ds = analysis::CaptureDataset::build(frames);
   if (names.empty()) names = core::infer_names(ds);
 
   std::printf("\n%s", core::render_report(report, names).c_str());

@@ -114,7 +114,7 @@ struct IccpAccumulator {
 
 }  // namespace
 
-BackgroundTraffic analyze_background(const std::vector<net::CapturedPacket>& packets) {
+BackgroundTraffic analyze_background(std::span<const net::FrameView> frames) {
   BackgroundTraffic out;
 
   std::map<net::FlowKey, PmuAccumulator> pmu_dirs;
@@ -138,8 +138,8 @@ BackgroundTraffic analyze_background(const std::vector<net::CapturedPacket>& pac
     }
   });
 
-  for (const auto& pkt : packets) {
-    auto frame = net::decode_frame(pkt.data);
+  for (const auto& view : frames) {
+    auto frame = net::decode_frame(view.data);
     if (!frame) continue;
     bool c37 = frame->tcp.src_port == synchro::kC37118Port ||
                frame->tcp.dst_port == synchro::kC37118Port;
@@ -147,7 +147,7 @@ BackgroundTraffic analyze_background(const std::vector<net::CapturedPacket>& pac
                      frame->tcp.dst_port == iccp::kIsoTsapPort;
     if (c37) ++out.c37118_packets;
     if (iccp_port) ++out.iccp_packets;
-    if (c37 || iccp_port) reassembler.add(pkt.ts, frame.value());
+    if (c37 || iccp_port) reassembler.add(view.ts, frame.value());
   }
 
   for (auto& [key, acc] : pmu_dirs) {

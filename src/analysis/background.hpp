@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,6 +53,6 @@ struct BackgroundTraffic {
 };
 
 /// Reassembles and decodes the port-4712 and port-102 traffic in a capture.
-BackgroundTraffic analyze_background(const std::vector<net::CapturedPacket>& packets);
+BackgroundTraffic analyze_background(std::span<const net::FrameView> frames);
 
 }  // namespace uncharted::analysis

@@ -11,11 +11,6 @@ EndpointPair EndpointPair::of(net::Ipv4Addr x, net::Ipv4Addr y) {
   return EndpointPair{x, y};
 }
 
-CaptureDataset CaptureDataset::build(const std::vector<net::CapturedPacket>& packets,
-                                     const Options& options) {
-  return build(net::as_frame_views(packets), options);
-}
-
 CaptureDataset CaptureDataset::build(std::span<const net::FrameView> frames,
                                      const Options& options) {
   DatasetBuilder builder(options);

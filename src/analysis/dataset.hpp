@@ -135,16 +135,13 @@ class CaptureDataset {
     static constexpr std::uint16_t iec104_port = iec104::kIec104Port;
   };
 
-  /// Builds the dataset from captured packets.
-  static CaptureDataset build(const std::vector<net::CapturedPacket>& packets,
-                              const Options& options);
-  static CaptureDataset build(const std::vector<net::CapturedPacket>& packets) {
-    return build(packets, Options{});
-  }
-  /// Zero-copy build over frame views (spans into an mmap'd capture or
+  /// Builds the dataset over frame views (spans into an mmap'd capture or
   /// owning packets; the backing bytes must outlive the call).
   static CaptureDataset build(std::span<const net::FrameView> frames,
                               const Options& options);
+  static CaptureDataset build(std::span<const net::FrameView> frames) {
+    return build(frames, Options{});
+  }
 
   const DatasetStats& stats() const { return stats_; }
   const net::FlowTable& flow_table() const { return flows_; }
@@ -290,19 +287,13 @@ class DatasetBuilder {
   DatasetBuilder(const DatasetBuilder&) = delete;
   DatasetBuilder& operator=(const DatasetBuilder&) = delete;
 
-  /// Ingests one captured packet. Budgets are enforced after each call.
-  /// A non-null `bandwidth` is fed from this call's decode of the frame
+  /// Ingests one frame. Budgets are enforced after each call. A non-null
+  /// `bandwidth` is fed from this call's decode of the frame
   /// (BandwidthAccumulator::add_decoded), so the frame is decoded once for
   /// both; every add path below takes the same optional accumulator.
-  void add_packet(const net::CapturedPacket& pkt,
-                  BandwidthAccumulator* bandwidth = nullptr) {
-    add_packet(pkt.ts, pkt.data, bandwidth);
-  }
-
-  /// Zero-copy variant: `data` is only read during the call (the mmap'd
-  /// frame-view ingest path). Payload bytes are copied only where they must
-  /// outlive the call — out-of-order reassembly segments, partial APDU
-  /// tails, and failure evidence.
+  /// `data` is only read during the call: payload bytes are copied only
+  /// where they must outlive it — out-of-order reassembly segments, partial
+  /// APDU tails, and failure evidence.
   void add_packet(Timestamp ts, std::span<const std::uint8_t> data,
                   BandwidthAccumulator* bandwidth = nullptr);
 

@@ -50,18 +50,14 @@ void fold_pressure(ResourcePressure& into, const ResourcePressure& from) {
   into.peak_parsers = std::max(into.peak_parsers, from.peak_parsers);
 }
 
-net::CapturedPacket copy_of(const net::FrameView& frame) {
-  return {frame.ts, frame.original_length, {frame.data.begin(), frame.data.end()}};
-}
-
 }  // namespace
 
 struct ShardedDatasetBuilder::Lane {
   std::mutex m;
-  std::deque<std::vector<net::CapturedPacket>> pending;
+  std::deque<net::FrameQueue> pending;
   bool active = false;  ///< a drain task is scheduled or running
   /// Frames held while the stall hook wedges this lane. Driver-only.
-  std::deque<net::CapturedPacket> deferred;
+  net::FrameQueue deferred;
   DatasetBuilder builder;
   // Health-watchdog counters, readable without the lane mutex.
   std::atomic<std::uint64_t> ingested{0};
@@ -114,12 +110,12 @@ void ShardedDatasetBuilder::add_packet(const net::FrameView& frame,
   // depend on when a lane gets to it.
   if (bandwidth) bandwidth->add_packet(frame.ts, frame.data);
   if (defer) {
-    lane.deferred.push_back(copy_of(frame));
+    lane.deferred.push(frame.ts, frame.original_length, frame.data);
     ++deferred_;
     return;
   }
   auto& batch = staging_[s];
-  batch.push_back(copy_of(frame));
+  batch.push(frame.ts, frame.original_length, frame.data);
   if (batch.size() >= staging_batch_) {
     push_batch(lane, std::move(batch));
     batch = {};
@@ -160,8 +156,7 @@ void ShardedDatasetBuilder::add_packets(std::span<const net::FrameView> frames,
   group_->wait();
 }
 
-void ShardedDatasetBuilder::push_batch(Lane& lane,
-                                       std::vector<net::CapturedPacket>&& batch) {
+void ShardedDatasetBuilder::push_batch(Lane& lane, net::FrameQueue&& batch) {
   bool schedule = false;
   lane.queued.fetch_add(batch.size(), std::memory_order_relaxed);
   {
@@ -181,7 +176,7 @@ void ShardedDatasetBuilder::push_batch(Lane& lane,
 
 void ShardedDatasetBuilder::drain_lane(Lane& lane) {
   for (;;) {
-    std::vector<net::CapturedPacket> batch;
+    net::FrameQueue batch;
     {
       std::lock_guard<std::mutex> lock(lane.m);
       if (lane.pending.empty()) {
@@ -191,9 +186,13 @@ void ShardedDatasetBuilder::drain_lane(Lane& lane) {
       batch = std::move(lane.pending.front());
       lane.pending.pop_front();
     }
-    lane.builder.add_packets(net::as_frame_views(batch));
-    lane.ingested.fetch_add(batch.size(), std::memory_order_relaxed);
-    lane.queued.fetch_sub(batch.size(), std::memory_order_relaxed);
+    const std::size_t count = batch.size();
+    for (; !batch.empty(); batch.pop()) {
+      const net::FrameView frame = batch.front();
+      lane.builder.add_packet(frame.ts, frame.data);
+    }
+    lane.ingested.fetch_add(count, std::memory_order_relaxed);
+    lane.queued.fetch_sub(count, std::memory_order_relaxed);
   }
 }
 
@@ -203,19 +202,27 @@ std::size_t ShardedDatasetBuilder::poll_deferred(bool force) {
   for (std::size_t s = 0; s < lanes_.size(); ++s) {
     Lane& lane = *lanes_[s];
     if (lane.deferred.empty() || (!force && stall_ && stall_(s))) continue;
-    released += lane.deferred.size();
+    const std::size_t count = lane.deferred.size();
+    released += count;
+    // Staged frames are older than every deferred one: with a pool the
+    // deferred ones go after them. Already accounted at admission: no
+    // bandwidth feed.
+    auto& batch = staging_[s];
+    for (; !lane.deferred.empty(); lane.deferred.pop()) {
+      const net::FrameView frame = lane.deferred.front();
+      if (pool_) {
+        batch.push(frame.ts, frame.original_length, frame.data);
+      } else {
+        lane.builder.add_packet(frame.ts, frame.data);
+      }
+    }
+    lane.deferred.release();
     if (pool_) {
-      // Staged frames are older than every deferred one: append after them.
-      auto& batch = staging_[s];
-      for (auto& pkt : lane.deferred) batch.push_back(std::move(pkt));
       push_batch(lane, std::move(batch));
       batch = {};
     } else {
-      // Already accounted at admission: no bandwidth feed.
-      for (const auto& pkt : lane.deferred) lane.builder.add_packet(pkt);
-      lane.ingested.fetch_add(lane.deferred.size(), std::memory_order_relaxed);
+      lane.ingested.fetch_add(count, std::memory_order_relaxed);
     }
-    lane.deferred.clear();
   }
   deferred_ -= released;
   return released;

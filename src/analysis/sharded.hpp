@@ -64,10 +64,12 @@ using StallHook = std::function<bool(std::size_t lane)>;
 /// pool), each owning a DatasetBuilder. With no pool a frame goes straight
 /// into its lane's builder on the driver thread, and that decode feeds the
 /// bandwidth accumulator. With a pool each lane is a strand — a FIFO of
-/// packet batches plus an "a drain task is scheduled" flag — so a lane's
+/// frame batches plus an "a drain task is scheduled" flag — so a lane's
 /// builder only ever runs on one thread at a time while different lanes
 /// run concurrently; the driver stages a small batch per lane to amortize
-/// locking, and accounts bandwidth at admission.
+/// locking, and accounts bandwidth at admission. Every frame that waits
+/// (staged, pending or deferred) waits as bytes in a net::FrameQueue: the
+/// caller's buffer may be overwritten as soon as add_packet returns.
 ///
 /// drain() is the quiescence barrier: after it returns no lane task is
 /// running and every dispatched packet has been ingested. save()/load()/
@@ -83,7 +85,8 @@ class ShardedDatasetBuilder {
 
   /// Routes one frame to its lane; `bandwidth`, when given, accounts it
   /// exactly once, in arrival order. A frame that must wait (a lane's
-  /// staged batch, a wedged lane's deferred queue) is copied once, there.
+  /// staged batch, a wedged lane's deferred queue) is copied once, into
+  /// that batch's or queue's byte buffer.
   void add_packet(const net::FrameView& frame, BandwidthAccumulator* bandwidth);
 
   /// Batch ingest of frames that outlive the call. With no pool and one
@@ -145,7 +148,7 @@ class ShardedDatasetBuilder {
 
   /// Replaces the lanes with `count` fresh ones, each with its budget slice.
   void make_lanes(std::size_t count);
-  void push_batch(Lane& lane, std::vector<net::CapturedPacket>&& batch);
+  void push_batch(Lane& lane, net::FrameQueue&& batch);
   void drain_lane(Lane& lane);
 
   CaptureDataset::Options options_;
@@ -154,7 +157,7 @@ class ShardedDatasetBuilder {
   StallHook stall_;
   std::unique_ptr<exec::TaskGroup> group_;
   std::vector<std::unique_ptr<Lane>> lanes_;
-  std::vector<std::vector<net::CapturedPacket>> staging_;  ///< driver-only
+  std::vector<net::FrameQueue> staging_;  ///< driver-only
   std::size_t staging_batch_ = 256;
   std::size_t deferred_ = 0;  ///< frames in every lane's deferred queue
   std::uint64_t dispatched_ = 0;

@@ -36,15 +36,6 @@ std::string markov_to_dot(const analysis::MarkovChain& chain, const std::string&
   return out;
 }
 
-std::string series_to_csv(const analysis::TimeSeries& series, Timestamp t0) {
-  std::string out = "t_seconds,value\n";
-  for (const auto& p : series.points) {
-    out += format_double(to_seconds(static_cast<DurationUs>(p.ts - t0)), 6) + "," +
-           format_double(p.value, 6) + "\n";
-  }
-  return out;
-}
-
 std::string clusters_to_csv(const analysis::SessionClustering& clustering) {
   std::string out = "pc1,pc2,cluster,src,dst\n";
   for (std::size_t i = 0; i < clustering.sessions.size(); ++i) {

@@ -27,9 +27,6 @@ std::string report_to_json(const AnalysisReport& report);
 std::string markov_to_dot(const analysis::MarkovChain& chain,
                           const std::string& title = "");
 
-/// CSV with header "t_seconds,value" (time relative to `t0`).
-std::string series_to_csv(const analysis::TimeSeries& series, Timestamp t0);
-
 /// CSV of the Fig 10 scatter: "pc1,pc2,cluster,src,dst".
 std::string clusters_to_csv(const analysis::SessionClustering& clustering);
 

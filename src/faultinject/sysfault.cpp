@@ -122,23 +122,6 @@ SysFaultPlan SysFaultPlan::compound(double rate, std::uint64_t seed) {
 // SysFaultLog
 // ---------------------------------------------------------------------------
 
-int SysFaultLog::classes_fired() const {
-  int c = 0;
-  c += eintr > 0;
-  c += spurious_eagain > 0;
-  c += short_reads > 0;
-  c += short_writes > 0;
-  c += conn_resets > 0;
-  c += accept_emfile > 0;
-  c += delayed_ready > 0;
-  c += open_failures > 0;
-  c += write_enospc > 0;
-  c += storage_eio > 0;
-  c += fsync_failures > 0;
-  c += rename_failures > 0;
-  return c;
-}
-
 std::string SysFaultLog::summary() const {
   std::string out;
   auto add = [&](const char* name, std::uint64_t v) {

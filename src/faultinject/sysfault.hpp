@@ -160,8 +160,6 @@ struct SysFaultLog {
            accept_emfile + delayed_ready + open_failures + write_enospc +
            storage_eio + fsync_failures + rename_failures;
   }
-  /// Distinct fault classes that fired at least once.
-  int classes_fired() const;
   /// "eintr=3 short_reads=2 ..." (nonzero counters only; "clean" if none).
   std::string summary() const;
 };

@@ -1,6 +1,5 @@
 #include "net/pcap.hpp"
 
-#include "net/mapping.hpp"
 #include "util/bytes.hpp"
 
 namespace uncharted::net {
@@ -46,6 +45,50 @@ Status PcapWriter::close() {
   std::FILE* raw = file_.release();
   if (std::fclose(raw) != 0) return Err("close-failed");
   return Status::Ok();
+}
+
+namespace {
+
+/// A drained queue keeps buffers up to this size for its next frames, so a
+/// queue that drains after every read allocates nothing; larger buffers go
+/// back to the allocator.
+constexpr std::size_t kRetainQueueBytes = 64 * 1024;
+
+template <typename T>
+void give_back(std::vector<T>& v) {
+  std::vector<T>().swap(v);
+}
+
+}  // namespace
+
+void FrameQueue::reclaim() {
+  if (empty()) {
+    entries_.clear();
+    bytes_.clear();
+    head_ = 0;
+    base_ = 0;
+    if (bytes_.capacity() > kRetainQueueBytes) give_back(bytes_);
+    if (entries_.capacity() * sizeof(Entry) > kRetainQueueBytes) give_back(entries_);
+    return;
+  }
+  const std::size_t consumed = entries_[head_].offset - base_;
+  if (consumed * 2 > bytes_.size()) {
+    bytes_.erase(bytes_.begin(),
+                 bytes_.begin() + static_cast<std::ptrdiff_t>(consumed));
+    base_ += consumed;
+  }
+  if (head_ * 2 > entries_.size()) {
+    entries_.erase(entries_.begin(),
+                   entries_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+}
+
+void FrameQueue::release() {
+  give_back(entries_);
+  give_back(bytes_);
+  head_ = 0;
+  base_ = 0;
 }
 
 std::vector<FrameView> as_frame_views(std::span<const CapturedPacket> packets) {
@@ -118,46 +161,6 @@ bool PcapCursor::next(FrameView& out) {
   offset_ += kRecordHeader + incl;
   ++records_;
   return true;
-}
-
-Result<std::vector<CapturedPacket>> PcapReader::read_file(const std::string& path) {
-  auto read = read_file_tolerant(path);
-  if (!read) return read.error();
-  if (read->truncated_tail) return Err("truncated", read->warning);
-  return std::move(read->packets);
-}
-
-Result<PcapReader::TolerantRead> PcapReader::read_file_tolerant(const std::string& path) {
-  auto mapping = PcapMapping::open(path);
-  if (!mapping) return mapping.error();
-  return read_buffer_tolerant(mapping->bytes());
-}
-
-Result<std::vector<CapturedPacket>> PcapReader::read_buffer(
-    std::span<const std::uint8_t> data) {
-  auto read = read_buffer_tolerant(data);
-  if (!read) return read.error();
-  if (read->truncated_tail) return Err("truncated", read->warning);
-  return std::move(read->packets);
-}
-
-Result<PcapReader::TolerantRead> PcapReader::read_buffer_tolerant(
-    std::span<const std::uint8_t> data) {
-  auto cursor = PcapCursor::open(data);
-  if (!cursor) return cursor.error();
-
-  TolerantRead out;
-  FrameView view;
-  while (cursor->next(view)) {
-    CapturedPacket pkt;
-    pkt.ts = view.ts;
-    pkt.original_length = view.original_length;
-    pkt.data.assign(view.data.begin(), view.data.end());
-    out.packets.push_back(std::move(pkt));
-  }
-  out.truncated_tail = cursor->truncated_tail();
-  out.warning = cursor->warning();
-  return out;
 }
 
 }  // namespace uncharted::net

@@ -30,14 +30,60 @@ struct CapturedPacket {
 };
 
 /// Zero-copy view of one captured record: the span references the pcap
-/// buffer it was cut from (an mmap'd file or an owned byte vector), which
-/// must outlive the view. The ingest hot path runs on these; CapturedPacket
-/// remains the owning form for callers that must hold packets past the
-/// buffer (streaming deferral queues, fault-injection rewrites).
+/// buffer it was cut from (an mmap'd file, a FrameQueue or an owned byte
+/// vector), which must outlive the view. The ingest and analysis layers
+/// take only these. CapturedPacket remains the owning form of the
+/// simulator's and fault injector's output; a frame that must outlive the
+/// call that delivered it waits in a FrameQueue.
 struct FrameView {
   Timestamp ts = 0;
   std::uint32_t original_length = 0;
   std::span<const std::uint8_t> data;
+};
+
+/// Frames held past the call that delivered them: a FIFO of entries over
+/// one byte buffer. pop() only advances the head, so a view of the popped
+/// frame stays valid until reclaim(), which compacts the buffer once its
+/// consumed prefix passes half of it and resets it when the queue empties.
+/// The live daemon's per-stream merge queues and the ingest lanes' staging,
+/// pending and deferred batches are all FrameQueues.
+class FrameQueue {
+ public:
+  bool empty() const { return head_ == entries_.size(); }
+  std::size_t size() const { return entries_.size() - head_; }
+  Timestamp front_ts() const { return entries_[head_].ts; }
+  FrameView front() const {
+    const Entry& f = entries_[head_];
+    return FrameView{
+        f.ts, f.original_length,
+        std::span<const std::uint8_t>(bytes_.data() + (f.offset - base_), f.len)};
+  }
+  void push(Timestamp ts, std::uint32_t original_length,
+            std::span<const std::uint8_t> payload) {
+    entries_.push_back(Entry{ts, original_length,
+                             static_cast<std::uint32_t>(payload.size()),
+                             base_ + bytes_.size()});
+    bytes_.insert(bytes_.end(), payload.begin(), payload.end());
+  }
+  void pop() { ++head_; }
+  void reclaim();
+  /// Drops every frame and gives the buffers' memory back.
+  void release();
+
+ private:
+  /// One queued frame. `offset` is the position of its payload in the
+  /// queue's byte sequence since the queue last emptied.
+  struct Entry {
+    Timestamp ts = 0;
+    std::uint32_t original_length = 0;
+    std::uint32_t len = 0;
+    std::size_t offset = 0;
+  };
+
+  std::vector<Entry> entries_;
+  std::size_t head_ = 0;
+  std::vector<std::uint8_t> bytes_;
+  std::size_t base_ = 0;  ///< byte-sequence position of bytes_[0]
 };
 
 /// Borrows an owning packet as a view (a span into its buffer).
@@ -116,35 +162,6 @@ class PcapWriter {
   std::unique_ptr<std::FILE, FileCloser> file_;
   std::uint32_t snaplen_;
   std::uint64_t packets_ = 0;
-};
-
-/// Reads a whole pcap file into memory (captures here are small: hours of
-/// SCADA traffic is a few hundred MB at most; the paper's are far smaller).
-class PcapReader {
- public:
-  /// A tolerant read: every complete record, plus whether the file ended
-  /// mid-record (a crashed or still-writing tcpdump leaves exactly this).
-  struct TolerantRead {
-    std::vector<CapturedPacket> packets;
-    bool truncated_tail = false;
-    std::string warning;  ///< non-empty iff truncated_tail
-  };
-
-  /// Parses the file; returns all records in capture order. A truncated
-  /// final record is an error (strict mode).
-  static Result<std::vector<CapturedPacket>> read_file(const std::string& path);
-
-  /// Parses pcap bytes already in memory (used by tests).
-  static Result<std::vector<CapturedPacket>> read_buffer(
-      std::span<const std::uint8_t> data);
-
-  /// Like read_file, but a truncated tail yields the complete prefix with
-  /// a warning instead of an error. Header-level damage (bad magic, wrong
-  /// link type) is still an error: nothing after it can be interpreted.
-  static Result<TolerantRead> read_file_tolerant(const std::string& path);
-
-  /// Tolerant parse of in-memory pcap bytes.
-  static Result<TolerantRead> read_buffer_tolerant(std::span<const std::uint8_t> data);
 };
 
 }  // namespace uncharted::net

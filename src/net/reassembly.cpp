@@ -225,6 +225,13 @@ Result<TcpStreamDirection> TcpStreamDirection::load(ByteReader& r,
   return dir;
 }
 
+TcpReassembler::TcpReassembler(const TcpReassembler& other, Sink sink)
+    : sink_(std::move(sink)), limits_(other.limits_), directions_(other.directions_) {
+  // A copied direction carries no slab waste, so the copy's total is
+  // recounted rather than taken from `other`.
+  for (const auto& [key, dir] : directions_) slab_bytes_ += dir.slab_bytes();
+}
+
 void TcpReassembler::add(Timestamp ts, const DecodedFrame& frame) {
   FlowKey key{frame.ip.src, frame.tcp.src_port, frame.ip.dst, frame.tcp.dst_port};
   auto it = directions_.find(key);
@@ -232,28 +239,34 @@ void TcpReassembler::add(Timestamp ts, const DecodedFrame& frame) {
     it = directions_.emplace(key, TcpStreamDirection(limits_)).first;
   }
   auto& dir = it->second;
-  if (sink_) {
-    dir.deliver_segment(ts, frame.tcp, frame.payload,
-                        [&](Timestamp cts, std::span<const std::uint8_t> data) {
-                          sink_(key, cts, data);
-                        });
-  } else {
-    dir.deliver_segment(ts, frame.tcp, frame.payload,
-                        [](Timestamp, std::span<const std::uint8_t>) {});
-  }
-  if (frame.tcp.rst()) {
+  tracked(dir, [&] {
+    if (sink_) {
+      dir.deliver_segment(ts, frame.tcp, frame.payload,
+                          [&](Timestamp cts, std::span<const std::uint8_t> data) {
+                            sink_(key, cts, data);
+                          });
+    } else {
+      dir.deliver_segment(ts, frame.tcp, frame.payload,
+                          [](Timestamp, std::span<const std::uint8_t>) {});
+    }
     // A reset kills both directions of the connection.
-    dir.on_reset(ts);
+    if (frame.tcp.rst()) dir.on_reset(ts);
+  });
+  if (frame.tcp.rst()) {
     auto rev = directions_.find(key.reversed());
-    if (rev != directions_.end()) rev->second.on_reset(ts);
+    if (rev != directions_.end()) {
+      tracked(rev->second, [&] { rev->second.on_reset(ts); });
+    }
   }
 }
 
 void TcpReassembler::flush(Timestamp ts) {
   for (auto& [key, dir] : directions_) {
-    for (auto& chunk : dir.flush(ts)) {
-      if (sink_) sink_(key, chunk.ts, chunk.data);
-    }
+    tracked(dir, [&] {
+      for (auto& chunk : dir.flush(ts)) {
+        if (sink_) sink_(key, chunk.ts, chunk.data);
+      }
+    });
   }
 }
 
@@ -274,14 +287,6 @@ StreamStats TcpReassembler::totals() const {
   return total;
 }
 
-std::size_t TcpReassembler::pending_bytes() const {
-  // Slab footprint, not live bytes: budgets govern memory actually held,
-  // and the arena only reclaims when a direction drains empty.
-  std::size_t total = 0;
-  for (const auto& [key, dir] : directions_) total += dir.slab_bytes();
-  return total;
-}
-
 std::size_t TcpReassembler::evict_pending(Timestamp ts, std::size_t max_bytes) {
   std::size_t flushed = 0;
   while (pending_bytes() > max_bytes) {
@@ -294,9 +299,11 @@ std::size_t TcpReassembler::evict_pending(Timestamp ts, std::size_t max_bytes) {
       }
     }
     if (victim == directions_.end()) break;
-    for (auto& chunk : victim->second.flush(ts)) {
-      if (sink_) sink_(victim->first, chunk.ts, chunk.data);
-    }
+    tracked(victim->second, [&] {
+      for (auto& chunk : victim->second.flush(ts)) {
+        if (sink_) sink_(victim->first, chunk.ts, chunk.data);
+      }
+    });
     ++flushed;
   }
   return flushed;
@@ -314,11 +321,13 @@ Status TcpReassembler::load(ByteReader& r) {
   auto count = r.u32le();
   if (!count) return count.error();
   directions_.clear();
+  slab_bytes_ = 0;
   for (std::uint32_t i = 0; i < count.value(); ++i) {
     auto key = FlowKey::load(r);
     if (!key) return key.error();
     auto dir = TcpStreamDirection::load(r, limits_);
     if (!dir) return dir.error();
+    slab_bytes_ += dir->slab_bytes();
     directions_.emplace(key.value(), std::move(dir).take());
   }
   return Status::Ok();

@@ -165,8 +165,9 @@ class TcpReassembler {
 
   /// Deep copy of `other`'s stream state that delivers into `sink`: a
   /// scratch reassembler can then be flushed without touching the original.
-  TcpReassembler(const TcpReassembler& other, Sink sink)
-      : sink_(std::move(sink)), limits_(other.limits_), directions_(other.directions_) {}
+  TcpReassembler(const TcpReassembler& other, Sink sink);
+  TcpReassembler(const TcpReassembler&) = delete;
+  TcpReassembler& operator=(const TcpReassembler&) = delete;
 
   /// Feeds one decoded frame. RST flags reset both directions of the flow.
   void add(Timestamp ts, const DecodedFrame& frame);
@@ -183,8 +184,12 @@ class TcpReassembler {
   /// Sum of every direction's counters.
   StreamStats totals() const;
 
-  /// Total bytes buffered out of order across all directions.
-  std::size_t pending_bytes() const;
+  /// Total bytes buffered out of order across all directions: the sum of
+  /// every direction's slab_bytes() (footprint, not live bytes: budgets
+  /// govern memory actually held, and a slab only reclaims when its
+  /// direction drains empty). Kept as a running total, so the per-packet
+  /// budget check costs O(1) however many streams were seen.
+  std::size_t pending_bytes() const { return slab_bytes_; }
 
   /// Resource governance: while total pending exceeds `max_bytes`, force-
   /// flushes the direction holding the most buffered data — the hole in
@@ -197,9 +202,20 @@ class TcpReassembler {
   Status load(ByteReader& r);
 
  private:
+  /// Runs `op` on `dir` and folds the change in its slab footprint into
+  /// slab_bytes_. Every call that can store or release slab bytes goes
+  /// through here.
+  template <typename Op>
+  void tracked(TcpStreamDirection& dir, Op&& op) {
+    const std::size_t before = dir.slab_bytes();
+    op();
+    slab_bytes_ = slab_bytes_ + dir.slab_bytes() - before;
+  }
+
   Sink sink_;
   ReassemblyLimits limits_;
   std::map<FlowKey, TcpStreamDirection> directions_;
+  std::size_t slab_bytes_ = 0;  ///< sum of every direction's slab_bytes()
 };
 
 }  // namespace uncharted::net

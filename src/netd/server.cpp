@@ -27,10 +27,6 @@ enum CursorEnd : std::uint8_t { kOpen = 0, kFinished = 1, kCondemned = 2 };
 /// pause points and shedding thresholds are tuned in these units, so it
 /// stays fixed whatever a queue entry actually costs.
 constexpr std::size_t kPerFrameOverhead = 64;
-/// A drained queue keeps buffers up to this size for its next frames, so a
-/// stream that drains after every read allocates nothing; larger buffers
-/// go back to the allocator.
-constexpr std::size_t kRetainQueueBytes = 64 * 1024;
 
 constexpr int kListenBacklog = 4096;
 constexpr std::size_t kReadChunk = 64 * 1024;
@@ -51,63 +47,11 @@ std::size_t frame_cost(std::size_t payload_bytes) {
   return payload_bytes + kPerFrameOverhead;
 }
 
-template <typename T>
-void give_back(std::vector<T>& v) {
-  std::vector<T>().swap(v);
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Stream queue and merge heaps
+// Merge heaps
 // ---------------------------------------------------------------------------
-
-net::FrameView IngestServer::FrameQueue::front() const {
-  const QueuedFrame& f = entries_[head_];
-  return net::FrameView{
-      f.ts, f.original_length,
-      std::span<const std::uint8_t>(bytes_.data() + (f.offset - base_), f.len)};
-}
-
-void IngestServer::FrameQueue::push(Timestamp ts, std::uint32_t original_length,
-                                    std::span<const std::uint8_t> payload) {
-  entries_.push_back(QueuedFrame{ts, original_length,
-                                 static_cast<std::uint32_t>(payload.size()),
-                                 base_ + bytes_.size()});
-  bytes_.insert(bytes_.end(), payload.begin(), payload.end());
-}
-
-void IngestServer::FrameQueue::reclaim() {
-  if (empty()) {
-    entries_.clear();
-    bytes_.clear();
-    head_ = 0;
-    base_ = 0;
-    if (bytes_.capacity() > kRetainQueueBytes) give_back(bytes_);
-    if (entries_.capacity() * sizeof(QueuedFrame) > kRetainQueueBytes) {
-      give_back(entries_);
-    }
-    return;
-  }
-  const std::size_t consumed = entries_[head_].offset - base_;
-  if (consumed * 2 > bytes_.size()) {
-    bytes_.erase(bytes_.begin(),
-                 bytes_.begin() + static_cast<std::ptrdiff_t>(consumed));
-    base_ += consumed;
-  }
-  if (head_ * 2 > entries_.size()) {
-    entries_.erase(entries_.begin(),
-                   entries_.begin() + static_cast<std::ptrdiff_t>(head_));
-    head_ = 0;
-  }
-}
-
-void IngestServer::FrameQueue::release() {
-  give_back(entries_);
-  give_back(bytes_);
-  head_ = 0;
-  base_ = 0;
-}
 
 template <IngestServer::Key IngestServer::Stream::*KeyOf,
           std::size_t IngestServer::Stream::*SlotOf>

@@ -232,39 +232,6 @@ class IngestServer {
   /// Heap slot of a stream that is not in that heap.
   static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
 
-  /// One received, unreleased frame. `offset` is the position of its
-  /// payload in the stream's byte sequence since the queue last emptied.
-  struct QueuedFrame {
-    Timestamp ts = 0;
-    std::uint32_t original_length = 0;
-    std::uint32_t len = 0;
-    std::size_t offset = 0;
-  };
-
-  /// A stream's received, unreleased frames: a FIFO of entries over one
-  /// byte buffer. pop() only advances the head, so a view of the popped
-  /// frame stays valid until reclaim(), which compacts the buffer once its
-  /// consumed prefix passes half of it and resets it when the queue
-  /// empties.
-  class FrameQueue {
-   public:
-    bool empty() const { return head_ == entries_.size(); }
-    Timestamp front_ts() const { return entries_[head_].ts; }
-    net::FrameView front() const;
-    void push(Timestamp ts, std::uint32_t original_length,
-              std::span<const std::uint8_t> payload);
-    void pop() { ++head_; }
-    void reclaim();
-    /// Drops every frame and gives the buffers' memory back.
-    void release();
-
-   private:
-    std::vector<QueuedFrame> entries_;
-    std::size_t head_ = 0;
-    std::vector<std::uint8_t> bytes_;
-    std::size_t base_ = 0;  ///< byte-sequence position of bytes_[0]
-  };
-
   struct Stream;
 
   struct Conn {
@@ -298,7 +265,7 @@ class IngestServer {
     int conn_fd = -1;            ///< -1 while disconnected
     std::uint64_t recv_seq = 0;  ///< seq of the next frame to arrive
     Timestamp last_recv_ts = 0;  ///< last record's ts, or a later promise
-    FrameQueue q;                ///< received, unreleased
+    net::FrameQueue q;           ///< received, unreleased
     std::size_t q_bytes = 0;
     bool fin_seen = false;
     std::uint64_t fin_total = 0;

@@ -193,12 +193,4 @@ const ControlServerSpec& Topology::backup_server(const OutstationSpec& o) const 
   return servers[o.pair == ServerPair::kC1C2 ? 1 : 3];
 }
 
-std::vector<const OutstationSpec*> Topology::outstations_in_year(bool year2) const {
-  std::vector<const OutstationSpec*> out;
-  for (const auto& o : outstations) {
-    if ((year2 && o.in_y2) || (!year2 && o.in_y1)) out.push_back(&o);
-  }
-  return out;
-}
-
 }  // namespace uncharted::sim

@@ -112,9 +112,6 @@ struct Topology {
   const OutstationSpec* find_outstation(int id) const;
   const ControlServerSpec& primary_server(const OutstationSpec& o) const;
   const ControlServerSpec& backup_server(const OutstationSpec& o) const;
-
-  /// Outstations visible in the given year's capture.
-  std::vector<const OutstationSpec*> outstations_in_year(bool year2) const;
 };
 
 }  // namespace uncharted::sim

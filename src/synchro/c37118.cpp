@@ -176,13 +176,6 @@ std::vector<std::uint8_t> encode_data(const ConfigFrame& config, const DataFrame
   return finalize(std::move(w));
 }
 
-std::vector<std::uint8_t> encode_header(const HeaderFrame& frame) {
-  ByteWriter w;
-  write_common(w, FrameType::kHeader, frame.header);
-  for (char c : frame.info) w.u8(static_cast<std::uint8_t>(c));
-  return finalize(std::move(w));
-}
-
 std::vector<std::uint8_t> encode_command(const CommandFrame& frame) {
   ByteWriter w;
   write_common(w, FrameType::kCommand, frame.header);

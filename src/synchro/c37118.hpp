@@ -111,7 +111,6 @@ std::vector<std::uint8_t> encode_config(const ConfigFrame& frame);
 /// PHUNIT factors when the integer format is selected.
 std::vector<std::uint8_t> encode_data(const ConfigFrame& config, const DataFrame& frame);
 
-std::vector<std::uint8_t> encode_header(const HeaderFrame& frame);
 std::vector<std::uint8_t> encode_command(const CommandFrame& frame);
 
 /// Peeks the common header without consuming the frame.

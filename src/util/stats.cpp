@@ -20,7 +20,6 @@ double RunningStats::variance() const {
   return m2_ / static_cast<double>(n_);
 }
 
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 void RunningStats::save(ByteWriter& w) const {
   w.u64le(n_);

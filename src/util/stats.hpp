@@ -21,7 +21,6 @@ class RunningStats {
   double mean() const { return n_ ? mean_ : 0.0; }
   /// Population variance (divide by n); 0 when n < 2.
   double variance() const;
-  double stddev() const;
   double min() const { return n_ ? min_ : 0.0; }
   double max() const { return n_ ? max_ : 0.0; }
   double sum() const { return sum_; }

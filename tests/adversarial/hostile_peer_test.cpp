@@ -44,7 +44,7 @@ struct PacketSink {
 };
 
 analysis::ConformanceReport audit(const std::vector<net::CapturedPacket>& packets) {
-  auto dataset = analysis::CaptureDataset::build(packets);
+  auto dataset = analysis::CaptureDataset::build(net::as_frame_views(packets));
   return analysis::audit_conformance(dataset);
 }
 
@@ -224,7 +224,7 @@ TEST(HostilePeer, FullSweepDegradesGracefullyInEveryParseMode) {
       analysis::CaptureDataset::Options options;
       options.mode = mode;
       options.parser_mode = parser;
-      auto dataset = analysis::CaptureDataset::build(packets, options);
+      auto dataset = analysis::CaptureDataset::build(net::as_frame_views(packets), options);
       auto report = analysis::audit_conformance(dataset);
       EXPECT_TRUE(report.any_hostile());
       for (const auto& entry : report.entries) {

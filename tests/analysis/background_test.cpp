@@ -16,7 +16,7 @@ const sim::CaptureResult& capture() {
 }
 
 TEST(Background, FindsThePmuStreams) {
-  auto bg = analyze_background(capture().packets);
+  auto bg = analyze_background(net::as_frame_views(capture().packets));
   ASSERT_EQ(bg.pmu_streams.size(), 3u);
   for (const auto& s : bg.pmu_streams) {
     EXPECT_EQ(s.sink.str(), "10.0.0.3");  // the data concentrator (C3)
@@ -32,7 +32,7 @@ TEST(Background, FindsThePmuStreams) {
 }
 
 TEST(Background, FindsTheIccpLinks) {
-  auto bg = analyze_background(capture().packets);
+  auto bg = analyze_background(net::as_frame_views(capture().packets));
   ASSERT_EQ(bg.iccp_links.size(), 2u);
   std::uint64_t total_reports = 0;
   for (const auto& l : bg.iccp_links) {
@@ -47,8 +47,8 @@ TEST(Background, FindsTheIccpLinks) {
 }
 
 TEST(Background, PacketCountsMatchDatasetClassification) {
-  auto bg = analyze_background(capture().packets);
-  auto ds = CaptureDataset::build(capture().packets);
+  auto bg = analyze_background(net::as_frame_views(capture().packets));
+  auto ds = CaptureDataset::build(net::as_frame_views(capture().packets));
   EXPECT_EQ(bg.c37118_packets, ds.stats().c37118_packets);
   EXPECT_EQ(bg.iccp_packets, ds.stats().iccp_packets);
   EXPECT_GT(bg.c37118_packets, 0u);
@@ -59,7 +59,7 @@ TEST(Background, DisabledFlagRemovesIt) {
   sim::CaptureConfig cfg = sim::CaptureConfig::y1(60.0);
   cfg.include_background_protocols = false;
   auto quiet = sim::generate_capture(cfg);
-  auto bg = analyze_background(quiet.packets);
+  auto bg = analyze_background(net::as_frame_views(quiet.packets));
   EXPECT_TRUE(bg.pmu_streams.empty());
   EXPECT_TRUE(bg.iccp_links.empty());
   EXPECT_EQ(bg.c37118_packets, 0u);

@@ -38,7 +38,7 @@ void add_keepalives(CaptureBuilder& cb, net::Ipv4Addr server, net::Ipv4Addr stat
 }
 
 StationType classify_single(const CaptureBuilder& cb, net::Ipv4Addr station) {
-  auto ds = CaptureDataset::build(cb.packets());
+  auto ds = CaptureDataset::build(net::as_frame_views(cb.packets()));
   for (const auto& sc : classify_stations(ds)) {
     if (sc.station == station) return sc.type;
   }
@@ -130,7 +130,7 @@ TEST(Classify, HistogramCountsTypes) {
   add_i_stream(cb, kC1, ip(10, 1, 0, 45), 0, 3);           // type 1
   add_keepalives(cb, kC1, ip(10, 1, 0, 11), 0, 3, true);   // type 3
   add_keepalives(cb, kC2, ip(10, 1, 0, 12), 0, 3, true);   // type 3
-  auto ds = CaptureDataset::build(cb.packets());
+  auto ds = CaptureDataset::build(net::as_frame_views(cb.packets()));
   auto hist = type_histogram(classify_stations(ds));
   EXPECT_EQ(hist[StationType::kType1], 1u);
   EXPECT_EQ(hist[StationType::kType3], 2u);

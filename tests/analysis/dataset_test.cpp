@@ -34,7 +34,7 @@ TEST(Dataset, ExtractsApdusPerSessionAndConnection) {
   cb.apdu(2'000'000, server, station, true, i_apdu(float_asdu(5, 100, 2.0f), 1, 0));
   cb.apdu(3'000'000, server, station, false, Apdu::make_s(2));
 
-  auto ds = CaptureDataset::build(cb.packets());
+  auto ds = CaptureDataset::build(net::as_frame_views(cb.packets()));
   EXPECT_EQ(ds.stats().packets, 3u);
   EXPECT_EQ(ds.stats().apdus, 3u);
   EXPECT_EQ(ds.stats().apdu_failures, 0u);
@@ -68,7 +68,7 @@ TEST(Dataset, MultipleApdusInOneSegment) {
   std::vector<std::uint8_t> payload = a;
   payload.insert(payload.end(), b.begin(), b.end());
   cb.segment(1000, server, station, false, payload);
-  auto ds = CaptureDataset::build(cb.packets());
+  auto ds = CaptureDataset::build(net::as_frame_views(cb.packets()));
   EXPECT_EQ(ds.stats().apdus, 2u);
 }
 
@@ -84,12 +84,12 @@ TEST(Dataset, ReassembledModeStitchesSplitApdus) {
 
   CaptureDataset::Options opts;
   opts.mode = ParseMode::kReassembled;
-  auto ds = CaptureDataset::build(cb.packets(), opts);
+  auto ds = CaptureDataset::build(net::as_frame_views(cb.packets()), opts);
   EXPECT_EQ(ds.stats().apdus, 1u);
   EXPECT_EQ(ds.stats().apdu_failures, 0u);
 
   // Per-packet mode cannot parse the fragments.
-  auto ds_pp = CaptureDataset::build(cb.packets());
+  auto ds_pp = CaptureDataset::build(net::as_frame_views(cb.packets()));
   EXPECT_EQ(ds_pp.stats().apdus, 0u);
 }
 
@@ -106,12 +106,12 @@ TEST(Dataset, PerPacketModeSeesRetransmittedApdusTwice) {
   auto packets = cb.packets();
   packets.push_back(dup);
 
-  auto per_packet = CaptureDataset::build(packets);
+  auto per_packet = CaptureDataset::build(net::as_frame_views(packets));
   EXPECT_EQ(per_packet.stats().apdus, 2u);
 
   CaptureDataset::Options opts;
   opts.mode = ParseMode::kReassembled;
-  auto reassembled = CaptureDataset::build(packets, opts);
+  auto reassembled = CaptureDataset::build(net::as_frame_views(packets), opts);
   EXPECT_EQ(reassembled.stats().apdus, 1u);
   EXPECT_EQ(reassembled.stats().tcp_retransmissions, 1u);
 }
@@ -130,7 +130,7 @@ TEST(Dataset, NonIec104PortIgnoredForParsing) {
   pkt.ts = 1000;
   pkt.data = net::build_tcp_frame(spec);
   pkt.original_length = static_cast<std::uint32_t>(pkt.data.size());
-  auto ds_other_port = CaptureDataset::build(std::vector<net::CapturedPacket>{pkt});
+  auto ds_other_port = CaptureDataset::build(std::vector<net::FrameView>{net::as_frame_view(pkt)});
   EXPECT_EQ(ds_other_port.stats().apdus, 0u);
   EXPECT_EQ(ds_other_port.stats().iec104_payload_packets, 0u);
   EXPECT_EQ(ds_other_port.stats().other_tcp_packets, 1u);
@@ -149,7 +149,7 @@ TEST(Dataset, ComplianceTracksLegacySources) {
     cb.apdu(static_cast<Timestamp>(i) * 1000 + 10, server, clean_station, true,
             i_apdu(float_asdu(5, 100, 2.0f), static_cast<std::uint16_t>(i), 0));
   }
-  auto ds = CaptureDataset::build(cb.packets());
+  auto ds = CaptureDataset::build(net::as_frame_views(cb.packets()));
   EXPECT_EQ(ds.stats().non_compliant_apdus, 5u);
   auto legacy = ds.compliance().at(legacy_station);
   EXPECT_EQ(legacy.non_compliant, 5u);
@@ -167,7 +167,7 @@ TEST(Dataset, UndecodableFramesCounted) {
   junk.ts = 2000;
   junk.data = {0x01, 0x02, 0x03};
   packets.push_back(junk);
-  auto ds = CaptureDataset::build(packets);
+  auto ds = CaptureDataset::build(net::as_frame_views(packets));
   EXPECT_EQ(ds.stats().undecodable_frames, 1u);
   EXPECT_EQ(ds.stats().tcp_packets, 1u);
 }
@@ -210,7 +210,7 @@ TEST(Dataset, CheckpointRecordFieldsTheRecordCannotHoldAreRefused) {
   const Apdu apdu = i_apdu(float_asdu(5, 100, 1.0f), 3, 1);
   cb.apdu(1'000'000, ip(10, 0, 0, 1), ip(10, 1, 0, 5), true, apdu);
   DatasetBuilder builder;
-  for (const auto& pkt : cb.packets()) builder.add_packet(pkt);
+  for (const auto& pkt : cb.packets()) builder.add_packet(pkt.ts, pkt.data);
   ByteWriter w;
   ASSERT_TRUE(builder.save(w).ok());
   const std::vector<std::uint8_t> saved = w.data();
@@ -293,9 +293,9 @@ TEST(Dataset, SnapshotLeavesBuilderUntouched) {
     opts.mode = mode;
     DatasetBuilder live(opts), never_snapshotted(opts), prefix_only(opts);
     for (std::size_t i = 0; i < cut; ++i) {
-      live.add_packet(packets[i]);
-      never_snapshotted.add_packet(packets[i]);
-      prefix_only.add_packet(packets[i]);
+      live.add_packet(packets[i].ts, packets[i].data);
+      never_snapshotted.add_packet(packets[i].ts, packets[i].data);
+      prefix_only.add_packet(packets[i].ts, packets[i].data);
     }
     const auto arena_bytes = live.record_arena_bytes();
     const auto consumed = live.packets_consumed();
@@ -317,8 +317,8 @@ TEST(Dataset, SnapshotLeavesBuilderUntouched) {
     }
 
     for (std::size_t i = cut; i < packets.size(); ++i) {
-      live.add_packet(packets[i]);
-      never_snapshotted.add_packet(packets[i]);
+      live.add_packet(packets[i].ts, packets[i].data);
+      never_snapshotted.add_packet(packets[i].ts, packets[i].data);
     }
     auto finished = live.finish();
     EXPECT_EQ(digest(finished), digest(never_snapshotted.finish()));
@@ -342,7 +342,7 @@ TEST(SessionFeatures, ComputedPerDirection) {
   cb.apdu(15'000'000, server, station, false, Apdu::make_s(2));
   cb.apdu(35'000'000, server, station, false, Apdu::make_s(4));
 
-  auto ds = CaptureDataset::build(cb.packets());
+  auto ds = CaptureDataset::build(net::as_frame_views(cb.packets()));
   auto features = extract_session_features(ds);
   ASSERT_EQ(features.size(), 2u);
   const SessionFeatures* from_station = nullptr;
@@ -370,7 +370,7 @@ TEST(SessionFeatures, RecordAtTimestampZeroKeepsItsInterArrival) {
   for (std::uint16_t i = 0; i < 3; ++i) {
     cb.apdu(ts[i], server, station, true, i_apdu(float_asdu(5, 100, 1.0f), i, 0));
   }
-  auto features = extract_session_features(CaptureDataset::build(cb.packets()));
+  auto features = extract_session_features(CaptureDataset::build(net::as_frame_views(cb.packets())));
   ASSERT_EQ(features.size(), 1u);
   EXPECT_NEAR(features[0].values[kFeatMeanInterArrival], 1.5, 1e-9);
   EXPECT_NEAR(features[0].values[kFeatStdInterArrival], 0.5, 1e-9);
@@ -396,7 +396,7 @@ TEST(TypeIdStats, DistributionAndStations) {
   sp.objects.push_back({9001, iec104::SetpointFloat{10.0f, 0}, std::nullopt});
   cb.apdu(20, server, s1, false, i_apdu(sp));
 
-  auto ds = CaptureDataset::build(cb.packets());
+  auto ds = CaptureDataset::build(net::as_frame_views(cb.packets()));
   auto dist = typeid_distribution(ds);
   EXPECT_EQ(dist.total, 5u);
   EXPECT_EQ(dist.counts.at(13), 3u);
@@ -460,7 +460,7 @@ void expect_canonical_everywhere(const SplitCapture& cap) {
     SCOPED_TRACE(mode == ParseMode::kPerPacket ? "per-packet" : "reassembled");
     CaptureDataset::Options opts;
     opts.mode = mode;
-    auto whole = CaptureDataset::build(cap.whole(), opts);
+    auto whole = CaptureDataset::build(net::as_frame_views(cap.whole()), opts);
     EXPECT_TRUE(in_canonical_order(whole));
 
     const std::string expected_report =
@@ -473,7 +473,7 @@ void expect_canonical_everywhere(const SplitCapture& cap) {
     for (std::size_t i = 0; i < live.size(); ++i) {
       ASSERT_FALSE(cap.part(i).empty());
       live[i] = std::make_unique<DatasetBuilder>(opts);
-      for (const auto& pkt : cap.part(i)) live[i]->add_packet(pkt);
+      for (const auto& pkt : cap.part(i)) live[i]->add_packet(pkt.ts, pkt.data);
     }
     std::array<std::size_t, SplitCapture::kParts> order = {0, 1, 2};
     do {

@@ -39,7 +39,7 @@ TEST(Physical, ExtractsSeriesFromMonitorTraffic) {
   sp.objects.push_back({9001, iec104::SetpointFloat{42.0f, 0}, std::nullopt});
   cb.apdu(11'000'000, server, station, false, i_apdu(sp));
 
-  auto ds = CaptureDataset::build(cb.packets());
+  auto ds = CaptureDataset::build(net::as_frame_views(cb.packets()));
   auto series = extract_time_series(ds);
   ASSERT_EQ(series.size(), 1u);
   const auto& ts = series.begin()->second;
@@ -64,7 +64,7 @@ TEST(Physical, TimeTagPreferredOverCaptureTime) {
   Timestamp tagged = 1560556800ULL * 1'000'000;
   tf.objects[0].time = iec104::Cp56Time2a::from_timestamp(tagged);
   cb.apdu(999, server, station, true, i_apdu(tf));
-  auto ds = CaptureDataset::build(cb.packets());
+  auto ds = CaptureDataset::build(net::as_frame_views(cb.packets()));
   auto series = extract_time_series(ds);
   ASSERT_EQ(series.size(), 1u);
   EXPECT_EQ(series.begin()->second.points[0].ts, tagged);

@@ -17,7 +17,7 @@ const auto kServer = testlib::ip(10, 0, 0, 1);
 const auto kStation = testlib::ip(10, 1, 0, 5);
 
 SeqAuditReport audit(const CaptureBuilder& cb) {
-  auto ds = CaptureDataset::build(cb.packets());
+  auto ds = CaptureDataset::build(net::as_frame_views(cb.packets()));
   return audit_sequences(ds);
 }
 
@@ -140,7 +140,7 @@ TEST(SeqAudit, ReassembledSimCaptureIsClean) {
   auto capture = sim::generate_capture(sim::CaptureConfig::y1(120.0));
   CaptureDataset::Options opts;
   opts.mode = ParseMode::kReassembled;
-  auto ds = CaptureDataset::build(capture.packets, opts);
+  auto ds = CaptureDataset::build(net::as_frame_views(capture.packets), opts);
   auto report = audit_sequences(ds);
   EXPECT_GT(report.entries.size(), 20u);
   EXPECT_EQ(report.total_gaps, 0u);
@@ -153,7 +153,7 @@ TEST(SeqAudit, PerPacketModeSurfacesTcpRetransmissions) {
   // order, which the audit flags — the same artifact the paper chased in
   // §6.3.1 before attributing it to the TCP layer.
   auto capture = sim::generate_capture(sim::CaptureConfig::y1(120.0));
-  auto ds = CaptureDataset::build(capture.packets);
+  auto ds = CaptureDataset::build(net::as_frame_views(capture.packets));
   auto report = audit_sequences(ds);
   EXPECT_GT(report.total_duplicates + report.total_gaps, 0u);
 }

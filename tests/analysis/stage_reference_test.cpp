@@ -163,7 +163,7 @@ TEST(StageReference, SeqAuditMatchesMapReferenceOnFaultedY1) {
     SCOPED_TRACE(mode == ParseMode::kPerPacket ? "per-packet" : "reassembled");
     CaptureDataset::Options opts;
     opts.mode = mode;
-    auto ds = CaptureDataset::build(faulted_y1(), opts);
+    auto ds = CaptureDataset::build(net::as_frame_views(faulted_y1()), opts);
     ASSERT_GT(ds.records().size(), 1000u);
     auto got = audit_sequences(ds);
     EXPECT_GT(got.entries.size(), 1u);
@@ -176,7 +176,7 @@ TEST(StageReference, MarkovMatchesMapReferenceOnFaultedY1) {
     SCOPED_TRACE(mode == ParseMode::kPerPacket ? "per-packet" : "reassembled");
     CaptureDataset::Options opts;
     opts.mode = mode;
-    auto ds = CaptureDataset::build(faulted_y1(), opts);
+    auto ds = CaptureDataset::build(net::as_frame_views(faulted_y1()), opts);
     auto chains = build_connection_chains(ds);
     auto tokens = reference_tokens(ds);
     ASSERT_GT(chains.size(), 1u);
@@ -250,7 +250,7 @@ TEST(StageReference, SeqAuditEntriesInFlowKeyOrderWhenSmallestFlowIsSeenLast) {
   }
   cb.apdu(5000, server, low, true, i_apdu(float_asdu(5, 1, 1.0f), 7, 0));
   cb.apdu(6000, server, low, true, i_apdu(float_asdu(5, 1, 1.0f), 9, 0));  // gap
-  auto ds = CaptureDataset::build(cb.packets());
+  auto ds = CaptureDataset::build(net::as_frame_views(cb.packets()));
   ASSERT_EQ(ds.records().front().flow.src_ip, high);
 
   auto report = audit_sequences(ds);
@@ -277,7 +277,7 @@ TEST(StageReference, SeqAuditPeerDirectionAppearingLate) {
   }
   cb.apdu(20'000, server, station, false, Apdu::make_s(4));   // exactly V(S): clean
   cb.apdu(21'000, server, station, false, Apdu::make_s(10));  // beyond V(S)
-  auto ds = CaptureDataset::build(cb.packets());
+  auto ds = CaptureDataset::build(net::as_frame_views(cb.packets()));
 
   auto report = audit_sequences(ds);
   ASSERT_EQ(report.entries.size(), 2u);

@@ -34,8 +34,8 @@ TEST(TopologyDiff, DetectsAddRemoveAndIoaDrift) {
   add_station_with_ioas(y2, ip(10, 1, 0, 7), 7, 5);
   add_station_with_ioas(y2, ip(10, 1, 0, 50), 50, 9);  // new substation
 
-  auto before = CaptureDataset::build(y1.packets());
-  auto after = CaptureDataset::build(y2.packets());
+  auto before = CaptureDataset::build(net::as_frame_views(y1.packets()));
+  auto after = CaptureDataset::build(net::as_frame_views(y2.packets()));
   auto diff = diff_topology(before, after);
 
   EXPECT_EQ(diff.entries.size(), 5u);
@@ -68,7 +68,7 @@ TEST(TopologyDiff, InventoryCountsDistinctIoasOnly) {
     cb.apdu(static_cast<Timestamp>(i), ip(10, 0, 0, 1), station, true,
             i_apdu(float_asdu(5, 777, 1.0f), static_cast<std::uint16_t>(i), 0));
   }
-  auto ds = CaptureDataset::build(cb.packets());
+  auto ds = CaptureDataset::build(net::as_frame_views(cb.packets()));
   auto inv = station_inventory(ds);
   ASSERT_EQ(inv.size(), 1u);
   EXPECT_EQ(inv.at(station).ioas.size(), 1u);
@@ -84,7 +84,7 @@ TEST(TopologyDiff, CommandIoasDoNotInflateInventory) {
   sp.common_address = 5;
   sp.objects.push_back({9001, iec104::SetpointFloat{10.0f, 0}, std::nullopt});
   cb.apdu(0, ip(10, 0, 0, 1), station, false, i_apdu(sp));
-  auto ds = CaptureDataset::build(cb.packets());
+  auto ds = CaptureDataset::build(net::as_frame_views(cb.packets()));
   auto inv = station_inventory(ds);
   EXPECT_TRUE(inv.at(station).ioas.empty());
 }

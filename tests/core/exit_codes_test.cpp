@@ -137,6 +137,26 @@ TEST(ExitCodes, Iec104dumpRefusesUnknownOptions) {
   EXPECT_EQ(err.find("cannot read"), std::string::npos) << err;
 }
 
+// The same contract for network_profiler: an unknown option, or --export
+// with no directory after it, is a usage error, never a pcap path.
+TEST(ExitCodes, NetworkProfilerRefusesUnknownOptions) {
+  const std::string profiler = quoted(UNCHARTED_BIN_NETWORK_PROFILER);
+  EXPECT_EQ(run(profiler + " " + pcaps().clean + " --threads 4"), 1);
+  EXPECT_EQ(run(profiler + " -x " + pcaps().clean), 1);
+  EXPECT_EQ(run(profiler + " " + pcaps().clean + " --export"), 1);
+
+  const std::string err_path = temp_path("profiler_usage.txt");
+  for (const std::string& args :
+       {pcaps().clean + " --threads 4", pcaps().clean + " --export"}) {
+    const std::string cmd = profiler + " " + args + " >/dev/null 2>" + err_path;
+    ASSERT_NE(std::system(cmd.c_str()), -1);
+    const std::string err = read_text(err_path);
+    EXPECT_NE(err.find("usage: "), std::string::npos) << err;
+    EXPECT_EQ(err.find("cannot read"), std::string::npos) << err;
+  }
+  std::remove(err_path.c_str());
+}
+
 // `--batch` is not a longrun_monitor flag: a script that still passes it
 // gets the usage line and exit 1, not a silently different run.
 TEST(ExitCodes, LongrunMonitorRefusesTheBatchFlag) {

@@ -24,14 +24,6 @@ TEST(Export, DotEscapesQuotes) {
   EXPECT_NE(dot.find("\"a\\\"b\""), std::string::npos);
 }
 
-TEST(Export, SeriesToCsv) {
-  analysis::TimeSeries ts;
-  ts.points.push_back({from_seconds(1.5), 130.25});
-  ts.points.push_back({from_seconds(2.0), 130.5});
-  std::string csv = series_to_csv(ts, 0);
-  EXPECT_EQ(csv, "t_seconds,value\n1.500000,130.250000\n2.000000,130.500000\n");
-}
-
 TEST(Export, HistogramToCsv) {
   LogHistogram h(-1, 1, 1);
   h.add(0.5);

@@ -14,8 +14,8 @@ namespace {
 struct TwoYears {
   sim::CaptureResult y1 = sim::generate_capture(sim::CaptureConfig::y1(400.0));
   sim::CaptureResult y2 = sim::generate_capture(sim::CaptureConfig::y2(150.0));
-  analysis::CaptureDataset ds1 = analysis::CaptureDataset::build(y1.packets);
-  analysis::CaptureDataset ds2 = analysis::CaptureDataset::build(y2.packets);
+  analysis::CaptureDataset ds1 = analysis::CaptureDataset::build(net::as_frame_views(y1.packets));
+  analysis::CaptureDataset ds2 = analysis::CaptureDataset::build(net::as_frame_views(y2.packets));
   NameMap names = name_map(y1.topology);
 };
 
@@ -117,7 +117,7 @@ TEST(Integration, ReassembledAndPerPacketAgreeOnApduCountModuloRetransmissions) 
   const auto& d = data();
   analysis::CaptureDataset::Options opts;
   opts.mode = analysis::ParseMode::kReassembled;
-  auto reassembled = analysis::CaptureDataset::build(d.y1.packets, opts);
+  auto reassembled = analysis::CaptureDataset::build(net::as_frame_views(d.y1.packets), opts);
   // Per-packet counts = reassembled counts + duplicated APDUs from TCP
   // retransmissions (the paper's §6.3.1 effect).
   EXPECT_GE(d.ds1.stats().apdus, reassembled.stats().apdus);

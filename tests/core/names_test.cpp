@@ -31,7 +31,7 @@ TEST(Names, InferFromTrafficUsesPortRoles) {
   cb.apdu(0, server, station, true,
           testlib::i_apdu(testlib::float_asdu(7, 1, 1.0f)));
   cb.apdu(10, server, station, false, iec104::Apdu::make_s(1));
-  auto ds = analysis::CaptureDataset::build(cb.packets());
+  auto ds = analysis::CaptureDataset::build(net::as_frame_views(cb.packets()));
   auto names = infer_names(ds);
   EXPECT_EQ(names.at(station), "station-10.1.7.7");
   EXPECT_EQ(names.at(server), "server-10.0.0.9");

@@ -20,7 +20,7 @@ struct Shared {
 
   Shared()
       : capture(sim::generate_capture(sim::CaptureConfig::y1(240.0))),
-        dataset(analysis::CaptureDataset::build(capture.packets)) {
+        dataset(analysis::CaptureDataset::build(net::as_frame_views(capture.packets))) {
     profiler.learn(dataset);
   }
 };
@@ -50,7 +50,7 @@ TEST(Profiler, DetectsRogueStation) {
   CaptureBuilder cb;
   cb.apdu(1000, ip(10, 0, 0, 1), ip(192, 168, 66, 66), true,
           i_apdu(float_asdu(666, 1, 1.0f)));
-  auto rogue = analysis::CaptureDataset::build(cb.packets());
+  auto rogue = analysis::CaptureDataset::build(net::as_frame_views(cb.packets()));
   auto anomalies = shared().profiler.detect(rogue);
   ASSERT_FALSE(anomalies.empty());
   EXPECT_EQ(anomalies[0].kind, AnomalyKind::kUnknownStation);
@@ -70,7 +70,7 @@ TEST(Profiler, DetectsIndustroyerStyleInterrogation) {
   gi.objects.push_back({0, iec104::InterrogationCommand{20}, std::nullopt});
   // Attacker machine at a known-server-like address issues the GI.
   cb.apdu(1000, ip(10, 0, 0, 99), o5->ip, false, i_apdu(gi));
-  auto attack = analysis::CaptureDataset::build(cb.packets());
+  auto attack = analysis::CaptureDataset::build(net::as_frame_views(cb.packets()));
   auto anomalies = shared().profiler.detect(attack);
   bool flagged = false;
   for (const auto& a : anomalies) {
@@ -94,7 +94,7 @@ TEST(Profiler, DetectsNewTypeIdFromKnownStation) {
   it.objects.push_back({1001, iec104::IntegratedTotals{5, 0}, std::nullopt});
   cb.apdu(1000, ip(10, 0, 0, 2), o5->ip, true, i_apdu(it));
   auto anomalies =
-      shared().profiler.detect(analysis::CaptureDataset::build(cb.packets()));
+      shared().profiler.detect(analysis::CaptureDataset::build(net::as_frame_views(cb.packets())));
   bool flagged = false;
   for (const auto& a : anomalies) {
     if (a.kind == AnomalyKind::kUnknownTypeId) flagged = true;
@@ -108,7 +108,7 @@ TEST(Profiler, DetectsUnknownIoa) {
   CaptureBuilder cb;
   cb.apdu(1000, ip(10, 0, 0, 1), o1->ip, true,
           i_apdu(float_asdu(1, 999'999, 1.0f)));
-  auto anomalies = sh.profiler.detect(analysis::CaptureDataset::build(cb.packets()));
+  auto anomalies = sh.profiler.detect(analysis::CaptureDataset::build(net::as_frame_views(cb.packets())));
   bool flagged = false;
   for (const auto& a : anomalies) {
     if (a.kind == AnomalyKind::kUnknownIoa) flagged = true;
@@ -130,7 +130,7 @@ TEST(Profiler, DetectsOutOfRangeValue) {
   ASSERT_NE(ioa, 0u);
   CaptureBuilder cb;
   cb.apdu(1000, ip(10, 0, 0, 1), o1->ip, true, i_apdu(float_asdu(1, ioa, 1e7f)));
-  auto anomalies = sh.profiler.detect(analysis::CaptureDataset::build(cb.packets()));
+  auto anomalies = sh.profiler.detect(analysis::CaptureDataset::build(net::as_frame_views(cb.packets())));
   bool flagged = false;
   for (const auto& a : anomalies) {
     if (a.kind == AnomalyKind::kValueOutOfRange) flagged = true;
@@ -151,7 +151,7 @@ TEST(Profiler, DetectsSpecViolations) {
   weird.common_address = 1;
   weird.objects.push_back({9001, iec104::SetpointFloat{1.0f, 0}, std::nullopt});
   cb.apdu(2000, ip(10, 0, 0, 1), o1->ip, false, i_apdu(weird));
-  auto anomalies = sh.profiler.detect(analysis::CaptureDataset::build(cb.packets()));
+  auto anomalies = sh.profiler.detect(analysis::CaptureDataset::build(net::as_frame_views(cb.packets())));
   int spec = 0;
   for (const auto& a : anomalies) {
     if (a.kind == AnomalyKind::kSpecViolation) ++spec;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -15,6 +16,7 @@
 #include "core/names.hpp"
 #include "faultinject/fault.hpp"
 #include "sim/capture.hpp"
+#include "tests/core/reference_report.hpp"
 #include "tests/core/snapshot_testlib.hpp"
 
 namespace uncharted::core {
@@ -349,6 +351,47 @@ TEST(Streaming, DeferredPacketsAreCountedOnce) {
   EXPECT_EQ(report.bandwidth.iec104_interarrival_s.count(),
             standalone.iec104_interarrival_s.count());
   EXPECT_EQ(report_to_json(report), report_to_json(batch_report()));
+}
+
+TEST(Streaming, FourLanesCopyWaitingFramesOutOfTheCallersBuffer) {
+  // Every frame arrives in one caller buffer that is overwritten as soon
+  // as add_packet returns, as a socket read buffer is. With a pool, frames
+  // wait in the lanes' staged batches, and one lane is wedged for a
+  // stretch, so its frames also wait in the deferred queue. A queue that
+  // kept views instead of bytes would ingest the overwrite pattern.
+  const auto& packets = capture().packets;
+  const std::size_t begin = packets.size() / 4;
+  const std::size_t end = packets.size() / 2;
+  bool stalled = false;
+  std::size_t wedged = 0;
+  StreamingOptions options;
+  options.analyze.threads = 4;
+  options.stall_hook = [&](std::size_t lane) { return stalled && lane == wedged; };
+  StreamingAnalyzer analyzer(options);
+  ASSERT_EQ(analyzer.lane_stats().size(), 4u);
+  wedged = analysis::shard_of(packets[begin].data, 4);
+
+  std::vector<std::uint8_t> buffer(64 * 1024);
+  std::uint64_t deferred = 0;
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    stalled = i >= begin && i < end;
+    analyzer.poll_deferred();
+    const auto& pkt = packets[i];
+    ASSERT_LE(pkt.data.size(), buffer.size());
+    std::copy(pkt.data.begin(), pkt.data.end(), buffer.begin());
+    analyzer.add_packet(net::FrameView{
+        pkt.ts, pkt.original_length,
+        std::span<const std::uint8_t>(buffer.data(), pkt.data.size())});
+    std::fill(buffer.begin(), buffer.end(), std::uint8_t{0xee});
+    if (i + 1 == end) deferred = analyzer.lane_stats()[wedged].queued_packets;
+  }
+  analyzer.poll_deferred();
+  ASSERT_GT(deferred, 0u);
+  ASSERT_TRUE(analyzer.quiescent());
+
+  const AnalysisReport report = analyzer.finalize();
+  EXPECT_EQ(report_to_json(report), report_to_json(batch_report()));
+  EXPECT_EQ(testlib::series_text(report), testlib::series_text(batch_report()));
 }
 
 /// capture() with 5% uniform damage: reordering leaves reassembly holes

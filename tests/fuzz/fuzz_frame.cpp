@@ -58,11 +58,12 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
     reassembler.add(0, *frame);
   }
 
-  auto packets = net::PcapReader::read_buffer(input);
-  if (packets.ok()) {
+  auto cursor = net::PcapCursor::open(input);
+  if (cursor.ok()) {
     net::TcpReassembler reassembler(no_sink);
     Timestamp ts = 0;
-    for (const auto& packet : *packets) {
+    net::FrameView packet;
+    while (cursor->next(packet)) {
       check_decoders_agree(packet.data);
       auto decoded = net::decode_frame(packet.data);
       if (decoded.ok()) reassembler.add(ts++, *decoded);

@@ -38,6 +38,14 @@ std::vector<std::uint8_t> mutate(Rng& rng, std::vector<std::uint8_t> bytes) {
   return bytes;
 }
 
+/// Walks every complete pcap record the bytes hold.
+void walk_pcap(std::span<const std::uint8_t> bytes) {
+  auto cursor = net::PcapCursor::open(bytes);
+  if (!cursor) return;
+  net::FrameView frame;
+  while (cursor->next(frame)) (void)net::decode_frame(frame.data);
+}
+
 /// Mutations of every corpus seed in one category, `rounds` per seed.
 void sweep_category(Rng& rng, corpus::Category category, int rounds,
                     const std::function<void(std::span<const std::uint8_t>)>& decode) {
@@ -64,15 +72,13 @@ TEST(Fuzz, MutatedFrameCorpus) {
   Rng rng(2);
   sweep_category(rng, corpus::Category::kFrame, 200, [](auto bytes) {
     (void)net::decode_frame(bytes);
-    (void)net::PcapReader::read_buffer(bytes);
+    walk_pcap(bytes);
   });
 }
 
-TEST(Fuzz, PcapReader) {
+TEST(Fuzz, PcapCursor) {
   Rng rng(3);
-  for (int i = 0; i < 300; ++i) {
-    (void)net::PcapReader::read_buffer(random_bytes(rng, 200));
-  }
+  for (int i = 0; i < 300; ++i) walk_pcap(random_bytes(rng, 200));
 }
 
 TEST(Fuzz, Iec104Decoders) {

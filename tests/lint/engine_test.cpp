@@ -46,6 +46,8 @@ TEST(LintEngine, GoldenBadRepoFlagsEveryRule) {
       {"src/analysis/rawsock.cpp", 6, "netd-raw-socket"},
       {"src/analysis/rawsock.cpp", 7, "netd-raw-socket"},
       {"src/analysis/rawsock.cpp", 8, "netd-raw-socket"},
+      {"src/analysis/owning.cpp", 7, "zerocopy-owning-packet"},
+      {"src/analysis/owning.cpp", 9, "zerocopy-owning-packet"},
       {"src/analysis/unordered.cpp", 11, "determinism-unordered-container"},
       {"src/analysis/unordered.cpp", 12, "determinism-unordered-container"},
       {"src/analysis/unordered.cpp", 13, "determinism-pointer-key"},

@@ -227,6 +227,20 @@ TEST(LintRules, VectorPayloadParamsFlaggedInSrcNetOnly) {
                        "zerocopy-vector-payload"));
 }
 
+TEST(LintRules, OwningPacketFlaggedInSrcAnalysisOnly) {
+  const std::string param =
+      "BackgroundTraffic scan(const std::vector<net::CapturedPacket>& packets);";
+  EXPECT_TRUE(has_rule(scan("src/analysis/x.hpp", param), "zerocopy-owning-packet"));
+  EXPECT_TRUE(has_rule(scan("src/analysis/x.cpp", "net::CapturedPacket pkt;"),
+                       "zerocopy-owning-packet"));
+  // Other layers may still hold owning packets, and comments never count.
+  EXPECT_FALSE(has_rule(scan("src/sim/x.hpp", param), "zerocopy-owning-packet"));
+  EXPECT_FALSE(has_rule(scan("tests/analysis/x.cpp", param), "zerocopy-owning-packet"));
+  EXPECT_TRUE(scan("src/analysis/x.hpp", "// no CapturedPacket here\n").empty());
+  EXPECT_TRUE(
+      scan("src/analysis/x.hpp", "void scan(std::span<const net::FrameView> f);").empty());
+}
+
 TEST(LintRules, CatalogKnowsEveryEmittedRule) {
   EXPECT_TRUE(is_known_rule("determinism-unordered-container"));
   EXPECT_TRUE(is_known_rule("determinism-pointer-key"));
@@ -235,6 +249,7 @@ TEST(LintRules, CatalogKnowsEveryEmittedRule) {
   EXPECT_TRUE(is_known_rule("decoder-byte-index"));
   EXPECT_TRUE(is_known_rule("decoder-memcpy"));
   EXPECT_TRUE(is_known_rule("zerocopy-vector-payload"));
+  EXPECT_TRUE(is_known_rule("zerocopy-owning-packet"));
   EXPECT_TRUE(is_known_rule("layering-order"));
   EXPECT_TRUE(is_known_rule("layering-cycle"));
   EXPECT_TRUE(is_known_rule("layering-unranked"));

@@ -2,9 +2,11 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 
 #include <gtest/gtest.h>
 
+#include "net/mapping.hpp"
 #include "util/bytes.hpp"
 
 namespace uncharted::net {
@@ -18,6 +20,38 @@ std::vector<std::uint8_t> sample_frame(std::uint8_t fill, std::size_t n) {
   return std::vector<std::uint8_t>(n, fill);
 }
 
+/// Every complete record of a pcap, as views into `mapping` (when read from
+/// a file) or into the caller's bytes, plus the cursor's tail verdict.
+struct Walk {
+  std::optional<PcapMapping> mapping;
+  std::vector<FrameView> frames;
+  bool truncated_tail = false;
+  std::string warning;
+};
+
+Result<Walk> walk(std::span<const std::uint8_t> bytes) {
+  auto cursor = PcapCursor::open(bytes);
+  if (!cursor) return cursor.error();
+  Walk out;
+  FrameView frame;
+  while (cursor->next(frame)) out.frames.push_back(frame);
+  out.truncated_tail = cursor->truncated_tail();
+  out.warning = cursor->warning();
+  return out;
+}
+
+Result<Walk> walk_file(const std::string& path) {
+  auto mapping = PcapMapping::open(path);
+  if (!mapping) return mapping.error();
+  auto out = walk(mapping->bytes());
+  if (out) out->mapping.emplace(std::move(mapping).take());
+  return out;
+}
+
+std::vector<std::uint8_t> bytes_of(const FrameView& frame) {
+  return {frame.data.begin(), frame.data.end()};
+}
+
 TEST(Pcap, WriteReadRoundTrip) {
   std::string path = temp_path("uncharted_pcap_rt.pcap");
   {
@@ -28,14 +62,15 @@ TEST(Pcap, WriteReadRoundTrip) {
     EXPECT_EQ(w->packets_written(), 2u);
     ASSERT_TRUE(w->close().ok());
   }
-  auto packets = PcapReader::read_file(path);
-  ASSERT_TRUE(packets.ok()) << packets.error().str();
-  ASSERT_EQ(packets->size(), 2u);
-  EXPECT_EQ((*packets)[0].ts, make_timestamp(100, 250));
-  EXPECT_EQ((*packets)[0].data.size(), 60u);
-  EXPECT_EQ((*packets)[0].data[0], 0xaa);
-  EXPECT_EQ((*packets)[1].ts, make_timestamp(101, 999999));
-  EXPECT_EQ((*packets)[1].original_length, 1500u);
+  auto read = walk_file(path);
+  ASSERT_TRUE(read.ok()) << read.error().str();
+  EXPECT_FALSE(read->truncated_tail);
+  ASSERT_EQ(read->frames.size(), 2u);
+  EXPECT_EQ(read->frames[0].ts, make_timestamp(100, 250));
+  EXPECT_EQ(read->frames[0].data.size(), 60u);
+  EXPECT_EQ(read->frames[0].data[0], 0xaa);
+  EXPECT_EQ(read->frames[1].ts, make_timestamp(101, 999999));
+  EXPECT_EQ(read->frames[1].original_length, 1500u);
   std::filesystem::remove(path);
 }
 
@@ -47,11 +82,11 @@ TEST(Pcap, SnaplenTruncatesButKeepsOriginalLength) {
     ASSERT_TRUE(w->write(0, sample_frame(0xcc, 200)).ok());
     ASSERT_TRUE(w->close().ok());
   }
-  auto packets = PcapReader::read_file(path);
-  ASSERT_TRUE(packets.ok());
-  ASSERT_EQ(packets->size(), 1u);
-  EXPECT_EQ((*packets)[0].data.size(), 64u);
-  EXPECT_EQ((*packets)[0].original_length, 200u);
+  auto read = walk_file(path);
+  ASSERT_TRUE(read.ok());
+  ASSERT_EQ(read->frames.size(), 1u);
+  EXPECT_EQ(read->frames[0].data.size(), 64u);
+  EXPECT_EQ(read->frames[0].original_length, 200u);
   std::filesystem::remove(path);
 }
 
@@ -70,17 +105,17 @@ TEST(Pcap, ReadsByteSwappedFiles) {
   w.u32be(4);           // incl_len
   w.u32be(4);           // orig_len
   w.u32be(0xdeadbeef);  // payload
-  auto packets = PcapReader::read_buffer(w.view());
-  ASSERT_TRUE(packets.ok()) << packets.error().str();
-  ASSERT_EQ(packets->size(), 1u);
-  EXPECT_EQ((*packets)[0].ts, make_timestamp(1600000000, 123));
-  EXPECT_EQ((*packets)[0].data.size(), 4u);
+  auto read = walk(w.view());
+  ASSERT_TRUE(read.ok()) << read.error().str();
+  ASSERT_EQ(read->frames.size(), 1u);
+  EXPECT_EQ(read->frames[0].ts, make_timestamp(1600000000, 123));
+  EXPECT_EQ(read->frames[0].data.size(), 4u);
 }
 
 TEST(Pcap, RejectsBadMagicAndLinktype) {
   ByteWriter bad;
   bad.u32le(0x12345678);
-  auto r1 = PcapReader::read_buffer(bad.view());
+  auto r1 = walk(bad.view());
   ASSERT_FALSE(r1.ok());
   EXPECT_EQ(r1.error().code, "bad-magic");
 
@@ -92,12 +127,12 @@ TEST(Pcap, RejectsBadMagicAndLinktype) {
   wrong_link.u32le(0);
   wrong_link.u32le(65535);
   wrong_link.u32le(101);  // LINKTYPE_RAW, unsupported
-  auto r2 = PcapReader::read_buffer(wrong_link.view());
+  auto r2 = walk(wrong_link.view());
   ASSERT_FALSE(r2.ok());
   EXPECT_EQ(r2.error().code, "bad-linktype");
 }
 
-TEST(Pcap, TruncatedRecordIsAnError) {
+TEST(Pcap, TruncatedRecordEndsTheWalkWithAWarning) {
   std::string path = temp_path("uncharted_pcap_trunc.pcap");
   {
     auto w = PcapWriter::open(path);
@@ -106,8 +141,9 @@ TEST(Pcap, TruncatedRecordIsAnError) {
     ASSERT_TRUE(w->close().ok());
   }
   // Chop the last 10 bytes.
-  auto full = PcapReader::read_file(path);
+  auto full = walk_file(path);
   ASSERT_TRUE(full.ok());
+  EXPECT_EQ(full->frames.size(), 1u);
   std::FILE* f = std::fopen(path.c_str(), "rb");
   std::fseek(f, 0, SEEK_END);
   long size = std::ftell(f);
@@ -116,9 +152,11 @@ TEST(Pcap, TruncatedRecordIsAnError) {
   ASSERT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
   std::fclose(f);
   bytes.resize(bytes.size() - 10);
-  auto result = PcapReader::read_buffer(bytes);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.error().code, "truncated");
+  auto result = walk(bytes);
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result->frames.empty());
+  EXPECT_TRUE(result->truncated_tail);
+  EXPECT_EQ(result->warning, "pcap record body cut short after 0 packets");
   std::filesystem::remove(path);
 }
 
@@ -142,22 +180,19 @@ TEST(Pcap, TolerantReadRecoversCompletePrefixOfTruncatedFile) {
   std::fclose(f);
   bytes.resize(bytes.size() - 30);
 
-  auto tolerant = PcapReader::read_buffer_tolerant(bytes);
+  auto tolerant = walk(bytes);
   ASSERT_TRUE(tolerant.ok()) << tolerant.error().str();
   EXPECT_TRUE(tolerant->truncated_tail);
   EXPECT_FALSE(tolerant->warning.empty());
-  ASSERT_EQ(tolerant->packets.size(), 2u);
-  EXPECT_EQ(tolerant->packets[1].data[0], 0x22);
+  ASSERT_EQ(tolerant->frames.size(), 2u);
+  EXPECT_EQ(tolerant->frames[1].data[0], 0x22);
 
-  // The strict reader still refuses the same bytes...
-  EXPECT_FALSE(PcapReader::read_buffer(bytes).ok());
-
-  // ...and an intact file is tolerant-read with no warning.
-  auto clean = PcapReader::read_file_tolerant(path);
+  // An intact file is read with no warning.
+  auto clean = walk_file(path);
   ASSERT_TRUE(clean.ok());
   EXPECT_FALSE(clean->truncated_tail);
   EXPECT_TRUE(clean->warning.empty());
-  EXPECT_EQ(clean->packets.size(), 3u);
+  EXPECT_EQ(clean->frames.size(), 3u);
   std::filesystem::remove(path);
 }
 
@@ -165,7 +200,7 @@ TEST(Pcap, HeaderDamageIsStillAnErrorForTolerantRead) {
   // Tolerance covers a cut-off tail, not an unreadable file: a capture
   // whose global header is damaged has no trustworthy prefix at all.
   std::vector<std::uint8_t> junk = {0x00, 0x01, 0x02, 0x03};
-  EXPECT_FALSE(PcapReader::read_buffer_tolerant(junk).ok());
+  EXPECT_FALSE(walk(junk).ok());
 }
 
 TEST(Pcap, EmptyCaptureIsValid) {
@@ -175,15 +210,16 @@ TEST(Pcap, EmptyCaptureIsValid) {
     ASSERT_TRUE(w.ok());
     ASSERT_TRUE(w->close().ok());
   }
-  auto packets = PcapReader::read_file(path);
-  ASSERT_TRUE(packets.ok());
-  EXPECT_TRUE(packets->empty());
+  auto read = walk_file(path);
+  ASSERT_TRUE(read.ok());
+  EXPECT_TRUE(read->frames.empty());
+  EXPECT_FALSE(read->truncated_tail);
   std::filesystem::remove(path);
 }
 
 TEST(Pcap, OpenFailsForBadPath) {
   EXPECT_FALSE(PcapWriter::open("/nonexistent-dir/x.pcap").ok());
-  EXPECT_FALSE(PcapReader::read_file("/nonexistent-dir/x.pcap").ok());
+  EXPECT_FALSE(walk_file("/nonexistent-dir/x.pcap").ok());
 }
 
 /// A pcap with three records of distinct sizes, in either byte order.
@@ -221,19 +257,15 @@ std::size_t record_offset(std::size_t i) {
 
 void expect_tolerant_prefix(std::span<const std::uint8_t> bytes, std::size_t packets,
                             const std::string& warning) {
-  auto read = PcapReader::read_buffer_tolerant(bytes);
+  auto read = walk(bytes);
   ASSERT_TRUE(read.ok()) << read.error().str();
   EXPECT_TRUE(read->truncated_tail);
   EXPECT_EQ(read->warning, warning);
-  ASSERT_EQ(read->packets.size(), packets);
+  ASSERT_EQ(read->frames.size(), packets);
   for (std::size_t i = 0; i < packets; ++i) {
-    EXPECT_EQ(read->packets[i].data.size(), 40 + 10 * i);
-    EXPECT_EQ(read->packets[i].original_length, 43 + 10 * i);
+    EXPECT_EQ(read->frames[i].data.size(), 40 + 10 * i);
+    EXPECT_EQ(read->frames[i].original_length, 43 + 10 * i);
   }
-  auto strict = PcapReader::read_buffer(bytes);
-  ASSERT_FALSE(strict.ok());
-  EXPECT_EQ(strict.error().code, "truncated");
-  EXPECT_EQ(strict.error().detail, warning);
 }
 
 TEST(Pcap, RecordHeaderCutAtEachByteKeepsPrefixAndWarning) {
@@ -294,9 +326,8 @@ TEST(Pcap, TolerantFileReadMatchesBufferReadOnCutFiles) {
     ASSERT_NE(f, nullptr);
     ASSERT_EQ(std::fwrite(full.data(), 1, len, f), len);
     std::fclose(f);
-    auto from_file = PcapReader::read_file_tolerant(path);
-    auto from_buffer =
-        PcapReader::read_buffer_tolerant(std::span<const std::uint8_t>(full.data(), len));
+    auto from_file = walk_file(path);
+    auto from_buffer = walk(std::span<const std::uint8_t>(full.data(), len));
     ASSERT_EQ(from_file.ok(), from_buffer.ok());
     if (!from_file.ok()) {
       EXPECT_EQ(from_file.error().str(), from_buffer.error().str());
@@ -304,10 +335,10 @@ TEST(Pcap, TolerantFileReadMatchesBufferReadOnCutFiles) {
     }
     EXPECT_EQ(from_file->truncated_tail, from_buffer->truncated_tail);
     EXPECT_EQ(from_file->warning, from_buffer->warning);
-    ASSERT_EQ(from_file->packets.size(), from_buffer->packets.size());
-    for (std::size_t i = 0; i < from_file->packets.size(); ++i) {
-      EXPECT_EQ(from_file->packets[i].ts, from_buffer->packets[i].ts);
-      EXPECT_EQ(from_file->packets[i].data, from_buffer->packets[i].data);
+    ASSERT_EQ(from_file->frames.size(), from_buffer->frames.size());
+    for (std::size_t i = 0; i < from_file->frames.size(); ++i) {
+      EXPECT_EQ(from_file->frames[i].ts, from_buffer->frames[i].ts);
+      EXPECT_EQ(bytes_of(from_file->frames[i]), bytes_of(from_buffer->frames[i]));
     }
   }
   std::filesystem::remove(path);

@@ -1,6 +1,11 @@
 #include "net/reassembly.hpp"
 
+#include <memory>
+
 #include <gtest/gtest.h>
+
+#include "util/bytes.hpp"
+#include "util/rng.hpp"
 
 namespace uncharted::net {
 namespace {
@@ -281,6 +286,104 @@ TEST(Reassembler, RoutesPerDirection) {
   FlowKey key{fwd.ip.src, 5000, fwd.ip.dst, 2404};
   EXPECT_EQ(r.retransmissions_for(key), 1u);
   EXPECT_EQ(r.retransmissions_for(key.reversed()), 0u);
+}
+
+// pending_bytes() is a running total; this reference model recounts it
+// from scratch after every operation. The model is a plain map of stream
+// directions fed the same segments, flushes, evictions (largest slab
+// first, ties to the lowest key), copies and checkpoint round trips.
+TEST(Reassembler, PendingBytesTotalMatchesFullSumUnderRandomOps) {
+  using Model = std::map<FlowKey, TcpStreamDirection>;
+  auto model_sum = [](const Model& model) {
+    std::size_t total = 0;
+    for (const auto& [key, dir] : model) total += dir.slab_bytes();
+    return total;
+  };
+  auto noop = [](Timestamp, std::span<const std::uint8_t>) {};
+  const std::vector<std::uint8_t> payload(600, 0x5a);
+
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    std::vector<FlowKey> keys;
+    for (std::uint32_t c = 0; c < 4; ++c) {
+      FlowKey k{Ipv4Addr{0x0a000001}, static_cast<std::uint16_t>(50000 + c),
+                Ipv4Addr{0x0a010000 + c}, 2404};
+      keys.push_back(k);
+      keys.push_back(k.reversed());
+    }
+    std::map<FlowKey, std::uint32_t> frontier;
+    for (const auto& k : keys) frontier[k] = static_cast<std::uint32_t>(rng.next_u64());
+
+    auto r = std::make_unique<TcpReassembler>(nullptr);
+    Model model;
+    std::size_t evictions = 0;
+    for (int op = 0; op < 3000; ++op) {
+      const Timestamp ts = static_cast<Timestamp>(op);
+      const std::uint64_t pick = rng.below(100);
+      if (pick < 86) {
+        const FlowKey& key = keys[rng.below(keys.size())];
+        std::uint32_t& front = frontier[key];
+        front += static_cast<std::uint32_t>(rng.below(300));
+        DecodedFrame f;
+        f.ip.src = key.src_ip;
+        f.ip.dst = key.dst_ip;
+        f.tcp = seg(front - 2000 + static_cast<std::uint32_t>(rng.below(4000)),
+                    rng.below(100) < 3 ? kTcpRst | kTcpAck : kTcpAck);
+        f.tcp.src_port = key.src_port;
+        f.tcp.dst_port = key.dst_port;
+        f.payload = std::span<const std::uint8_t>(payload).first(rng.below(payload.size()));
+        r->add(ts, f);
+        auto& dir = model[key];
+        dir.deliver_segment(ts, f.tcp, f.payload, noop);
+        if (f.tcp.rst()) {
+          dir.on_reset(ts);
+          auto rev = model.find(key.reversed());
+          if (rev != model.end()) rev->second.on_reset(ts);
+        }
+      } else if (pick < 90) {
+        r->flush(ts);
+        for (auto& [key, dir] : model) dir.flush(ts);
+      } else if (pick < 95) {
+        const std::size_t max_bytes = rng.below(model_sum(model) + 1);
+        std::size_t expected = 0;
+        while (model_sum(model) > max_bytes) {
+          TcpStreamDirection* victim = nullptr;
+          for (auto& [key, dir] : model) {
+            if (dir.slab_bytes() == 0) continue;
+            if (victim == nullptr || dir.slab_bytes() > victim->slab_bytes()) victim = &dir;
+          }
+          if (victim == nullptr) break;
+          victim->flush(ts);
+          ++expected;
+        }
+        EXPECT_EQ(r->evict_pending(ts, max_bytes), expected);
+        evictions += expected;
+      } else if (pick < 98) {
+        r = std::make_unique<TcpReassembler>(*r, nullptr);
+        Model copy(model);
+        model = std::move(copy);
+      } else {
+        ByteWriter w;
+        r->save(w);
+        r = std::make_unique<TcpReassembler>(nullptr);
+        ByteReader reader(w.view());
+        ASSERT_TRUE(r->load(reader).ok());
+        Model loaded;
+        for (const auto& [key, dir] : model) {
+          ByteWriter dw;
+          dir.save(dw);
+          ByteReader dr(dw.view());
+          auto back = TcpStreamDirection::load(dr, {});
+          ASSERT_TRUE(back.ok());
+          loaded.emplace(key, std::move(back).take());
+        }
+        model = std::move(loaded);
+      }
+      ASSERT_EQ(r->pending_bytes(), model_sum(model)) << "after op " << op;
+    }
+    EXPECT_GT(evictions, 0u);
+  }
 }
 
 }  // namespace

@@ -785,14 +785,20 @@ TEST(FleetClient, KeepsSendingAfterTheKernelTakesAWholeBacklog) {
   FleetConfig fc = h.fleet_config();
   fc.sys = &sys;
   std::atomic<bool> benign_ok{false};
+  std::atomic<bool> client_done{false};
   std::jthread client([&](std::stop_token stop) {
     Reactor reactor;
     FleetClient fleet(reactor, fc, {stream});
     fleet.start();
     while (!stop.stop_requested() && !fleet.all_done()) reactor.run_once(20);
     benign_ok.store(fleet.all_done() && fleet.all_benign_ok());
+    client_done.store(true);
   });
-  EXPECT_TRUE(h.drive([&] { return h.server->all_expected_finished(); }, 10.0));
+  // The client is done only once the server's fin-ack reaches it, which
+  // can be after the server counts the stream finished: keep the server
+  // running until the client's loop has ended.
+  EXPECT_TRUE(h.drive(
+      [&] { return h.server->all_expected_finished() && client_done.load(); }, 10.0));
   client.request_stop();
   client.join();
   EXPECT_TRUE(benign_ok.load());

@@ -1,5 +1,6 @@
 #include "sim/capture.hpp"
 
+#include <algorithm>
 #include <filesystem>
 #include <set>
 
@@ -7,6 +8,7 @@
 
 #include "analysis/dataset.hpp"
 #include "net/frame.hpp"
+#include "net/mapping.hpp"
 
 namespace uncharted::sim {
 namespace {
@@ -65,7 +67,7 @@ TEST(Capture, GroundTruthListsY1Fleet) {
 
 TEST(Capture, ContainsNonCompliantLegacyTraffic) {
   const auto& cap = y1_capture();
-  auto ds = analysis::CaptureDataset::build(cap.packets);
+  auto ds = analysis::CaptureDataset::build(net::as_frame_views(cap.packets));
   EXPECT_GT(ds.stats().non_compliant_apdus, 0u);
   // O37 (2-octet IOA) and O28 (1-octet COT) are the Y1 legacy devices.
   const auto* o37 = cap.topology.find_outstation(37);
@@ -80,7 +82,7 @@ TEST(Capture, ContainsNonCompliantLegacyTraffic) {
 }
 
 TEST(Capture, ParseCleanlyEndToEnd) {
-  auto ds = analysis::CaptureDataset::build(y1_capture().packets);
+  auto ds = analysis::CaptureDataset::build(net::as_frame_views(y1_capture().packets));
   EXPECT_EQ(ds.stats().apdu_failures, 0u);
   EXPECT_GT(ds.stats().apdus, 1000u);
   EXPECT_EQ(ds.stats().undecodable_frames, 0u);
@@ -102,18 +104,26 @@ TEST(Capture, PcapRoundTripPreservesEverything) {
   std::string path =
       (std::filesystem::temp_directory_path() / "uncharted_capture_rt.pcap").string();
   ASSERT_TRUE(write_capture_pcap(cap, path).ok());
-  auto packets = net::PcapReader::read_file(path);
-  ASSERT_TRUE(packets.ok());
-  ASSERT_EQ(packets->size(), cap.packets.size());
-  for (std::size_t i = 0; i < packets->size(); i += 97) {
-    EXPECT_EQ((*packets)[i].ts, cap.packets[i].ts);
-    EXPECT_EQ((*packets)[i].data, cap.packets[i].data);
+  auto mapping = net::PcapMapping::open(path);
+  ASSERT_TRUE(mapping.ok());
+  auto cursor = net::PcapCursor::open(mapping->bytes());
+  ASSERT_TRUE(cursor.ok());
+  std::vector<net::FrameView> frames;
+  net::FrameView frame;
+  while (cursor->next(frame)) frames.push_back(frame);
+  EXPECT_FALSE(cursor->truncated_tail());
+  ASSERT_EQ(frames.size(), cap.packets.size());
+  for (std::size_t i = 0; i < frames.size(); i += 97) {
+    EXPECT_EQ(frames[i].ts, cap.packets[i].ts);
+    EXPECT_EQ(frames[i].original_length, cap.packets[i].original_length);
+    EXPECT_TRUE(std::equal(frames[i].data.begin(), frames[i].data.end(),
+                           cap.packets[i].data.begin(), cap.packets[i].data.end()));
   }
   std::filesystem::remove(path);
 }
 
 TEST(Capture, ContainsRefusedAndKeepAliveTraffic) {
-  auto ds = analysis::CaptureDataset::build(y1_capture().packets);
+  auto ds = analysis::CaptureDataset::build(net::as_frame_views(y1_capture().packets));
   const auto& flows = ds.flow_table().flows();
   std::size_t refused = 0;
   for (const auto& f : flows) {

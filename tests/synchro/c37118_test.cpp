@@ -122,13 +122,24 @@ TEST(C37118, CommandAndHeaderFrames) {
   EXPECT_EQ(std::get<CommandFrame>(frame.value()).command,
             Command::kTurnOnTransmission);
 
-  HeaderFrame hf;
-  hf.header.idcode = 101;
-  hf.info = "PMU east bus, firmware 2.1";
-  auto hbytes = encode_header(hf);
+  // A header frame, built from the command frame's common fields: the
+  // type nibble becomes kHeader, the command word becomes the info text,
+  // and FRAMESIZE and CHK are recomputed.
+  const std::string info = "PMU east bus, firmware 2.1";
+  std::vector<std::uint8_t> hbytes(bytes.begin(), bytes.end() - 4);
+  hbytes[1] = static_cast<std::uint8_t>(
+      (static_cast<std::uint8_t>(FrameType::kHeader) << 4) | (hbytes[1] & 0x0f));
+  hbytes.insert(hbytes.end(), info.begin(), info.end());
+  const auto size = static_cast<std::uint16_t>(hbytes.size() + 2);
+  hbytes[2] = static_cast<std::uint8_t>(size >> 8);
+  hbytes[3] = static_cast<std::uint8_t>(size & 0xff);
+  const std::uint16_t crc = crc_ccitt(hbytes);
+  hbytes.push_back(static_cast<std::uint8_t>(crc >> 8));
+  hbytes.push_back(static_cast<std::uint8_t>(crc & 0xff));
   auto hframe = decode_frame(hbytes);
-  ASSERT_TRUE(hframe.ok());
-  EXPECT_EQ(std::get<HeaderFrame>(hframe.value()).info, hf.info);
+  ASSERT_TRUE(hframe.ok()) << hframe.error().str();
+  EXPECT_EQ(std::get<HeaderFrame>(hframe.value()).header.idcode, 101);
+  EXPECT_EQ(std::get<HeaderFrame>(hframe.value()).info, info);
 }
 
 TEST(C37118, CrcCorruptionRejected) {

@@ -413,6 +413,26 @@ void rule_vector_payload(const FileContext& ctx, const std::vector<Token>& code,
   }
 }
 
+// ---------------------------------------------------------------------------
+// zerocopy-owning-packet
+// ---------------------------------------------------------------------------
+
+/// src/analysis takes frames only as net::FrameView: every caller — an
+/// mmap'd capture, the daemon's merge queues, a lane's staged batch — holds
+/// the bytes already, so an owning-packet signature or member there means a
+/// copy per frame. Any mention of the type in code is flagged; comments are
+/// not.
+void rule_owning_packet(const FileContext& ctx, const std::vector<Token>& code,
+                        std::vector<Finding>& out) {
+  for (const Token& t : code) {
+    if (t.kind != Tok::kIdent || t.text != "CapturedPacket") continue;
+    add(out, ctx, "zerocopy-owning-packet", t.line,
+        "net::CapturedPacket in src/analysis: the analysis layer takes "
+        "std::span<const net::FrameView>; a frame that must outlive its "
+        "call waits in a net::FrameQueue");
+  }
+}
+
 }  // namespace
 
 const std::vector<RuleInfo>& rule_catalog() {
@@ -441,6 +461,9 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"zerocopy-vector-payload",
        "no std::vector<std::uint8_t> payload parameters in src/net (decode "
        "paths are span-only; owning buffers stay behind the seam)"},
+      {"zerocopy-owning-packet",
+       "no net::CapturedPacket in src/analysis (the analysis layer takes "
+       "FrameViews; frames that must wait are queued as bytes)"},
       {"layering-order",
        "module includes must follow the ranked DAG (util -> net -> decoders "
        "-> analysis -> core)"},
@@ -478,6 +501,9 @@ void run_token_rules(const FileContext& ctx, const std::vector<Token>& tokens,
   }
   if (ctx.zone == Zone::kSrc && ctx.module == "net") {
     rule_vector_payload(ctx, code, out);
+  }
+  if (ctx.zone == Zone::kSrc && ctx.module == "analysis") {
+    rule_owning_packet(ctx, code, out);
   }
   if (ctx.zone == Zone::kSrc || ctx.zone == Zone::kBench ||
       ctx.zone == Zone::kExamples) {

@@ -27,6 +27,10 @@
 //                                    parameters in src/net — decode paths
 //                                    are span-only so the mmap'd hot path
 //                                    never copies to call them
+//   zerocopy-owning-packet           no net::CapturedPacket in src/analysis
+//                                    — the analysis layer takes FrameViews,
+//                                    and frames that must wait are queued
+//                                    as bytes in a net::FrameQueue
 //   layering-order                   module includes must follow the ranked
 //                                    DAG in include_graph.cpp
 //   layering-cycle                   the file-level include graph must be
