@@ -5,15 +5,18 @@
 //   ./bench_throughput [--out BENCH_throughput.json] [--reps N]
 //
 // Three stages are timed per (capture, thread-count) pair:
-//   ingest      — the ingest engine's add_packets over the whole capture
+//   ingest      — the ingest engine's add_packet, fed the capture one
+//                 frame at a time as every batch and live entry feeds it
 //                 (one lane on this thread at 1 thread, one per pool
-//                 worker above that) plus the one query into a
+//                 worker above that), plus the one query into a
 //                 DatasetView that ends a batch run,
 //   analyze     — query + analyze_view over one kept, fully ingested
 //                 engine: every §6 computation, the lanes read in place,
 //   end_to_end  — CaptureAnalyzer::analyze, both of the above (and the
 //                 bandwidth accounting ingest feeds).
-// Two more, at threads 1 only:
+// At threads 1 only, Y1's ingest and end_to_end also run in
+// ParseMode::kReassembled, as capture "y1_reassembled". Two more stages,
+// at threads 1 only:
 //   query       — StreamingAnalyzer::report_snapshot() once the whole
 //                 capture is ingested: a live daemon's report query;
 //   live        — Y1 only: a netd::FleetClient at pace 0 streams the
@@ -79,6 +82,13 @@ struct Entry {
   std::uint64_t packets;
   std::uint64_t apdus;
 };
+
+/// Feeds every frame to `engine` in order, as CaptureAnalyzer does.
+void ingest(analysis::ShardedDatasetBuilder& engine,
+            std::span<const net::FrameView> frames,
+            analysis::BandwidthAccumulator* bandwidth) {
+  for (const auto& frame : frames) engine.add_packet(frame, bandwidth);
+}
 
 double per_second(std::uint64_t count, double wall_ms) {
   return wall_ms > 0 ? static_cast<double>(count) / (wall_ms / 1000.0) : 0.0;
@@ -180,7 +190,7 @@ int main(int argc, char** argv) {
 
       double ingest_ms = best_of(reps, [&] {
         analysis::ShardedDatasetBuilder engine(ds_opts, {}, pool.get());
-        engine.add_packets(frames, nullptr);
+        ingest(engine, frames, nullptr);
         analysis::DatasetView view;
         engine.query(view);
       });
@@ -189,7 +199,7 @@ int main(int argc, char** argv) {
 
       analysis::ShardedDatasetBuilder engine(ds_opts, {}, pool.get());
       analysis::BandwidthAccumulator bandwidth;
-      engine.add_packets(frames, &bandwidth);
+      ingest(engine, frames, &bandwidth);
       double analyze_ms = best_of(reps, [&] {
         analysis::DatasetView view;
         engine.query(view);
@@ -225,6 +235,31 @@ int main(int argc, char** argv) {
     std::printf("  1 thread(s): query %8.1f ms\n", query_ms);
 
     if (std::string(c.name) != "y1") continue;
+
+    // --reassembled: the TCP reassembler in front of the parsers.
+    analysis::CaptureDataset::Options reassembled;
+    reassembled.mode = analysis::ParseMode::kReassembled;
+    core::CaptureAnalyzer::Options reassembled_opts;
+    reassembled_opts.mode = analysis::ParseMode::kReassembled;
+    const std::uint64_t reassembled_apdus =
+        analysis::CaptureDataset::build(frames, reassembled).stats().apdus;
+    double reassembled_ingest_ms = best_of(reps, [&] {
+      analysis::ShardedDatasetBuilder engine(reassembled, {}, nullptr);
+      ingest(engine, frames, nullptr);
+      analysis::DatasetView view;
+      engine.query(view);
+    });
+    entries.push_back({"y1_reassembled", "ingest", 1, reassembled_ingest_ms,
+                       packets.size(), reassembled_apdus});
+    double reassembled_e2e_ms = best_of(reps, [&] {
+      auto report = core::CaptureAnalyzer::analyze(packets, reassembled_opts);
+      (void)report;
+    });
+    entries.push_back({"y1_reassembled", "end_to_end", 1, reassembled_e2e_ms,
+                       packets.size(), reassembled_apdus});
+    std::printf("  1 thread(s), reassembled: ingest %8.1f ms  end-to-end %8.1f ms\n",
+                reassembled_ingest_ms, reassembled_e2e_ms);
+
     core::CaptureAnalyzer::Options batch_opts;
     batch_opts.threads = 1;
     const std::string oracle =

@@ -80,8 +80,9 @@ int main(int argc, char** argv) {
   }
 
   auto report = core::CaptureAnalyzer::analyze(frames, {});
-  auto ds = analysis::CaptureDataset::build(frames);
-  if (names.empty()) names = core::infer_names(ds);
+  // The synthetic capture's names come from its topology; only a pcap's
+  // are inferred, from a dataset built for that alone.
+  if (names.empty()) names = core::infer_names(analysis::CaptureDataset::build(frames));
 
   std::printf("\n%s", core::render_report(report, names).c_str());
 

@@ -75,7 +75,7 @@ BandwidthReport analyze_bandwidth(std::span<const net::FrameView> frames,
 
 /// Incremental bandwidth accounting: one packet at a time, checkpointable.
 /// The batch and streaming analyzers feed it from the DatasetBuilder's own
-/// decode of each frame (DatasetBuilder::add_packets(frames, &acc)), so a
+/// decode of each frame (DatasetBuilder::add_packet(ts, data, &acc)), so a
 /// frame is decoded once for both; `add_packet` and `analyze_bandwidth`
 /// decode for themselves and serve callers without a builder.
 class BandwidthAccumulator {

@@ -168,72 +168,52 @@ void DatasetBuilder::enforce_budgets() {
   }
 }
 
-void DatasetBuilder::add_packet_impl(Timestamp ts,
-                                     std::span<const std::uint8_t> data,
-                                     BandwidthAccumulator* bandwidth) {
+void DatasetBuilder::add_packet(Timestamp ts, std::span<const std::uint8_t> data,
+                                BandwidthAccumulator* bandwidth) {
   ++packets_consumed_;
   ++stats_.packets;
   last_ts_ = ts;
-  net::DecodedFrame frame_storage;
-  if (!net::decode_frame_into(data, frame_storage)) {
+  net::DecodedFrame frame;
+  if (!net::decode_frame_into(data, frame)) {
     ++stats_.undecodable_frames;
     ++stats_.degradation.undecodable_frames;
     if (bandwidth) bandwidth->add_decoded(ts, data.size(), nullptr);
-    return;
+  } else {
+    if (bandwidth) bandwidth->add_decoded(ts, data.size(), &frame);
+    ++stats_.tcp_packets;
+    flows_.add(ts, frame);
+    switch (tap_protocol(frame)) {
+      case TapProtocol::kIec104: parse_iec104(ts, frame); break;
+      case TapProtocol::kC37118: ++stats_.c37118_packets; break;
+      case TapProtocol::kIccp: ++stats_.iccp_packets; break;
+      case TapProtocol::kOther: ++stats_.other_tcp_packets; break;
+    }
   }
-  const net::DecodedFrame* frame = &frame_storage;
-  if (bandwidth) bandwidth->add_decoded(ts, data.size(), frame);
-  ++stats_.tcp_packets;
-  flows_.add(ts, *frame);
-
-  switch (tap_protocol(*frame)) {
-    case TapProtocol::kIec104: break;
-    case TapProtocol::kC37118: ++stats_.c37118_packets; return;
-    case TapProtocol::kIccp: ++stats_.iccp_packets; return;
-    case TapProtocol::kOther: ++stats_.other_tcp_packets; return;
-  }
-
-  if (options_.mode == ParseMode::kReassembled) {
-    reassembler_->add(ts, *frame);
-  } else if (!frame->payload.empty()) {
-    ++stats_.iec104_payload_packets;
-    net::FlowKey key{frame->ip.src, frame->tcp.src_port, frame->ip.dst,
-                     frame->tcp.dst_port};
-    // Per-packet mode: each payload parsed independently (fresh framing),
-    // matching the paper's per-packet SCAPY pipeline. An APDU cut off by
-    // the packet boundary is a truncated tail, not silence. The scratch
-    // parser is reset, not reconstructed: same semantics, no allocation.
-    packet_parser_.reset_stream();
-    RecordSink sink(*this, key, ts);
-    packet_parser_.feed(ts, frame->payload, sink);
-    packet_parser_.finish(ts);
-    account_failures(sink.damage(), packet_parser_);
-  }
+  enforce_budgets();
 }
 
-void DatasetBuilder::add_packet(Timestamp ts, std::span<const std::uint8_t> data,
-                                BandwidthAccumulator* bandwidth) {
-  add_packet_impl(ts, data, bandwidth);
-  enforce_budgets();
+void DatasetBuilder::parse_iec104(Timestamp ts, const net::DecodedFrame& frame) {
+  if (options_.mode == ParseMode::kReassembled) {
+    reassembler_->add(ts, frame);
+    return;
+  }
+  if (frame.payload.empty()) return;
+  ++stats_.iec104_payload_packets;
+  net::FlowKey key{frame.ip.src, frame.tcp.src_port, frame.ip.dst, frame.tcp.dst_port};
+  // Per-packet mode: each payload parsed independently (fresh framing),
+  // matching the paper's per-packet SCAPY pipeline. An APDU cut off by
+  // the packet boundary is a truncated tail, not silence. The scratch
+  // parser is reset, not reconstructed: same semantics, no allocation.
+  packet_parser_.reset_stream();
+  RecordSink sink(*this, key, ts);
+  packet_parser_.feed(ts, frame.payload, sink);
+  packet_parser_.finish(ts);
+  account_failures(sink.damage(), packet_parser_);
 }
 
 void DatasetBuilder::add_packets(std::span<const net::FrameView> frames,
                                  BandwidthAccumulator* bandwidth) {
-  if (!budgets_.unlimited()) {
-    // Budgets in play: enforcement has to see every packet boundary, or
-    // eviction timing would depend on the driver's batch size.
-    for (const auto& frame : frames) {
-      add_packet_impl(frame.ts, frame.data, bandwidth);
-      enforce_budgets();
-    }
-    return;
-  }
-  // Unlimited budgets: no enforcement branch can fire, so enforce_budgets
-  // degenerates to peak sampling. Flows, records and parsers only grow
-  // within a batch, so end-of-batch sampling observes their true peaks;
-  // only the (unbudgeted) reassembly transient can be sampled lower.
-  for (const auto& frame : frames) add_packet_impl(frame.ts, frame.data, bandwidth);
-  enforce_budgets();
+  for (const auto& frame : frames) add_packet(frame.ts, frame.data, bandwidth);
 }
 
 void DatasetBuilder::flush(Timestamp flush_ts) {

@@ -287,22 +287,17 @@ class DatasetBuilder {
   DatasetBuilder(const DatasetBuilder&) = delete;
   DatasetBuilder& operator=(const DatasetBuilder&) = delete;
 
-  /// Ingests one frame. Budgets are enforced after each call. A non-null
-  /// `bandwidth` is fed from this call's decode of the frame
-  /// (BandwidthAccumulator::add_decoded), so the frame is decoded once for
-  /// both; every add path below takes the same optional accumulator.
+  /// Ingests one frame. Budgets are enforced, and peaks sampled, after
+  /// each call. A non-null `bandwidth` is fed from this call's decode of
+  /// the frame (BandwidthAccumulator::add_decoded), so the frame is decoded
+  /// once for both.
   /// `data` is only read during the call: payload bytes are copied only
   /// where they must outlive it — out-of-order reassembly segments, partial
   /// APDU tails, and failure evidence.
   void add_packet(Timestamp ts, std::span<const std::uint8_t> data,
                   BandwidthAccumulator* bandwidth = nullptr);
 
-  /// Batched ingest over frame views: the whole batch is decoded
-  /// back-to-back and — when no budget is set, so enforcement cannot fire —
-  /// the budget/peak bookkeeping runs once per batch instead of once per
-  /// packet. With budgets set, enforcement stays per-packet: governance
-  /// timing is observable (eviction order, pressure counters) and must not
-  /// depend on how the driver batched the input.
+  /// add_packet over each frame in turn.
   void add_packets(std::span<const net::FrameView> frames,
                    BandwidthAccumulator* bandwidth = nullptr);
 
@@ -358,9 +353,9 @@ class DatasetBuilder {
   void flush(Timestamp flush_ts);
   /// Flows whose damage crosses the quarantine policy, sorted.
   std::vector<net::FlowKey> quarantined() const;
-  /// add_packet without the budget epilogue — the shared decode body.
-  void add_packet_impl(Timestamp ts, std::span<const std::uint8_t> data,
-                       BandwidthAccumulator* bandwidth);
+  /// The IEC 104 half of add_packet: into the reassembler, or (per-packet
+  /// mode) one fresh parse of the frame's payload.
+  void parse_iec104(Timestamp ts, const net::DecodedFrame& frame);
   /// The parser sink of one feed: appends each APDU to records_.
   class RecordSink;
   /// The reassembler's delivery target: this builder's ingest().

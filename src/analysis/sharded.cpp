@@ -36,6 +36,10 @@ ResourceBudgets divide_budgets(const ResourceBudgets& budgets, std::size_t shard
 
 namespace {
 
+/// Frames a pooled lane's staged batch collects before it is handed on: a
+/// lock and a task submission amortized over this many frames.
+constexpr std::size_t kStagingBatch = 256;
+
 void fold_pressure(ResourcePressure& into, const ResourcePressure& from) {
   into.flow_evictions += from.flow_evictions;
   into.reassembly_flushes += from.reassembly_flushes;
@@ -62,6 +66,14 @@ struct ShardedDatasetBuilder::Lane {
   // Health-watchdog counters, readable without the lane mutex.
   std::atomic<std::uint64_t> ingested{0};
   std::atomic<std::size_t> queued{0};
+
+  /// `ingested` has one writer at a time — the driver with no pool, else
+  /// the lane's one drain task — so a plain load and store does; `queued`
+  /// is written by the driver and the drain task both and stays an RMW.
+  void count_ingested(std::size_t n) {
+    ingested.store(ingested.load(std::memory_order_relaxed) + n,
+                   std::memory_order_relaxed);
+  }
 
   Lane(const CaptureDataset::Options& options, const ResourceBudgets& budgets)
       : builder(options, budgets) {}
@@ -103,7 +115,7 @@ void ShardedDatasetBuilder::add_packet(const net::FrameView& frame,
   bool defer = !lane.deferred.empty() || (stall_ && stall_(s));
   if (!pool_ && !defer) {
     lane.builder.add_packet(frame.ts, frame.data, bandwidth);
-    lane.ingested.fetch_add(1, std::memory_order_relaxed);
+    lane.count_ingested(1);
     return;
   }
   // The frame waits, so it is accounted now: the bandwidth series must not
@@ -116,44 +128,7 @@ void ShardedDatasetBuilder::add_packet(const net::FrameView& frame,
   }
   auto& batch = staging_[s];
   batch.push(frame.ts, frame.original_length, frame.data);
-  if (batch.size() >= staging_batch_) {
-    push_batch(lane, std::move(batch));
-    batch = {};
-  }
-}
-
-void ShardedDatasetBuilder::add_packets(std::span<const net::FrameView> frames,
-                                        BandwidthAccumulator* bandwidth) {
-  if (frames.empty()) return;
-  if (stall_ || (!pool_ && lanes_.size() > 1)) {
-    for (const auto& frame : frames) add_packet(frame, bandwidth);
-    return;
-  }
-  dispatched_ += frames.size();
-  last_ts_ = frames.back().ts;
-  if (!pool_) {
-    lanes_[0]->builder.add_packets(frames, bandwidth);
-    lanes_[0]->ingested.fetch_add(frames.size(), std::memory_order_relaxed);
-    return;
-  }
-  drain();  // earlier frames first: a lane sees its packets in order
-  if (bandwidth) {
-    for (const auto& frame : frames) bandwidth->add_packet(frame.ts, frame.data);
-  }
-  // Partition by lane — routing is a header peek, far cheaper than the
-  // decode the lane will do, so the driver loop is not the bottleneck.
-  std::vector<std::vector<net::FrameView>> shares(lanes_.size());
-  for (const auto& frame : frames) {
-    shares[shard_of(frame.data, lanes_.size())].push_back(frame);
-  }
-  for (std::size_t s = 0; s < lanes_.size(); ++s) {
-    if (shares[s].empty()) continue;
-    group_->run([this, s, &shares] {
-      lanes_[s]->builder.add_packets(shares[s]);
-      lanes_[s]->ingested.fetch_add(shares[s].size(), std::memory_order_relaxed);
-    });
-  }
-  group_->wait();
+  if (batch.size() >= kStagingBatch) push_batch(lane, std::exchange(batch, {}));
 }
 
 void ShardedDatasetBuilder::push_batch(Lane& lane, net::FrameQueue&& batch) {
@@ -191,7 +166,7 @@ void ShardedDatasetBuilder::drain_lane(Lane& lane) {
       const net::FrameView frame = batch.front();
       lane.builder.add_packet(frame.ts, frame.data);
     }
-    lane.ingested.fetch_add(count, std::memory_order_relaxed);
+    lane.count_ingested(count);
     lane.queued.fetch_sub(count, std::memory_order_relaxed);
   }
 }
@@ -202,27 +177,13 @@ std::size_t ShardedDatasetBuilder::poll_deferred(bool force) {
   for (std::size_t s = 0; s < lanes_.size(); ++s) {
     Lane& lane = *lanes_[s];
     if (lane.deferred.empty() || (!force && stall_ && stall_(s))) continue;
-    const std::size_t count = lane.deferred.size();
-    released += count;
-    // Staged frames are older than every deferred one: with a pool the
-    // deferred ones go after them. Already accounted at admission: no
+    released += lane.deferred.size();
+    // Staged frames are older than every deferred one, so they go first;
+    // the deferred queue then goes on whole, as one batch. With no pool
+    // the lane drains inline. Already accounted at admission: no
     // bandwidth feed.
-    auto& batch = staging_[s];
-    for (; !lane.deferred.empty(); lane.deferred.pop()) {
-      const net::FrameView frame = lane.deferred.front();
-      if (pool_) {
-        batch.push(frame.ts, frame.original_length, frame.data);
-      } else {
-        lane.builder.add_packet(frame.ts, frame.data);
-      }
-    }
-    lane.deferred.release();
-    if (pool_) {
-      push_batch(lane, std::move(batch));
-      batch = {};
-    } else {
-      lane.ingested.fetch_add(count, std::memory_order_relaxed);
-    }
+    if (!staging_[s].empty()) push_batch(lane, std::exchange(staging_[s], {}));
+    push_batch(lane, std::exchange(lane.deferred, {}));
   }
   deferred_ -= released;
   return released;
@@ -245,10 +206,7 @@ std::vector<ShardedDatasetBuilder::LaneStat> ShardedDatasetBuilder::lane_stats()
 
 void ShardedDatasetBuilder::drain() {
   for (std::size_t s = 0; s < lanes_.size(); ++s) {
-    if (!staging_[s].empty()) {
-      push_batch(*lanes_[s], std::move(staging_[s]));
-      staging_[s] = {};
-    }
+    if (!staging_[s].empty()) push_batch(*lanes_[s], std::exchange(staging_[s], {}));
   }
   group_->wait();
 }

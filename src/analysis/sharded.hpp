@@ -59,10 +59,11 @@ ResourceBudgets divide_budgets(const ResourceBudgets& budgets, std::size_t shard
 /// returning false again.
 using StallHook = std::function<bool(std::size_t lane)>;
 
-/// The ingest engine: frames arrive one at a time (or as one batch) on the
-/// driver thread and are routed to lanes, one per pool worker (one with no
-/// pool), each owning a DatasetBuilder. With no pool a frame goes straight
-/// into its lane's builder on the driver thread, and that decode feeds the
+/// The ingest engine: frames arrive one at a time on the driver thread —
+/// from batch analysis, the streaming analyzer and the daemon alike — and
+/// are routed to lanes, one per pool worker (one with no pool), each
+/// owning a DatasetBuilder. With no pool a frame goes straight into its
+/// lane's builder on the driver thread, and that decode feeds the
 /// bandwidth accumulator. With a pool each lane is a strand — a FIFO of
 /// frame batches plus an "a drain task is scheduled" flag — so a lane's
 /// builder only ever runs on one thread at a time while different lanes
@@ -88,12 +89,6 @@ class ShardedDatasetBuilder {
   /// staged batch, a wedged lane's deferred queue) is copied once, into
   /// that batch's or queue's byte buffer.
   void add_packet(const net::FrameView& frame, BandwidthAccumulator* bandwidth);
-
-  /// Batch ingest of frames that outlive the call. With no pool and one
-  /// lane this is DatasetBuilder::add_packets on the caller's thread; with
-  /// a pool each lane's share runs as one task over borrowed views.
-  void add_packets(std::span<const net::FrameView> frames,
-                   BandwidthAccumulator* bandwidth);
 
   /// Packets admitted so far, deferred ones included — the resume cursor,
   /// mirroring DatasetBuilder::packets_consumed().
@@ -158,7 +153,6 @@ class ShardedDatasetBuilder {
   std::unique_ptr<exec::TaskGroup> group_;
   std::vector<std::unique_ptr<Lane>> lanes_;
   std::vector<net::FrameQueue> staging_;  ///< driver-only
-  std::size_t staging_batch_ = 256;
   std::size_t deferred_ = 0;  ///< frames in every lane's deferred queue
   std::uint64_t dispatched_ = 0;
   Timestamp last_ts_ = 0;  ///< ts of the last dispatched packet

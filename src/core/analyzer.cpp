@@ -82,14 +82,17 @@ AnalysisReport analyze_view(analysis::DatasetView& view,
   return report;
 }
 
-AnalysisReport CaptureAnalyzer::analyze(const std::vector<net::CapturedPacket>& packets,
-                                        const Options& options) {
-  auto views = net::as_frame_views(packets);
-  return analyze(views, options);
-}
+namespace {
 
-AnalysisReport CaptureAnalyzer::analyze(std::span<const net::FrameView> frames,
-                                        const Options& options) {
+/// The one ingest loop behind every CaptureAnalyzer entry: `for_each_frame`
+/// calls `add` on each frame in capture order, and `add` is the engine's
+/// add_packet, the admission path StreamingAnalyzer and the daemon use.
+/// With no pool that one decode feeds the bandwidth accounting too.
+/// "ingest" times the feed and the query at end of stream that flushes the
+/// lanes; the report then reads their records in place.
+template <typename ForEachFrame>
+AnalysisReport analyze_frames(const CaptureAnalyzer::Options& options,
+                              ForEachFrame&& for_each_frame) {
   analysis::CaptureDataset::Options ds_opts;
   ds_opts.mode = options.mode;
   ds_opts.parser_mode = options.parser_mode;
@@ -100,13 +103,9 @@ AnalysisReport CaptureAnalyzer::analyze(std::span<const net::FrameView> frames,
   analysis::BandwidthAccumulator bandwidth;
   analysis::DatasetView view;
   {
-    // With no pool one decode per frame feeds both the lane and the
-    // bandwidth accounting; with one, bandwidth is accounted as the frames
-    // are handed to the lanes. "ingest" covers both either way, and the
-    // one query at end of stream that flushes the lanes for the report,
-    // which then reads their records in place.
     ScopedStageTimer t(&build_timings, "ingest");
-    engine.add_packets(frames, &bandwidth);
+    for_each_frame(
+        [&](const net::FrameView& frame) { engine.add_packet(frame, &bandwidth); });
     engine.query(view);
   }
   auto report = analyze_view(view, bandwidth.finish(), pool.get());
@@ -114,6 +113,22 @@ AnalysisReport CaptureAnalyzer::analyze(std::span<const net::FrameView> frames,
                                build_timings.stages.begin(),
                                build_timings.stages.end());
   return report;
+}
+
+}  // namespace
+
+AnalysisReport CaptureAnalyzer::analyze(const std::vector<net::CapturedPacket>& packets,
+                                        const Options& options) {
+  return analyze_frames(options, [&](auto&& add) {
+    for (const auto& packet : packets) add(net::as_frame_view(packet));
+  });
+}
+
+AnalysisReport CaptureAnalyzer::analyze(std::span<const net::FrameView> frames,
+                                        const Options& options) {
+  return analyze_frames(options, [&](auto&& add) {
+    for (const auto& frame : frames) add(frame);
+  });
 }
 
 Result<AnalysisReport> CaptureAnalyzer::analyze_file(const std::string& pcap_path,
@@ -124,20 +139,19 @@ Result<AnalysisReport> CaptureAnalyzer::analyze_file(const std::string& pcap_pat
 Result<AnalysisReport> CaptureAnalyzer::analyze_file(const std::string& pcap_path,
                                                      const Options& options,
                                                      net::FileOps* file_ops) {
-  // The capture is mapped (or read, when mapping is impossible) once; the
-  // whole ingest pipeline then runs over views into those bytes. Tolerant
-  // cursor: a capture cut off mid-record (crashed tap, live file) still
-  // yields the report over its complete prefix, flagged as degraded.
+  // The capture is mapped (or read, when mapping is impossible) once, and
+  // the cursor hands each record to the engine as a view into those bytes.
+  // Tolerant cursor: a capture cut off mid-record (crashed tap, live file)
+  // still yields the report over its complete prefix, flagged as degraded.
   auto mapping = net::PcapMapping::open(pcap_path, file_ops);
   if (!mapping) return mapping.error();
   auto cursor = net::PcapCursor::open(mapping->bytes());
   if (!cursor) return cursor.error();
 
-  std::vector<net::FrameView> frames;
-  net::FrameView view;
-  while (cursor->next(view)) frames.push_back(view);
-
-  auto report = analyze(frames, options);
+  auto report = analyze_frames(options, [&](auto&& add) {
+    net::FrameView frame;
+    while (cursor->next(frame)) add(frame);
+  });
   if (cursor->truncated_tail()) {
     report.degradation.pcap_truncated = true;
     report.degradation.warnings.insert(report.degradation.warnings.begin(),

@@ -89,7 +89,10 @@ class CaptureAnalyzer {
     unsigned threads = 1;
   };
 
-  /// Analyzes in-memory packets (borrows them as views; see below).
+  /// Analyzes in-memory packets, borrowing each as a view as it is fed.
+  /// Every entry below feeds the ingest engine one frame at a time through
+  /// the same loop, so all three give byte-identical reports for the same
+  /// frames.
   static AnalysisReport analyze(const std::vector<net::CapturedPacket>& packets,
                                 const Options& options);
   static AnalysisReport analyze(const std::vector<net::CapturedPacket>& packets) {
@@ -98,13 +101,13 @@ class CaptureAnalyzer {
 
   /// Zero-copy entry point: analyzes frame views in place. Every view's
   /// span must stay valid for the duration of the call (an mmap'd capture
-  /// or owning packets both qualify). The owning overload above borrows
-  /// its packets and delegates here, so the two are byte-identical.
+  /// or owning packets both qualify).
   static AnalysisReport analyze(std::span<const net::FrameView> frames,
                                 const Options& options);
 
-  /// Maps (or, for unmappable inputs, reads) and analyzes a pcap file.
-  /// The hot path runs over views into the mapping — no per-packet copy.
+  /// Maps (or, for unmappable inputs, reads) and analyzes a pcap file. The
+  /// pcap cursor feeds the engine views into the mapping as it walks it:
+  /// no per-packet copy, and no list of frames is built first.
   static Result<AnalysisReport> analyze_file(const std::string& pcap_path,
                                              const Options& options);
   static Result<AnalysisReport> analyze_file(const std::string& pcap_path) {

@@ -4,13 +4,16 @@
 // on FrameViews either way, so the two paths must produce byte-identical
 // reports on clean captures, fault-injected captures, and truncated
 // files, at every thread count. FaultyFileOps::set_fail_mmap forces the
-// fallback deterministically.
+// fallback deterministically. Where the file holds every packet, both must
+// also equal the in-memory entry's report: the pcap cursor and a loop over
+// owning packets are separate feeds into the one ingest engine.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 
 #include "core/analyzer.hpp"
+#include "core/export.hpp"
 #include "faultinject/fault.hpp"
 #include "faultinject/filefault.hpp"
 #include "net/mapping.hpp"
@@ -41,9 +44,11 @@ std::string rendered(const AnalysisReport& report, const NameMap& names) {
 
 /// Analyzes `path` through the real kernel (mmap) and through a FileOps
 /// whose map_ro always fails (read fallback), and requires the rendered
-/// reports to match byte for byte.
-void expect_parity(const std::string& path, const NameMap& names,
-                   unsigned threads) {
+/// reports to match byte for byte. When `packets` (the file's complete
+/// contents) is given, both reports' JSON must also equal that of
+/// CaptureAnalyzer::analyze over the packets in memory.
+void expect_parity(const std::string& path, const NameMap& names, unsigned threads,
+                   const std::vector<net::CapturedPacket>* packets = nullptr) {
   CaptureAnalyzer::Options options;
   options.threads = threads;
 
@@ -63,6 +68,14 @@ void expect_parity(const std::string& path, const NameMap& names,
   EXPECT_EQ(via_mmap->degradation.pcap_truncated,
             via_read->degradation.pcap_truncated);
   EXPECT_EQ(via_mmap->degradation.warnings, via_read->degradation.warnings);
+
+  if (packets == nullptr) return;
+  const std::string in_memory = report_to_json(CaptureAnalyzer::analyze(*packets, options));
+  EXPECT_EQ(report_to_json(*via_mmap), in_memory)
+      << "mmap report differs from the in-memory one (threads=" << threads << ")";
+  EXPECT_EQ(report_to_json(*via_read), in_memory)
+      << "read-fallback report differs from the in-memory one (threads=" << threads
+      << ")";
 }
 
 TEST(MappingParity, CleanY1ByteIdenticalAcrossPathsAndThreads) {
@@ -70,8 +83,8 @@ TEST(MappingParity, CleanY1ByteIdenticalAcrossPathsAndThreads) {
   std::string path = temp_pcap("y1");
   write_packets(capture.packets, path);
   NameMap names = name_map(capture.topology);
-  expect_parity(path, names, 1);
-  expect_parity(path, names, 8);
+  expect_parity(path, names, 1, &capture.packets);
+  expect_parity(path, names, 8, &capture.packets);
   std::remove(path.c_str());
 }
 
@@ -80,8 +93,8 @@ TEST(MappingParity, CleanY2ByteIdenticalAcrossPathsAndThreads) {
   std::string path = temp_pcap("y2");
   write_packets(capture.packets, path);
   NameMap names = name_map(capture.topology);
-  expect_parity(path, names, 1);
-  expect_parity(path, names, 8);
+  expect_parity(path, names, 1, &capture.packets);
+  expect_parity(path, names, 8, &capture.packets);
   std::remove(path.c_str());
 }
 
@@ -96,8 +109,8 @@ TEST(MappingParity, FaultInjectedCaptureStaysIdentical) {
   std::string path = temp_pcap("faulted");
   write_packets(faulted.packets, path);
   NameMap names = name_map(capture.topology);
-  expect_parity(path, names, 1);
-  expect_parity(path, names, 8);
+  expect_parity(path, names, 1, &faulted.packets);
+  expect_parity(path, names, 8, &faulted.packets);
   std::remove(path.c_str());
 }
 
