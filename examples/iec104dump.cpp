@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
     core::ScopedStageTimer t(&timings, "ingest");
     return analysis::CaptureDataset::build(frames, opts);
   }();
-  if (names.empty()) names = core::infer_names(ds);
+  if (names.empty()) names = core::infer_names(ds.flow_table().flows());
 
   Timestamp t0 = ds.records().empty() ? 0 : ds.records().front().ts;
   long printed = 0;

@@ -81,8 +81,8 @@ int main(int argc, char** argv) {
 
   auto report = core::CaptureAnalyzer::analyze(frames, {});
   // The synthetic capture's names come from its topology; only a pcap's
-  // are inferred, from a dataset built for that alone.
-  if (names.empty()) names = core::infer_names(analysis::CaptureDataset::build(frames));
+  // are inferred, from the report's flows.
+  if (names.empty()) names = core::infer_names(report.flows.flows);
 
   std::printf("\n%s", core::render_report(report, names).c_str());
 

@@ -5,7 +5,8 @@
 #   1. synthesizes a reproducible chaos capture (capture_generator --seed
 #      --fault-rate, so any failure replays from the command line),
 #   2. runs the batch reference (longrun_monitor without a checkpoint:
-#      streaming with no restore is exactly the batch analyzer),
+#      streaming with no restore is exactly the batch analyzer), once per
+#      parse mode (per-segment, and --reassembled),
 #   3. streams the same capture while repeatedly kill-9-ing the monitor
 #      (--kill-after exits with no shutdown checkpoint, like a crash) and
 #      restarting it from the last periodic checkpoint,
@@ -107,52 +108,59 @@ fi
 failures=0
 [ "$daemon_only" -eq 1 ] && rates=""
 for rate in $rates; do
-  echo "==> soak @ fault rate $rate (duration ${duration}s, seed $seed)"
   pcap="$workdir/soak_$rate.pcap"
-  ckpt="$workdir/soak_$rate.ckpt"
   "$gen" --year 1 --duration "$duration" --seed "$seed" \
          --fault-rate "$rate" --fault-seed "$seed" --out "$pcap" >/dev/null
 
-  # Exit 2 (degraded) and 3 (hostile) still mean "analysis completed" —
-  # fault-injected captures are degraded by construction.
-  rc=0
-  batch="$("$mon" --pcap "$pcap" --quiet)" || rc=$?
-  if [ "$rc" -ne 0 ] && [ "$rc" -ne 2 ] && [ "$rc" -ne 3 ]; then
-    echo "    FAIL: batch monitor exited $rc at rate $rate" >&2
-    failures=$((failures + 1))
-    continue
-  fi
-  echo "    batch:    $batch"
+  # Both parse modes: per-segment, and --reassembled, whose checkpoints
+  # also carry the TCP reassembler's state and stream counters.
+  for mode in per-segment reassembled; do
+    mode_flag=""
+    [ "$mode" = reassembled ] && mode_flag="--reassembled"
+    echo "==> soak @ fault rate $rate, $mode (duration ${duration}s, seed $seed)"
+    ckpt="$workdir/soak_${rate}_$mode.ckpt"
 
-  # Kill/restore loop: each incarnation dies $kill_step packets further
-  # in, until one survives to the end of the capture.
-  kill_after=$kill_step
-  restarts=0
-  while :; do
+    # Exit 2 (degraded) and 3 (hostile) still mean "analysis completed" —
+    # fault-injected captures are degraded by construction.
     rc=0
-    out="$("$mon" --pcap "$pcap" --checkpoint "$ckpt" --interval 2000 \
-                  --kill-after "$kill_after" --quiet)" || rc=$?
-    if [ "$rc" -eq 0 ] || [ "$rc" -eq 2 ] || [ "$rc" -eq 3 ]; then
-      streamed="$(printf '%s\n' "$out" | tail -n 1)"
-      break
-    elif [ "$rc" -eq 42 ]; then
-      restarts=$((restarts + 1))
-      kill_after=$((kill_after + kill_step))
-    else
-      echo "    FAIL: monitor crashed for real (exit $rc) at rate $rate" >&2
-      printf '%s\n' "$out" >&2
+    batch="$("$mon" --pcap "$pcap" $mode_flag --quiet)" || rc=$?
+    if [ "$rc" -ne 0 ] && [ "$rc" -ne 2 ] && [ "$rc" -ne 3 ]; then
+      echo "    FAIL: batch monitor exited $rc at rate $rate ($mode)" >&2
       failures=$((failures + 1))
-      streamed=""
-      break
+      continue
+    fi
+    echo "    batch:    $batch"
+
+    # Kill/restore loop: each incarnation dies $kill_step packets further
+    # in, until one survives to the end of the capture.
+    kill_after=$kill_step
+    restarts=0
+    while :; do
+      rc=0
+      out="$("$mon" --pcap "$pcap" $mode_flag --checkpoint "$ckpt" --interval 2000 \
+                    --kill-after "$kill_after" --quiet)" || rc=$?
+      if [ "$rc" -eq 0 ] || [ "$rc" -eq 2 ] || [ "$rc" -eq 3 ]; then
+        streamed="$(printf '%s\n' "$out" | tail -n 1)"
+        break
+      elif [ "$rc" -eq 42 ]; then
+        restarts=$((restarts + 1))
+        kill_after=$((kill_after + kill_step))
+      else
+        echo "    FAIL: monitor crashed for real (exit $rc) at rate $rate ($mode)" >&2
+        printf '%s\n' "$out" >&2
+        failures=$((failures + 1))
+        streamed=""
+        break
+      fi
+    done
+    [ -n "$streamed" ] || continue
+    echo "    streamed: $streamed  (survived $restarts kills)"
+
+    if [ "$streamed" != "$batch" ]; then
+      echo "    FAIL: kill/restore run diverged from batch at rate $rate ($mode)" >&2
+      failures=$((failures + 1))
     fi
   done
-  [ -n "$streamed" ] || continue
-  echo "    streamed: $streamed  (survived $restarts kills)"
-
-  if [ "$streamed" != "$batch" ]; then
-    echo "    FAIL: kill/restore run diverged from batch at rate $rate" >&2
-    failures=$((failures + 1))
-  fi
 done
 
 # ---------------------------------------------------------------------------

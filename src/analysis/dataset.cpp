@@ -1,7 +1,6 @@
 #include "analysis/dataset.hpp"
 
 #include <algorithm>
-#include <array>
 #include <iterator>
 
 namespace uncharted::analysis {
@@ -221,8 +220,8 @@ void DatasetBuilder::flush(Timestamp flush_ts) {
   // End of capture: abandon outstanding holes, deliver what is behind them,
   // then account the partial tails left in the stream parsers.
   reassembler_->flush(flush_ts);
-  stats_.tcp_retransmissions = reassembler_->retransmitted_segments();
   auto totals = reassembler_->totals();
+  stats_.tcp_retransmissions = totals.retransmissions;
   auto& deg = stats_.degradation;
   deg.reassembly_gaps += totals.gaps_skipped;
   deg.reassembly_lost_bytes += totals.lost_bytes;
@@ -255,34 +254,9 @@ std::vector<net::FlowKey> DatasetBuilder::quarantined() const {
 
 namespace {
 
-void sum_degradation(DegradationCounters& into, const DegradationCounters& from) {
-  into.undecodable_frames += from.undecodable_frames;
-  into.parser_resyncs += from.parser_resyncs;
-  into.garbage_bytes += from.garbage_bytes;
-  into.undecodable_apdus += from.undecodable_apdus;
-  into.truncated_tail_bytes += from.truncated_tail_bytes;
-  into.reassembly_gaps += from.reassembly_gaps;
-  into.reassembly_lost_bytes += from.reassembly_lost_bytes;
-  into.overlapping_segments += from.overlapping_segments;
-  into.aborted_streams += from.aborted_streams;
-  into.wild_segments += from.wild_segments;
-  into.quarantined_connections += from.quarantined_connections;
-  into.quarantined_apdus += from.quarantined_apdus;
-}
-
 void sum_stats(DatasetStats& into, const DatasetStats& from) {
-  into.packets += from.packets;
-  into.tcp_packets += from.tcp_packets;
-  into.undecodable_frames += from.undecodable_frames;
-  into.iec104_payload_packets += from.iec104_payload_packets;
-  into.apdus += from.apdus;
-  into.apdu_failures += from.apdu_failures;
-  into.c37118_packets += from.c37118_packets;
-  into.iccp_packets += from.iccp_packets;
-  into.other_tcp_packets += from.other_tcp_packets;
-  into.non_compliant_apdus += from.non_compliant_apdus;
-  into.tcp_retransmissions += from.tcp_retransmissions;
-  sum_degradation(into.degradation, from.degradation);
+  util::add_fields(into, from, DatasetStats::fields());
+  util::add_fields(into.degradation, from.degradation, DegradationCounters::fields());
 }
 
 /// The canonical record order: (ts, flow, per-flow seq). A strict total
@@ -497,64 +471,14 @@ CaptureDataset DatasetBuilder::finish() {
 
 namespace {
 
-void save_counters(ByteWriter& w, const DegradationCounters& d) {
-  w.u64le(d.undecodable_frames);
-  w.u64le(d.parser_resyncs);
-  w.u64le(d.garbage_bytes);
-  w.u64le(d.undecodable_apdus);
-  w.u64le(d.truncated_tail_bytes);
-  w.u64le(d.reassembly_gaps);
-  w.u64le(d.reassembly_lost_bytes);
-  w.u64le(d.overlapping_segments);
-  w.u64le(d.aborted_streams);
-  w.u64le(d.wild_segments);
-  w.u64le(d.quarantined_connections);
-  w.u64le(d.quarantined_apdus);
-}
-
-Status load_counters(ByteReader& r, DegradationCounters& d) {
-  std::array<std::uint64_t*, 12> fields = {
-      &d.undecodable_frames,   &d.parser_resyncs,
-      &d.garbage_bytes,        &d.undecodable_apdus,
-      &d.truncated_tail_bytes, &d.reassembly_gaps,
-      &d.reassembly_lost_bytes, &d.overlapping_segments,
-      &d.aborted_streams,      &d.wild_segments,
-      &d.quarantined_connections, &d.quarantined_apdus};
-  for (auto* field : fields) {
-    auto v = r.u64le();
-    if (!v) return v.error();
-    *field = v.value();
-  }
-  return Status::Ok();
-}
-
 void save_stats(ByteWriter& w, const DatasetStats& s) {
-  w.u64le(s.packets);
-  w.u64le(s.tcp_packets);
-  w.u64le(s.undecodable_frames);
-  w.u64le(s.iec104_payload_packets);
-  w.u64le(s.apdus);
-  w.u64le(s.apdu_failures);
-  w.u64le(s.c37118_packets);
-  w.u64le(s.iccp_packets);
-  w.u64le(s.other_tcp_packets);
-  w.u64le(s.non_compliant_apdus);
-  w.u64le(s.tcp_retransmissions);
-  save_counters(w, s.degradation);
+  util::save_fields(w, s, DatasetStats::fields());
+  util::save_fields(w, s.degradation, DegradationCounters::fields());
 }
 
 Status load_stats(ByteReader& r, DatasetStats& s) {
-  std::array<std::uint64_t*, 11> fields = {
-      &s.packets,         &s.tcp_packets,        &s.undecodable_frames,
-      &s.iec104_payload_packets, &s.apdus,       &s.apdu_failures,
-      &s.c37118_packets,  &s.iccp_packets,       &s.other_tcp_packets,
-      &s.non_compliant_apdus, &s.tcp_retransmissions};
-  for (auto* field : fields) {
-    auto v = r.u64le();
-    if (!v) return v.error();
-    *field = v.value();
-  }
-  return load_counters(r, s.degradation);
+  if (auto st = util::load_fields(r, s, DatasetStats::fields()); !st) return st;
+  return util::load_fields(r, s.degradation, DegradationCounters::fields());
 }
 
 void save_profile(ByteWriter& w, const iec104::CodecProfile& p) {
@@ -575,7 +499,8 @@ Result<iec104::CodecProfile> load_profile(ByteReader& r) {
 
 Status DatasetBuilder::save(ByteWriter& w) const {
   save_stats(w, stats_);
-  pressure_.save(w);
+  util::save_fields(w, pressure_, ResourcePressure::action_fields());
+  util::save_fields(w, pressure_, ResourcePressure::peak_fields());
   flows_.save(w);
   w.u64le(last_ts_);
   w.u64le(packets_consumed_);
@@ -605,13 +530,7 @@ Status DatasetBuilder::save(ByteWriter& w) const {
   w.u32le(static_cast<std::uint32_t>(damage_.size()));
   for (const auto& [key, dmg] : damage_) {
     key.save(w);
-    w.u64le(dmg.apdus);
-    w.u64le(dmg.garbage);
-    w.u64le(dmg.garbage_bytes);
-    w.u64le(dmg.undecodable);
-    w.u64le(dmg.truncated);
-    w.u64le(dmg.oversized);
-    w.u64le(dmg.last_failure_ts);
+    util::save_fields(w, dmg, FlowDamage::fields());
   }
 
   w.u8(reassembler_.has_value() ? 1 : 0);
@@ -621,9 +540,9 @@ Status DatasetBuilder::save(ByteWriter& w) const {
 
 Status DatasetBuilder::load(ByteReader& r) {
   if (auto st = load_stats(r, stats_); !st) return st;
-  auto pressure = ResourcePressure::load(r);
-  if (!pressure) return pressure.error();
-  pressure_ = pressure.value();
+  for (const auto& table : {ResourcePressure::action_fields(), ResourcePressure::peak_fields()}) {
+    if (auto st = util::load_fields(r, pressure_, table); !st) return st;
+  }
   if (auto st = flows_.load(r); !st) return st;
   auto last_ts = r.u64le();
   auto consumed = r.u64le();
@@ -719,14 +638,7 @@ Status DatasetBuilder::load(ByteReader& r) {
     auto key = net::FlowKey::load(r);
     if (!key) return key.error();
     FlowDamage dmg;
-    std::array<std::uint64_t*, 7> fields = {
-        &dmg.apdus,     &dmg.garbage,   &dmg.garbage_bytes, &dmg.undecodable,
-        &dmg.truncated, &dmg.oversized, &dmg.last_failure_ts};
-    for (auto* field : fields) {
-      auto v = r.u64le();
-      if (!v) return v.error();
-      *field = v.value();
-    }
+    if (auto st = util::load_fields(r, dmg, FlowDamage::fields()); !st) return st;
     damage_[key.value()] = dmg;
   }
 

@@ -22,6 +22,7 @@
 #include "analysis/bandwidth.hpp"
 #include "analysis/resource.hpp"
 #include "util/arena.hpp"
+#include "util/fields.hpp"
 #include "iec104/conformance.hpp"
 #include "iec104/constants.hpp"
 #include "iec104/parser.hpp"
@@ -68,15 +69,32 @@ struct DegradationCounters {
   std::uint64_t quarantined_connections = 0;  ///< poisoned streams excluded
   std::uint64_t quarantined_apdus = 0;        ///< their APDUs, not reported
 
+  /// Every field, in checkpoint order (util/fields.hpp).
+  static constexpr auto fields() {
+    using S = DegradationCounters;
+    return std::to_array<util::Field<S>>({
+        {"undecodable_frames", &S::undecodable_frames},
+        {"parser_resyncs", &S::parser_resyncs},
+        {"garbage_bytes", &S::garbage_bytes},
+        {"undecodable_apdus", &S::undecodable_apdus},
+        {"truncated_tail_bytes", &S::truncated_tail_bytes},
+        {"reassembly_gaps", &S::reassembly_gaps},
+        {"reassembly_lost_bytes", &S::reassembly_lost_bytes},
+        {"overlapping_segments", &S::overlapping_segments},
+        {"aborted_streams", &S::aborted_streams},
+        {"wild_segments", &S::wild_segments},
+        {"quarantined_connections", &S::quarantined_connections},
+        {"quarantined_apdus", &S::quarantined_apdus},
+    });
+  }
+
   /// True iff the capture showed any damage at all.
   bool any() const { return total() != 0; }
-  std::uint64_t total() const {
-    return undecodable_frames + parser_resyncs + garbage_bytes +
-           undecodable_apdus + truncated_tail_bytes + reassembly_gaps +
-           reassembly_lost_bytes + overlapping_segments + aborted_streams +
-           wild_segments + quarantined_connections + quarantined_apdus;
-  }
+  std::uint64_t total() const { return util::sum_fields(*this, fields()); }
+  bool operator==(const DegradationCounters&) const = default;
 };
+static_assert(sizeof(DegradationCounters) ==
+              DegradationCounters::fields().size() * sizeof(std::uint64_t));
 
 /// Totals for the capture.
 struct DatasetStats {
@@ -94,7 +112,29 @@ struct DatasetStats {
   std::uint64_t non_compliant_apdus = 0;
   std::uint64_t tcp_retransmissions = 0;  ///< reassembled mode only
   DegradationCounters degradation;
+
+  /// Every field but `degradation`, in checkpoint order; the names are the
+  /// keys of the report's "stats" JSON.
+  static constexpr auto fields() {
+    using S = DatasetStats;
+    return std::to_array<util::Field<S>>({
+        {"packets", &S::packets},
+        {"tcp_packets", &S::tcp_packets},
+        {"undecodable_frames", &S::undecodable_frames},
+        {"iec104_payload_packets", &S::iec104_payload_packets},
+        {"apdus", &S::apdus},
+        {"apdu_failures", &S::apdu_failures},
+        {"c37118_packets", &S::c37118_packets},
+        {"iccp_packets", &S::iccp_packets},
+        {"other_tcp_packets", &S::other_tcp_packets},
+        {"non_compliant_apdus", &S::non_compliant_apdus},
+        {"tcp_retransmissions", &S::tcp_retransmissions},
+    });
+  }
+  bool operator==(const DatasetStats&) const = default;
 };
+static_assert(sizeof(DatasetStats) == DatasetStats::fields().size() * sizeof(std::uint64_t) +
+                                          sizeof(DegradationCounters));
 
 /// Per-directed-flow parse damage: how many APDUs parsed cleanly and what
 /// each failure was. This is both the quarantine evidence (scored by
@@ -110,8 +150,24 @@ struct FlowDamage {
   std::uint64_t oversized = 0;      ///< frames whose length octet exceeds 253
   Timestamp last_failure_ts = 0;
 
+  /// Every field, in checkpoint order.
+  static constexpr auto fields() {
+    using S = FlowDamage;
+    return std::to_array<util::Field<S>>({
+        {"apdus", &S::apdus},
+        {"garbage", &S::garbage},
+        {"garbage_bytes", &S::garbage_bytes},
+        {"undecodable", &S::undecodable},
+        {"truncated", &S::truncated},
+        {"oversized", &S::oversized},
+        {"last_failure_ts", &S::last_failure_ts},
+    });
+  }
+
   std::uint64_t failures() const { return garbage + undecodable + truncated; }
+  bool operator==(const FlowDamage&) const = default;
 };
+static_assert(sizeof(FlowDamage) == FlowDamage::fields().size() * sizeof(std::uint64_t));
 
 /// An undirected endpoint pair (a "connection" in the paper's sense:
 /// C1-O7, C2-O30, ...). Ports are ignored so reconnections merge.

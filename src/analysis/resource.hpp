@@ -10,7 +10,7 @@
 
 #include <cstdint>
 
-#include "util/bytes.hpp"
+#include "util/fields.hpp"
 
 namespace uncharted::analysis {
 
@@ -50,14 +50,36 @@ struct ResourcePressure {
   std::uint64_t peak_records = 0;
   std::uint64_t peak_parsers = 0;
 
-  bool any() const {
-    return flow_evictions + reassembly_flushes + records_evicted +
-               parsers_evicted !=
-           0;
+  /// The enforcement actions, then the peaks: together the checkpoint
+  /// order (util/fields.hpp). Lanes sum their actions and take the max of
+  /// their peaks.
+  static constexpr auto action_fields() {
+    using S = ResourcePressure;
+    return std::to_array<util::Field<S>>({
+        {"flow_evictions", &S::flow_evictions},
+        {"reassembly_flushes", &S::reassembly_flushes},
+        {"records_evicted", &S::records_evicted},
+        {"parsers_evicted", &S::parsers_evicted},
+    });
+  }
+  static constexpr auto peak_fields() {
+    using S = ResourcePressure;
+    return std::to_array<util::Field<S>>({
+        {"peak_flow_entries", &S::peak_flow_entries},
+        {"peak_reassembly_bytes", &S::peak_reassembly_bytes},
+        {"peak_records", &S::peak_records},
+        {"peak_parsers", &S::peak_parsers},
+    });
   }
 
-  void save(ByteWriter& w) const;
-  static Result<ResourcePressure> load(ByteReader& r);
+  /// Enforcement actions taken so far.
+  std::uint64_t actions() const { return util::sum_fields(*this, action_fields()); }
+  bool any() const { return actions() != 0; }
+  bool operator==(const ResourcePressure&) const = default;
 };
+static_assert(sizeof(ResourcePressure) ==
+              (ResourcePressure::action_fields().size() +
+               ResourcePressure::peak_fields().size()) *
+                  sizeof(std::uint64_t));
 
 }  // namespace uncharted::analysis

@@ -41,17 +41,12 @@ namespace {
 constexpr std::size_t kStagingBatch = 256;
 
 void fold_pressure(ResourcePressure& into, const ResourcePressure& from) {
-  into.flow_evictions += from.flow_evictions;
-  into.reassembly_flushes += from.reassembly_flushes;
-  into.records_evicted += from.records_evicted;
-  into.parsers_evicted += from.parsers_evicted;
+  util::add_fields(into, from, ResourcePressure::action_fields());
   // Peaks are concurrent high-water marks; the max across shards is the
   // honest single number (summing would claim simultaneity never observed).
-  into.peak_flow_entries = std::max(into.peak_flow_entries, from.peak_flow_entries);
-  into.peak_reassembly_bytes =
-      std::max(into.peak_reassembly_bytes, from.peak_reassembly_bytes);
-  into.peak_records = std::max(into.peak_records, from.peak_records);
-  into.peak_parsers = std::max(into.peak_parsers, from.peak_parsers);
+  for (const auto& f : ResourcePressure::peak_fields()) {
+    into.*f.member = std::max(into.*f.member, from.*f.member);
+  }
 }
 
 }  // namespace

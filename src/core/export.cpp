@@ -95,19 +95,13 @@ std::string json_str(const std::string& s) {
 std::string report_to_json(const AnalysisReport& report) {
   std::string out = "{";
 
-  const auto& st = report.stats;
   out += "\"stats\":{";
-  out += "\"packets\":" + std::to_string(st.packets);
-  out += ",\"tcp_packets\":" + std::to_string(st.tcp_packets);
-  out += ",\"undecodable_frames\":" + std::to_string(st.undecodable_frames);
-  out += ",\"iec104_payload_packets\":" + std::to_string(st.iec104_payload_packets);
-  out += ",\"apdus\":" + std::to_string(st.apdus);
-  out += ",\"apdu_failures\":" + std::to_string(st.apdu_failures);
-  out += ",\"c37118_packets\":" + std::to_string(st.c37118_packets);
-  out += ",\"iccp_packets\":" + std::to_string(st.iccp_packets);
-  out += ",\"other_tcp_packets\":" + std::to_string(st.other_tcp_packets);
-  out += ",\"non_compliant_apdus\":" + std::to_string(st.non_compliant_apdus);
-  out += ",\"tcp_retransmissions\":" + std::to_string(st.tcp_retransmissions);
+  const char* sep = "";
+  for (const auto& f : analysis::DatasetStats::fields()) {
+    out += sep;
+    out += json_str(std::string(f.name)) + ":" + std::to_string(report.stats.*f.member);
+    sep = ",";
+  }
   out += "}";
 
   const auto& fs = report.flows.summary;

@@ -18,11 +18,6 @@ constexpr std::uint32_t kLiveMagic = 0x554E4C44;  // "UNLD"
 /// enforcement to the server's buffer budget.
 constexpr double kPressurePollS = 1.0;
 
-std::uint64_t enforcement_total(const analysis::ResourcePressure& p) {
-  return p.flow_evictions + p.reassembly_flushes + p.records_evicted +
-         p.parsers_evicted;
-}
-
 std::string lane_name(std::size_t lane) {
   return "lane/" + std::to_string(lane);
 }
@@ -170,7 +165,7 @@ void LiveIngestDaemon::arm_pressure_timer() {
 
 void LiveIngestDaemon::poll_pressure() {
   const analysis::ResourcePressure now = analyzer_->pressure();
-  const bool enforcing = enforcement_total(now) > enforcement_total(last_pressure_);
+  const bool enforcing = now.actions() > last_pressure_.actions();
   last_pressure_ = now;
   if (enforcing) {
     // The analyzer is actively shedding its own state: shrink the ingest

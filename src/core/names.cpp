@@ -1,5 +1,7 @@
 #include "core/names.hpp"
 
+#include "iec104/constants.hpp"
+
 namespace uncharted::core {
 
 NameMap name_map(const sim::Topology& topology) {
@@ -9,15 +11,17 @@ NameMap name_map(const sim::Topology& topology) {
   return names;
 }
 
-NameMap infer_names(const analysis::CaptureDataset& dataset) {
+NameMap infer_names(std::span<const net::FlowRecord> flows) {
   NameMap names;
-  for (const auto& rec : dataset.records()) {
-    if (rec.flow.src_port == iec104::kIec104Port) {
-      names.emplace(rec.flow.src_ip, "station-" + rec.flow.src_ip.str());
-      names.emplace(rec.flow.dst_ip, "server-" + rec.flow.dst_ip.str());
-    } else if (rec.flow.dst_port == iec104::kIec104Port) {
-      names.emplace(rec.flow.dst_ip, "station-" + rec.flow.dst_ip.str());
-      names.emplace(rec.flow.src_ip, "server-" + rec.flow.src_ip.str());
+  for (const auto& flow : flows) {
+    if (flow.bytes == 0) continue;
+    const net::FlowKey& k = flow.key;
+    if (k.src_port == iec104::kIec104Port) {
+      names.emplace(k.src_ip, "station-" + k.src_ip.str());
+      names.emplace(k.dst_ip, "server-" + k.dst_ip.str());
+    } else if (k.dst_port == iec104::kIec104Port) {
+      names.emplace(k.dst_ip, "station-" + k.dst_ip.str());
+      names.emplace(k.src_ip, "server-" + k.src_ip.str());
     }
   }
   return names;

@@ -4,9 +4,10 @@
 #pragma once
 
 #include <map>
+#include <span>
 #include <string>
 
-#include "analysis/dataset.hpp"
+#include "net/flow.hpp"
 #include "net/headers.hpp"
 #include "sim/topology.hpp"
 
@@ -17,9 +18,11 @@ using NameMap = std::map<net::Ipv4Addr, std::string>;
 /// Names from a known topology (C1..C4, O1..O58).
 NameMap name_map(const sim::Topology& topology);
 
-/// Heuristic names from traffic alone: endpoints owning the IEC 104 port
-/// become "station-<ip>", the others "server-<ip>".
-NameMap infer_names(const analysis::CaptureDataset& dataset);
+/// Heuristic names from traffic alone: on each flow that carried payload
+/// on the IEC 104 port, the endpoint owning the port becomes
+/// "station-<ip>" and its peer "server-<ip>". The first flow to name an
+/// endpoint wins.
+NameMap infer_names(std::span<const net::FlowRecord> flows);
 
 /// Lookup with fallback to the dotted quad.
 std::string name_of(const NameMap& names, net::Ipv4Addr ip);

@@ -1,7 +1,5 @@
 #include "net/reassembly.hpp"
 
-#include <array>
-
 namespace uncharted::net {
 
 namespace {
@@ -10,18 +8,6 @@ bool seq_lt(std::uint32_t a, std::uint32_t b) {
   return static_cast<std::int32_t>(a - b) < 0;
 }
 }  // namespace
-
-void StreamStats::accumulate(const StreamStats& o) {
-  retransmissions += o.retransmissions;
-  overlapping_segments += o.overlapping_segments;
-  out_of_order += o.out_of_order;
-  delivered_bytes += o.delivered_bytes;
-  gaps_skipped += o.gaps_skipped;
-  lost_bytes += o.lost_bytes;
-  resets += o.resets;
-  aborted_with_pending += o.aborted_with_pending;
-  wild_segments += o.wild_segments;
-}
 
 TcpStreamDirection::TcpStreamDirection(const TcpStreamDirection& other)
     : limits_(other.limits_),
@@ -182,15 +168,7 @@ void TcpStreamDirection::save(ByteWriter& w) const {
     w.u32le(static_cast<std::uint32_t>(data.size()));
     w.bytes(data);
   }
-  w.u64le(stats_.retransmissions);
-  w.u64le(stats_.overlapping_segments);
-  w.u64le(stats_.out_of_order);
-  w.u64le(stats_.delivered_bytes);
-  w.u64le(stats_.gaps_skipped);
-  w.u64le(stats_.lost_bytes);
-  w.u64le(stats_.resets);
-  w.u64le(stats_.aborted_with_pending);
-  w.u64le(stats_.wild_segments);
+  util::save_fields(w, stats_, StreamStats::fields());
 }
 
 Result<TcpStreamDirection> TcpStreamDirection::load(ByteReader& r,
@@ -211,16 +189,8 @@ Result<TcpStreamDirection> TcpStreamDirection::load(ByteReader& r,
     dir.pending_bytes_ += data->size();
     dir.pending_[seq.value()] = dir.slab_.store(*data);
   }
-  std::array<std::uint64_t*, 9> fields = {
-      &dir.stats_.retransmissions, &dir.stats_.overlapping_segments,
-      &dir.stats_.out_of_order,    &dir.stats_.delivered_bytes,
-      &dir.stats_.gaps_skipped,    &dir.stats_.lost_bytes,
-      &dir.stats_.resets,          &dir.stats_.aborted_with_pending,
-      &dir.stats_.wild_segments};
-  for (auto* field : fields) {
-    auto v = r.u64le();
-    if (!v) return v.error();
-    *field = v.value();
+  if (auto st = util::load_fields(r, dir.stats_, StreamStats::fields()); !st) {
+    return st.error();
   }
   return dir;
 }
@@ -270,20 +240,16 @@ void TcpReassembler::flush(Timestamp ts) {
   }
 }
 
-std::uint64_t TcpReassembler::retransmitted_segments() const {
-  std::uint64_t total = 0;
-  for (const auto& [key, dir] : directions_) total += dir.retransmitted_segments();
-  return total;
-}
-
 std::uint64_t TcpReassembler::retransmissions_for(const FlowKey& key) const {
   auto it = directions_.find(key);
-  return it == directions_.end() ? 0 : it->second.retransmitted_segments();
+  return it == directions_.end() ? 0 : it->second.stats().retransmissions;
 }
 
 StreamStats TcpReassembler::totals() const {
   StreamStats total;
-  for (const auto& [key, dir] : directions_) total.accumulate(dir.stats());
+  for (const auto& [key, dir] : directions_) {
+    util::add_fields(total, dir.stats(), StreamStats::fields());
+  }
   return total;
 }
 

@@ -24,6 +24,7 @@
 #include "net/flow.hpp"
 #include "net/frame.hpp"
 #include "util/arena.hpp"
+#include "util/fields.hpp"
 #include "util/timebase.hpp"
 
 namespace uncharted::net {
@@ -59,8 +60,24 @@ struct StreamStats {
   std::uint64_t aborted_with_pending = 0;  ///< RST while data was buffered
   std::uint64_t wild_segments = 0;  ///< discarded: start beyond max_window_bytes
 
-  void accumulate(const StreamStats& o);
+  /// Every field, in checkpoint order (util/fields.hpp).
+  static constexpr auto fields() {
+    using S = StreamStats;
+    return std::to_array<util::Field<S>>({
+        {"retransmissions", &S::retransmissions},
+        {"overlapping_segments", &S::overlapping_segments},
+        {"out_of_order", &S::out_of_order},
+        {"delivered_bytes", &S::delivered_bytes},
+        {"gaps_skipped", &S::gaps_skipped},
+        {"lost_bytes", &S::lost_bytes},
+        {"resets", &S::resets},
+        {"aborted_with_pending", &S::aborted_with_pending},
+        {"wild_segments", &S::wild_segments},
+    });
+  }
+  bool operator==(const StreamStats&) const = default;
 };
+static_assert(sizeof(StreamStats) == StreamStats::fields().size() * sizeof(std::uint64_t));
 
 /// One direction of one connection.
 class TcpStreamDirection {
@@ -110,10 +127,6 @@ class TcpStreamDirection {
   std::vector<StreamChunk> flush(Timestamp ts);
 
   const StreamStats& stats() const { return stats_; }
-  std::uint64_t retransmitted_segments() const { return stats_.retransmissions; }
-  std::uint64_t delivered_bytes() const { return stats_.delivered_bytes; }
-  std::uint64_t out_of_order_segments() const { return stats_.out_of_order; }
-  std::uint64_t overlapping_segments() const { return stats_.overlapping_segments; }
 
   /// Live bytes buffered out of order right now.
   std::size_t pending_bytes() const { return pending_bytes_; }
@@ -174,9 +187,6 @@ class TcpReassembler {
 
   /// End of capture: flushes every direction through the sink.
   void flush(Timestamp ts);
-
-  /// Total retransmitted segments across all directions.
-  std::uint64_t retransmitted_segments() const;
 
   /// Retransmissions for one directed flow (0 if unseen).
   std::uint64_t retransmissions_for(const FlowKey& key) const;

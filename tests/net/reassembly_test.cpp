@@ -29,8 +29,8 @@ TEST(StreamDirection, InOrderDelivery) {
   auto c2 = dir.on_segment(2, seg(103), bytes({4, 5}));
   ASSERT_EQ(c2.size(), 1u);
   EXPECT_EQ(c2[0].data, bytes({4, 5}));
-  EXPECT_EQ(dir.delivered_bytes(), 5u);
-  EXPECT_EQ(dir.retransmitted_segments(), 0u);
+  EXPECT_EQ(dir.stats().delivered_bytes, 5u);
+  EXPECT_EQ(dir.stats().retransmissions, 0u);
 }
 
 TEST(StreamDirection, SynConsumesOneSequenceNumber) {
@@ -46,8 +46,8 @@ TEST(StreamDirection, ExactDuplicateIsRetransmission) {
   dir.on_segment(1, seg(100), bytes({1, 2, 3}));
   auto dup = dir.on_segment(2, seg(100), bytes({1, 2, 3}));
   EXPECT_TRUE(dup.empty());
-  EXPECT_EQ(dir.retransmitted_segments(), 1u);
-  EXPECT_EQ(dir.delivered_bytes(), 3u);
+  EXPECT_EQ(dir.stats().retransmissions, 1u);
+  EXPECT_EQ(dir.stats().delivered_bytes, 3u);
 }
 
 TEST(StreamDirection, PartialOverlapDeliversOnlyNewTail) {
@@ -57,9 +57,9 @@ TEST(StreamDirection, PartialOverlapDeliversOnlyNewTail) {
   ASSERT_EQ(c.size(), 1u);
   EXPECT_EQ(c[0].data, bytes({4, 5}));
   // A partial overlap is its own stat; full duplicates stay retransmissions.
-  EXPECT_EQ(dir.overlapping_segments(), 1u);
-  EXPECT_EQ(dir.retransmitted_segments(), 0u);
-  EXPECT_EQ(dir.delivered_bytes(), 5u);
+  EXPECT_EQ(dir.stats().overlapping_segments, 1u);
+  EXPECT_EQ(dir.stats().retransmissions, 0u);
+  EXPECT_EQ(dir.stats().delivered_bytes, 5u);
 }
 
 TEST(StreamDirection, OverlapNeverDoubleDeliversAcrossPending) {
@@ -70,7 +70,7 @@ TEST(StreamDirection, OverlapNeverDoubleDeliversAcrossPending) {
   auto c = dir.on_segment(3, seg(102), bytes({3, 4, 5}));
   ASSERT_EQ(c.size(), 1u);
   EXPECT_EQ(c[0].data, bytes({3, 4, 5, 6}));
-  EXPECT_EQ(dir.delivered_bytes(), 6u);
+  EXPECT_EQ(dir.stats().delivered_bytes, 6u);
 }
 
 TEST(StreamDirection, OutOfOrderBufferedThenDrained) {
@@ -78,11 +78,11 @@ TEST(StreamDirection, OutOfOrderBufferedThenDrained) {
   dir.on_segment(1, seg(100), bytes({1}));
   auto gap = dir.on_segment(2, seg(103), bytes({4, 5}));
   EXPECT_TRUE(gap.empty());
-  EXPECT_EQ(dir.out_of_order_segments(), 1u);
+  EXPECT_EQ(dir.stats().out_of_order, 1u);
   auto c = dir.on_segment(3, seg(101), bytes({2, 3}));
   ASSERT_EQ(c.size(), 1u);
   EXPECT_EQ(c[0].data, bytes({2, 3, 4, 5}));
-  EXPECT_EQ(dir.delivered_bytes(), 5u);
+  EXPECT_EQ(dir.stats().delivered_bytes, 5u);
 }
 
 TEST(StreamDirection, SequenceWraparound) {
@@ -279,10 +279,10 @@ TEST(Reassembler, RoutesPerDirection) {
   ASSERT_EQ(streams.size(), 2u);
   EXPECT_EQ(streams["10.0.0.1:5000 -> 10.1.0.2:2404"], bytes({1, 2}));
   EXPECT_EQ(streams["10.1.0.2:2404 -> 10.0.0.1:5000"], bytes({9}));
-  EXPECT_EQ(r.retransmitted_segments(), 0u);
+  EXPECT_EQ(r.totals().retransmissions, 0u);
 
   r.add(3, fwd);  // duplicate
-  EXPECT_EQ(r.retransmitted_segments(), 1u);
+  EXPECT_EQ(r.totals().retransmissions, 1u);
   FlowKey key{fwd.ip.src, 5000, fwd.ip.dst, 2404};
   EXPECT_EQ(r.retransmissions_for(key), 1u);
   EXPECT_EQ(r.retransmissions_for(key.reversed()), 0u);

@@ -102,7 +102,7 @@ TEST(SimTcp, PayloadBytesSurviveReassembly) {
   fwd_expect.insert(fwd_expect.end(), a.begin(), a.end());
   EXPECT_EQ(streams["10.0.0.1:50000 -> 10.1.0.5:2404"], fwd_expect);
   EXPECT_EQ(streams["10.1.0.5:2404 -> 10.0.0.1:50000"], b);
-  EXPECT_EQ(reasm.retransmitted_segments(), 0u);
+  EXPECT_EQ(reasm.totals().retransmissions, 0u);
 }
 
 TEST(SimTcp, RetransmissionInjectionVisibleToReassembler) {
@@ -121,7 +121,7 @@ TEST(SimTcp, RetransmissionInjectionVisibleToReassembler) {
   for (const auto& [ts, data] : h.frames) {
     reasm.add(ts, net::decode_frame(data).value());
   }
-  EXPECT_EQ(reasm.retransmitted_segments(), 1u);
+  EXPECT_EQ(reasm.totals().retransmissions, 1u);
 }
 
 TEST(SimTcp, ChecksumsAreValidOnEveryFrame) {
