@@ -109,6 +109,8 @@ AnalysisReport analyze_frames(const CaptureAnalyzer::Options& options,
     engine.query(view);
   }
   auto report = analyze_view(view, bandwidth.finish(), pool.get());
+  // No budgets bind here, so this carries only the sampled peaks.
+  report.degradation.resources = engine.pressure();
   report.timings.stages.insert(report.timings.stages.begin(),
                                build_timings.stages.begin(),
                                build_timings.stages.end());

@@ -112,6 +112,12 @@ void FleetClient::connect_stream(std::size_t idx) {
     return;
   }
   (void)Reactor::make_nonblocking(fd);
+  // pump_send already batches every due frame and the progress promise
+  // into one send, so Nagle only delays: it would hold the next small
+  // record until the daemon's delayed ack, and the watermark merge would
+  // hold every other stream behind it.
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(config_.port);

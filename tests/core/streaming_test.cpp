@@ -63,6 +63,19 @@ TEST(Streaming, MatchesBatchAnalyzerExactly) {
   expect_headlines_match(report, batch_report());
 }
 
+// Batch runs the same engine as streaming, so its report carries the same
+// sampled peaks; with no budgets, neither took an enforcement action.
+TEST(Streaming, BatchReportsTheSameResourcePeaks) {
+  StreamingAnalyzer analyzer(StreamingOptions{});
+  analyzer.add_packets(net::as_frame_views(capture().packets));
+  const auto streamed = analyzer.finalize().degradation.resources;
+  const auto& batch = batch_report().degradation.resources;
+  EXPECT_TRUE(batch == streamed);
+  EXPECT_FALSE(batch.any());
+  EXPECT_GT(batch.peak_flow_entries, 0u);
+  EXPECT_GT(batch.peak_records, 0u);
+}
+
 TEST(Streaming, CheckpointRestoreResumesMidStream) {
   auto path = temp_path("resume.ckpt");
   StreamingOptions options;

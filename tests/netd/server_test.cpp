@@ -7,6 +7,7 @@
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -803,6 +804,46 @@ TEST(FleetClient, KeepsSendingAfterTheKernelTakesAWholeBacklog) {
   client.join();
   EXPECT_TRUE(benign_ok.load());
   EXPECT_EQ(h.released.size(), 600u);
+}
+
+/// Reads TCP_NODELAY on the socket of every send as it is made, so a test
+/// can check the option after the sockets have closed.
+class NoDelayProbe final : public PassthroughSysOps {
+ public:
+  struct Send {
+    int fd;
+    int nodelay;
+  };
+  std::vector<Send> sends;
+
+  ssize_t send(int fd, const void* buf, std::size_t n, int flags) override {
+    int on = -1;
+    socklen_t len = sizeof on;
+    if (::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &on, &len) != 0) on = -1;
+    sends.push_back(Send{fd, on});
+    return real().send(fd, buf, n, flags);
+  }
+};
+
+TEST(FleetClient, DataSocketsTurnNagleOff) {
+  // The fleet batches each pump into one send itself; with Nagle on, a
+  // stream's next small record would wait for the daemon's delayed ack.
+  ServerConfig cfg;
+  cfg.expect_streams = 1;
+  Harness h(cfg);
+  NoDelayProbe sys;
+  FleetConfig fc = h.fleet_config();
+  fc.sys = &sys;
+  FleetClient fleet(h.reactor, fc, {make_stream(1, 0, 20)});
+  fleet.start();
+  ASSERT_TRUE(h.drive([&] {
+    return fleet.all_done() && h.server->all_expected_finished();
+  }));
+  EXPECT_TRUE(fleet.all_benign_ok());
+  ASSERT_FALSE(sys.sends.empty());
+  for (const NoDelayProbe::Send& s : sys.sends) {
+    EXPECT_EQ(s.nodelay, 1) << "fleet fd " << s.fd;
+  }
 }
 
 }  // namespace
